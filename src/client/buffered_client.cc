@@ -106,7 +106,6 @@ BufferedClient::ExchangeTotals BufferedClient::FetchBlocks(
 void BufferedClient::OnBackpressure(double retry_after_seconds) {
   channel_.Defer(retry_after_seconds);
   suppress_prefetch_once_ = true;
-  ++backpressure_frames_;
 }
 
 BufferedFrameReport BufferedClient::Step(const geometry::Vec2& position,
@@ -265,8 +264,6 @@ BufferedFrameReport BufferedClient::Step(const geometry::Vec2& position,
     stale_run_frames_ = 0;
   }
 
-  total_demand_bytes_ += report.demand_bytes;
-  total_prefetch_bytes_ += report.prefetch_bytes;
   total_response_seconds_ += report.response_seconds;
   ++frames_;
   return report;

@@ -7,7 +7,6 @@
 
 #include "buffer/block_buffer.h"
 #include "buffer/prefetcher.h"
-#include "client/speed_map.h"
 #include "client/viewport.h"
 #include "common/rng.h"
 #include "geometry/box.h"
@@ -17,6 +16,7 @@
 #include "motion/predictor.h"
 #include "net/link.h"
 #include "net/reliable_channel.h"
+#include "qos/resolution_policy.h"
 #include "server/server.h"
 
 namespace mars::client {
@@ -64,7 +64,7 @@ class BufferedClient {
  public:
   struct Options {
     double query_fraction = 0.1;
-    SpeedResolutionMap speed_map;
+    qos::SpeedResolutionMap speed_map;
     // External QoS policy owning the speed → w_min decision (not owned;
     // must outlive the client). Null — the default — wraps `speed_map` in
     // a static policy, which is bit-identical to the pre-policy pipeline.
@@ -119,30 +119,12 @@ class BufferedClient {
   // sheds load where it hurts least. No-op for clients that never
   // receive it.
   void OnBackpressure(double retry_after_seconds);
-  int64_t backpressure_frames() const { return backpressure_frames_; }
-
-  // Coalesced-delivery notification from the serving cell: `records` of
-  // the latest frame's exchanges arrive as a single shared copy riding
-  // another client's transfer (server inflight table), saving `bytes` on
-  // the medium. The payload itself is identical — this is accounting for
-  // the delivery path only.
-  void OnSharedDelivery(int64_t records, int64_t bytes) {
-    shared_delivery_records_ += records;
-    shared_delivery_bytes_ += bytes;
-  }
-  int64_t shared_delivery_records() const {
-    return shared_delivery_records_;
-  }
-  int64_t shared_delivery_bytes() const { return shared_delivery_bytes_; }
 
   const buffer::BlockBufferStats& buffer_stats() const {
     return buffer_.stats();
   }
-  int64_t total_demand_bytes() const { return total_demand_bytes_; }
-  int64_t total_prefetch_bytes() const { return total_prefetch_bytes_; }
   double total_response_seconds() const { return total_response_seconds_; }
   int64_t frames() const { return frames_; }
-  const geometry::GridPartition& grid() const { return grid_; }
   // Fault-tolerance totals.
   int64_t total_retries() const { return channel_.total_retries(); }
   int64_t total_timeouts() const { return channel_.total_failures(); }
@@ -194,17 +176,12 @@ class BufferedClient {
   double avg_block_bytes_ = 2048.0;
   int64_t fetched_blocks_ = 0;
 
-  int64_t total_demand_bytes_ = 0;
-  int64_t total_prefetch_bytes_ = 0;
   double total_response_seconds_ = 0.0;
   int64_t frames_ = 0;
 
   // Backpressure: skip the next frame's prefetch after the cell asked us
   // to back off.
   bool suppress_prefetch_once_ = false;
-  int64_t backpressure_frames_ = 0;
-  int64_t shared_delivery_records_ = 0;
-  int64_t shared_delivery_bytes_ = 0;
 
   // Degraded-operation accounting.
   int64_t outage_frames_ = 0;

@@ -19,7 +19,6 @@ NaiveObjectClient::NaiveObjectClient(const Options& options,
 
 void NaiveObjectClient::OnBackpressure(double /*retry_after_seconds*/) {
   next_window_scale_ = 0.5;
-  ++backpressure_frames_;
 }
 
 NaiveFrameReport NaiveObjectClient::Step(const geometry::Vec2& position,

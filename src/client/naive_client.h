@@ -44,7 +44,6 @@ class NaiveObjectClient {
   // which roughly halves the full-resolution bytes it demands. No-op for
   // clients that never receive it.
   void OnBackpressure(double retry_after_seconds);
-  int64_t backpressure_frames() const { return backpressure_frames_; }
 
   int64_t total_bytes() const { return total_bytes_; }
   double total_response_seconds() const { return total_response_seconds_; }
@@ -61,7 +60,6 @@ class NaiveObjectClient {
   // Scale applied to the next frame's window after backpressure (1.0
   // otherwise).
   double next_window_scale_ = 1.0;
-  int64_t backpressure_frames_ = 0;
 
   int64_t object_lookups_ = 0;
   int64_t object_hits_ = 0;

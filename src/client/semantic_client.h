@@ -4,11 +4,11 @@
 #include <cstdint>
 
 #include "client/semantic_cache.h"
-#include "client/speed_map.h"
 #include "client/viewport.h"
 #include "geometry/box.h"
 #include "geometry/vec.h"
 #include "net/link.h"
+#include "qos/resolution_policy.h"
 #include "server/server.h"
 
 namespace mars::client {
@@ -32,7 +32,7 @@ class SemanticClient {
  public:
   struct Options {
     double query_fraction = 0.1;
-    SpeedResolutionMap speed_map;
+    qos::SpeedResolutionMap speed_map;
     // External QoS policy owning the speed → w_min decision (not owned;
     // must outlive the client). Null — the default — wraps `speed_map` in
     // a static policy, which is bit-identical to the pre-policy pipeline.

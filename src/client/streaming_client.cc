@@ -24,7 +24,6 @@ StreamingClient::StreamingClient(const Options& options,
 
 void StreamingClient::OnBackpressure(double retry_after_seconds) {
   channel_.Defer(retry_after_seconds);
-  ++backpressure_frames_;
 }
 
 void StreamingClient::FlushAck() {
@@ -69,7 +68,6 @@ StreamingFrameReport StreamingClient::Step(const geometry::Vec2& position,
     prev_window_ = window;
     prev_w_min_ = w_min;
     total_bytes_ += result.response_bytes;
-    total_records_ += report.new_records;
   } else {
     // Lost despite the retry budget: nothing was installed. Roll the
     // tentative delivery back so the records are re-sent when next

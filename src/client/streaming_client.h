@@ -5,14 +5,14 @@
 #include <optional>
 #include <vector>
 
-#include "client/speed_map.h"
+#include "client/viewport.h"
 #include "common/status.h"
 #include "index/record.h"
-#include "client/viewport.h"
 #include "geometry/box.h"
 #include "geometry/vec.h"
 #include "net/link.h"
 #include "net/reliable_channel.h"
+#include "qos/resolution_policy.h"
 #include "server/server.h"
 
 namespace mars::client {
@@ -54,7 +54,7 @@ class StreamingClient {
  public:
   struct Options {
     double query_fraction = 0.1;  // window side as a fraction of the space
-    SpeedResolutionMap speed_map;
+    qos::SpeedResolutionMap speed_map;
     // External QoS policy owning the speed → w_min decision (not owned;
     // must outlive the client). Null — the default — wraps `speed_map` in
     // a static policy, which is bit-identical to the pre-policy pipeline.
@@ -88,25 +88,9 @@ class StreamingClient {
   // wait is excluded from the exchange's deadline budget). A client that
   // never receives this behaves exactly as before.
   void OnBackpressure(double retry_after_seconds);
-  int64_t backpressure_frames() const { return backpressure_frames_; }
-
-  // Coalesced-delivery notification from the serving cell: `records` of
-  // the latest frame's response arrive as a single shared copy riding
-  // another client's transfer (server inflight table), saving `bytes` on
-  // the medium. The payload itself is identical — this is accounting for
-  // the delivery path only.
-  void OnSharedDelivery(int64_t records, int64_t bytes) {
-    shared_delivery_records_ += records;
-    shared_delivery_bytes_ += bytes;
-  }
-  int64_t shared_delivery_records() const {
-    return shared_delivery_records_;
-  }
-  int64_t shared_delivery_bytes() const { return shared_delivery_bytes_; }
 
   // Cumulative totals.
   int64_t total_bytes() const { return total_bytes_; }
-  int64_t total_records() const { return total_records_; }
   double total_response_seconds() const { return total_response_seconds_; }
   int64_t frames() const { return frames_; }
   int64_t total_retries() const { return channel_.total_retries(); }
@@ -132,12 +116,8 @@ class StreamingClient {
   double prev_w_min_ = 2.0;  // "no previous resolution"
 
   int64_t total_bytes_ = 0;
-  int64_t total_records_ = 0;
   double total_response_seconds_ = 0.0;
   int64_t frames_ = 0;
-  int64_t backpressure_frames_ = 0;
-  int64_t shared_delivery_records_ = 0;
-  int64_t shared_delivery_bytes_ = 0;
 };
 
 }  // namespace mars::client

@@ -1,9 +1,6 @@
 #include "core/system.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "common/logging.h"
 
 namespace mars::core {
 
@@ -45,128 +42,39 @@ System::System(const Config& config,
 RunMetrics System::RunStreaming(
     const std::vector<workload::TourPoint>& tour,
     const client::StreamingClient::Options& options) {
-  net::SimulatedLink link(config_.link);
-  net::FaultSchedule fault(config_.fault);
-  if (fault.enabled()) link.AttachFaultSchedule(&fault);
-  client::StreamingClient cl(options, space(), server_.get(), &link);
-  RunMetrics metrics;
-  int64_t stale_run = 0;
-  const bool motion_pools = server_->motion_interest_enabled();
-  const bool rebalance = server_->rebalance_enabled();
-  const bool warming = server_->pool_warming_enabled();
-  for (const workload::TourPoint& point : tour) {
-    // Warm join first: the previous frame's speculative reads install
-    // before anything else touches the raw page stores this frame.
-    if (warming) server_->WarmPoolsJoin();
-    if (motion_pools) {
-      server_->ObserveClientMotion(0, point.position);
-      server_->RefreshPoolInterest();
-    }
-    if (rebalance) server_->TickRebalancer();
-    // Dispatch last, against the refreshed interest field: the reads run
-    // while the frame's queries execute below.
-    if (warming) server_->WarmPoolsDispatch();
-    const client::StreamingFrameReport report =
-        cl.Step(point.position, point.speed);
-    metrics.demand_bytes += report.response_bytes;
-    metrics.node_accesses += report.node_accesses;
-    metrics.records_delivered += report.new_records;
-    metrics.total_response_seconds += report.response_seconds;
-    if (report.response_seconds > 0.0) ++metrics.demand_exchanges;
-    metrics.retries += report.retries;
-    if (!report.status.ok()) {
-      ++metrics.timeouts;
-      ++metrics.outage_frames;
-      // A failed frame renders from the store as of the last successful
-      // exchange: it is stale by definition.
-      ++metrics.stale_frames;
-      ++stale_run;
-      metrics.max_stale_run_frames =
-          std::max(metrics.max_stale_run_frames, stale_run);
-    } else {
-      stale_run = 0;
-    }
-    ++metrics.frames;
-  }
-  // Quiesce: commit the trailing pending delivery so the server's
-  // committed state matches the client's store at run end.
-  cl.FlushAck();
-  // Settle the trailing speculative batch so post-run pool stats are
-  // stable (and deterministic) whenever the caller prints them.
-  if (warming) server_->WarmPoolsJoin();
-  metrics.tour_distance = workload::TourDistance(tour);
-  return metrics;
+  return Run(tour, options);
 }
 
 RunMetrics System::RunBuffered(
     const std::vector<workload::TourPoint>& tour,
     const client::BufferedClient::Options& options) {
-  net::SimulatedLink link(config_.link);
-  net::FaultSchedule fault(config_.fault);
-  if (fault.enabled()) link.AttachFaultSchedule(&fault);
-  client::BufferedClient cl(options, space(), server_.get(), &link);
-  RunMetrics metrics;
-  const bool motion_pools = server_->motion_interest_enabled();
-  const bool rebalance = server_->rebalance_enabled();
-  const bool warming = server_->pool_warming_enabled();
-  for (const workload::TourPoint& point : tour) {
-    if (warming) server_->WarmPoolsJoin();
-    if (motion_pools) {
-      server_->ObserveClientMotion(0, point.position);
-      server_->RefreshPoolInterest();
-    }
-    if (rebalance) server_->TickRebalancer();
-    if (warming) server_->WarmPoolsDispatch();
-    const client::BufferedFrameReport report =
-        cl.Step(point.position, point.speed);
-    metrics.demand_bytes += report.demand_bytes;
-    metrics.prefetch_bytes += report.prefetch_bytes;
-    metrics.node_accesses += report.node_accesses;
-    metrics.total_response_seconds += report.response_seconds;
-    if (report.response_seconds > 0.0) ++metrics.demand_exchanges;
-    metrics.retries += report.retries;
-    metrics.timeouts += report.timeouts;
-    ++metrics.frames;
-  }
-  if (warming) server_->WarmPoolsJoin();
-  metrics.cache_hit_rate = cl.buffer_stats().HitRate();
-  metrics.data_utilization = cl.buffer_stats().Utilization();
-  metrics.outage_frames = cl.outage_frames();
-  metrics.stale_frames = cl.stale_frames();
-  metrics.max_stale_run_frames = cl.max_stale_run_frames();
-  metrics.tour_distance = workload::TourDistance(tour);
-  return metrics;
+  return Run(tour, options);
 }
 
 RunMetrics System::RunNaiveObject(
     const std::vector<workload::TourPoint>& tour,
     const client::NaiveObjectClient::Options& options) {
+  return Run(tour, options);
+}
+
+RunMetrics System::Run(const std::vector<workload::TourPoint>& tour,
+                       const FrameClient::Options& options) {
   net::SimulatedLink link(config_.link);
   net::FaultSchedule fault(config_.fault);
   if (fault.enabled()) link.AttachFaultSchedule(&fault);
-  client::NaiveObjectClient cl(options, space(), server_.get(), &link);
+  FrameClient cl(options, space(), server_.get(), &link);
   RunMetrics metrics;
-  const bool motion_pools = server_->motion_interest_enabled();
-  const bool rebalance = server_->rebalance_enabled();
-  const bool warming = server_->pool_warming_enabled();
   for (const workload::TourPoint& point : tour) {
-    if (warming) server_->WarmPoolsJoin();
-    if (motion_pools) {
-      server_->ObserveClientMotion(0, point.position);
-      server_->RefreshPoolInterest();
-    }
-    if (rebalance) server_->TickRebalancer();
-    if (warming) server_->WarmPoolsDispatch();
-    const client::NaiveFrameReport report =
-        cl.Step(point.position, point.speed);
-    metrics.demand_bytes += report.bytes;
-    metrics.node_accesses += report.node_accesses;
-    metrics.total_response_seconds += report.response_seconds;
-    if (report.response_seconds > 0.0) ++metrics.demand_exchanges;
-    ++metrics.frames;
+    server_->ObserveClientMotion(0, point.position);
+    server_->Tick();
+    const Frame frame = cl.Step(point.position, point.speed, &metrics);
+    metrics.total_response_seconds += frame.response_seconds;
+    if (frame.response_seconds > 0.0) ++metrics.demand_exchanges;
   }
-  if (warming) server_->WarmPoolsJoin();
-  metrics.cache_hit_rate = cl.CacheHitRate();
+  cl.Finish(&metrics);
+  // Settle the trailing speculative batch so post-run pool stats are
+  // stable (and deterministic) whenever the caller prints them.
+  server_->WarmPoolsJoin();
   metrics.tour_distance = workload::TourDistance(tour);
   return metrics;
 }

@@ -8,6 +8,7 @@
 #include "client/naive_client.h"
 #include "client/streaming_client.h"
 #include "common/statusor.h"
+#include "core/frame_client.h"
 #include "core/metrics.h"
 #include "index/rtree.h"
 #include "net/fault.h"
@@ -41,8 +42,8 @@ class System {
     // LRU-evicting buffer pools.
     storage::StorageConfig storage;
     // Load-adaptive shard rebalancing. Disabled (the default) is a
-    // strict bit-identical passthrough; enabled, every frame loop ticks
-    // the server's rebalancer in its serial phase.
+    // strict bit-identical passthrough; enabled, every frame's
+    // Server::Tick() ticks the rebalancer.
     server::RebalanceOptions rebalance;
     net::SimulatedLink::Options link;
     // Deterministic outage/burst/dip schedule. All-zero rates (the
@@ -86,6 +87,13 @@ class System {
  private:
   System(const Config& config,
          std::unique_ptr<server::ObjectDatabase> db);
+
+  // The single-client frame loop behind every Run* call: per frame, the
+  // client's position feeds the server's motion predictor, Server::Tick()
+  // runs, then the client steps on its private link, whose measured delay
+  // is the frame's response time.
+  RunMetrics Run(const std::vector<workload::TourPoint>& tour,
+                 const FrameClient::Options& options);
 
   Config config_;
   std::unique_ptr<server::ObjectDatabase> db_;

@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,6 +13,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "core/frame_client.h"
 #include "fleet/virtual_clock.h"
 #include "server/wire_codec.h"
 
@@ -26,9 +28,7 @@ struct FleetEngine::ClientState {
   std::vector<workload::TourPoint> tour;
   std::unique_ptr<net::FaultSchedule> fault;
   std::unique_ptr<net::SimulatedLink> link;  // private bearer
-  std::unique_ptr<client::StreamingClient> streaming;
-  std::unique_ptr<client::BufferedClient> buffered;
-  std::unique_ptr<client::NaiveObjectClient> naive;
+  std::optional<core::FrameClient> client;
   // Adaptive resolution ladder (null with ABR off, and for naive clients
   // — whole-object retrieval has no resolution axis). The client reads it
   // through the const ResolutionPolicy interface during phase A; the
@@ -37,7 +37,6 @@ struct FleetEngine::ClientState {
 
   int32_t next_frame = 0;
   core::RunMetrics metrics;
-  int64_t stale_run = 0;  // streaming consecutive-failure tracking
   int64_t hot_hits = 0;
   int64_t hot_misses = 0;
   int64_t hot_bytes_saved = 0;
@@ -154,7 +153,7 @@ FleetEngine::FleetEngine(const core::System& system, FleetOptions options,
     states_.push_back(BuildState(spec));
     ClientState* state = states_.back().get();
     state->next_submit_seq.assign(static_cast<size_t>(num_cells), 0);
-    if (num_cells > 1 && !state->tour.empty()) {
+    if (!state->tour.empty()) {
       state->cell = topology_.CellAt(state->tour.front().position);
       state->home_cell = state->cell;
     }
@@ -216,40 +215,38 @@ std::unique_ptr<FleetEngine::ClientState> FleetEngine::BuildState(
         options_.abr.ladder);
   }
 
+  core::FrameClient::Options options;
+  server::ClientSession* session = nullptr;
   switch (spec.kind) {
     case ClientKind::kStreaming: {
-      client::StreamingClient::Options opts;
+      auto& opts = options.emplace<client::StreamingClient::Options>();
       opts.query_fraction = spec.query_fraction;
       opts.policy = state->abr.get();
       opts.channel.seed = spec.seed * 31 + 7;
       // Streaming sessions are long-lived server-side state: they carry
       // the duplicate filter across the whole tour, so they live in the
       // server's striped SessionTable, keyed by client id.
-      state->streaming = std::make_unique<client::StreamingClient>(
-          opts, system_.space(), &system_.server(), state->link.get(),
-          sessions_.GetOrCreate(spec.id));
+      session = sessions_.GetOrCreate(spec.id);
       break;
     }
     case ClientKind::kBuffered: {
-      client::BufferedClient::Options opts;
+      auto& opts = options.emplace<client::BufferedClient::Options>();
       opts.query_fraction = spec.query_fraction;
       opts.policy = state->abr.get();
       opts.buffer_bytes = spec.buffer_bytes;
       opts.seed = spec.seed;
       opts.channel.seed = spec.seed * 31 + 7;
-      state->buffered = std::make_unique<client::BufferedClient>(
-          opts, system_.space(), &system_.server(), state->link.get());
       break;
     }
     case ClientKind::kNaive: {
-      client::NaiveObjectClient::Options opts;
+      auto& opts = options.emplace<client::NaiveObjectClient::Options>();
       opts.query_fraction = spec.query_fraction;
       opts.cache_bytes = spec.buffer_bytes;
-      state->naive = std::make_unique<client::NaiveObjectClient>(
-          opts, system_.space(), &system_.server(), state->link.get());
       break;
     }
   }
+  state->client.emplace(options, system_.space(), &system_.server(),
+                        state->link.get(), session);
   return state;
 }
 
@@ -291,91 +288,29 @@ void FleetEngine::StepClient(ClientState* state) {
       case server::AdmissionController::Decision::kAdmit:
         break;
       case server::AdmissionController::Decision::kDefer:
-        // The engine retries this frame after the backoff; tell the
-        // client so it adapts (transport pacing, prefetch suppression,
-        // window shrink).
-        switch (state->spec.kind) {
-          case ClientKind::kStreaming:
-            state->streaming->OnBackpressure(
-                state->adm_verdict.retry_after_seconds);
-            break;
-          case ClientKind::kBuffered:
-            state->buffered->OnBackpressure(
-                state->adm_verdict.retry_after_seconds);
-            break;
-          case ClientKind::kNaive:
-            state->naive->OnBackpressure(
-                state->adm_verdict.retry_after_seconds);
-            break;
-        }
-        ++m.deferred_exchanges;
-        ++m.backpressure_frames;
+        // The engine retries this frame after the backoff; the client
+        // adapts (transport pacing, prefetch suppression, window shrink).
+        state->client->Defer(state->adm_verdict.retry_after_seconds, &m);
         ++state->consecutive_defers;
         return;
       case server::AdmissionController::Decision::kShed:
-        // The frame runs without its exchange: the client renders
-        // whatever it holds (stale), and the tour moves on.
-        ++m.frames;
-        ++m.shed_exchanges;
-        ++m.stale_frames;
-        ++state->stale_run;
-        m.max_stale_run_frames =
-            std::max(m.max_stale_run_frames, state->stale_run);
+        // The frame runs without its exchange, and the tour moves on.
+        state->client->Shed(&m);
         state->consecutive_defers = 0;
         return;
     }
     state->consecutive_defers = 0;
   }
 
-  std::vector<index::RecordId> delivered;
-  switch (state->spec.kind) {
-    case ClientKind::kStreaming: {
-      client::StreamingFrameReport report =
-          state->streaming->Step(point.position, point.speed);
-      m.demand_bytes += report.response_bytes;
-      m.node_accesses += report.node_accesses;
-      m.records_delivered += report.new_records;
-      m.retries += report.retries;
-      if (report.status.ok()) {
-        state->stale_run = 0;
-        state->wire_bytes = report.request_bytes + report.response_bytes;
-        delivered = std::move(report.records);
-      } else {
-        ++m.timeouts;
-        ++m.outage_frames;
-        ++m.stale_frames;
-        ++state->stale_run;
-        m.max_stale_run_frames =
-            std::max(m.max_stale_run_frames, state->stale_run);
-      }
-      break;
-    }
-    case ClientKind::kBuffered: {
-      client::BufferedFrameReport report =
-          state->buffered->Step(point.position, point.speed);
-      m.demand_bytes += report.demand_bytes;
-      m.prefetch_bytes += report.prefetch_bytes;
-      m.node_accesses += report.node_accesses;
-      m.records_delivered += static_cast<int64_t>(report.records.size());
-      m.retries += report.retries;
-      m.timeouts += report.timeouts;
-      state->wire_bytes = report.demand_bytes + report.prefetch_bytes;
-      delivered = std::move(report.records);
-      break;
-    }
-    case ClientKind::kNaive: {
-      const client::NaiveFrameReport report =
-          state->naive->Step(point.position, point.speed);
-      m.demand_bytes += report.bytes;
-      m.node_accesses += report.node_accesses;
-      state->wire_bytes = report.bytes;
-      // Naive responses are whole objects, not coefficient records — the
-      // hot-encoding cache does not apply.
-      break;
-    }
+  core::Frame frame = state->client->Step(point.position, point.speed, &m);
+  // The fleet also counts a buffered client's delivered records, which
+  // System::RunBuffered leaves at 0.
+  if (state->spec.kind == ClientKind::kBuffered) {
+    m.records_delivered += static_cast<int64_t>(frame.records.size());
   }
-  ++m.frames;
+  state->wire_bytes = frame.wire_bytes;
   if (state->wire_bytes > 0) state->last_wire_bytes = state->wire_bytes;
+  std::vector<index::RecordId> delivered = std::move(frame.records);
 
   // Classify this tick's delivered records against the tick-frozen shared
   // structures — read-only probes, so the outcome cannot depend on worker
@@ -462,7 +397,6 @@ void FleetEngine::CommitClient(ClientState* state) {
   // lowest-id requester before the others reach their Attach().
   using AttachOutcome = server::InflightTable::AttachOutcome;
   int64_t shared_bytes = 0;
-  int64_t shared_records = 0;
   std::vector<server::InflightTable::Carrier> carriers;
   std::vector<std::pair<index::RecordId, int64_t>> owned;
   for (const auto& [rec, bytes] : state->tick_records) {
@@ -470,7 +404,6 @@ void FleetEngine::CommitClient(ClientState* state) {
     switch (attach.outcome) {
       case AttachOutcome::kAttached:
         shared_bytes += bytes;
-        ++shared_records;
         ++state->coalesce_hits;
         state->coalesce_bytes_saved += bytes;
         if (std::find(carriers.begin(), carriers.end(), attach.carrier) ==
@@ -515,46 +448,12 @@ void FleetEngine::CommitClient(ClientState* state) {
   exchange.submit_seconds = cell->now();
   exchange.carriers = std::move(carriers);
   state->pending.push_back(std::move(exchange));
-  if (shared_records > 0) {
-    // Delivery-path observability: tell the client part of its frame's
-    // payload arrives as a single shared copy on another transfer.
-    switch (state->spec.kind) {
-      case ClientKind::kStreaming:
-        state->streaming->OnSharedDelivery(shared_records, shared_bytes);
-        break;
-      case ClientKind::kBuffered:
-        state->buffered->OnSharedDelivery(shared_records, shared_bytes);
-        break;
-      case ClientKind::kNaive:
-        break;  // naive responses are whole objects; never coalesced
-    }
-  }
   state->tick_records.clear();
 }
 
 void FleetEngine::FinishClient(ClientState* state) {
-  core::RunMetrics& m = state->metrics;
-  switch (state->spec.kind) {
-    case ClientKind::kStreaming:
-      // Quiesce: commit the trailing pending delivery so the session's
-      // committed state matches the client's store.
-      state->streaming->FlushAck();
-      break;
-    case ClientKind::kBuffered:
-      m.cache_hit_rate = state->buffered->buffer_stats().HitRate();
-      m.data_utilization = state->buffered->buffer_stats().Utilization();
-      // += / max: shed frames may already have been counted stale by the
-      // engine's admission path.
-      m.outage_frames += state->buffered->outage_frames();
-      m.stale_frames += state->buffered->stale_frames();
-      m.max_stale_run_frames = std::max(
-          m.max_stale_run_frames, state->buffered->max_stale_run_frames());
-      break;
-    case ClientKind::kNaive:
-      m.cache_hit_rate = state->naive->CacheHitRate();
-      break;
-  }
-  m.tour_distance = workload::TourDistance(state->tour);
+  state->client->Finish(&state->metrics);
+  state->metrics.tour_distance = workload::TourDistance(state->tour);
 }
 
 FleetResult FleetEngine::Run() {
@@ -575,18 +474,6 @@ FleetResult FleetEngine::Run() {
   const int32_t num_cells = options_.cells;
   int64_t peak_backlog = 0;
   const bool coalescing = inflight_.enabled();
-  // Disk store with motion eviction: the serial commit phase feeds every
-  // committed frame's position into the server-side predictors, and each
-  // tick installs one refreshed interest field on the shard pools.
-  const bool motion_pools = system_.server().motion_interest_enabled();
-  // Load-adaptive rebalancing runs in the serial phase, off atomically
-  // summed per-shard counters — worker-count-invariant by construction,
-  // so fleet metrics stay byte-identical at any --workers.
-  const bool rebalance = system_.server().rebalance_enabled();
-  // Background pool warming: join/dispatch bracket the serial phase so
-  // speculative reads overlap only the parallel client steps, never the
-  // serial window's raw page-store work (see server.h).
-  const bool warming = system_.server().pool_warming_enabled();
   // Book one cell's drained completions, in the cell's deterministic
   // completion order. Cells are always recorded in ascending cell id, so
   // the booking sequence is worker-count-invariant.
@@ -710,30 +597,22 @@ FleetResult FleetEngine::Run() {
     // The fluid drains are independent per cell, so they run on the pool;
     // their completions are *booked* serially in cell-id order, keeping
     // the result worker-count-invariant.
-    if (num_cells == 1) {
-      if (tick_seconds > cells_[0]->now()) {
-        record_completions(0,
-                           cells_[0]->Advance(tick_seconds - cells_[0]->now()));
-        resolve_pending();
-      }
-    } else {
-      std::vector<std::vector<net::SharedMediumLink::Completion>> done(
-          static_cast<size_t>(num_cells));
-      std::vector<std::function<void()>> advance_tasks;
-      for (int32_t k = 0; k < num_cells; ++k) {
-        if (tick_seconds <= cells_[k]->now()) continue;
-        advance_tasks.push_back([this, k, tick_seconds, &done] {
-          done[k] = cells_[k]->Advance(tick_seconds - cells_[k]->now());
-        });
-      }
-      pool.RunBatch(advance_tasks);
-      for (int32_t k = 0; k < num_cells; ++k) {
-        if (!done[k].empty()) record_completions(k, done[k]);
-      }
-      resolve_pending();
-      // Handover pre-phase: reroute clients before any of them steps.
-      RouteClients(tick_seconds);
+    std::vector<std::vector<net::SharedMediumLink::Completion>> done(
+        static_cast<size_t>(num_cells));
+    std::vector<std::function<void()>> advance_tasks;
+    for (int32_t k = 0; k < num_cells; ++k) {
+      if (tick_seconds <= cells_[k]->now()) continue;
+      advance_tasks.push_back([this, k, tick_seconds, &done] {
+        done[k] = cells_[k]->Advance(tick_seconds - cells_[k]->now());
+      });
     }
+    pool.RunBatch(advance_tasks);
+    for (int32_t k = 0; k < num_cells; ++k) {
+      if (!done[k].empty()) record_completions(k, done[k]);
+    }
+    resolve_pending();
+    // Handover pre-phase: reroute clients before any of them steps.
+    RouteClients(tick_seconds);
     scheduler.clock().AdvanceTo(tick_seconds);
 
     const std::vector<int32_t> due = scheduler.PopDue(tick);
@@ -803,10 +682,10 @@ FleetResult FleetEngine::Run() {
         continue;
       }
       CommitClient(state);
-      if (motion_pools) {
-        system_.server().ObserveClientMotion(
-            id, state->tour[static_cast<size_t>(state->next_frame)].position);
-      }
+      // Feeds the server's motion predictors (disk store with motion
+      // eviction); the tick below installs one refreshed interest field.
+      system_.server().ObserveClientMotion(
+          id, state->tour[static_cast<size_t>(state->next_frame)].position);
       ++state->next_frame;
       if (state->next_frame < state->spec.frames) {
         // A frame deferred past its successor's slot pushes the
@@ -820,39 +699,21 @@ FleetResult FleetEngine::Run() {
             id);
       }
     }
-    // Warm join first: the previous tick's speculative reads install
-    // before the interest refresh or the rebalancer touch the raw page
-    // stores.
-    if (warming && !due.empty()) {
-      system_.server().WarmPoolsJoin();
-    }
-    if (motion_pools && !due.empty()) {
-      system_.server().RefreshPoolInterest();
-    }
-    if (rebalance && !due.empty()) {
-      system_.server().TickRebalancer();
-    }
-    // Dispatch last: rank against the refreshed interest field and the
-    // settled shard layout; the reads overlap the next parallel phase.
-    if (warming && !due.empty()) {
-      system_.server().WarmPoolsDispatch();
-    }
-    if (num_cells == 1) {
-      peak_backlog = std::max(peak_backlog, cells_[0]->backlog_bytes());
-    } else {
-      for (int32_t k = 0; k < num_cells; ++k) {
-        const int64_t backlog = cells_[k]->backlog_bytes();
-        cell_stats_[k].peak_backlog_bytes =
-            std::max(cell_stats_[k].peak_backlog_bytes, backlog);
-        peak_backlog = std::max(peak_backlog, backlog);
-      }
+    // The serial phase's server tick. Its rebalancer works off atomically
+    // summed per-shard counters, and its warm reads overlap only the next
+    // parallel phase, so fleet metrics stay byte-identical at any worker
+    // count.
+    system_.server().Tick();
+    for (int32_t k = 0; k < num_cells; ++k) {
+      const int64_t backlog = cells_[k]->backlog_bytes();
+      cell_stats_[k].peak_backlog_bytes =
+          std::max(cell_stats_[k].peak_backlog_bytes, backlog);
+      peak_backlog = std::max(peak_backlog, backlog);
     }
   }
   // Settle the trailing speculative batch so the pool counters the run
   // reports are stable and deterministic.
-  if (warming) {
-    system_.server().WarmPoolsJoin();
-  }
+  system_.server().WarmPoolsJoin();
   // Final drain, cell by cell in id order, then one last resolution pass
   // (a cross-cell carrier may finish after the waiting exchange's cell).
   for (int32_t k = 0; k < num_cells; ++k) {
@@ -935,29 +796,20 @@ FleetResult FleetEngine::Run() {
     result.shed_exchanges += admission->shed_requests();
   }
   result.peak_cell_backlog_bytes = peak_backlog;
-  if (num_cells == 1) {
-    // The strict single-cell passthrough: straight assignments, no sums.
-    result.cell_bytes = cells_[0]->total_bytes();
-    result.cell_retries = cells_[0]->total_retries();
-    result.cell_timeouts = cells_[0]->total_timeouts();
-    result.cell_outage_seconds = cells_[0]->total_outage_seconds();
-    result.virtual_seconds = cells_[0]->now();
-  } else {
-    result.cell_stats.reserve(static_cast<size_t>(num_cells));
-    for (int32_t k = 0; k < num_cells; ++k) {
-      FleetResult::CellStats stats = cell_stats_[k];
-      stats.bytes = cells_[k]->total_bytes();
-      stats.retries = cells_[k]->total_retries();
-      stats.timeouts = cells_[k]->total_timeouts();
-      stats.outage_seconds = cells_[k]->total_outage_seconds();
-      result.cell_bytes += stats.bytes;
-      result.cell_retries += stats.retries;
-      result.cell_timeouts += stats.timeouts;
-      result.cell_outage_seconds += stats.outage_seconds;
-      result.virtual_seconds =
-          std::max(result.virtual_seconds, cells_[k]->now());
-      result.cell_stats.push_back(stats);
-    }
+  for (int32_t k = 0; k < num_cells; ++k) {
+    FleetResult::CellStats stats = cell_stats_[k];
+    stats.bytes = cells_[k]->total_bytes();
+    stats.retries = cells_[k]->total_retries();
+    stats.timeouts = cells_[k]->total_timeouts();
+    stats.outage_seconds = cells_[k]->total_outage_seconds();
+    result.cell_bytes += stats.bytes;
+    result.cell_retries += stats.retries;
+    result.cell_timeouts += stats.timeouts;
+    result.cell_outage_seconds += stats.outage_seconds;
+    result.virtual_seconds =
+        std::max(result.virtual_seconds, cells_[k]->now());
+    // Per-cell stats are reported only for a multi-cell topology.
+    if (num_cells > 1) result.cell_stats.push_back(stats);
   }
   result.hot_cache_entries = hot_cache_.entries();
   result.hot_cache_bytes = hot_cache_.size_bytes();

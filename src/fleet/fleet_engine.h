@@ -268,8 +268,8 @@ struct FleetResult {
 //   hot-cache touches/inserts are committed, each client's successful
 //   wire bytes are submitted to the shared cell (weighted-fair-queued
 //   per ClientSpec::weight), and the client's next frame is scheduled.
-//   Then the cell advances to the next tick, attributing delivery delays
-//   to clients.
+//   The phase ends with one Server::Tick(). Then the cell advances to the
+//   next tick, attributing delivery delays to clients.
 //
 // With coalescing enabled (FleetOptions::coalesce), two sub-phases slot
 // between A and B, preserving the discipline:
@@ -351,9 +351,9 @@ class FleetEngine {
   void StepClient(ClientState* state);    // phase A (any worker thread)
   void CommitClient(ClientState* state);  // phase B (engine thread only)
   void FinishClient(ClientState* state);
-  // Handover pre-phase (serial, engine thread, K > 1 only): reassigns
-  // every client to the healthy cell covering its position and migrates
-  // in-flight state off dead cells.
+  // Handover pre-phase (serial, engine thread; a no-op at K = 1):
+  // reassigns every client to the healthy cell covering its position and
+  // migrates in-flight state off dead cells.
   void RouteClients(double tick_seconds);
   // Re-submits `bytes` for `state` on its current cell and returns the
   // new transfer's key (handover migration bookkeeping).

@@ -53,10 +53,6 @@ Server::Server(ObjectDatabase* db, Options options)
   mutable_db_ = db;
 }
 
-Server::Server(const ObjectDatabase* db, IndexKind kind,
-               index::RTreeOptions options)
-    : Server(db, Options{kind, options}) {}
-
 int32_t Server::AddObject(wavelet::MultiResMesh object) {
   MARS_CHECK(mutable_db_ != nullptr)
       << "AddObject requires the ingest-capable constructor";
@@ -141,6 +137,13 @@ Server::ObjectListing Server::ListObjects(
   ObjectListing listing;
   listing.node_accesses = object_index_.Query(region, &listing.objects);
   return listing;
+}
+
+void Server::Tick() const {
+  WarmPoolsJoin();
+  RefreshPoolInterest();
+  TickRebalancer();
+  WarmPoolsDispatch();
 }
 
 void Server::ObserveClientMotion(int32_t client_id,

@@ -132,10 +132,6 @@ class Server {
   // which append to `db`.
   Server(ObjectDatabase* db, Options options);
 
-  // Legacy construction, equivalent to Options{kind, options}.
-  Server(const ObjectDatabase* db, IndexKind kind,
-         index::RTreeOptions options = index::RTreeOptions());
-
   // Executes a batch of sub-queries as one exchange, filtering against
   // `session` (committed and pending records). The newly selected records
   // are added to the session's *pending* set; the caller acks them
@@ -205,10 +201,23 @@ class Server {
     return coeff_index_->PoolStats();
   }
 
+  // --- Serial-phase tick -------------------------------------------------
+
+  // One server tick of the frame loop's serial phase, in the order that
+  // keeps disk-mode runs deterministic: warm join (the previous tick's
+  // speculative reads install before anything else touches the raw page
+  // stores), interest refresh, rebalancer tick, warm dispatch (ranks
+  // against the refreshed interest field and the settled shard layout,
+  // and reads while the next frame's queries run). The only sequencer of
+  // the four hooks below; each is a no-op when its feature is off. Call
+  // it after the tick's ObserveClientMotion calls, and settle a run with
+  // one last WarmPoolsJoin.
+  void Tick() const;
+
   // Motion-aware pool interest: active only with `--store disk --evict
   // motion`. The serving path holds a const Server, so these are const
   // with internally-locked mutable state; call them from serial phases
-  // only (the fleet's commit phase or the single-client frame loop).
+  // only.
   bool motion_interest_enabled() const { return interest_ != nullptr; }
   // Feeds a client's position into its server-side motion predictor.
   void ObserveClientMotion(int32_t client_id,
@@ -218,11 +227,8 @@ class Server {
   void RefreshPoolInterest() const;
 
   // Background pool warming (`--store disk --evict motion --warm on`):
-  // speculative page reads ahead of the fleet's predicted motion. Serial
-  // phases only, as a pair per tick — WarmPoolsJoin FIRST (installs the
-  // previous tick's reads before anything touches the raw page stores),
-  // WarmPoolsDispatch LAST (ranks against the just-refreshed interest
-  // field and the settled shard layout). See storage/pool_warmer.h.
+  // speculative page reads ahead of the fleet's predicted motion, joined
+  // first and dispatched last in each Tick(). See storage/pool_warmer.h.
   bool pool_warming_enabled() const {
     return coeff_index_->warming_enabled();
   }

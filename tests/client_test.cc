@@ -7,7 +7,6 @@
 #include "client/buffered_client.h"
 #include "client/continuous.h"
 #include "client/naive_client.h"
-#include "client/speed_map.h"
 #include "client/streaming_client.h"
 #include "client/viewport.h"
 #include "geometry/box.h"
@@ -20,35 +19,6 @@ namespace {
 
 using geometry::Box2;
 using geometry::MakeBox2;
-
-// --- SpeedResolutionMap ------------------------------------------------------
-
-TEST(SpeedMapTest, DefaultIsIdentity) {
-  SpeedResolutionMap map;
-  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.5), 0.5);
-  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(1.0), 1.0);
-}
-
-TEST(SpeedMapTest, ClampsOutOfRangeSpeeds) {
-  SpeedResolutionMap map;
-  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(2.5), 1.0);
-}
-
-TEST(SpeedMapTest, ExponentShapesCurve) {
-  SpeedResolutionMap sub_linear(0.5, 0.0);
-  SpeedResolutionMap super_linear(2.0, 0.0);
-  // Sub-linear exponent drops detail sooner (larger w_min at low speeds).
-  EXPECT_GT(sub_linear.MapSpeedToResolution(0.25), 0.25);
-  EXPECT_LT(super_linear.MapSpeedToResolution(0.25), 0.25);
-}
-
-TEST(SpeedMapTest, FloorCapsFinestResolution) {
-  SpeedResolutionMap map(1.0, 0.2);
-  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.0), 0.2);
-  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(1.0), 1.0);
-}
 
 // --- Viewport ---------------------------------------------------------------
 
@@ -185,22 +155,6 @@ TEST_P(ContinuousPropertyTest, PlanVolumeIsExactlyTheMissingVolume) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ContinuousPropertyTest,
                          ::testing::Values(1, 2, 3, 4));
 
-TEST(SpeedMapTest, MonotoneInSpeed) {
-  for (double exponent : {0.5, 1.0, 2.0}) {
-    for (double floor : {0.0, 0.2}) {
-      SpeedResolutionMap map(exponent, floor);
-      double prev = -1.0;
-      for (double s = 0.0; s <= 1.0; s += 0.05) {
-        const double w = map.MapSpeedToResolution(s);
-        EXPECT_GE(w, prev);
-        EXPECT_GE(w, 0.0);
-        EXPECT_LE(w, 1.0);
-        prev = w;
-      }
-    }
-  }
-}
-
 // --- Clients over a real scene ----------------------------------------------
 
 class ClientFixture : public ::testing::Test {
@@ -214,8 +168,8 @@ class ClientFixture : public ::testing::Test {
     auto db = workload::GenerateScene(scene);
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<server::ObjectDatabase>(std::move(*db));
-    server_ = std::make_unique<server::Server>(
-        db_.get(), server::Server::IndexKind::kSupportRegion);
+    server_ = std::make_unique<server::Server>(db_.get(),
+                                               server::Server::Options());
     space_ = scene.space;
   }
 

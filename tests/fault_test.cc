@@ -426,8 +426,8 @@ class FaultE2ETest : public ::testing::Test {
     auto db = workload::GenerateScene(scene);
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<server::ObjectDatabase>(std::move(*db));
-    server_ = std::make_unique<server::Server>(
-        db_.get(), server::Server::IndexKind::kSupportRegion);
+    server_ = std::make_unique<server::Server>(db_.get(),
+                                               server::Server::Options());
     space_ = scene.space;
   }
 

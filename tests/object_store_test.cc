@@ -24,8 +24,8 @@ class ObjectStoreTest : public ::testing::Test {
     auto db = workload::GenerateScene(scene);
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<server::ObjectDatabase>(std::move(*db));
-    server_ = std::make_unique<server::Server>(
-        db_.get(), server::Server::IndexKind::kSupportRegion);
+    server_ = std::make_unique<server::Server>(db_.get(),
+                                               server::Server::Options());
   }
 
   // Record ids of one object's base + coefficients with w >= w_min.

@@ -17,9 +17,12 @@ TEST(SpeedResolutionMapTest, DefaultIsPaperIdentity) {
   const qos::SpeedResolutionMap map;
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.0), 0.0);
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.3), 0.3);
+  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.5), 0.5);
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(1.0), 1.0);
   // Out-of-range speeds clamp.
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(-2.0), 0.0);
+  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(-1.0), 0.0);
+  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(2.5), 1.0);
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(7.0), 1.0);
 }
 
@@ -29,6 +32,36 @@ TEST(SpeedResolutionMapTest, ExponentAndFloorShapeTheCurve) {
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.0), 0.1);
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.5), 0.1 + 0.9 * 0.25);
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(1.0), 1.0);
+}
+
+TEST(SpeedResolutionMapTest, ExponentShapesCurve) {
+  const qos::SpeedResolutionMap sub_linear(/*exponent=*/0.5, /*floor=*/0.0);
+  const qos::SpeedResolutionMap super_linear(/*exponent=*/2.0, /*floor=*/0.0);
+  // Sub-linear exponent drops detail sooner (larger w_min at low speeds).
+  EXPECT_GT(sub_linear.MapSpeedToResolution(0.25), 0.25);
+  EXPECT_LT(super_linear.MapSpeedToResolution(0.25), 0.25);
+}
+
+TEST(SpeedResolutionMapTest, FloorCapsFinestResolution) {
+  const qos::SpeedResolutionMap map(/*exponent=*/1.0, /*floor=*/0.2);
+  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.0), 0.2);
+  EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(1.0), 1.0);
+}
+
+TEST(SpeedResolutionMapTest, MonotoneInSpeed) {
+  for (const double exponent : {0.5, 1.0, 2.0}) {
+    for (const double floor : {0.0, 0.2}) {
+      const qos::SpeedResolutionMap map(exponent, floor);
+      double prev = -1.0;
+      for (double s = 0.0; s <= 1.0; s += 0.05) {
+        const double w = map.MapSpeedToResolution(s);
+        EXPECT_GE(w, prev);
+        EXPECT_GE(w, 0.0);
+        EXPECT_LE(w, 1.0);
+        prev = w;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

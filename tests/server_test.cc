@@ -82,8 +82,7 @@ class ServerTest : public ::testing::Test {
     auto db = workload::GenerateScene(SmallScene());
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<ObjectDatabase>(std::move(*db));
-    server_ = std::make_unique<Server>(db_.get(),
-                                       Server::IndexKind::kSupportRegion);
+    server_ = std::make_unique<Server>(db_.get(), Server::Options());
   }
 
   geometry::Box2 WindowAroundObject(int32_t obj) const {
@@ -268,8 +267,10 @@ TEST(ServerIndexKindTest, BothIndexesServeIdenticalResults) {
   auto db = workload::GenerateScene(SmallScene(11));
   ASSERT_TRUE(db.ok());
   ObjectDatabase database = std::move(*db);
-  Server support(&database, Server::IndexKind::kSupportRegion);
-  Server naive(&database, Server::IndexKind::kNaivePoint);
+  Server::Options naive_point;
+  naive_point.kind = Server::IndexKind::kNaivePoint;
+  Server support(&database, Server::Options());
+  Server naive(&database, naive_point);
 
   const geometry::Box2 window = geometry::MakeBox2(100, 100, 500, 500);
   for (double w_min : {0.0, 0.3, 0.8}) {

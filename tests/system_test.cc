@@ -1,4 +1,8 @@
+#include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -185,6 +189,138 @@ TEST(SystemTest, PersistedDatabaseReproducesIdenticalRuns) {
   EXPECT_EQ(a.node_accesses, b.node_accesses);
   EXPECT_DOUBLE_EQ(a.total_response_seconds, b.total_response_seconds);
   EXPECT_DOUBLE_EQ(a.cache_hit_rate, b.cache_hit_rate);
+}
+
+// What a run leaves behind on the server's coefficient index: every
+// shard's counters and every rebalance op, doubles at full precision.
+std::string IndexState(const System& system) {
+  std::string out;
+  char line[256];
+  for (const auto& s : system.server().sharded_index().Stats()) {
+    std::snprintf(line, sizeof(line),
+                  "shard %d: %lld records, %lld accesses, %lld queries, "
+                  "%lld rebuilds, retired %d\n",
+                  s.shard, static_cast<long long>(s.records),
+                  static_cast<long long>(s.node_accesses),
+                  static_cast<long long>(s.fanout_queries),
+                  static_cast<long long>(s.rebuilds), s.retired ? 1 : 0);
+    out += line;
+  }
+  for (const server::RebalanceEvent& e : system.server().RebalanceEvents()) {
+    const bool split = e.kind == server::RebalanceEvent::Kind::kSplit;
+    std::snprintf(line, sizeof(line),
+                  "%s %d>%d round %lld share %.17g records %lld\n",
+                  split ? "split" : "merge", e.shard, e.target,
+                  static_cast<long long>(e.round), e.share,
+                  static_cast<long long>(e.records));
+    out += line;
+  }
+  return out;
+}
+
+std::string PoolState(const System& system) {
+  std::string out;
+  char line[256];
+  for (const auto& s : system.server().PoolStats()) {
+    std::snprintf(line, sizeof(line),
+                  "shard %d: hits %lld misses %lld evictions %lld reads %lld "
+                  "writes %lld prefetch %lld/%lld/%lld/%lld\n",
+                  s.shard, static_cast<long long>(s.pool.hits),
+                  static_cast<long long>(s.pool.misses),
+                  static_cast<long long>(s.pool.evictions),
+                  static_cast<long long>(s.pool.disk_reads),
+                  static_cast<long long>(s.pool.disk_writes),
+                  static_cast<long long>(s.pool.prefetch_issued),
+                  static_cast<long long>(s.pool.prefetch_hits),
+                  static_cast<long long>(s.pool.prefetch_wasted),
+                  static_cast<long long>(s.pool.prefetch_dropped));
+    out += line;
+  }
+  return out;
+}
+
+// The single-client frame loop with every serial-phase hook live: a disk
+// store behind motion-evicting, warmed pools, under load-adaptive
+// rebalancing. Pages only change where index nodes live, so each Run*
+// call must report exactly what a memory-mode System reports (metrics,
+// shard counters, rebalance ops), and the pool counters must repeat on a
+// second fresh disk System.
+TEST(SystemTest, DiskWarmRebalanceRunsMatchMemory) {
+  int32_t next_dir = 0;
+  const auto make = [&](bool disk) {
+    System::Config config;
+    config.scene.space = geometry::MakeBox2(0, 0, 2000, 2000);
+    config.scene.object_count = 40;
+    config.scene.levels = 3;
+    config.scene.seed = 7;
+    config.scene.placement = workload::Placement::kZipf;
+    config.shards = 4;
+    config.rebalance.enabled = true;
+    config.rebalance.interval = 4;
+    if (disk) {
+      // A fresh page directory per System: a leftover page file would be
+      // restored instead of built.
+      const std::string dir = ::testing::TempDir() + "/mars_system_disk_" +
+                              std::to_string(next_dir++);
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directories(dir);
+      config.storage.store = storage::StoreKind::kDisk;
+      config.storage.path = dir + "/index.pages";
+      config.storage.evict = storage::EvictPolicy::kMotion;
+      config.storage.pool_pages = 32;  // small: keeps eviction live
+      config.storage.warm = true;
+      config.storage.warm_workers = 1;
+    }
+    auto system = System::Create(config);
+    EXPECT_TRUE(system.ok());
+    return std::move(system).value();
+  };
+  workload::TourOptions tour_options = SmallTour(0.7, 31);
+  tour_options.kind = workload::TourKind::kPedestrian;
+  tour_options.frames = 120;
+  const auto tour = workload::GenerateTour(tour_options);
+
+  const auto run = [&](System* system, int kind) {
+    switch (kind) {
+      case 0:
+        return system->RunStreaming(tour, client::StreamingClient::Options());
+      case 1:
+        return system->RunBuffered(tour, client::BufferedClient::Options());
+      default:
+        return system->RunNaiveObject(tour,
+                                      client::NaiveObjectClient::Options());
+    }
+  };
+  const char* const kinds[] = {"streaming", "buffered", "naive"};
+  for (int kind = 0; kind < 3; ++kind) {
+    SCOPED_TRACE(kinds[kind]);
+    auto memory = make(false);
+    auto disk = make(true);
+    auto repeat = make(true);
+    ASSERT_TRUE(disk->server().pool_warming_enabled());
+    const std::string want =
+        RunMetricsJson(run(memory.get(), kind)) + "\n" + IndexState(*memory);
+    const std::string got =
+        RunMetricsJson(run(disk.get(), kind)) + "\n" + IndexState(*disk);
+    EXPECT_EQ(got, want);
+    run(repeat.get(), kind);
+    EXPECT_EQ(PoolState(*repeat), PoolState(*disk));
+
+    // Non-vacuous: the pools evicted and warmed. The naive client reads
+    // the object index, so only the coefficient clients load the shards
+    // enough to rebalance them.
+    int64_t evictions = 0;
+    int64_t prefetched = 0;
+    for (const auto& s : disk->server().PoolStats()) {
+      evictions += s.pool.evictions;
+      prefetched += s.pool.prefetch_issued;
+    }
+    EXPECT_GT(evictions, 0);
+    EXPECT_GT(prefetched, 0);
+    if (kind < 2) {
+      EXPECT_GE(disk->server().rebalance_ops(), 1);
+    }
+  }
 }
 
 TEST(ExperimentTest, StandardLaddersMatchPaper) {
