@@ -1,19 +1,30 @@
 // Microbenchmarks (google-benchmark) for the hot building blocks: R*-tree
 // insert/query at the experimental node parameters, wavelet analysis and
-// synthesis, window-difference decomposition, Kalman/RLS prediction, and
-// the Eq.-2 buffer allocator. These are not paper figures; they document
-// the substrate costs behind the figure benches.
+// synthesis, window-difference decomposition, Kalman/RLS prediction, the
+// Eq.-2 buffer allocator, and the motion-prediction layers that dominate a
+// buffered client's frame and the server's interest refresh (predicted
+// paths, block probabilities, prefetch plans, interest snapshots). These
+// are not paper figures; they document the substrate costs behind the
+// figure benches.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <memory>
+
+#include "buffer/prefetcher.h"
 #include "buffer/sector_allocator.h"
 #include "client/continuous.h"
 #include "common/rng.h"
+#include "geometry/grid.h"
 #include "geometry/rect_diff.h"
 #include "index/rtree.h"
 #include "mesh/primitives.h"
 #include "mesh/subdivide.h"
+#include "motion/grid_probability.h"
+#include "motion/kalman.h"
 #include "motion/predictor.h"
+#include "server/motion_interest.h"
 #include "wavelet/decompose.h"
 #include "wavelet/reconstruct.h"
 
@@ -165,6 +176,123 @@ void BM_PredictorPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictorPredict)->Arg(1)->Arg(8)->Arg(16);
+
+// --- Motion prediction ------------------------------------------------------
+//
+// The client's geometry in the perfbench paper_buffered workload: a 10 km
+// space, a 40 × 40 block grid and a 5% query frame.
+
+const geometry::Box2 kMotionSpace = geometry::MakeBox2(0, 0, 10000, 10000);
+
+// Feeds `predictor` 100 positions of a tram-like drive (20 m per step,
+// heading drifting slowly) and returns the last one.
+geometry::Vec2 WarmUp(motion::PositionPredictor& predictor) {
+  common::Rng rng(9);
+  geometry::Vec2 position{3000, 3000};
+  double heading = 0.3;
+  for (int t = 0; t < 100; ++t) {
+    heading += rng.Normal(0, 0.05);
+    position += geometry::Vec2{std::cos(heading), std::sin(heading)} * 20.0;
+    predictor.Observe(position);
+  }
+  return position;
+}
+
+// 0 = RLS-learned dynamics (the paper's), 1 = Kalman filter.
+std::unique_ptr<motion::PositionPredictor> MakePredictor(int64_t kalman) {
+  if (kalman != 0) return std::make_unique<motion::KalmanFilterPredictor>();
+  return std::make_unique<motion::MotionPredictor>();
+}
+
+// Args: predictor (MakePredictor's), horizon.
+void BM_PredictPath(benchmark::State& state) {
+  const auto predictor = MakePredictor(state.range(0));
+  WarmUp(*predictor);
+  const int32_t horizon = static_cast<int32_t>(state.range(1));
+  for (auto _ : state) {
+    auto path = predictor->PredictPath(horizon);
+    benchmark::DoNotOptimize(path);
+  }
+  state.SetItemsProcessed(state.iterations() * horizon);
+}
+BENCHMARK(BM_PredictPath)->ArgsProduct({{0, 1}, {16, 48}});
+
+// Arg tracker: 0 = the client's frame mode (40 × 40 grid, 5% frame,
+// H 48 × 64 samples); 1 = the interest tracker's point mode (16 × 16 grid,
+// H 16 × 64 samples).
+void BM_BlockProbabilities(benchmark::State& state) {
+  const bool tracker = state.range(0) != 0;
+  const int32_t blocks = tracker ? 16 : 40;
+  const geometry::GridPartition grid(kMotionSpace, blocks, blocks);
+  motion::GridProbabilityOptions options;
+  if (!tracker) {
+    options.horizon = 48;
+    options.step_discount = std::pow(0.5, 1.0 / options.horizon);
+    options.frame_half_width = kMotionSpace.Extent(0) * 0.05 / 2.0;
+    options.frame_half_height = kMotionSpace.Extent(1) * 0.05 / 2.0;
+  }
+  motion::MotionPredictor rls;
+  WarmUp(rls);
+  common::Rng rng(10);
+  for (auto _ : state) {
+    auto probs = motion::ComputeBlockProbabilities(rls, grid, options, rng);
+    benchmark::DoNotOptimize(probs);
+  }
+  const int64_t samples = int64_t{options.horizon} * options.samples_per_step;
+  state.SetItemsProcessed(state.iterations() * samples);
+}
+BENCHMARK(BM_BlockProbabilities)->ArgName("tracker")->Arg(0)->Arg(1);
+
+// One buffered-client plan at the client's geometry, by block budget.
+void BM_MotionAwarePlan(benchmark::State& state) {
+  const geometry::GridPartition grid(kMotionSpace, 40, 40);
+  buffer::MotionAwarePrefetcher::Options options;
+  options.probability.frame_half_width = kMotionSpace.Extent(0) * 0.05 / 2.0;
+  options.probability.frame_half_height = kMotionSpace.Extent(1) * 0.05 / 2.0;
+  const buffer::MotionAwarePrefetcher prefetcher(options);
+  motion::MotionPredictor predictor;
+  const geometry::Vec2 position = WarmUp(predictor);
+  const int32_t budget = static_cast<int32_t>(state.range(0));
+  common::Rng rng(11);
+  for (auto _ : state) {
+    auto plan = prefetcher.Plan(predictor, grid, position, 0.5, budget, rng);
+    benchmark::DoNotOptimize(plan);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MotionAwarePlan)->ArgName("budget")->Arg(1)->Arg(32);
+
+// The server's interest refresh for a 128-client fleet of which a quarter
+// report a new position between snapshots (clients circle the space, each
+// on its own ring).
+void BM_InterestSnapshot(benchmark::State& state) {
+  constexpr int32_t kClients = 128;
+  server::MotionInterestTracker tracker(kMotionSpace, {});
+  const auto position = [](int32_t client, int64_t tick) {
+    const double radius = 1000.0 + 25.0 * client;
+    const double angle = 0.01 * static_cast<double>(tick) + 0.05 * client;
+    const double x = 5000.0 + radius * std::cos(angle);
+    const double y = 5000.0 + radius * std::sin(angle);
+    return geometry::Vec2{x, y};
+  };
+  int64_t tick = 0;
+  for (; tick < 8; ++tick) {
+    for (int32_t c = 0; c < kClients; ++c) {
+      tracker.Observe(c, position(c, tick));
+    }
+  }
+  tracker.Snapshot();
+  for (auto _ : state) {
+    for (int32_t c = static_cast<int32_t>(tick % 4); c < kClients; c += 4) {
+      tracker.Observe(c, position(c, tick));
+    }
+    ++tick;
+    auto grid = tracker.Snapshot();
+    benchmark::DoNotOptimize(grid);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InterestSnapshot);
 
 void BM_BufferAllocation(benchmark::State& state) {
   const std::vector<double> probs = {0.4, 0.25, 0.2, 0.15};

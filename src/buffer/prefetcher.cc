@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "buffer/sector_allocator.h"
 #include "common/logging.h"
@@ -105,16 +104,12 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
           ? AllocateBufferBestOrdering(directions.p, budget_blocks)
           : AllocateBuffer(directions.p, budget_blocks);
 
-  // (iii) Gather per-sector candidates: every block with predicted mass,
-  // plus nearby rings so thin sectors can still fill their allocation.
+  // (iii) Gather per-sector candidates: every block with predicted mass.
   std::vector<std::vector<Candidate>> candidates(options_.directions);
-  std::unordered_set<int64_t> seen;
   const BlockCoord center = grid.BlockOfPoint(position);
   const int64_t center_id = grid.BlockId(center);
-  seen.insert(center_id);  // current block is demand territory
-
   for (const auto& [block, p] : probs) {
-    if (block == center_id) continue;
+    if (block == center_id) continue;  // current block is demand territory
     auto it = directions.block_sector.find(block);
     const int32_t sector = it != directions.block_sector.end()
                                ? it->second
@@ -123,9 +118,13 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
     const int32_t ring = std::max(std::abs(c.i - center.i),
                                   std::abs(c.j - center.j));
     candidates[sector].push_back(Candidate{block, p, ring});
-    seen.insert(block);
   }
-  for (int32_t r = 1; r <= options_.max_ring_radius; ++r) {
+  // A predictor with no mass in the space (a cold start) gets the rings
+  // around the client instead, so the sectors can still fill their
+  // allocation. Step (iv) stops at the first zero-mass candidate whenever
+  // `probs` is non-empty, so ring candidates are only ever taken here.
+  // Rings of distinct radii are disjoint and never hold the center.
+  for (int32_t r = 1; probs.empty() && r <= options_.max_ring_radius; ++r) {
     bool all_full = true;
     for (int32_t s = 0; s < options_.directions; ++s) {
       if (static_cast<int32_t>(candidates[s].size()) < allocation[s]) {
@@ -135,7 +134,6 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
     if (all_full) break;
     ForRing(grid, center, r, [&](const BlockCoord& c) {
       const int64_t block = grid.BlockId(c);
-      if (!seen.insert(block).second) return;
       const int32_t sector = partition.SectorOfBlock(grid, block);
       candidates[sector].push_back(Candidate{block, 0.0, r});
     });
@@ -170,8 +168,8 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
             [](const PrefetchPlan::Item& a, const PrefetchPlan::Item& b) {
               return a.priority > b.priority;
             });
-  // The per-sector candidate sets are disjoint by construction today (the
-  // `seen` set gives every block exactly one sector), but a block
+  // The per-sector candidate sets are disjoint by construction today (each
+  // block is gathered once, into one sector), but a block
   // reachable from two direction sectors must never be fetched twice —
   // enforce it here rather than relying on upstream invariants.
   plan.Dedupe();

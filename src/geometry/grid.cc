@@ -52,21 +52,7 @@ Box2 GridPartition::BlockBox(int64_t id) const {
 std::vector<int64_t> GridPartition::BlocksIntersecting(
     const Box2& window) const {
   std::vector<int64_t> out;
-  const Box2 w = window.Intersection(space_);
-  if (w.IsEmpty()) return out;
-  const BlockCoord lo = BlockOfPoint({w.lo(0), w.lo(1)});
-  // Nudge the upper corner inward so that a window ending exactly on a block
-  // boundary does not claim the next block.
-  const double eps_x = block_width_ * 1e-12;
-  const double eps_y = block_height_ * 1e-12;
-  const BlockCoord hi = BlockOfPoint({w.hi(0) - eps_x, w.hi(1) - eps_y});
-  out.reserve(static_cast<size_t>(hi.i - lo.i + 1) *
-              static_cast<size_t>(hi.j - lo.j + 1));
-  for (int32_t j = lo.j; j <= hi.j; ++j) {
-    for (int32_t i = lo.i; i <= hi.i; ++i) {
-      out.push_back(BlockId(BlockCoord{i, j}));
-    }
-  }
+  ForEachBlockIntersecting(window, [&out](int64_t id) { out.push_back(id); });
   return out;
 }
 

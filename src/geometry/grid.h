@@ -51,6 +51,25 @@ class GridPartition {
   // Ids of all blocks intersecting `window` (clamped to the space).
   std::vector<int64_t> BlocksIntersecting(const Box2& window) const;
 
+  // Calls `fn(id)` for each id BlocksIntersecting(window) returns, in the
+  // same order (ascending), without allocating.
+  template <typename Fn>
+  void ForEachBlockIntersecting(const Box2& window, Fn&& fn) const {
+    const Box2 w = window.Intersection(space_);
+    if (w.IsEmpty()) return;
+    const BlockCoord lo = BlockOfPoint({w.lo(0), w.lo(1)});
+    // Nudge the upper corner inward so that a window ending exactly on a
+    // block boundary does not claim the next block.
+    const double eps_x = block_width_ * 1e-12;
+    const double eps_y = block_height_ * 1e-12;
+    const BlockCoord hi = BlockOfPoint({w.hi(0) - eps_x, w.hi(1) - eps_y});
+    for (int32_t j = lo.j; j <= hi.j; ++j) {
+      for (int32_t i = lo.i; i <= hi.i; ++i) {
+        fn(static_cast<int64_t>(j) * nx_ + i);
+      }
+    }
+  }
+
   bool IsValidCoord(const BlockCoord& c) const {
     return c.i >= 0 && c.i < nx_ && c.j >= 0 && c.j < ny_;
   }

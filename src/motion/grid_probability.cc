@@ -1,6 +1,7 @@
 #include "motion/grid_probability.h"
 
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -33,14 +34,29 @@ BlockProbabilities ComputeBlockProbabilities(
   MARS_CHECK_GE(options.horizon, 1);
   MARS_CHECK_GE(options.samples_per_step, 1);
 
-  BlockProbabilities probs;
-  double weight = 1.0;
+  // Sample mass per block id, and the blocks in the order samples first
+  // touched them (a touch may carry zero mass once the discount
+  // underflows, so touches are tracked apart from the mass).
+  std::vector<double> mass(static_cast<size_t>(grid.block_count()), 0.0);
+  std::vector<bool> touched(mass.size(), false);
+  std::vector<int64_t> first_touch;
   double total = 0.0;
-  for (int32_t step = 1; step <= options.horizon; ++step) {
-    const Prediction pred = predictor.Predict(step);
+  double sample_weight = 0.0;  // of the current step's samples
+  const auto add = [&](int64_t block) {
+    const size_t b = static_cast<size_t>(block);
+    if (!touched[b]) {
+      touched[b] = true;
+      first_touch.push_back(block);
+    }
+    mass[b] += sample_weight;
+    total += sample_weight;
+  };
+
+  const std::vector<Prediction> path = predictor.PredictPath(options.horizon);
+  double weight = 1.0;
+  for (const Prediction& pred : path) {
     const Chol2 chol = Cholesky2(pred.cov_xx, pred.cov_xy, pred.cov_yy);
-    const double sample_weight =
-        weight / static_cast<double>(options.samples_per_step);
+    sample_weight = weight / static_cast<double>(options.samples_per_step);
     for (int32_t s = 0; s < options.samples_per_step; ++s) {
       const double z1 = rng.Normal();
       const double z2 = rng.Normal();
@@ -49,33 +65,32 @@ BlockProbabilities ComputeBlockProbabilities(
       if (options.frame_half_width > 0.0 ||
           options.frame_half_height > 0.0) {
         // Spread the sample over the predicted query frame's blocks
-        // (clipped to the space by BlocksIntersecting).
+        // (clipped to the space).
         const geometry::Box2 frame = geometry::MakeBox2(
             p.x - options.frame_half_width, p.y - options.frame_half_height,
             p.x + options.frame_half_width,
             p.y + options.frame_half_height);
-        for (int64_t block : grid.BlocksIntersecting(frame)) {
-          probs[block] += sample_weight;
-          total += sample_weight;
-        }
+        grid.ForEachBlockIntersecting(frame, add);
       } else {
         // Point sampling; mass predicted outside the data space is
         // dropped (not clamped to the boundary blocks, which would
         // concentrate phantom probability at the edges for long
         // horizons).
         if (!grid.space().ContainsPoint({p.x, p.y})) continue;
-        const int64_t block = grid.BlockId(grid.BlockOfPoint(p));
-        probs[block] += sample_weight;
-        total += sample_weight;
+        add(grid.BlockId(grid.BlockOfPoint(p)));
       }
     }
     weight *= options.step_discount;
   }
 
-  if (total > 0.0) {
-    for (auto& [block, p] : probs) {
-      p /= total;
-    }
+  // Inserting in first-touch order builds the same table, iteration
+  // order included, as accumulating into the map sample by sample;
+  // SectorPartition::Aggregate's tie alternation and sums follow that
+  // order (DESIGN 5b).
+  BlockProbabilities probs;
+  for (int64_t block : first_touch) {
+    const double m = mass[static_cast<size_t>(block)];
+    probs.emplace(block, total > 0.0 ? m / total : m);
   }
   return probs;
 }

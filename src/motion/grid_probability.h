@@ -37,8 +37,10 @@ struct GridProbabilityOptions {
 };
 
 // Computes visit probabilities for blocks of `grid`, by sampling the
-// predictor's Gaussian N(mean_i, cov_i) at each future step i and
-// accumulating discounted sample mass per block. The paper computes
+// predictor's Gaussian N(mean_i, cov_i) at each future step i of one
+// PredictPath(horizon) call and accumulating discounted sample mass per
+// block. Blocks enter the map in the order samples first touch them, so
+// its iteration order is a pure function of the inputs. The paper computes
 // probabilities for "different blocks that can be visited by a client"
 // rather than per-point probabilities for exactly this reason — cell-level
 // integration is cheap.

@@ -86,28 +86,49 @@ void KalmanFilterPredictor::Observe(const geometry::Vec2& position) {
   ++observations_;
 }
 
-Prediction KalmanFilterPredictor::Predict(int32_t steps) const {
-  MARS_CHECK_GE(steps, 1);
-  Prediction out;
+std::vector<Prediction> KalmanFilterPredictor::PredictPath(
+    int32_t horizon) const {
+  MARS_CHECK_GE(horizon, 1);
+  std::vector<Prediction> path(static_cast<size_t>(horizon));
   if (observations_ == 0) {
-    out.cov_xx = out.cov_yy = 1e6;
-    return out;
+    for (Prediction& out : path) out.cov_xx = out.cov_yy = 1e6;
+    return path;
   }
-  const Matrix f_i = f_.Pow(steps);
-  const Matrix predicted = f_i * state_;
-  out.mean = {predicted(0, 0), predicted(1, 0)};
+  // Position block (xx, xy, yy) of one term F^j Q (F^j)ᵀ.
+  struct NoiseTerm {
+    double xx, xy, yy;
+  };
+  std::vector<NoiseTerm> noise;
+  noise.reserve(static_cast<size_t>(horizon));
+  // Rows 0–1 of Fⁱ along the chain I·F·F·…, which is Matrix::Pow's: row r
+  // of a product depends on row r of its left factor alone, so these rows,
+  // and the position blocks formed from them, are bitwise those of the
+  // full matrices.
+  Matrix f_i(2, 4);
+  f_i(0, 0) = 1.0;
+  f_i(1, 1) = 1.0;
+  for (int32_t step = 1; step <= horizon; ++step) {
+    // f_i is F^(step−1) here: the newest term of the noise sum.
+    const Matrix q_term = f_i * q_ * f_i.Transpose();
+    noise.push_back({q_term(0, 0), q_term(0, 1), q_term(1, 1)});
+    f_i = f_i * f_;
+    Prediction& out = path[static_cast<size_t>(step - 1)];
+    const Matrix predicted = f_i * state_;
+    out.mean = {predicted(0, 0), predicted(1, 0)};
 
-  // Propagate covariance i steps: P_i = Fⁱ P (Fⁱ)ᵀ + Σ F^j Q (F^j)ᵀ.
-  Matrix cov = f_i * p_ * f_i.Transpose();
-  Matrix f_j = Matrix::Identity(4);
-  for (int32_t j = 0; j < steps; ++j) {
-    cov = cov + f_j * q_ * f_j.Transpose();
-    f_j = f_j * f_;
+    // Propagate covariance i steps: P_i = Fⁱ P (Fⁱ)ᵀ + Σ_{j<i} F^j Q
+    // (F^j)ᵀ, summed from j = 0 up.
+    const Matrix cov = f_i * p_ * f_i.Transpose();
+    out.cov_xx = cov(0, 0);
+    out.cov_xy = cov(0, 1);
+    out.cov_yy = cov(1, 1);
+    for (const NoiseTerm& term : noise) {
+      out.cov_xx += term.xx;
+      out.cov_xy += term.xy;
+      out.cov_yy += term.yy;
+    }
   }
-  out.cov_xx = cov(0, 0);
-  out.cov_xy = cov(0, 1);
-  out.cov_yy = cov(1, 1);
-  return out;
+  return path;
 }
 
 geometry::Vec2 KalmanFilterPredictor::velocity() const {

@@ -2,6 +2,7 @@
 #define MARS_MOTION_KALMAN_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "geometry/vec.h"
 #include "motion/matrix.h"
@@ -37,9 +38,9 @@ class KalmanFilterPredictor : public PositionPredictor {
   // predict + update cycle).
   void Observe(const geometry::Vec2& position) override;
 
-  // Predicts the position `steps` >= 1 timestamps ahead with its 2 × 2
-  // covariance; matches MotionPredictor::Predict's contract.
-  Prediction Predict(int32_t steps) const override;
+  // Predicts the positions 1 ... `horizon` timestamps ahead with their
+  // 2 × 2 covariances; matches MotionPredictor::PredictPath's contract.
+  std::vector<Prediction> PredictPath(int32_t horizon) const override;
 
   // Smoothed per-timestamp displacement (meters per frame).
   double MeanStepDistance() const override { return mean_step_distance_; }

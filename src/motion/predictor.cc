@@ -63,32 +63,41 @@ void MotionPredictor::Observe(const geometry::Vec2& position) {
   rls_.Update(x, y);
 }
 
-Prediction MotionPredictor::Predict(int32_t steps) const {
-  MARS_CHECK_GE(steps, 1);
-  Prediction out;
-  if (recent_.empty()) {
-    out.cov_xx = out.cov_yy = 1e6;
-    return out;
-  }
-  if (!ready() ||
+std::vector<Prediction> MotionPredictor::PredictPath(int32_t horizon) const {
+  MARS_CHECK_GE(horizon, 1);
+  std::vector<Prediction> path(static_cast<size_t>(horizon));
+  if (recent_.empty() || !ready() ||
       recent_.size() < static_cast<size_t>(options_.history)) {
-    out.mean = recent_.front();
-    out.cov_xx = out.cov_yy = 1e6;
-    return out;
+    for (Prediction& out : path) {
+      if (!recent_.empty()) out.mean = recent_.front();
+      out.cov_xx = out.cov_yy = 1e6;
+    }
+    return path;
   }
 
   const Matrix s = StateFromHistory(0);
-  const Matrix a_i = rls_.transition().Pow(steps);
-  const Matrix predicted = a_i * s;
-  out.mean = {predicted(0, 0), predicted(1, 0)};
+  const Matrix& a = rls_.transition();
+  // Only the position rows 0–1 of Aⁱ reach the output, and row r of a
+  // product depends on row r of its left factor alone. So these two rows
+  // of the chain I·A·A·…, which is Matrix::Pow's, are bitwise the rows of
+  // Pow(i), and so are the products formed from them below.
+  Matrix a_i(2, dim_);
+  a_i(0, 0) = 1.0;
+  a_i(1, 1) = 1.0;
+  for (int32_t step = 1; step <= horizon; ++step) {
+    a_i = a_i * a;
+    Prediction& out = path[static_cast<size_t>(step - 1)];
+    const Matrix predicted = a_i * s;
+    out.mean = {predicted(0, 0), predicted(1, 0)};
 
-  // P_{t+i} = Aⁱ P_t (Aⁱ)ᵀ, plus a per-step noise floor.
-  const Matrix cov = a_i * state_cov_ * a_i.Transpose();
-  const double floor = options_.process_noise * steps;
-  out.cov_xx = std::max(cov(0, 0) + floor, floor);
-  out.cov_yy = std::max(cov(1, 1) + floor, floor);
-  out.cov_xy = cov(0, 1);
-  return out;
+    // P_{t+i} = Aⁱ P_t (Aⁱ)ᵀ, plus a per-step noise floor.
+    const Matrix cov = a_i * state_cov_ * a_i.Transpose();
+    const double floor = options_.process_noise * step;
+    out.cov_xx = std::max(cov(0, 0) + floor, floor);
+    out.cov_yy = std::max(cov(1, 1) + floor, floor);
+    out.cov_xy = cov(0, 1);
+  }
+  return path;
 }
 
 }  // namespace mars::motion

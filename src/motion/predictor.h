@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "geometry/vec.h"
 #include "motion/matrix.h"
@@ -31,8 +32,14 @@ class PositionPredictor {
   // Feeds the client position at the next timestamp.
   virtual void Observe(const geometry::Vec2& position) = 0;
 
+  // Predicts the positions 1, 2, ..., `horizon` >= 1 timestamps ahead in
+  // one pass: element i − 1 is the i-step prediction, bit for bit the
+  // same whatever the horizon. Costs O(horizon), so a consumer that needs
+  // every step asks for the path once.
+  virtual std::vector<Prediction> PredictPath(int32_t horizon) const = 0;
+
   // Predicts the position `steps` >= 1 timestamps ahead.
-  virtual Prediction Predict(int32_t steps) const = 0;
+  Prediction Predict(int32_t steps) const { return PredictPath(steps).back(); }
 
   // Smoothed per-timestamp displacement (meters per frame).
   virtual double MeanStepDistance() const = 0;
@@ -43,7 +50,8 @@ class PositionPredictor {
 // one-step predictor A is learned online by recursive least squares, and
 // multi-step predictions use ŝ_{t+i} = Aⁱ s_t. The state error covariance
 // P_t is tracked as an exponentially weighted average of observed one-step
-// prediction errors and propagated with P_{t+i} = Aⁱ P_t (Aⁱ)ᵀ.
+// prediction errors and propagated with P_{t+i} = Aⁱ P_t (Aⁱ)ᵀ. A path
+// forms Aⁱ = Aⁱ⁻¹ A with one product per step.
 class MotionPredictor : public PositionPredictor {
  public:
   struct Options {
@@ -69,10 +77,9 @@ class MotionPredictor : public PositionPredictor {
   // least one RLS update has run.
   bool ready() const { return rls_.update_count() > 0; }
 
-  // Predicts the position `steps` >= 1 timestamps ahead. Before ready(),
-  // falls back to the last observed position (zero velocity) with a large
-  // covariance.
-  Prediction Predict(int32_t steps) const override;
+  // Before ready(), every step falls back to the last observed position
+  // (zero velocity) with a large covariance.
+  std::vector<Prediction> PredictPath(int32_t horizon) const override;
 
   // Number of positions observed so far.
   int64_t observations() const { return observations_; }

@@ -12,7 +12,7 @@ constexpr double kTwoPi = 2.0 * M_PI;
 }  // namespace
 
 SectorPartition::SectorPartition(const geometry::Vec2& center, int32_t k)
-    : center_(center), k_(k), boundary_toggle_(k, false) {
+    : center_(center), k_(k), boundary_toggle_(k, false), votes_(k, 0) {
   MARS_CHECK_GE(k, 1);
 }
 
@@ -36,7 +36,7 @@ int32_t SectorPartition::SectorOfBlock(const geometry::GridPartition& grid,
   // block"; samples landing (numerically) on a partition line abstain, so
   // a block bisected by a line produces an exact tie, which falls to the
   // per-boundary alternation rule.
-  std::vector<int32_t> votes(k_, 0);
+  std::fill(votes_.begin(), votes_.end(), 0);
   constexpr int kSamples = 4;
   const double sector_span = kTwoPi / k_;
   int32_t counted = 0;
@@ -47,32 +47,35 @@ int32_t SectorPartition::SectorOfBlock(const geometry::GridPartition& grid,
           box.lo(1) + box.Extent(1) * (j + 0.5) / kSamples};
       const double dx = p.x - center_.x;
       const double dy = p.y - center_.y;
+      // SectorOfPoint(p), sharing its angle with the boundary test.
+      int32_t sector = 0;
       if (dx != 0.0 || dy != 0.0) {
         double shifted = std::atan2(dy, dx) + M_PI / k_;
         if (shifted < 0) shifted += kTwoPi;
         const double frac =
             std::fmod(shifted, sector_span) / sector_span;
         if (frac < 1e-9 || frac > 1.0 - 1e-9) continue;  // on a boundary
+        sector = static_cast<int32_t>(shifted / sector_span) % k_;
       }
-      ++votes[SectorOfPoint(p)];
+      ++votes_[sector];
       ++counted;
     }
   }
   if (counted == 0) {
-    // Degenerate: the whole lattice sat on boundaries; alternate from the
-    // center point's sector.
+    // Degenerate: the whole lattice sat on boundaries; the block takes
+    // its center point's sector, without alternation.
     const geometry::Vec2 c{box.lo(0) + box.Extent(0) / 2,
                            box.lo(1) + box.Extent(1) / 2};
     return SectorOfPoint(c);
   }
   int32_t best = 0;
   for (int32_t s = 1; s < k_; ++s) {
-    if (votes[s] > votes[best]) best = s;
+    if (votes_[s] > votes_[best]) best = s;
   }
   // Exact tie between two adjacent sectors: alternate along the boundary.
   for (int32_t s = 0; s < k_; ++s) {
     if (s == best) continue;
-    if (votes[s] != votes[best]) continue;
+    if (votes_[s] != votes_[best]) continue;
     // Identify the boundary between the tied sectors.
     const int32_t lo = std::min(s, best);
     const int32_t hi = std::max(s, best);

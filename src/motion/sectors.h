@@ -51,6 +51,8 @@ class SectorPartition {
   // Toggle per boundary line (boundary b sits between sectors b and b+1
   // mod k).
   std::vector<bool> boundary_toggle_;
+  // SectorOfBlock's per-sector vote counts, reused across calls.
+  std::vector<int32_t> votes_;
 };
 
 }  // namespace mars::motion

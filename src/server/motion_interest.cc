@@ -22,27 +22,30 @@ MotionInterestTracker::MotionInterestTracker(const geometry::Box2& space,
 
 void MotionInterestTracker::Observe(int32_t client_id,
                                     const geometry::Vec2& position) {
-  auto [it, inserted] =
-      predictors_.try_emplace(client_id, motion::MotionPredictor());
-  it->second.Observe(position);
+  Client& client = clients_[client_id];
+  client.predictor.Observe(position);
+  client.stale = true;
 }
 
-storage::InterestGrid MotionInterestTracker::Snapshot() const {
+storage::InterestGrid MotionInterestTracker::Snapshot() {
   storage::InterestGrid interest;
   interest.space = space_;
   interest.nx = options_.grid_nx;
   interest.ny = options_.grid_ny;
   interest.score.assign(
       static_cast<size_t>(options_.grid_nx) * options_.grid_ny, 0.0);
-  for (const auto& [client_id, predictor] : predictors_) {
-    // A fresh per-client sampler keeps the field a pure function of the
-    // observation history — snapshots never drift with call count.
-    common::Rng rng(options_.seed +
-                    0x9e3779b97f4a7c15ull * static_cast<uint64_t>(
-                                                client_id + 1));
-    const motion::BlockProbabilities probs = motion::ComputeBlockProbabilities(
-        predictor, grid_, options_.probability, rng);
-    for (const auto& [block, p] : probs) {
+  for (auto& [client_id, client] : clients_) {
+    if (client.stale) {
+      // A fresh per-client sampler keeps the field a pure function of the
+      // observation history — snapshots never drift with call count.
+      const uint64_t stream = static_cast<uint64_t>(client_id + 1);
+      common::Rng rng(options_.seed + 0x9e3779b97f4a7c15ull * stream);
+      const auto probs = motion::ComputeBlockProbabilities(
+          client.predictor, grid_, options_.probability, rng);
+      client.field.assign(probs.begin(), probs.end());
+      client.stale = false;
+    }
+    for (const auto& [block, p] : client.field) {
       interest.score[static_cast<size_t>(block)] += p;
     }
   }

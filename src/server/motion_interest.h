@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "geometry/box.h"
@@ -41,18 +43,29 @@ class MotionInterestTracker {
 
   // Aggregates every client's discounted block-visit probabilities into
   // one field. Deterministic: clients iterate in ascending id and the
-  // Monte-Carlo sampler is seeded per call from the tracker's base seed.
-  storage::InterestGrid Snapshot() const;
+  // Monte-Carlo sampler is seeded per client from the tracker's base seed,
+  // so a client's field is a pure function of its observation history.
+  // Each field is therefore kept until the client's next Observe, and a
+  // snapshot recomputes only the clients observed since the last one.
+  storage::InterestGrid Snapshot();
 
-  int64_t clients() const { return static_cast<int64_t>(predictors_.size()); }
+  int64_t clients() const { return static_cast<int64_t>(clients_.size()); }
 
  private:
+  struct Client {
+    motion::MotionPredictor predictor;
+    // The client's block probabilities in their BlockProbabilities
+    // iteration order; valid while !stale.
+    std::vector<std::pair<int64_t, double>> field;
+    bool stale = true;
+  };
+
   Options options_;
   geometry::Box2 space_;
   geometry::GridPartition grid_;
   // Ordered map so Snapshot's accumulation order (and therefore its
   // floating-point result) is independent of insertion order.
-  std::map<int32_t, motion::MotionPredictor> predictors_;
+  std::map<int32_t, Client> clients_;
 };
 
 }  // namespace mars::server

@@ -272,8 +272,9 @@ class Server {
   // Objects added but not yet committed into the object index.
   std::vector<int32_t> staged_objects_;
   // Set once in the constructor (disk + motion eviction only), then only
-  // read — motion_interest_enabled() needs no lock. The tracker's state
-  // is mutated through const methods, hence mutable + its own mutex.
+  // read — motion_interest_enabled() needs no lock. Observe and Snapshot
+  // (which refreshes the tracker's cached fields) both mutate the tracker
+  // from const methods, hence mutable + its own mutex.
   mutable common::Mutex interest_mu_;
   mutable std::unique_ptr<MotionInterestTracker> interest_
       MARS_PT_GUARDED_BY(interest_mu_);

@@ -581,6 +581,50 @@ TEST(PrefetcherTest, SpeedSetsPrefetchResolution) {
   EXPECT_DOUBLE_EQ(fast.items[0].w_min, 0.9);
 }
 
+TEST(PrefetcherTest, ColdPredictorRingFillsItsBudget) {
+  // A predictor with no observations samples around the origin, far from
+  // this space: no block gets predicted mass, so the plan comes from the
+  // rings around the client and still spends the whole budget.
+  const motion::MotionPredictor predictor;
+  const geometry::GridPartition grid(
+      geometry::MakeBox2(20000, 20000, 21000, 21000), 20, 20);
+  common::Rng probe(17);
+  const motion::BlockProbabilities probs = motion::ComputeBlockProbabilities(
+      predictor, grid, motion::GridProbabilityOptions(), probe);
+  ASSERT_TRUE(probs.empty());
+  MotionAwarePrefetcher prefetcher;
+  const geometry::Vec2 position{20500, 20500};
+  const int64_t own_block = grid.BlockId(grid.BlockOfPoint(position));
+  for (int budget : {1, 8, 24, 60}) {
+    common::Rng rng(17);
+    const auto plan =
+        prefetcher.Plan(predictor, grid, position, 0.5, budget, rng);
+    ASSERT_EQ(static_cast<int>(plan.items.size()), budget) << budget;
+    for (const auto& item : plan.items) EXPECT_NE(item.block, own_block);
+  }
+}
+
+TEST(PrefetcherTest, WarmPlanHoldsNoZeroMassRingItem) {
+  // With predicted mass, only blocks that hold some are planned: a
+  // zero-mass ring item would carry just its ring tie-break, 1e-6 / (1 +
+  // ring) <= 1e-6, far below any sampled block's probability.
+  motion::MotionPredictor predictor;
+  for (int t = 0; t < 50; ++t) predictor.Observe({300 + 10.0 * t, 500});
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
+                                     20, 20);
+  MotionAwarePrefetcher prefetcher;
+  for (int budget : {1, 8, 32, 100}) {
+    common::Rng rng(19);
+    const auto plan =
+        prefetcher.Plan(predictor, grid, {790, 500}, 0.5, budget, rng);
+    ASSERT_FALSE(plan.items.empty());
+    EXPECT_LE(static_cast<int>(plan.items.size()), budget);
+    for (const auto& item : plan.items) {
+      EXPECT_GT(item.priority, 1e-6) << "block " << item.block;
+    }
+  }
+}
+
 TEST(PrefetchPlanTest, DedupeKeepsHigherPriorityAndFinerResolution) {
   // Block 7 appears twice — e.g. reachable from two direction sectors —
   // once strong/coarse and once weak/fine. The merged item must carry

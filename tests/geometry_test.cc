@@ -318,6 +318,38 @@ TEST(GridTest, WindowOutsideSpaceClipped) {
   EXPECT_EQ(blocks.size(), 1u);
 }
 
+// Ids of every block with positive overlap area with `window`, ascending.
+// The grid treats boundary-only contact as non-membership (a window ending
+// exactly on a block edge does not claim the next block), so the oracle
+// requires positive overlap area.
+std::vector<int64_t> OverlappingBlocks(const GridPartition& grid,
+                                       const Box2& window) {
+  std::vector<int64_t> ids;
+  for (int64_t id = 0; id < grid.block_count(); ++id) {
+    const Box2 overlap = grid.BlockBox(id).Intersection(window);
+    if (!overlap.IsEmpty() && overlap.Volume() > 1e-9) ids.push_back(id);
+  }
+  return ids;
+}
+
+// ForEachBlockIntersecting's visits, in order.
+std::vector<int64_t> VisitedBlocks(const GridPartition& grid,
+                                   const Box2& window) {
+  std::vector<int64_t> visited;
+  const auto visit = [&visited](int64_t id) { visited.push_back(id); };
+  grid.ForEachBlockIntersecting(window, visit);
+  return visited;
+}
+
+// The visits must be BlocksIntersecting's ids, in its order, and both the
+// oracle's ascending ids.
+void ExpectVisitsOverlappingBlocks(const GridPartition& grid,
+                                   const Box2& window) {
+  const std::vector<int64_t> visited = VisitedBlocks(grid, window);
+  EXPECT_EQ(visited, grid.BlocksIntersecting(window)) << "window " << window;
+  EXPECT_EQ(visited, OverlappingBlocks(grid, window)) << "window " << window;
+}
+
 TEST(GridTest, BlocksIntersectingMatchesBruteForce) {
   const GridPartition grid(MakeBox2(-10, 5, 90, 85), 13, 9);
   common::Rng rng(55);
@@ -325,21 +357,35 @@ TEST(GridTest, BlocksIntersectingMatchesBruteForce) {
     const double x = rng.Uniform(-30, 100), y = rng.Uniform(-10, 100);
     const Box2 window =
         MakeBox2(x, y, x + rng.Uniform(0.5, 60), y + rng.Uniform(0.5, 60));
-    auto got = grid.BlocksIntersecting(window);
-    std::sort(got.begin(), got.end());
-    std::vector<int64_t> expected;
-    for (int64_t id = 0; id < grid.block_count(); ++id) {
-      const Box2 block = grid.BlockBox(id);
-      const Box2 overlap = block.Intersection(window);
-      // The grid treats boundary-only contact as non-membership (a window
-      // ending exactly on a block edge does not claim the next block), so
-      // the oracle requires positive overlap area.
-      if (!overlap.IsEmpty() && overlap.Volume() > 1e-9) {
-        expected.push_back(id);
-      }
-    }
-    EXPECT_EQ(got, expected) << "window " << window;
+    ExpectVisitsOverlappingBlocks(grid, window);
   }
+}
+
+TEST(GridTest, BlocksIntersectingOnBlockEdgesAndOutside) {
+  const GridPartition grid(MakeBox2(0, 0, 100, 100), 10, 10);
+  // Windows starting and ending exactly on block edges, or inside blocks.
+  for (const double lo : {0.0, 10.0, 25.0, 90.0}) {
+    for (const double hi : {10.0, 30.0, 35.0, 100.0}) {
+      if (hi <= lo) continue;
+      ExpectVisitsOverlappingBlocks(grid, MakeBox2(lo, lo, hi, hi));
+      ExpectVisitsOverlappingBlocks(grid, MakeBox2(lo, 0, hi, 100));
+    }
+  }
+  // Windows outside the space, and windows straddling its edge.
+  ExpectVisitsOverlappingBlocks(grid, MakeBox2(200, 200, 300, 300));
+  ExpectVisitsOverlappingBlocks(grid, MakeBox2(-30, -30, -5, -5));
+  ExpectVisitsOverlappingBlocks(grid, MakeBox2(-50, -50, 5, 5));
+  ExpectVisitsOverlappingBlocks(grid, MakeBox2(95, 95, 150, 150));
+  ExpectVisitsOverlappingBlocks(grid, MakeBox2(-20, 30, 120, 40));
+  // A window touching the space only from outside clips to a zero-width
+  // strip on its edge, which claims the edge blocks (no positive area, so
+  // the oracle does not apply).
+  const Box2 touching_right = MakeBox2(100, 0, 150, 100);
+  const Box2 touching_left = MakeBox2(-20, 40, 0, 60);
+  EXPECT_EQ(VisitedBlocks(grid, touching_right),
+            grid.BlocksIntersecting(touching_right));
+  EXPECT_EQ(VisitedBlocks(grid, touching_left),
+            grid.BlocksIntersecting(touching_left));
 }
 
 TEST(GridTest, MembershipConsistency) {

@@ -1,11 +1,14 @@
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "geometry/grid.h"
 #include "motion/grid_probability.h"
+#include "motion/kalman.h"
 #include "motion/matrix.h"
 #include "motion/predictor.h"
 #include "motion/rls.h"
@@ -237,6 +240,81 @@ TEST(PredictorTest, TramLikePathMorePredictableThanWalk) {
   EXPECT_LT(mean_error(0.02, 1), mean_error(0.5, 1));
 }
 
+// --- Prediction paths -------------------------------------------------------
+
+// 60 positions of a client moving 5 m per step whose heading random-walks
+// with `heading_sigma` per step: small for a tram, large for a walker.
+std::vector<geometry::Vec2> TourPositions(double heading_sigma, uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<geometry::Vec2> positions;
+  geometry::Vec2 pos{200, 300};
+  double heading = 0.4;
+  for (int t = 0; t < 60; ++t) {
+    heading += rng.Normal(0, heading_sigma);
+    pos += geometry::Vec2{std::cos(heading), std::sin(heading)} * 5.0;
+    positions.push_back(pos);
+  }
+  return positions;
+}
+
+void ExpectSamePrediction(const Prediction& got, const Prediction& want) {
+  EXPECT_EQ(got.mean.x, want.mean.x);
+  EXPECT_EQ(got.mean.y, want.mean.y);
+  EXPECT_EQ(got.cov_xx, want.cov_xx);
+  EXPECT_EQ(got.cov_xy, want.cov_xy);
+  EXPECT_EQ(got.cov_yy, want.cov_yy);
+}
+
+// Step i of a 48-step path must be bitwise the last step of an i-step
+// path: a path must not depend on its horizon.
+void ExpectPathIndependentOfHorizon(const PositionPredictor& predictor) {
+  constexpr int32_t kHorizon = 48;
+  const std::vector<Prediction> path = predictor.PredictPath(kHorizon);
+  ASSERT_EQ(path.size(), static_cast<size_t>(kHorizon));
+  for (int32_t i = 1; i <= kHorizon; ++i) {
+    SCOPED_TRACE(testing::Message() << "step " << i);
+    const std::vector<Prediction> prefix = predictor.PredictPath(i);
+    ASSERT_EQ(prefix.size(), static_cast<size_t>(i));
+    ExpectSamePrediction(path[i - 1], prefix.back());
+    ExpectSamePrediction(path[i - 1], predictor.Predict(i));
+  }
+}
+
+TEST(PredictPathTest, PathDoesNotDependOnHorizon) {
+  for (const double heading_sigma : {0.02, 0.5}) {  // tram-like, walk-like
+    SCOPED_TRACE(testing::Message() << "heading sigma " << heading_sigma);
+    const std::vector<geometry::Vec2> positions =
+        TourPositions(heading_sigma, 71);
+    MotionPredictor rls;
+    KalmanFilterPredictor kalman;
+    {
+      SCOPED_TRACE("no observations");
+      ExpectPathIndependentOfHorizon(rls);
+      ExpectPathIndependentOfHorizon(kalman);
+    }
+    rls.Observe(positions[0]);
+    kalman.Observe(positions[0]);
+    ASSERT_FALSE(rls.ready());
+    ASSERT_FALSE(kalman.ready());
+    {
+      SCOPED_TRACE("before ready()");
+      ExpectPathIndependentOfHorizon(rls);
+      ExpectPathIndependentOfHorizon(kalman);
+    }
+    for (size_t t = 1; t < positions.size(); ++t) {
+      rls.Observe(positions[t]);
+      kalman.Observe(positions[t]);
+    }
+    ASSERT_TRUE(rls.ready());
+    ASSERT_TRUE(kalman.ready());
+    {
+      SCOPED_TRACE("warm");
+      ExpectPathIndependentOfHorizon(rls);
+      ExpectPathIndependentOfHorizon(kalman);
+    }
+  }
+}
+
 // --- Grid probabilities -----------------------------------------------------
 
 TEST(GridProbabilityTest, SumsToOne) {
@@ -340,6 +418,142 @@ TEST(GridProbabilityTest, OutOfSpaceMassDropped) {
   if (!probs.empty()) {
     EXPECT_NEAR(total, 1.0, 1e-9);
   }
+}
+
+// The per-sample loop ComputeBlockProbabilities replaced: one Predict per
+// step, BlocksIntersecting per sample, map increments, then normalise. Its
+// table, iteration order included, is the reference the dense
+// accumulation must rebuild exactly.
+BlockProbabilities ReferenceBlockProbabilities(
+    const PositionPredictor& predictor, const geometry::GridPartition& grid,
+    const GridProbabilityOptions& options, common::Rng& rng) {
+  BlockProbabilities probs;
+  double weight = 1.0;
+  double total = 0.0;
+  for (int32_t step = 1; step <= options.horizon; ++step) {
+    const Prediction pred = predictor.Predict(step);
+    const double l11 = std::sqrt(std::max(pred.cov_xx, 1e-12));
+    const double l21 = pred.cov_xy / l11;
+    const double l22 = std::sqrt(std::max(pred.cov_yy - l21 * l21, 1e-12));
+    const double sample_weight =
+        weight / static_cast<double>(options.samples_per_step);
+    for (int32_t s = 0; s < options.samples_per_step; ++s) {
+      const double z1 = rng.Normal();
+      const double z2 = rng.Normal();
+      const geometry::Vec2 p{pred.mean.x + l11 * z1,
+                             pred.mean.y + l21 * z1 + l22 * z2};
+      if (options.frame_half_width > 0.0 ||
+          options.frame_half_height > 0.0) {
+        const geometry::Box2 frame = geometry::MakeBox2(
+            p.x - options.frame_half_width, p.y - options.frame_half_height,
+            p.x + options.frame_half_width,
+            p.y + options.frame_half_height);
+        for (int64_t block : grid.BlocksIntersecting(frame)) {
+          probs[block] += sample_weight;
+          total += sample_weight;
+        }
+      } else {
+        if (!grid.space().ContainsPoint({p.x, p.y})) continue;
+        const int64_t block = grid.BlockId(grid.BlockOfPoint(p));
+        probs[block] += sample_weight;
+        total += sample_weight;
+      }
+    }
+    weight *= options.step_discount;
+  }
+  if (total > 0.0) {
+    for (auto& [block, p] : probs) p /= total;
+  }
+  return probs;
+}
+
+// Runs both implementations from equal generators and compares the
+// tables entry by entry in iteration order, with exact doubles, and the
+// generators' states afterwards.
+void ExpectMatchesReference(const PositionPredictor& predictor,
+                            const geometry::GridPartition& grid,
+                            const GridProbabilityOptions& options,
+                            uint64_t seed) {
+  common::Rng rng_got(seed), rng_want(seed);
+  const BlockProbabilities got =
+      ComputeBlockProbabilities(predictor, grid, options, rng_got);
+  const BlockProbabilities want =
+      ReferenceBlockProbabilities(predictor, grid, options, rng_want);
+  ASSERT_EQ(got.size(), want.size());
+  auto g = got.begin();
+  for (auto w = want.begin(); w != want.end(); ++w, ++g) {
+    EXPECT_EQ(g->first, w->first);
+    EXPECT_EQ(g->second, w->second) << "block " << w->first;
+  }
+  EXPECT_EQ(rng_got.NextUint64(), rng_want.NextUint64());
+}
+
+TEST(GridProbabilityTest, MatchesPerSampleReference) {
+  // The client's geometry: 10 km space, 40 × 40 grid, 5% query frame.
+  const geometry::GridPartition client_grid(
+      geometry::MakeBox2(0, 0, 10000, 10000), 40, 40);
+  // The interest tracker's: a 16 × 16 grid.
+  const geometry::GridPartition tracker_grid(
+      geometry::MakeBox2(0, 0, 10000, 10000), 16, 16);
+  GridProbabilityOptions frame;
+  frame.horizon = 48;
+  frame.step_discount = std::pow(0.5, 1.0 / 48);
+  frame.frame_half_width = frame.frame_half_height = 250;
+  const GridProbabilityOptions point;  // H = 16, point sampling
+
+  for (const double heading_sigma : {0.02, 0.5}) {  // tram-like, walk-like
+    SCOPED_TRACE(testing::Message() << "heading sigma " << heading_sigma);
+    // 40 m per step, starting near the middle of the space.
+    MotionPredictor rls;
+    KalmanFilterPredictor kalman;
+    for (const geometry::Vec2& p : TourPositions(heading_sigma, 73)) {
+      rls.Observe(p * 8.0 + geometry::Vec2{2000, 2000});
+      kalman.Observe(p * 8.0 + geometry::Vec2{2000, 2000});
+    }
+    ExpectMatchesReference(rls, client_grid, frame, 1);
+    ExpectMatchesReference(kalman, client_grid, frame, 2);
+    ExpectMatchesReference(rls, tracker_grid, point, 3);
+    ExpectMatchesReference(kalman, tracker_grid, point, 4);
+  }
+}
+
+TEST(GridProbabilityTest, MatchesPerSampleReferenceLeavingTheSpace) {
+  // Eastbound at 25 m per step toward the edge of a 1 km space: later
+  // samples (and frames) fall partly or wholly outside it.
+  MotionPredictor predictor;
+  for (int t = 0; t < 40; ++t) predictor.Observe({25.0 * t, 500});
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
+                                     20, 20);
+  GridProbabilityOptions point;
+  point.horizon = 20;
+  GridProbabilityOptions frame = point;
+  frame.frame_half_width = frame.frame_half_height = 75;
+  ExpectMatchesReference(predictor, grid, point, 5);
+  ExpectMatchesReference(predictor, grid, frame, 6);
+  // A predictor with no observations samples around the origin, a corner
+  // of the space: about a quarter of its samples land inside.
+  const MotionPredictor cold;
+  ExpectMatchesReference(cold, grid, point, 7);
+  ExpectMatchesReference(cold, grid, frame, 8);
+}
+
+TEST(GridProbabilityTest, ZeroMassTouchesStayInTheTable) {
+  // With no discount carry-over every step after the first samples with
+  // zero weight; the blocks those samples touch first are still entries
+  // (with mass 0) of the per-sample loop's table, in touch order.
+  MotionPredictor predictor;
+  for (int t = 0; t < 40; ++t) predictor.Observe({10.0 * t, 500});
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
+                                     20, 20);
+  GridProbabilityOptions options;
+  options.step_discount = 0.0;
+  options.frame_half_width = options.frame_half_height = 60;
+  common::Rng rng(9);
+  const BlockProbabilities probs =
+      ComputeBlockProbabilities(predictor, grid, options, rng);
+  const auto zero_mass = [](const auto& entry) { return entry.second == 0.0; };
+  EXPECT_TRUE(std::any_of(probs.begin(), probs.end(), zero_mass));
+  ExpectMatchesReference(predictor, grid, options, 9);
 }
 
 // --- Sectors ----------------------------------------------------------------
@@ -456,6 +670,42 @@ TEST(MatrixTest, PowMatchesRepeatedMultiply) {
   for (int k = 0; k <= 6; ++k) {
     EXPECT_LT((a.Pow(k) - expected).Norm(), 1e-12) << "k=" << k;
     expected = expected * a;
+  }
+}
+
+TEST(MatrixTest, LeadingRowsOfPowerChainMatchPow) {
+  // PredictPath evolves only rows 0–1 of Aⁱ = Aⁱ⁻¹·A and forms the mean
+  // Aⁱ·s and the position block of Aⁱ·P·(Aⁱ)ᵀ from them; each must be
+  // bitwise what the full Pow(i) gives. Zero entries exercise
+  // operator*'s skip of zero terms.
+  common::Rng rng(79);
+  for (const int dim : {4, 6}) {
+    Matrix a = Matrix::Identity(dim);
+    Matrix p(dim, dim), s(dim, 1);
+    for (int r = 0; r < dim; ++r) {
+      s(r, 0) = rng.Uniform(-500, 500);
+      for (int c = 0; c < dim; ++c) {
+        if (!rng.Bernoulli(0.4)) a(r, c) += rng.Uniform(-0.3, 0.3);
+        if (c >= r) p(r, c) = p(c, r) = rng.Uniform(-2, 2);
+      }
+    }
+    Matrix rows(2, dim);
+    rows(0, 0) = 1.0;
+    rows(1, 1) = 1.0;
+    for (int i = 1; i <= 48; ++i) {
+      SCOPED_TRACE(testing::Message() << "dim " << dim << ", i " << i);
+      rows = rows * a;
+      const Matrix full = a.Pow(i);
+      const Matrix mean = rows * s;
+      const Matrix full_mean = full * s;
+      const Matrix block = rows * p * rows.Transpose();
+      const Matrix full_block = full * p * full.Transpose();
+      for (int r = 0; r < 2; ++r) {
+        for (int c = 0; c < dim; ++c) EXPECT_EQ(rows(r, c), full(r, c));
+        EXPECT_EQ(mean(r, 0), full_mean(r, 0));
+        for (int c = 0; c < 2; ++c) EXPECT_EQ(block(r, c), full_block(r, c));
+      }
+    }
   }
 }
 

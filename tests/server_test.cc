@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include "server/admission.h"
 #include "server/hot_cache.h"
 #include "server/inflight_table.h"
+#include "server/motion_interest.h"
 #include "server/object_db.h"
 #include "server/server.h"
 #include "server/session_table.h"
@@ -904,6 +907,84 @@ TEST(ServerRebalanceTest, EnabledServerRunsThePolicy) {
   EXPECT_GE(server.rebalance_ops(), 1);
   EXPECT_EQ(static_cast<int64_t>(server.RebalanceEvents().size()),
             server.rebalance_ops());
+}
+
+// --- MotionInterestTracker --------------------------------------------------
+
+const geometry::Box2 kTrackerSpace = geometry::MakeBox2(0, 0, 1000, 1000);
+
+// Fleet client `id`'s position at `tick`: a straight line of its own, at a
+// pace of its own, across the tracker's space.
+geometry::Vec2 FleetPosition(int32_t id, int tick) {
+  return {100.0 + 10.0 * id + (5.0 + id) * tick,
+          150.0 + 90.0 * id + 3.0 * tick};
+}
+
+void ExpectSameScores(const storage::InterestGrid& got,
+                      const storage::InterestGrid& want) {
+  ASSERT_EQ(got.score.size(), want.score.size());
+  for (size_t b = 0; b < want.score.size(); ++b) {
+    EXPECT_EQ(got.score[b], want.score[b]) << "block " << b;
+  }
+}
+
+// A tracker that has seen `history` once and has never snapshotted.
+storage::InterestGrid FreshSnapshot(
+    const std::vector<std::pair<int32_t, geometry::Vec2>>& history) {
+  MotionInterestTracker fresh(kTrackerSpace, {});
+  for (const auto& [id, position] : history) fresh.Observe(id, position);
+  return fresh.Snapshot();
+}
+
+double TotalScore(const storage::InterestGrid& grid) {
+  double total = 0.0;
+  for (double score : grid.score) total += score;
+  return total;
+}
+
+TEST(MotionInterestTrackerTest, CachedSnapshotsEqualFreshOnes) {
+  // Eight clients, of which only those with id % 4 == tick % 4 observe in
+  // a tick: every snapshot reuses three quarters of the cached fields.
+  MotionInterestTracker tracker(kTrackerSpace, {});
+  std::vector<std::pair<int32_t, geometry::Vec2>> history;
+  for (int tick = 0; tick < 40; ++tick) {
+    for (int32_t id = tick % 4; id < 8; id += 4) {
+      tracker.Observe(id, FleetPosition(id, tick));
+      history.emplace_back(id, FleetPosition(id, tick));
+    }
+    SCOPED_TRACE(testing::Message() << "tick " << tick);
+    ExpectSameScores(tracker.Snapshot(), FreshSnapshot(history));
+  }
+  EXPECT_EQ(tracker.clients(), 8);
+}
+
+TEST(MotionInterestTrackerTest, SnapshotWithoutObservationIsUnchanged) {
+  MotionInterestTracker tracker(kTrackerSpace, {});
+  for (int tick = 0; tick < 20; ++tick) {
+    for (int32_t id = 0; id < 3; ++id) {
+      tracker.Observe(id, FleetPosition(id, tick));
+    }
+  }
+  const storage::InterestGrid first = tracker.Snapshot();
+  EXPECT_NEAR(TotalScore(first), 3.0, 1e-9);  // one unit field per client
+  ExpectSameScores(tracker.Snapshot(), first);
+}
+
+TEST(MotionInterestTrackerTest, ClientAppearingMidRunIsIncluded) {
+  MotionInterestTracker tracker(kTrackerSpace, {});
+  std::vector<std::pair<int32_t, geometry::Vec2>> history;
+  for (int tick = 0; tick < 30; ++tick) {
+    for (int32_t id : {0, 1, 5}) {
+      if (id == 5 && tick < 20) continue;  // client 5 joins at tick 20
+      tracker.Observe(id, FleetPosition(id, tick));
+      history.emplace_back(id, FleetPosition(id, tick));
+    }
+    const storage::InterestGrid snapshot = tracker.Snapshot();
+    SCOPED_TRACE(testing::Message() << "tick " << tick);
+    EXPECT_NEAR(TotalScore(snapshot), tick < 20 ? 2.0 : 3.0, 1e-9);
+    ExpectSameScores(snapshot, FreshSnapshot(history));
+  }
+  EXPECT_EQ(tracker.clients(), 3);
 }
 
 }  // namespace
