@@ -158,13 +158,6 @@ index::ShardedIndexOptions DiskOptions(const std::string& path,
   return options;
 }
 
-void RemovePageFiles(const std::string& path) {
-  std::remove(path.c_str());
-  for (int32_t k = 0; k < kShards; ++k) {
-    std::remove((path + ".shard" + std::to_string(k)).c_str());
-  }
-}
-
 struct PoolTotals {
   int64_t hits = 0;
   int64_t misses = 0;
@@ -214,7 +207,7 @@ int main() {
   // writes, so the resident total *is* the dataset's page count — which
   // sizes the real pools at ~10% of the data.
   const std::string probe_path = "bench_storage_probe.pages";
-  RemovePageFiles(probe_path);
+  index::ShardedCoefficientIndex::RemoveFiles(probe_path, kShards);
   int64_t dataset_pages = 0;
   {
     index::ShardedCoefficientIndex probe(DiskOptions(
@@ -222,7 +215,7 @@ int main() {
     probe.Build(records);
     dataset_pages = SumPools(probe).resident_pages;
   }
-  RemovePageFiles(probe_path);
+  index::ShardedCoefficientIndex::RemoveFiles(probe_path, kShards);
   const int64_t pool_pages = std::max<int64_t>(kShards, dataset_pages / 10);
 
   // The three contestants replay the same schedule in lockstep.
@@ -233,8 +226,8 @@ int main() {
 
   const std::string lru_path = "bench_storage_lru.pages";
   const std::string motion_path = "bench_storage_motion.pages";
-  RemovePageFiles(lru_path);
-  RemovePageFiles(motion_path);
+  index::ShardedCoefficientIndex::RemoveFiles(lru_path, kShards);
+  index::ShardedCoefficientIndex::RemoveFiles(motion_path, kShards);
   index::ShardedCoefficientIndex lru_index(
       DiskOptions(lru_path, storage::EvictPolicy::kLru, pool_pages));
   index::ShardedCoefficientIndex motion_index(
@@ -277,8 +270,8 @@ int main() {
                      got_motion.size(), static_cast<long long>(io_mem),
                      static_cast<long long>(io_lru),
                      static_cast<long long>(io_motion));
-        RemovePageFiles(lru_path);
-        RemovePageFiles(motion_path);
+        index::ShardedCoefficientIndex::RemoveFiles(lru_path, kShards);
+        index::ShardedCoefficientIndex::RemoveFiles(motion_path, kShards);
         return 1;
       }
       ++queries;
@@ -288,8 +281,8 @@ int main() {
 
   const PoolTotals lru_end = SumPools(lru_index);
   const PoolTotals motion_end = SumPools(motion_index);
-  RemovePageFiles(lru_path);
-  RemovePageFiles(motion_path);
+  index::ShardedCoefficientIndex::RemoveFiles(lru_path, kShards);
+  index::ShardedCoefficientIndex::RemoveFiles(motion_path, kShards);
 
   const double lru_hit_rate = HitRate(lru_end, lru_start);
   const double motion_hit_rate = HitRate(motion_end, motion_start);

@@ -146,14 +146,6 @@ index::ShardedIndexOptions WarmOptions(const std::string& path,
   return options;
 }
 
-void RemovePageFiles(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".shardmap").c_str());
-  for (int32_t k = 0; k < kShards; ++k) {
-    std::remove((path + ".shard" + std::to_string(k)).c_str());
-  }
-}
-
 struct PoolTotals {
   int64_t hits = 0;
   int64_t misses = 0;
@@ -227,7 +219,7 @@ int main() {
   // so the resident total is the dataset's page count — which sizes the
   // contenders' pools at ~10% of the data.
   const std::string probe_path = "bench_warming_probe.pages";
-  RemovePageFiles(probe_path);
+  index::ShardedCoefficientIndex::RemoveFiles(probe_path, kShards);
   int64_t dataset_pages = 0;
   {
     index::ShardedCoefficientIndex probe(WarmOptions(
@@ -235,7 +227,7 @@ int main() {
     probe.Build(records);
     dataset_pages = SumPools(probe).resident_pages;
   }
-  RemovePageFiles(probe_path);
+  index::ShardedCoefficientIndex::RemoveFiles(probe_path, kShards);
   const int64_t pool_pages = std::max<int64_t>(kShards, dataset_pages / 10);
 
   // The three contenders replay the same schedule in lockstep.
@@ -253,7 +245,7 @@ int main() {
       {"on8", "bench_warming_on8.pages", true, 8, nullptr, {}},
   };
   for (Pass& pass : passes) {
-    RemovePageFiles(pass.path);
+    index::ShardedCoefficientIndex::RemoveFiles(pass.path, kShards);
     pass.index = std::make_unique<index::ShardedCoefficientIndex>(WarmOptions(
         pass.path, pool_pages, pass.warm, warm_budget, pass.warm_workers));
     pass.index->Build(records);
@@ -316,7 +308,9 @@ int main() {
                        pass.name, static_cast<long long>(queries), got.size(),
                        want.size(), static_cast<long long>(io),
                        static_cast<long long>(want_io));
-          for (Pass& p : passes) RemovePageFiles(p.path);
+          for (Pass& p : passes) {
+            index::ShardedCoefficientIndex::RemoveFiles(p.path, kShards);
+          }
           return 1;
         }
       }
@@ -330,7 +324,7 @@ int main() {
   const PoolTotals on8 = SumPools(*passes[2].index);
   for (Pass& pass : passes) {
     pass.index.reset();
-    RemovePageFiles(pass.path);
+    index::ShardedCoefficientIndex::RemoveFiles(pass.path, kShards);
   }
 
   // The I/O pool width must be unobservable: every counter — query-path

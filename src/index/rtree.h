@@ -18,16 +18,17 @@
 
 namespace mars::index {
 
+class PagedTree3;
+
 // Split algorithm for overflowing nodes.
 enum class SplitPolicy {
   kGuttmanQuadratic,  // Guttman 1984 quadratic split (classic R-tree)
   kRStar,             // Beckmann et al. 1990 axis/margin split (R*-tree)
 };
 
-// Tuning knobs. The defaults mirror the paper's experimental setup: a 4 KB
-// page holding up to 20 entries (Sec. VII-D).
+// Tuning knobs. The defaults mirror the paper's experimental setup: up to
+// 20 entries per node, the fan-out of its 4 KB pages (Sec. VII-D).
 struct RTreeOptions {
-  int32_t page_size_bytes = 4096;
   int32_t node_capacity = 20;
   // Minimum entries per node after a split, as a fraction of capacity.
   // 40% is the R*-tree recommendation.
@@ -203,16 +204,6 @@ class RTree {
     return accesses;
   }
 
-  // Appends (box, value) pairs of all entries whose box intersects
-  // `window`. Returns the node accesses of this call.
-  int64_t QueryEntries(const BoxT& window, std::vector<Entry>* out) const {
-    ++stats_.queries;
-    int64_t accesses = 0;
-    QueryEntriesRec(root_.get(), window, out, &accesses);
-    stats_.query_node_accesses += accesses;
-    return accesses;
-  }
-
   // Bounding box of the whole tree (empty box when the tree is empty).
   BoxT Bounds() const { return root_->mbr; }
 
@@ -294,25 +285,10 @@ class RTree {
     return common::OkStatus();
   }
 
-  // Flattened snapshot of the tree for page-based serialization (see
-  // src/index/paged_index.h): nodes in preorder, root at index 0, internal
-  // nodes referencing children by flat index alongside their MBRs. An empty
-  // tree flattens to its single empty root leaf.
-  struct FlatNode {
-    bool is_leaf = true;
-    BoxT mbr;
-    std::vector<Entry> entries;     // leaf payload
-    std::vector<int32_t> children;  // internal: indices into the flat list
-    std::vector<BoxT> child_mbrs;   // parallel to children
-  };
-
-  std::vector<FlatNode> Flatten() const {
-    std::vector<FlatNode> out;
-    FlattenRec(root_.get(), &out);
-    return out;
-  }
-
  private:
+  // Writes the pointer nodes to pages directly (see index/access.h).
+  friend class PagedTree3;
+
   struct Node {
     explicit Node(bool leaf) : is_leaf(leaf) {}
 
@@ -914,46 +890,6 @@ class RTree {
         QueryRec(child.get(), window, out, accesses);
       }
     }
-  }
-
-  void QueryEntriesRec(const Node* node, const BoxT& window,
-                       std::vector<Entry>* out, int64_t* accesses) const {
-    ++*accesses;
-    if (node->is_leaf) {
-      for (const Entry& e : node->entries) {
-        if (e.box.Intersects(window)) out->push_back(e);
-      }
-      return;
-    }
-    for (const auto& child : node->children) {
-      if (child->mbr.Intersects(window)) {
-        QueryEntriesRec(child.get(), window, out, accesses);
-      }
-    }
-  }
-
-  // Appends `node` (then its subtree, preorder) to *out; returns the flat
-  // index of `node`. Indexes instead of references throughout: the vector
-  // reallocates as it grows.
-  int32_t FlattenRec(const Node* node, std::vector<FlatNode>* out) const {
-    const int32_t index = static_cast<int32_t>(out->size());
-    out->emplace_back();
-    (*out)[index].is_leaf = node->is_leaf;
-    (*out)[index].mbr = node->mbr;
-    (*out)[index].entries = node->entries;
-    if (!node->is_leaf) {
-      std::vector<int32_t> children;
-      std::vector<BoxT> child_mbrs;
-      children.reserve(node->children.size());
-      child_mbrs.reserve(node->children.size());
-      for (const auto& child : node->children) {
-        child_mbrs.push_back(child->mbr);
-        children.push_back(FlattenRec(child.get(), out));
-      }
-      (*out)[index].children = std::move(children);
-      (*out)[index].child_mbrs = std::move(child_mbrs);
-    }
-    return index;
   }
 
   // --- Invariants ------------------------------------------------------

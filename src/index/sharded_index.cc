@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -249,17 +250,6 @@ common::Status DecodeShardMapInto(const std::vector<uint8_t>& bytes,
   return common::OkStatus();
 }
 
-std::string KindName(ShardedIndexOptions::Kind kind) {
-  switch (kind) {
-    case ShardedIndexOptions::Kind::kSupportRegion:
-      return "support-region";
-    case ShardedIndexOptions::Kind::kNaivePoint:
-      return "naive-point";
-  }
-  MARS_CHECK(false);
-  return "";
-}
-
 }  // namespace
 
 ShardedCoefficientIndex::ShardedCoefficientIndex(ShardedIndexOptions options)
@@ -276,33 +266,22 @@ ShardedCoefficientIndex::~ShardedCoefficientIndex() {
   }
 }
 
-std::unique_ptr<CoefficientIndex> ShardedCoefficientIndex::MakeInner(
-    int32_t shard_id) const {
-  if (disk_store()) {
-    storage::BufferPool* pool = pools_[shard_id].get();
-    switch (options_.kind) {
-      case ShardedIndexOptions::Kind::kSupportRegion:
-        return std::make_unique<PagedSupportRegionIndex>(options_.rtree, pool);
-      case ShardedIndexOptions::Kind::kNaivePoint:
-        return std::make_unique<PagedNaivePointIndex>(options_.rtree, pool);
-    }
-    MARS_CHECK(false);
-    return nullptr;
-  }
+std::unique_ptr<RTreeCoefficientIndex> ShardedCoefficientIndex::MakeInner(
+    storage::BufferPool* pool) const {
   switch (options_.kind) {
     case ShardedIndexOptions::Kind::kSupportRegion:
-      return std::make_unique<SupportRegionIndex>(options_.rtree);
+      return std::make_unique<SupportRegionIndex>(options_.rtree, pool);
     case ShardedIndexOptions::Kind::kNaivePoint:
-      return std::make_unique<NaivePointIndex>(options_.rtree);
+      return std::make_unique<NaivePointIndex>(options_.rtree, pool);
   }
   MARS_CHECK(false);
   return nullptr;
 }
 
 std::unique_ptr<ShardedCoefficientIndex::Shard>
-ShardedCoefficientIndex::BuildShard(int32_t id,
-                                    std::vector<CoeffRecord> records,
-                                    std::vector<RecordId> ids) const {
+ShardedCoefficientIndex::BuildShard(
+    int32_t id, std::vector<CoeffRecord> records, std::vector<RecordId> ids,
+    const RTreeCoefficientIndex::TreeInfo* restore) const {
   auto shard = std::make_unique<Shard>();
   shard->id = id;
   shard->records = std::move(records);
@@ -311,13 +290,14 @@ ShardedCoefficientIndex::BuildShard(int32_t id,
     shard->coverage.Extend(GroundSupport(r));
   }
   if (!shard->records.empty()) {
-    shard->index = MakeInner(id);
+    shard->index = MakeInner(disk_store() ? pools_[id].get() : nullptr);
     // Built over the shard's own table (the inner access methods keep a
     // pointer to it), so the records copied here must stay put — which
     // they do: a Shard is immutable once installed.
-    shard->index->Build(shard->records);
-    if (disk_store()) {
-      shard->paged = static_cast<PagedCoefficientIndex*>(shard->index.get());
+    if (restore == nullptr) {
+      shard->index->Build(shard->records);
+    } else {
+      shard->index->Restore(shard->records, *restore);
     }
   }
   return shard;
@@ -345,24 +325,11 @@ ShardedCoefficientIndex::RestoreShard(int32_t id,
     return common::FailedPreconditionError(
         "shard restore: record table changed since persist");
   }
-  auto shard = std::make_unique<Shard>();
-  shard->id = id;
-  shard->records = std::move(records);
-  shard->ids = std::move(ids);
-  for (const CoeffRecord& r : shard->records) {
-    shard->coverage.Extend(GroundSupport(r));
+  if (!records.empty() && dir.root == storage::kInvalidPage) {
+    return common::InternalError("shard restore: directory has no tree");
   }
-  if (!shard->records.empty()) {
-    if (dir.root == storage::kInvalidPage) {
-      return common::InternalError("shard restore: directory has no tree");
-    }
-    shard->index = MakeInner(id);
-    shard->paged = static_cast<PagedCoefficientIndex*>(shard->index.get());
-    MARS_RETURN_IF_ERROR(shard->paged->Restore(
-        shard->records, PagedCoefficientIndex::TreeInfo{
-                            dir.root, dir.height, dir.size}));
-  }
-  return shard;
+  const RTreeCoefficientIndex::TreeInfo tree{dir.root, dir.height, dir.size};
+  return BuildShard(id, std::move(records), std::move(ids), &tree);
 }
 
 common::Status ShardedCoefficientIndex::WriteDirectory(
@@ -372,8 +339,8 @@ common::Status ShardedCoefficientIndex::WriteDirectory(
   dir.shard = id;
   dir.record_count = static_cast<int64_t>(shard.records.size());
   dir.fingerprint = FingerprintTable(shard.records, shard.ids);
-  if (shard.paged != nullptr) {
-    const PagedCoefficientIndex::TreeInfo info = shard.paged->tree_info();
+  if (shard.index != nullptr) {
+    const RTreeCoefficientIndex::TreeInfo info = shard.index->tree_info();
     dir.root = info.root;
     dir.height = info.height;
     dir.size = info.size;
@@ -641,9 +608,9 @@ void ShardedCoefficientIndex::ResetStats() {
 std::string ShardedCoefficientIndex::name() const {
   // K = 1 reports the inner method's name so every existing log line,
   // JSON field and test expectation is untouched at the default.
-  if (options_.shards == 1) return KindName(options_.kind);
-  return "sharded-" + std::to_string(options_.shards) + "(" +
-         KindName(options_.kind) + ")";
+  const std::string inner = MakeInner(nullptr)->name();
+  if (options_.shards == 1) return inner;
+  return "sharded-" + std::to_string(options_.shards) + "(" + inner + ")";
 }
 
 void ShardedCoefficientIndex::Stage(const CoeffRecord* records, size_t count,
@@ -714,23 +681,22 @@ int64_t ShardedCoefficientIndex::CommitStaged() {
   return folded;
 }
 
-void ShardedCoefficientIndex::SwapSlot(std::unique_ptr<Shard> next) {
+void ShardedCoefficientIndex::SwapSlot(std::unique_ptr<Shard> next,
+                                       Shard* heir) {
   std::unique_ptr<Shard>& slot = shards_[next->id];
+  if (heir == nullptr) heir = next.get();
   // Counters transfer at swap time so queries that ran during the
   // off-side build are not lost: the old tree's accesses retire into the
-  // new shard's carried total — on top of anything the caller pre-seeded
-  // (a merge source's history, say). In disk mode the replaced epoch's
-  // pages go back to the freelist (the destructor leaves pages alone by
-  // design) and the shard directory is rewritten to point at the new
-  // tree.
-  next->retired_accesses += slot->retired_accesses;
-  if (slot->index != nullptr) {
-    next->retired_accesses += slot->index->node_accesses();
-  }
-  next->fanout_queries += slot->fanout_queries.load();
+  // heir's carried total — on top of anything it already carries (a merge
+  // source's history, say). In disk mode the replaced epoch's pages go
+  // back to the freelist (the destructor leaves pages alone by design)
+  // and the shard directory is rewritten to point at the new tree.
+  heir->retired_accesses += slot->retired_accesses;
+  heir->fanout_queries += slot->fanout_queries.load();
   next->rebuilds += slot->rebuilds + 1;
-  if (slot->paged != nullptr) {
-    const common::Status freed = slot->paged->FreePages();
+  if (slot->index != nullptr) {
+    heir->retired_accesses += slot->index->node_accesses();
+    const common::Status freed = slot->index->FreePages();
     MARS_CHECK(freed.ok())
         << "cannot retire epoch pages: " << freed.ToString();
   }
@@ -751,21 +717,32 @@ std::string ShardedCoefficientIndex::ShardFilePath(int32_t shard) const {
   return options_.storage.path + ".shard" + std::to_string(shard);
 }
 
-std::string ShardedCoefficientIndex::ShardMapPath() const {
-  return options_.storage.path + ".shardmap";
+std::string ShardedCoefficientIndex::ShardMapPath(const std::string& path) {
+  return path + ".shardmap";
+}
+
+void ShardedCoefficientIndex::RemoveFiles(const std::string& path,
+                                          int32_t slots) {
+  std::remove(path.c_str());
+  std::remove(ShardMapPath(path).c_str());
+  for (int32_t k = 0; k < slots; ++k) {
+    std::remove((path + ".shard" + std::to_string(k)).c_str());
+  }
 }
 
 void ShardedCoefficientIndex::PersistShardMap() const {
   MARS_CHECK(disk_store());
   const std::vector<uint8_t> blob = EncodeShardMap(map_, options_.shards);
-  std::ofstream out(ShardMapPath(), std::ios::binary | std::ios::trunc);
+  const std::string sidecar = ShardMapPath(options_.storage.path);
+  std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(blob.data()),
             static_cast<std::streamsize>(blob.size()));
-  MARS_CHECK(out.good()) << "cannot persist shard map: " << ShardMapPath();
+  MARS_CHECK(out.good()) << "cannot persist shard map: " << sidecar;
 }
 
 bool ShardedCoefficientIndex::LoadShardMap(ShardMap* map) const {
-  std::ifstream in(ShardMapPath(), std::ios::binary | std::ios::ate);
+  std::ifstream in(ShardMapPath(options_.storage.path),
+                   std::ios::binary | std::ios::ate);
   if (!in.good()) return false;  // no sidecar: nothing was rebalanced
   const std::streamsize size = in.tellg();
   in.seekg(0);
@@ -988,24 +965,7 @@ common::Status ShardedCoefficientIndex::MergeShards(int32_t src, int32_t dst) {
     // src's cumulative counters move into the union before the swap adds
     // dst's own — the destination inherits the sum of both histories and
     // the retired slot restarts at zero, permanently.
-    Shard& old_src = *shards_[src];
-    merged->retired_accesses += old_src.retired_accesses;
-    if (old_src.index != nullptr) {
-      merged->retired_accesses += old_src.index->node_accesses();
-    }
-    merged->fanout_queries += old_src.fanout_queries.load();
-    tombstone->rebuilds = old_src.rebuilds + 1;
-    if (old_src.paged != nullptr) {
-      const common::Status freed = old_src.paged->FreePages();
-      MARS_CHECK(freed.ok())
-          << "cannot retire epoch pages: " << freed.ToString();
-    }
-    shards_[src] = std::move(tombstone);
-    if (disk_store()) {
-      const common::Status dir = WriteDirectory(src, *shards_[src]);
-      MARS_CHECK(dir.ok())
-          << "cannot persist shard directory: " << dir.ToString();
-    }
+    SwapSlot(std::move(tombstone), /*heir=*/merged.get());
     SwapSlot(std::move(merged));
     ++rebalances_;
     count = static_cast<int32_t>(shards_.size());

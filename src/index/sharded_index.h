@@ -14,7 +14,6 @@
 #include "common/thread_pool.h"
 #include "geometry/box.h"
 #include "index/access.h"
-#include "index/paged_index.h"
 #include "index/record.h"
 #include "index/rtree.h"
 #include "index/shard_map.h"
@@ -32,7 +31,8 @@ struct ShardedIndexOptions {
   // same node accesses — bit-identical to the unsharded access methods.
   int32_t shards = 1;
 
-  // Access method each shard runs internally.
+  // Access method each shard runs internally. The values are persisted in
+  // every shard directory.
   enum class Kind {
     kSupportRegion,  // the paper's motion-aware index (Sec. VI-B)
     kNaivePoint,     // the straightforward point index (Sec. VI)
@@ -235,6 +235,16 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   int32_t shard_count() const;
   const ShardMap& shard_map() const { return map_; }
 
+  // --- Files of a disk index ----------------------------------------------
+
+  // The shard map's sidecar file for page-file path `path`.
+  static std::string ShardMapPath(const std::string& path);
+
+  // Deletes every file a disk index over `path` may have written with at
+  // most `slots` shard slots: the bare page file, the shard map sidecar
+  // and `path.shard<k>` for every k < slots. Missing files are skipped.
+  static void RemoveFiles(const std::string& path, int32_t slots);
+
  private:
   // One shard. Immutable after the swap that installs it, except the
   // statistics counters (relaxed atomics, like the inner trees').
@@ -245,10 +255,8 @@ class ShardedCoefficientIndex : public CoefficientIndex {
     // epoch owns its copy) and the local → global id map.
     std::vector<CoeffRecord> records;
     std::vector<RecordId> ids;
-    std::unique_ptr<CoefficientIndex> index;  // null for an empty shard
-    // Aliases `index` in disk mode (persist/restore/page-lifecycle
-    // surface); null in memory mode.
-    PagedCoefficientIndex* paged = nullptr;
+    // Paged in disk mode (over the slot's pool); null for an empty shard.
+    std::unique_ptr<RTreeCoefficientIndex> index;
     // Union of the ground-plane support MBBs routed here — the exact
     // fan-out filter.
     geometry::Box2 coverage;
@@ -261,11 +269,15 @@ class ShardedCoefficientIndex : public CoefficientIndex {
     mutable RelaxedCounter fanout_queries;
   };
 
-  std::unique_ptr<CoefficientIndex> MakeInner(int32_t shard_id) const;
-  // Builds a shard over `records`/`ids` (no locks held).
-  std::unique_ptr<Shard> BuildShard(int32_t id,
-                                    std::vector<CoeffRecord> records,
-                                    std::vector<RecordId> ids) const;
+  // An unbuilt inner index of the configured kind, paged into `pool`
+  // when it is not null.
+  std::unique_ptr<RTreeCoefficientIndex> MakeInner(
+      storage::BufferPool* pool) const;
+  // Assembles shard `id` over `records`/`ids` (no locks held). Its inner
+  // index is built, or, given `restore`, attached to that paged tree.
+  std::unique_ptr<Shard> BuildShard(
+      int32_t id, std::vector<CoeffRecord> records, std::vector<RecordId> ids,
+      const RTreeCoefficientIndex::TreeInfo* restore = nullptr) const;
   // Disk mode: attaches shard `id` to the tree persisted in its page file
   // instead of rebuilding. Fails (caller then rebuilds) when the stored
   // directory does not match the routed table.
@@ -282,8 +294,6 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // Shard k's page file path (keyed to the configured K, so rebalance-
   // allocated shards always get their own ".shard<k>" suffix).
   std::string ShardFilePath(int32_t shard) const;
-  // Disk mode: the shard map's sidecar file (base path + ".shardmap").
-  std::string ShardMapPath() const;
   // Disk mode: persists the shard map — base K, grid bounds and the
   // refinement list — so a restart routes records exactly as the
   // rebalanced map did and re-attaches every split-allocated shard's
@@ -302,10 +312,10 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // slot table).
   void RebucketStaged(int32_t new_shard_count)
       MARS_REQUIRES(stage_mu_);
-  // Transfers the retired slot's cumulative counters into `next` and
-  // frees its pages; installs `next` into the slot (mu_ held
-  // exclusively).
-  void SwapSlot(std::unique_ptr<Shard> next)
+  // Transfers the replaced shard's cumulative counters into `heir`
+  // (default: `next` itself) and frees its pages; installs `next` into
+  // its slot (mu_ held exclusively).
+  void SwapSlot(std::unique_ptr<Shard> next, Shard* heir = nullptr)
       MARS_REQUIRES(mu_);
 
   ShardedIndexOptions options_;

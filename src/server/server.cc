@@ -27,9 +27,7 @@ Server::Server(const ObjectDatabase* db, Options options)
   MARS_CHECK(db->finalized()) << "ObjectDatabase must be finalized";
   index::ShardedIndexOptions sharded;
   sharded.shards = options.shards;
-  sharded.kind = options.kind == IndexKind::kSupportRegion
-                     ? index::ShardedIndexOptions::Kind::kSupportRegion
-                     : index::ShardedIndexOptions::Kind::kNaivePoint;
+  sharded.kind = options.kind;
   sharded.rtree = options.rtree;
   sharded.fanout_workers = options.fanout_workers;
   sharded.storage = options.storage;

@@ -102,10 +102,7 @@ struct QueryResult {
 // appends to the shared record table that Execute reads.
 class Server {
  public:
-  enum class IndexKind {
-    kSupportRegion,  // the paper's motion-aware index (Sec. VI-B)
-    kNaivePoint,     // the straightforward point index (Sec. VI)
-  };
+  using IndexKind = index::ShardedIndexOptions::Kind;
 
   struct Options {
     IndexKind kind = IndexKind::kSupportRegion;

@@ -1,5 +1,5 @@
 #include <algorithm>
-#include <cstdio>
+#include <filesystem>
 #include <thread>
 #include <string>
 #include <vector>
@@ -568,14 +568,6 @@ ShardedIndexOptions DiskOptions(int32_t shards, const std::string& path,
   return options;
 }
 
-void RemovePageFiles(const std::string& path, int32_t shards) {
-  std::remove(path.c_str());
-  std::remove((path + ".shardmap").c_str());
-  for (int32_t s = 0; s < shards; ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-  }
-}
-
 // The acceptance oracle: at K in {1, 4, 16}, a disk-backed index must
 // return exactly the in-memory required set — same ids, same order, and
 // the same node accesses (page fetches replicate the pointer traversal).
@@ -589,7 +581,7 @@ TEST_P(DiskShardEquivalenceTest, DiskMatchesMemoryBitForBit) {
 
   for (const auto kind : {ShardedIndexOptions::Kind::kSupportRegion,
                           ShardedIndexOptions::Kind::kNaivePoint}) {
-    RemovePageFiles(path, shards);
+    ShardedCoefficientIndex::RemoveFiles(path, shards);
     ShardedCoefficientIndex memory_index(ShardedOptions(shards, kind));
     ShardedCoefficientIndex disk_index(DiskOptions(shards, path, kind));
     memory_index.Build(records);
@@ -609,7 +601,7 @@ TEST_P(DiskShardEquivalenceTest, DiskMatchesMemoryBitForBit) {
       EXPECT_EQ(io_disk, io_mem) << "shards=" << shards;
     }
     EXPECT_EQ(disk_index.node_accesses(), memory_index.node_accesses());
-    RemovePageFiles(path, shards);
+    ShardedCoefficientIndex::RemoveFiles(path, shards);
   }
 }
 
@@ -620,7 +612,7 @@ TEST(DiskShardedIndexTest, KillAndRestartRestoresIdenticalResults) {
   const auto records = MakeRecords(30, 40, 7);
   const std::string path = ::testing::TempDir() + "/mars_access_restart.pages";
   const int32_t shards = 4;
-  RemovePageFiles(path, shards);
+  ShardedCoefficientIndex::RemoveFiles(path, shards);
 
   const geometry::Box2 region = geometry::MakeBox2(200, 200, 600, 600);
   std::vector<RecordId> before;
@@ -642,12 +634,12 @@ TEST(DiskShardedIndexTest, KillAndRestartRestoresIdenticalResults) {
   const int64_t io_after = revived.Query(region, 0.0, 1.0, &after);
   EXPECT_EQ(after, before);
   EXPECT_EQ(io_after, io_before);
-  RemovePageFiles(path, shards);
+  ShardedCoefficientIndex::RemoveFiles(path, shards);
 }
 
 TEST(DiskShardedIndexTest, MismatchedRecordsForceRebuildNotGarbage) {
   const std::string path = ::testing::TempDir() + "/mars_access_mismatch.pages";
-  RemovePageFiles(path, 1);
+  ShardedCoefficientIndex::RemoveFiles(path, 1);
   {
     ShardedCoefficientIndex index(DiskOptions(
         1, path, ShardedIndexOptions::Kind::kSupportRegion));
@@ -667,14 +659,14 @@ TEST(DiskShardedIndexTest, MismatchedRecordsForceRebuildNotGarbage) {
   index.Query(everything, 0.0, 1.0, &got);
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, Oracle(records, everything, 0.0, 1.0));
-  RemovePageFiles(path, 1);
+  ShardedCoefficientIndex::RemoveFiles(path, 1);
 }
 
 TEST(DiskShardedIndexTest, OnlineIngestWorksOnDisk) {
   const auto records = MakeRecords(20, 30, 31);
   const std::string path = ::testing::TempDir() + "/mars_access_ingest.pages";
   const int32_t shards = 4;
-  RemovePageFiles(path, shards);
+  ShardedCoefficientIndex::RemoveFiles(path, shards);
 
   ShardedCoefficientIndex index(DiskOptions(
       shards, path, ShardedIndexOptions::Kind::kSupportRegion));
@@ -702,7 +694,7 @@ TEST(DiskShardedIndexTest, OnlineIngestWorksOnDisk) {
   revived.Query(everything, 0.0, 1.0, &after);
   std::sort(after.begin(), after.end());
   EXPECT_EQ(after, got);
-  RemovePageFiles(path, shards);
+  ShardedCoefficientIndex::RemoveFiles(path, shards);
 }
 
 // --- Load-adaptive rebalancing (--rebalance on) ----------------------------
@@ -999,7 +991,7 @@ TEST(RebalanceTest, DiskSplitMergeMatchesMemoryAndSurvivesRestart) {
       ::testing::TempDir() + "/mars_access_rebalance.pages";
   const int32_t shards = 4;
   // Clean slate, including ids the splits below will allocate.
-  RemovePageFiles(path, shards + 4);
+  ShardedCoefficientIndex::RemoveFiles(path, shards + 4);
 
   ShardedCoefficientIndex memory_index(
       ShardedOptions(shards, ShardedIndexOptions::Kind::kSupportRegion));
@@ -1061,7 +1053,57 @@ TEST(RebalanceTest, DiskSplitMergeMatchesMemoryAndSurvivesRestart) {
     ASSERT_TRUE(revived.SplitShard(3).ok());
     ExpectMatchesOracle(revived, records);
   }
-  RemovePageFiles(path, shards + 4);
+  ShardedCoefficientIndex::RemoveFiles(path, shards + 4);
+}
+
+TEST(RebalanceTest, RetiredEpochsLeakNoPages) {
+  // Every swap that retires a shard epoch (ingest commit, split, merge)
+  // must free the replaced tree's pages. The reference is a fresh build
+  // over the final records that routes them by the same refined map: each
+  // slot must hold exactly as many pages in use as the reference does.
+  const auto records = MakeRecords(30, 40, 7);
+  const int32_t shards = 4;
+  const auto kind = ShardedIndexOptions::Kind::kSupportRegion;
+  const std::string dir = ::testing::TempDir() + "/mars_access_lifecycle";
+  const std::string fresh_dir = dir + "_fresh";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(fresh_dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_directories(fresh_dir);
+  const std::string path = dir + "/index.pages";
+  const std::string fresh_path = fresh_dir + "/index.pages";
+
+  ShardedCoefficientIndex index(DiskOptions(shards, path, kind));
+  index.Build(records);
+  // Copies of existing records lie inside the original ground bounds, so
+  // the reference grids the same base map the sidecar was written for.
+  std::vector<CoeffRecord> extra(records.begin(), records.begin() + 300);
+  for (CoeffRecord& r : extra) r.object_id += 1000;
+  index.Stage(extra.data(), extra.size(),
+              static_cast<RecordId>(records.size()));
+  ASSERT_EQ(index.CommitStaged(), static_cast<int64_t>(extra.size()));
+  ASSERT_TRUE(index.SplitShard(0).ok());
+  ASSERT_TRUE(index.MergeShards(1, 2).ok());
+
+  std::vector<CoeffRecord> all = records;
+  all.insert(all.end(), extra.begin(), extra.end());
+  std::filesystem::copy_file(ShardedCoefficientIndex::ShardMapPath(path),
+                             ShardedCoefficientIndex::ShardMapPath(fresh_path));
+  ShardedCoefficientIndex fresh(DiskOptions(shards, fresh_path, kind));
+  fresh.Build(all);
+  EXPECT_EQ(fresh.restored_shards(), 0);
+  ASSERT_EQ(fresh.shard_count(), index.shard_count());
+
+  const auto used = index.PoolStats();
+  const auto want = fresh.PoolStats();
+  ASSERT_EQ(used.size(), want.size());
+  for (size_t s = 0; s < used.size(); ++s) {
+    EXPECT_EQ(used[s].file_pages - used[s].free_pages,
+              want[s].file_pages - want[s].free_pages)
+        << "slot " << s;
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(fresh_dir);
 }
 
 TEST(RebalanceTest, MergeCompactionPreservesRoutingAndRestart) {
@@ -1074,7 +1116,7 @@ TEST(RebalanceTest, MergeCompactionPreservesRoutingAndRestart) {
   const auto records = MakeRecords(40, 50, 3);
   const std::string path = ::testing::TempDir() + "/mars_access_compact.pages";
   const int32_t shards = 4;
-  RemovePageFiles(path, shards + 2);
+  ShardedCoefficientIndex::RemoveFiles(path, shards + 2);
 
   ShardedCoefficientIndex memory_index(
       ShardedOptions(shards, ShardedIndexOptions::Kind::kSupportRegion));
@@ -1133,7 +1175,7 @@ TEST(RebalanceTest, MergeCompactionPreservesRoutingAndRestart) {
     ASSERT_TRUE(revived.SplitShard(2).ok());
     ExpectMatchesOracle(revived, records);
   }
-  RemovePageFiles(path, shards + 2);
+  ShardedCoefficientIndex::RemoveFiles(path, shards + 2);
 }
 
 TEST(RebalanceTest, StaleShardMapSidecarRecoversCleanly) {
@@ -1143,7 +1185,7 @@ TEST(RebalanceTest, StaleShardMapSidecarRecoversCleanly) {
   const std::string path =
       ::testing::TempDir() + "/mars_access_stale_map.pages";
   const int32_t shards = 4;
-  RemovePageFiles(path, shards + 2);
+  ShardedCoefficientIndex::RemoveFiles(path, shards + 2);
   {
     ShardedCoefficientIndex index(DiskOptions(
         shards, path, ShardedIndexOptions::Kind::kSupportRegion));
@@ -1158,7 +1200,7 @@ TEST(RebalanceTest, StaleShardMapSidecarRecoversCleanly) {
   EXPECT_EQ(index.shard_count(), shards);
   EXPECT_EQ(index.restored_shards(), 0);
   ExpectMatchesOracle(index, records);
-  RemovePageFiles(path, shards + 2);
+  ShardedCoefficientIndex::RemoveFiles(path, shards + 2);
 }
 
 TEST(RebalanceTest, ConcurrentQueriesDuringRebalanceStaySound) {

@@ -1207,11 +1207,7 @@ TEST(FleetWarmingTest, DiskFleetBitIdenticalAcrossWorkersAndWarming) {
       config.storage.warm = warm;
       config.storage.warm_budget = 8;
       config.storage.warm_workers = workers == 8 ? 4 : 1;
-      std::remove(path.c_str());
-      std::remove((path + ".shardmap").c_str());
-      for (int s = 0; s < 4; ++s) {
-        std::remove((path + ".shard" + std::to_string(s)).c_str());
-      }
+      index::ShardedCoefficientIndex::RemoveFiles(path, 4);
       auto system = core::System::Create(config);
       ASSERT_TRUE(system.ok());
       ASSERT_EQ((*system)->server().pool_warming_enabled(), warm);

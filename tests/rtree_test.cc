@@ -496,17 +496,6 @@ TEST(BulkLoadTest, QueryCostComparableToInsertBuilt) {
             incremental.stats().query_node_accesses * 1.3);
 }
 
-TEST(RTreeTest, QueryEntriesReturnsBoxes) {
-  RTree2 tree;
-  tree.Insert(geometry::MakeBox2(0, 0, 1, 1), 1);
-  tree.Insert(geometry::MakeBox2(5, 5, 6, 6), 2);
-  std::vector<RTree2::Entry> out;
-  tree.QueryEntries(geometry::MakeBox2(0, 0, 2, 2), &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].value, 1);
-  EXPECT_EQ(out[0].box, geometry::MakeBox2(0, 0, 1, 1));
-}
-
 // --- ShardMap -------------------------------------------------------------
 
 CoeffRecord RecordAt(double x, double y) {

@@ -18,7 +18,6 @@
 #include "common/rng.h"
 #include "geometry/box.h"
 #include "index/access.h"
-#include "index/paged_index.h"
 #include "index/record.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_storage.h"
@@ -639,7 +638,7 @@ TEST(PoolWarmerTest, ConcurrentQueriesDuringSpeculativeReads) {
   EXPECT_GT(pool.stats().prefetch_issued, 0);
 }
 
-// --- Paged index vs in-memory twin --------------------------------------
+// --- One access method with and without a buffer pool ------------------
 
 std::vector<index::CoeffRecord> MakeRecords(int objects, int coeffs,
                                             uint64_t seed) {
@@ -672,7 +671,7 @@ TEST(PagedIndexTest, MatchesMemoryIndexIncludingNodeAccesses) {
 
   index::SupportRegionIndex memory_index;
   memory_index.Build(records);
-  index::PagedSupportRegionIndex paged_index(index::RTreeOptions(), &pool);
+  index::SupportRegionIndex paged_index(index::RTreeOptions(), &pool);
   paged_index.Build(records);
 
   common::Rng rng(17);
@@ -695,7 +694,7 @@ TEST(PagedIndexTest, NaivePointTwinMatchesToo) {
 
   index::NaivePointIndex memory_index;
   memory_index.Build(records);
-  index::PagedNaivePointIndex paged_index(index::RTreeOptions(), &pool);
+  index::NaivePointIndex paged_index(index::RTreeOptions(), &pool);
   paged_index.Build(records);
 
   common::Rng rng(19);
@@ -722,7 +721,7 @@ TEST(PagedIndexTest, TinyPoolStillReturnsExactResults) {
 
   index::SupportRegionIndex memory_index;
   memory_index.Build(records);
-  index::PagedSupportRegionIndex paged_index(index::RTreeOptions(), &pool);
+  index::SupportRegionIndex paged_index(index::RTreeOptions(), &pool);
   paged_index.Build(records);
 
   common::Rng rng(23);
@@ -743,7 +742,7 @@ TEST(PagedIndexTest, FreePagesReturnsEverythingToTheFreelist) {
   const auto records = MakeRecords(10, 20, 9);
   MemoryStorageManager mgr(1024);
   BufferPool pool(&mgr, /*capacity_pages=*/4096, EvictPolicy::kLru);
-  index::PagedSupportRegionIndex paged_index(index::RTreeOptions(), &pool);
+  index::SupportRegionIndex paged_index(index::RTreeOptions(), &pool);
   paged_index.Build(records);
   const int64_t allocated = mgr.stats().pages_allocated;
   ASSERT_GT(allocated, 0);
