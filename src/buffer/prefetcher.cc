@@ -100,9 +100,7 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
   motion::SectorPartition partition(position, options_.directions);
   const auto directions = partition.Aggregate(grid, probs);
   const std::vector<int32_t> allocation =
-      options_.exhaustive_ordering
-          ? AllocateBufferBestOrdering(directions.p, budget_blocks)
-          : AllocateBuffer(directions.p, budget_blocks);
+      AllocateBuffer(directions.p, budget_blocks);
 
   // (iii) Gather per-sector candidates: every block with predicted mass.
   std::vector<std::vector<Candidate>> candidates(options_.directions);

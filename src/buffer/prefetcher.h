@@ -46,9 +46,6 @@ class MotionAwarePrefetcher {
     // Ring search limit when a sector has fewer predicted blocks than its
     // allocation (Chebyshev radius in blocks).
     int32_t max_ring_radius = 12;
-    // Use the best-of-all-orderings allocation (paper notes it changes
-    // little; exposed for the ablation bench).
-    bool exhaustive_ordering = false;
     // Adaptive horizon: the prediction depth (in timestamps) is chosen so
     // the predicted path spans roughly budget_blocks / blocks_per_depth_unit
     // grid blocks — "to fill a large buffer, a client pre-fetches more

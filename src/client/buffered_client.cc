@@ -215,10 +215,7 @@ BufferedFrameReport BufferedClient::Step(const geometry::Vec2& position,
       // "surrounding regions"; skip them for both prefetchers.
       if (in_view.contains(item.block)) continue;
       const double held = buffer_.HeldWMin(item.block);
-      const double want =
-          options_.multires_prefetch
-              ? item.w_min * options_.resolution_headroom
-              : 0.0;
+      const double want = item.w_min * options_.resolution_headroom;
       if (held <= want * (1.0 + options_.refetch_tolerance) + 1e-3) {
         buffer_.UpdatePriority(item.block, item.priority);
         continue;

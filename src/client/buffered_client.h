@@ -79,9 +79,6 @@ class BufferedClient {
     // false → the naive uniform-ring prefetcher of the Sec. VII-C
     // comparisons.
     bool motion_aware = true;
-    // Prefetch resolution follows the current speed (the motion-aware
-    // multiresolution buffering strategy); false prefetches full detail.
-    bool multires_prefetch = true;
     // Resolution headroom: blocks are fetched (demand and prefetch) at
     // w_min = needed × this factor, so small speed fluctuations between
     // fetch time and later lookups still hit the buffer.

@@ -30,15 +30,11 @@ enum class SplitPolicy {
 // 20 entries per node, the fan-out of its 4 KB pages (Sec. VII-D).
 struct RTreeOptions {
   int32_t node_capacity = 20;
-  // Minimum entries per node after a split, as a fraction of capacity.
-  // 40% is the R*-tree recommendation.
-  double min_fill_fraction = 0.4;
   SplitPolicy split_policy = SplitPolicy::kRStar;
   // R*-tree forced reinsertion: on the first overflow per level per
   // insertion, re-insert the 30% of entries farthest from the node center
   // instead of splitting.
   bool forced_reinsert = true;
-  double reinsert_fraction = 0.3;
 };
 
 // Relaxed atomic counter that behaves like a plain int64_t at the call
@@ -75,18 +71,14 @@ class RelaxedCounter {
   std::atomic<int64_t> v_{0};
 };
 
-// Cumulative access counters, the "I/O cost" metric of the paper's
-// evaluation: every node visited during a query or update counts as one
-// page access. Query-side counters are relaxed atomics so a const tree can
-// be shared across the fleet's worker threads; per-exchange accounting
-// uses the per-call counts the query methods return, never deltas of
-// these cumulative counters (deltas would interleave across clients).
+// Cumulative access counter, the "I/O cost" metric of the paper's
+// evaluation: every node a query visits counts as one page access. It is
+// a relaxed atomic so a const tree can be shared across the fleet's worker
+// threads; per-exchange accounting uses the per-call counts the query
+// methods return, never deltas of this cumulative counter (deltas would
+// interleave across clients).
 struct RTreeStats {
   RelaxedCounter query_node_accesses;
-  RelaxedCounter insert_node_accesses;
-  RelaxedCounter queries;
-  RelaxedCounter splits;
-  RelaxedCounter reinserts;
 };
 
 // In-memory R-tree / R*-tree over axis-aligned boxes in `Dim` dimensions
@@ -110,8 +102,7 @@ class RTree {
       : options_(options) {
     MARS_CHECK_GE(options_.node_capacity, 4);
     min_fill_ = std::max<int32_t>(
-        2, static_cast<int32_t>(options_.node_capacity *
-                                options_.min_fill_fraction));
+        2, static_cast<int32_t>(options_.node_capacity * kMinFillFraction));
     root_ = std::make_unique<Node>(/*is_leaf=*/true);
   }
 
@@ -122,7 +113,6 @@ class RTree {
 
   int64_t size() const { return size_; }
   int32_t height() const { return height_; }
-  const RTreeOptions& options() const { return options_; }
 
   const RTreeStats& stats() const { return stats_; }
   void ResetStats() { stats_ = RTreeStats(); }
@@ -161,43 +151,11 @@ class RTree {
     return tree;
   }
 
-  // Removes one entry matching (box, value) exactly; returns false if no
-  // such entry exists. Underfull nodes are condensed by reinsertion
-  // (Guttman's CondenseTree).
-  bool Remove(const BoxT& box, int64_t value) {
-    std::vector<Entry> orphans;
-    std::vector<std::unique_ptr<Node>> orphan_nodes;
-    const bool removed = RemoveRec(root_.get(), box, value, 0, &orphans,
-                                   &orphan_nodes);
-    if (!removed) return false;
-    --size_;
-    // Root adjustments: collapse a non-leaf root with a single child.
-    while (!root_->is_leaf && root_->children.size() == 1) {
-      std::unique_ptr<Node> child = std::move(root_->children[0]);
-      root_ = std::move(child);
-      --height_;
-    }
-    if (!root_->is_leaf && root_->children.empty()) {
-      root_ = std::make_unique<Node>(/*is_leaf=*/true);
-      height_ = 1;
-    }
-    // Reinsert orphaned entries / subtrees.
-    for (const Entry& e : orphans) {
-      reinserted_levels_.assign(height_, false);
-      InsertEntry(e, 0);
-    }
-    for (std::unique_ptr<Node>& node : orphan_nodes) {
-      ReinsertSubtree(std::move(node));
-    }
-    return true;
-  }
-
   // Appends the values of all entries whose box intersects `window`.
   // Returns the node accesses of this call (also added to the cumulative
   // stats — with a single atomic add, so concurrent queries on a shared
   // tree stay cheap and the per-call count stays exact).
   int64_t Query(const BoxT& window, std::vector<int64_t>* out) const {
-    ++stats_.queries;
     int64_t accesses = 0;
     QueryRec(root_.get(), window, out, &accesses);
     stats_.query_node_accesses += accesses;
@@ -213,7 +171,6 @@ class RTree {
   // Query and returns this call's count.
   int64_t NearestNeighbors(const std::array<double, Dim>& point, int32_t k,
                            std::vector<Entry>* out) const {
-    ++stats_.queries;
     out->clear();
     int64_t accesses = 0;
     if (size_ == 0 || k <= 0) return accesses;
@@ -288,6 +245,13 @@ class RTree {
  private:
   // Writes the pointer nodes to pages directly (see index/access.h).
   friend class PagedTree3;
+
+  // Minimum entries per node after a split, as a fraction of capacity.
+  // 40% is the R*-tree recommendation.
+  static constexpr double kMinFillFraction = 0.4;
+  // Share of an overflowing node's entries that forced reinsertion
+  // re-inserts.
+  static constexpr double kReinsertFraction = 0.3;
 
   struct Node {
     explicit Node(bool leaf) : is_leaf(leaf) {}
@@ -411,7 +375,6 @@ class RTree {
   void InsertEntry(const Entry& entry, int32_t target_level) {
     std::vector<Node*> path;
     Node* node = ChoosePath(entry.box, target_level, &path);
-    ++stats_.insert_node_accesses;
     node->entries.push_back(entry);
     node->mbr.Extend(entry.box);
     HandleOverflowUp(path);
@@ -425,7 +388,6 @@ class RTree {
     int32_t level = height_ - 1;  // root level (leaves are level 0)
     path->push_back(node);
     while (level > target_level) {
-      ++stats_.insert_node_accesses;
       Node* next = ChooseChild(node, box, level);
       node = next;
       --level;
@@ -499,16 +461,15 @@ class RTree {
         for (int32_t k = i - 1; k >= 0; --k) path[k]->RecomputeMbr();
         return;
       }
-      SplitNode(node, parent, i, path);
+      SplitNode(node, parent);
     }
   }
 
-  // Removes the `reinsert_fraction` entries farthest from the node's
-  // center and re-inserts them from the top.
+  // Removes the kReinsertFraction entries farthest from the node's center
+  // and re-inserts them from the top.
   void ForcedReinsert(Node* node, Node* parent, int32_t level) {
-    ++stats_.reinserts;
     const int32_t remove_count = std::max<int32_t>(
-        1, static_cast<int32_t>(node->count() * options_.reinsert_fraction));
+        1, static_cast<int32_t>(node->count() * kReinsertFraction));
     const auto center = node->mbr.Center();
     auto center_distance = [&center](const BoxT& b) {
       const auto c = b.Center();
@@ -558,11 +519,8 @@ class RTree {
   // --- Splitting -------------------------------------------------------
 
   // Splits `node` in place; the new sibling is attached to `parent` (or a
-  // new root is grown). `path_index`/`path` let the caller's loop continue
-  // correctly after root growth.
-  void SplitNode(Node* node, Node* parent, int32_t path_index,
-                 std::vector<Node*>& path) {
-    ++stats_.splits;
+  // new root is grown).
+  void SplitNode(Node* node, Node* parent) {
     std::unique_ptr<Node> sibling =
         options_.split_policy == SplitPolicy::kRStar ? RStarSplit(node)
                                                      : QuadraticSplit(node);
@@ -577,8 +535,6 @@ class RTree {
       root_ = std::move(new_root);
       ++height_;
       reinserted_levels_.push_back(false);
-      (void)path_index;
-      (void)path;
     } else {
       parent->children.push_back(std::move(sibling));
       parent->RecomputeMbr();
@@ -791,7 +747,7 @@ class RTree {
     return SplitOffTail(node, static_cast<int32_t>(group_a.size()));
   }
 
-  // --- Subtree reinsertion (for Remove / forced reinsert) ---------------
+  // --- Subtree reinsertion (for forced reinsert) -------------------------
 
   // Inserts a whole subtree so that its leaves end up at leaf level.
   void InsertSubtree(std::unique_ptr<Node> subtree, int32_t subtree_level) {
@@ -800,78 +756,6 @@ class RTree {
     MARS_CHECK(!target->is_leaf);
     target->children.push_back(std::move(subtree));
     HandleOverflowUp(path);
-  }
-
-  void ReinsertSubtree(std::unique_ptr<Node> subtree) {
-    const int32_t subtree_height = SubtreeHeight(subtree.get());
-    if (subtree_height >= height_) {
-      // Tree shrank below the orphan's height: reinsert entry by entry.
-      std::vector<Entry> entries;
-      CollectEntries(subtree.get(), &entries);
-      for (const Entry& e : entries) {
-        reinserted_levels_.assign(height_, false);
-        InsertEntry(e, 0);
-      }
-      return;
-    }
-    reinserted_levels_.assign(height_, false);
-    InsertSubtree(std::move(subtree), subtree_height - 1);
-  }
-
-  static int32_t SubtreeHeight(const Node* node) {
-    int32_t h = 1;
-    while (!node->is_leaf) {
-      node = node->children.front().get();
-      ++h;
-    }
-    return h;
-  }
-
-  static void CollectEntries(const Node* node, std::vector<Entry>* out) {
-    if (node->is_leaf) {
-      out->insert(out->end(), node->entries.begin(), node->entries.end());
-    } else {
-      for (const auto& c : node->children) CollectEntries(c.get(), out);
-    }
-  }
-
-  // --- Removal ---------------------------------------------------------
-
-  bool RemoveRec(Node* node, const BoxT& box, int64_t value, int32_t depth,
-                 std::vector<Entry>* orphans,
-                 std::vector<std::unique_ptr<Node>>* orphan_nodes) {
-    if (node->is_leaf) {
-      for (size_t i = 0; i < node->entries.size(); ++i) {
-        if (node->entries[i].value == value && node->entries[i].box == box) {
-          node->entries.erase(node->entries.begin() + i);
-          node->RecomputeMbr();
-          return true;
-        }
-      }
-      return false;
-    }
-    for (size_t i = 0; i < node->children.size(); ++i) {
-      Node* child = node->children[i].get();
-      if (!child->mbr.Intersects(box)) continue;
-      if (RemoveRec(child, box, value, depth + 1, orphans, orphan_nodes)) {
-        if (child->count() < min_fill_ && node->children.size() > 1) {
-          // Condense: orphan the underfull child for reinsertion.
-          std::unique_ptr<Node> removed = std::move(node->children[i]);
-          node->children.erase(node->children.begin() + i);
-          if (removed->is_leaf) {
-            orphans->insert(orphans->end(), removed->entries.begin(),
-                            removed->entries.end());
-          } else {
-            for (auto& grandchild : removed->children) {
-              orphan_nodes->push_back(std::move(grandchild));
-            }
-          }
-        }
-        node->RecomputeMbr();
-        return true;
-      }
-    }
-    return false;
   }
 
   // --- Query -----------------------------------------------------------

@@ -41,8 +41,10 @@ namespace mars::index {
 // Records staged after Build (online ingest) may fall outside the
 // original bounds; Route clamps them to the nearest edge cell, so the
 // map never has to be rebuilt when the world grows. Refinement lists are
-// short in practice (one entry per rebalance op, bounded by the
-// rebalancer's max-shards budget), so the fold stays cheap.
+// append-only and short: one entry per rebalance op, and the rebalancer's
+// max-shards budget caps the splits while each merge retires a slot, so a
+// list holds at most about 2 × max_shards ops. Route runs only at build,
+// stage and re-bucket, never per query.
 class ShardMap {
  public:
   // One refinement op of the splittable tree (see class comment).
@@ -127,42 +129,12 @@ class ShardMap {
     refinements_.push_back(op);
   }
 
-  // Rewrites the refinement list into an equivalent, shorter one without
-  // changing Route() for any record or the id space (total_shards() is an
-  // allocation high-water mark and never shrinks). Long-lived fleets
-  // accumulate dead refinements as the rebalancer churns — a split whose
-  // target was merged straight back, a chain forwarded onward, ops whose
-  // source no base cell can reach any more — and every one of them is a
-  // branch on every Route() call. Three routing-preserving rewrites run
-  // to a fixpoint:
-  //
-  //   1. dead ops: the source id is unreachable at that point of the
-  //      fold, so the op never fires;
-  //   2. annihilation: split a->t later merged t->a with nothing in
-  //      between touching a or t — the detour cancels exactly;
-  //   3. forward collapse: split a->t later merged t->b with nothing in
-  //      between touching t or b — the split re-targets b directly and
-  //      the merge disappears.
-  //
-  // Returns the number of ops removed. A compacted list may reference
-  // ids whose allocating split was removed, so it no longer replays
-  // through ApplySplit — persistence must carry total_shards() and
-  // restore via RestoreRefinements.
-  int32_t Compact() {
-    const size_t before = refinements_.size();
-    bool changed = true;
-    while (changed) {
-      changed = DropDeadOps();
-      if (AnnihilateOrCollapse()) changed = true;
-    }
-    return static_cast<int32_t>(before - refinements_.size());
-  }
-
   // Installs a refinement list restored from persistence, with the
   // allocation high-water mark it was written under. Unlike replaying
-  // ApplySplit/ApplyMerge this accepts compacted lists (split targets out
-  // of allocation order, or targeting existing ids after a collapse);
-  // the caller must have bounds-checked every op against `total_shards`.
+  // ApplySplit/ApplyMerge this also accepts the compacted lists older
+  // builds persisted (split targets out of allocation order, or targeting
+  // existing ids); the caller must have bounds-checked every op against
+  // `total_shards`.
   void RestoreRefinements(int32_t total_shards,
                           std::vector<Refinement> ops) {
     MARS_CHECK_GE(total_shards, shards_);
@@ -205,83 +177,6 @@ class ShardMap {
   const geometry::Box2& bounds() const { return bounds_; }
 
  private:
-  // Compact rewrite 1: drop every op whose source id is unreachable at
-  // its position in the fold. Reachability is tracked over ids — base
-  // cells start reachable, a split adds its target, a merge retires its
-  // source and adds its target — so an unreachable source means no
-  // record can trigger the op, whatever its geometry.
-  bool DropDeadOps() {
-    std::vector<char> reachable(static_cast<size_t>(total_shards_), 0);
-    for (int32_t s = 0; s < shards_; ++s) reachable[s] = 1;
-    std::vector<Refinement> kept;
-    kept.reserve(refinements_.size());
-    bool changed = false;
-    for (const Refinement& op : refinements_) {
-      if (!reachable[op.shard]) {
-        changed = true;
-        continue;
-      }
-      if (op.kind == Refinement::Kind::kSplit) {
-        reachable[op.target] = 1;
-      } else {
-        reachable[op.shard] = 0;
-        reachable[op.target] = 1;
-      }
-      kept.push_back(op);
-    }
-    if (changed) refinements_ = std::move(kept);
-    return changed;
-  }
-
-  // Compact rewrites 2+3: find a split (a->t at i) whose target is next
-  // referenced by a merge out of t (t->x at j). If nothing between i and
-  // j references a, t or x, the pair is a pure detour: x == a cancels
-  // both ops (annihilation); x != a re-targets the split at x and drops
-  // the merge (forward collapse). Applies the first such pair found and
-  // returns whether one was applied (the Compact loop re-runs to a
-  // fixpoint). The in-between exclusions are conservative — an op
-  // touching any of the three ids could see different membership once
-  // the detour is gone — and cheap: refinement lists are short.
-  bool AnnihilateOrCollapse() {
-    const auto references = [](const Refinement& op, int32_t id) {
-      return op.shard == id || op.target == id;
-    };
-    for (size_t i = 0; i < refinements_.size(); ++i) {
-      const Refinement& split = refinements_[i];
-      if (split.kind != Refinement::Kind::kSplit) continue;
-      const int32_t a = split.shard;
-      const int32_t t = split.target;
-      for (size_t j = i + 1; j < refinements_.size(); ++j) {
-        const Refinement& merge = refinements_[j];
-        if (merge.kind == Refinement::Kind::kMerge && merge.shard == t) {
-          const int32_t x = merge.target;
-          bool clean = true;
-          for (size_t k = i + 1; k < j && clean; ++k) {
-            clean = !references(refinements_[k], a) &&
-                    !references(refinements_[k], t) &&
-                    !references(refinements_[k], x);
-          }
-          if (!clean) break;
-          if (x == a) {
-            refinements_.erase(refinements_.begin() +
-                               static_cast<ptrdiff_t>(j));
-            refinements_.erase(refinements_.begin() +
-                               static_cast<ptrdiff_t>(i));
-          } else {
-            refinements_[i].target = x;
-            refinements_.erase(refinements_.begin() +
-                               static_cast<ptrdiff_t>(j));
-          }
-          return true;
-        }
-        // Any other reference to a or t before the merge breaks the
-        // window: this split has no compactable partner.
-        if (references(merge, a) || references(merge, t)) break;
-      }
-    }
-    return false;
-  }
-
   static int32_t Clamp(int32_t v, int32_t n) {
     return std::max<int32_t>(0, std::min<int32_t>(v, n - 1));
   }

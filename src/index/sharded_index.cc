@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 
@@ -109,9 +110,11 @@ constexpr uint64_t kMapMagic = 0x50414d53524d3144ull;  // "D1MRSMAP" LE
 // Version 1 stored the raw refinement list and replayed it through
 // ApplySplit/ApplyMerge, whose next-unallocated-id check requires split
 // targets in allocation order. Version 2 additionally stores the
-// allocation high-water mark (total_shards), because a compacted list
-// (ShardMap::Compact) may drop or re-target the very splits that
-// allocated ids later ops still reference. Both versions decode.
+// allocation high-water mark (total_shards). The list written today is
+// the plain append-only op list, but older builds compacted it — dropping
+// or re-targeting the very splits that allocated ids later ops still
+// reference — and those sidecars must keep restoring. Both versions
+// decode.
 constexpr uint32_t kMapVersion = 2;
 
 std::vector<uint8_t> EncodeShardMap(const ShardMap& map, int32_t base_shards) {
@@ -218,6 +221,9 @@ common::Status DecodeShardMapInto(const std::vector<uint8_t>& bytes,
     // by construction, and re-checks here against a hand-edited file.
     for (const ShardMap::Refinement& op : ops) {
       if (op.kind == ShardMap::Refinement::Kind::kSplit) {
+        if (op.shard >= map->total_shards()) {
+          return common::InternalError("shard map sidecar: bad split");
+        }
         if (op.target != map->total_shards()) {
           return common::InternalError(
               "shard map sidecar: split target out of order");
@@ -233,9 +239,9 @@ common::Status DecodeShardMapInto(const std::vector<uint8_t>& bytes,
     }
     return common::OkStatus();
   }
-  // Version 2: a compacted list does not replay through the append-only
-  // surface (its split targets may be out of allocation order, or point
-  // at existing ids after a forward collapse). Bounds-check every op
+  // Version 2: a list compacted by an older build does not replay
+  // through the append-only surface (its split targets may be out of
+  // allocation order, or point at existing ids). Bounds-check every op
   // against the stored high-water mark and install the list verbatim —
   // any in-bounds list routes safely, because Route only ever follows op
   // targets and every target is below total_shards.
@@ -440,10 +446,10 @@ void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
       }
     }
     // Re-mark merged-away slots: ids are append-only and never reused, so
-    // the retired set is exactly the merge ops' source ids. (A compacted
-    // sidecar may have dropped a merge whose slot cancelled out entirely;
-    // that slot comes back as an empty live one — routing-identical, it
-    // just counts as live again.)
+    // the retired set is exactly the merge ops' source ids. (A sidecar
+    // compacted by an older build may have dropped a merge whose slot
+    // cancelled out entirely; that slot comes back as an empty live one —
+    // routing-identical, it just counts as live again.)
     for (const ShardMap::Refinement& op : map_.refinements()) {
       if (op.kind == ShardMap::Refinement::Kind::kMerge) {
         shards[op.shard]->retired = true;
@@ -756,6 +762,14 @@ bool ShardedCoefficientIndex::LoadShardMap(ShardMap* map) const {
   const common::Status replayed =
       DecodeShardMapInto(blob, options_.shards, &candidate);
   if (!replayed.ok()) return false;
+  // The run that wrote the sidecar created a page file for every slot it
+  // names, so a missing one means the sidecar is damaged or belongs to
+  // other files. Rejecting it keeps a corrupt slot count from creating
+  // page files; the build then routes by the base grid.
+  for (int32_t s = 0; s < candidate.total_shards(); ++s) {
+    std::error_code error;
+    if (!std::filesystem::exists(ShardFilePath(s), error)) return false;
+  }
   *map = candidate;
   return !map->refinements().empty();
 }
@@ -973,11 +987,6 @@ common::Status ShardedCoefficientIndex::MergeShards(int32_t src, int32_t dst) {
 
   common::MutexLock stage_lock(&stage_mu_);
   map_.ApplyMerge(src, dst);
-  // Merges are what create compactable patterns (cancelled or forwarded
-  // splits, unreachable sources), so this is the one place the list can
-  // grow dead weight: compact it before it persists. Routing is
-  // preserved exactly, so the already-swapped shard slots stay valid.
-  map_.Compact();
   if (disk_store()) PersistShardMap();
   RebucketStaged(count);
   return common::OkStatus();

@@ -301,7 +301,8 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   void PersistShardMap() const;
   // Disk mode: loads the sidecar and replays its refinements onto `map`
   // when it matches the configured K and `map`'s freshly computed base
-  // grid (same bounds bit-for-bit). Returns true when `map` was refined.
+  // grid (same bounds bit-for-bit) and every slot it names has a page
+  // file. Returns true when `map` was refined.
   bool LoadShardMap(ShardMap* map) const;
   // Disk mode: appends a fresh page store + buffer pool for a new slot.
   // Caller holds mu_ exclusively (PoolStats/UpdateInterest read under

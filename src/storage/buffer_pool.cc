@@ -39,11 +39,7 @@ BufferPool::BufferPool(IStorageManager* manager, int64_t capacity_pages,
                        EvictPolicy policy)
     : manager_(manager),
       capacity_pages_(std::max<int64_t>(capacity_pages, 1)),
-      policy_(policy),
-      // The LruCache is a recency-order structure only: capacity is
-      // enforced by EvictForLocked (which keeps it in lockstep with
-      // resident_), so the cache itself must never self-evict.
-      lru_(std::numeric_limits<int64_t>::max()) {}
+      policy_(policy) {}
 
 int64_t BufferPool::PageCost(size_t bytes) const {
   const int64_t payload = std::max<int64_t>(manager_->page_size() - 24, 1);
@@ -72,39 +68,37 @@ void BufferPool::RemoveResidentLocked(PageId victim) {
   }
   used_pages_ -= it->second.cost_pages;
   resident_.erase(it);
-  lru_.Erase(victim);
   ++stats_.evictions;
+}
+
+PageId BufferPool::ColdestLocked(PageId skip, bool by_score) const {
+  // Every use stamps a fresh clock value, so recency alone orders all
+  // residents: without `by_score` this picks the least recently used.
+  PageId victim = kInvalidPage;
+  double best_score = std::numeric_limits<double>::infinity();
+  int64_t best_use = std::numeric_limits<int64_t>::max();
+  for (const auto& [id, entry] : resident_) {
+    if (id == skip) {
+      continue;
+    }
+    const double score = by_score ? entry.score : 0.0;
+    if (score < best_score ||
+        (score == best_score && entry.last_use < best_use) ||
+        (score == best_score && entry.last_use == best_use &&
+         (victim == kInvalidPage || id < victim))) {
+      best_score = score;
+      best_use = entry.last_use;
+      victim = id;
+    }
+  }
+  return victim;
 }
 
 void BufferPool::EvictForLocked(PageId just_inserted) {
   while (used_pages_ > capacity_pages_ && resident_.size() > 1) {
-    PageId victim = kInvalidPage;
-    if (policy_ == EvictPolicy::kMotion) {
-      // Coldest predicted region first; recency then id break ties so the
-      // choice is deterministic across runs.
-      double best_score = std::numeric_limits<double>::infinity();
-      int64_t best_use = std::numeric_limits<int64_t>::max();
-      for (const auto& [id, entry] : resident_) {
-        if (id == just_inserted) {
-          continue;
-        }
-        if (entry.score < best_score ||
-            (entry.score == best_score && entry.last_use < best_use) ||
-            (entry.score == best_score && entry.last_use == best_use &&
-             (victim == kInvalidPage || id < victim))) {
-          best_score = entry.score;
-          best_use = entry.last_use;
-          victim = id;
-        }
-      }
-    } else {
-      PageId lru_victim = kInvalidPage;
-      if (!lru_.LeastRecent(just_inserted, &lru_victim)) {
-        return;
-      }
-      victim = lru_victim;
-    }
-    if (victim == kInvalidPage || !resident_.contains(victim)) {
+    const PageId victim =
+        ColdestLocked(just_inserted, policy_ == EvictPolicy::kMotion);
+    if (victim == kInvalidPage) {
       return;
     }
     RemoveResidentLocked(victim);
@@ -112,20 +106,8 @@ void BufferPool::EvictForLocked(PageId just_inserted) {
 }
 
 bool BufferPool::EvictColderLocked(double score) {
-  PageId victim = kInvalidPage;
-  double best_score = std::numeric_limits<double>::infinity();
-  int64_t best_use = std::numeric_limits<int64_t>::max();
-  for (const auto& [id, entry] : resident_) {
-    if (entry.score < best_score ||
-        (entry.score == best_score && entry.last_use < best_use) ||
-        (entry.score == best_score && entry.last_use == best_use &&
-         (victim == kInvalidPage || id < victim))) {
-      best_score = entry.score;
-      best_use = entry.last_use;
-      victim = id;
-    }
-  }
-  if (victim == kInvalidPage || best_score >= score) {
+  const PageId victim = ColdestLocked(kInvalidPage, /*by_score=*/true);
+  if (victim == kInvalidPage || resident_.at(victim).score >= score) {
     return false;
   }
   RemoveResidentLocked(victim);
@@ -146,11 +128,6 @@ void BufferPool::InsertLocked(PageId id, const std::vector<uint8_t>& bytes) {
   entry.score = ScoreLocked(id);
   resident_.emplace(id, std::move(entry));
   used_pages_ += cost;
-  if (!lru_.Contains(id)) {
-    lru_.Put(id, cost);
-  } else {
-    lru_.Touch(id);
-  }
   EvictForLocked(id);
 }
 
@@ -168,7 +145,6 @@ common::Status BufferPool::Fetch(PageId id, std::vector<uint8_t>* out) {
       ++stats_.prefetch_hits;
     }
     it->second.last_use = ++clock_;
-    lru_.Touch(id);
     *out = it->second.bytes;
     return common::OkStatus();
   }
@@ -196,7 +172,6 @@ common::Status BufferPool::Erase(PageId id) {
   if (it != resident_.end()) {
     used_pages_ -= it->second.cost_pages;
     resident_.erase(it);
-    lru_.Erase(id);
   }
   regions_.erase(id);
   return manager_->Erase(id);
@@ -317,11 +292,6 @@ void BufferPool::InstallPrefetched(PageId id,
   entry.speculative = true;
   resident_.emplace(id, std::move(entry));
   used_pages_ += cost;
-  if (!lru_.Contains(id)) {
-    lru_.Put(id, cost);
-  } else {
-    lru_.Touch(id);
-  }
 }
 
 PoolStats BufferPool::stats() const {

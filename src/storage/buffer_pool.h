@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "buffer/lru_cache.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "geometry/box.h"
@@ -49,11 +48,11 @@ struct PoolStats {
 
 // Thread-safe cache of logical node arrays in front of an IStorageManager.
 // Capacity is counted in pages (an array costs its overflow-chain length)
-// and eviction is pluggable: LRU via buffer::LruCache — the same policy the
-// paper's client buffer baseline uses — or motion-aware, which scores each
-// resident array by the fleet's predicted visit probability for the
-// world-space region its node covers and evicts the coldest future region
-// first (ties broken by recency, then page id, so runs are deterministic).
+// and eviction is pluggable: LRU — the same policy the paper's client
+// buffer baseline uses — or motion-aware, which scores each resident array
+// by the fleet's predicted visit probability for the world-space region its
+// node covers and evicts the coldest future region first (ties broken by
+// recency, then page id, so runs are deterministic).
 class BufferPool {
  public:
   // `manager` must outlive the pool. `capacity_pages` below 1 is clamped.
@@ -142,13 +141,17 @@ class BufferPool {
   void InsertLocked(PageId id, const std::vector<uint8_t>& bytes)
       MARS_REQUIRES(mu_);
   void EvictForLocked(PageId just_inserted) MARS_REQUIRES(mu_);
+  // The resident array to evict first, other than `skip`: the least
+  // recently used one, or with `by_score` the lowest (score, last use, id).
+  // kInvalidPage when no other array is resident.
+  PageId ColdestLocked(PageId skip, bool by_score) const MARS_REQUIRES(mu_);
   double ScoreLocked(PageId id) const MARS_REQUIRES(mu_);
   // Removes `victim` from the resident set (never-touched speculative
   // victims count prefetch_wasted on top of the eviction).
   void RemoveResidentLocked(PageId victim) MARS_REQUIRES(mu_);
-  // Evicts the coldest resident strictly colder than `score` (same
-  // motion-policy tie-breaks as EvictForLocked). Returns false — no
-  // state change — when every resident is at least as hot.
+  // Evicts the coldest resident by score (ColdestLocked) when it is
+  // strictly colder than `score`. Returns false — no state change — when
+  // every resident is at least as hot.
   bool EvictColderLocked(double score) MARS_REQUIRES(mu_);
 
   IStorageManager* const manager_;
@@ -156,7 +159,6 @@ class BufferPool {
   const EvictPolicy policy_;
 
   mutable common::Mutex mu_;
-  buffer::LruCache<PageId> lru_ MARS_GUARDED_BY(mu_);
   std::unordered_map<PageId, Resident> resident_ MARS_GUARDED_BY(mu_);
   std::unordered_map<PageId, geometry::Box2> regions_ MARS_GUARDED_BY(mu_);
   InterestGrid interest_ MARS_GUARDED_BY(mu_);

@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <thread>
 #include <string>
 #include <vector>
@@ -7,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "geometry/box.h"
 #include "index/access.h"
 #include "index/record.h"
@@ -739,8 +743,8 @@ TEST(ShardMapTest, RefinementRoutingFoldsInOrder) {
   EXPECT_EQ(map.Route(RecordAt(-500, 2000)), 2);
 }
 
-// Route() over a dense probe grid — the compaction oracle: a rewrite is
-// routing-preserving iff this vector is unchanged.
+// Route() over a dense probe grid: two maps route alike iff their probe
+// vectors are equal.
 std::vector<int32_t> RouteProbe(const ShardMap& map) {
   std::vector<int32_t> out;
   for (int x = 1; x < 100; x += 3) {
@@ -751,74 +755,44 @@ std::vector<int32_t> RouteProbe(const ShardMap& map) {
   return out;
 }
 
-TEST(ShardMapTest, CompactAnnihilatesAPureDetour) {
-  // Split 0 -> 1, then merge 1 straight back: the detour cancels and
-  // both ops disappear, but the id high-water mark stays.
-  ShardMap map = ShardMap::Build(geometry::MakeBox2(0, 0, 100, 100), 1);
-  map.ApplySplit(0, /*axis=*/0, /*threshold=*/50.0, /*new_shard=*/1);
-  map.ApplyMerge(1, 0);
-  const std::vector<int32_t> before = RouteProbe(map);
-  EXPECT_EQ(map.Compact(), 2);
-  EXPECT_TRUE(map.refinements().empty());
-  EXPECT_EQ(map.total_shards(), 2);
-  EXPECT_EQ(RouteProbe(map), before);
+ShardMap::Refinement SplitOp(int32_t shard, int32_t axis, double threshold,
+                             int32_t target) {
+  ShardMap::Refinement op;
+  op.kind = ShardMap::Refinement::Kind::kSplit;
+  op.shard = shard;
+  op.target = target;
+  op.axis = axis;
+  op.threshold = threshold;
+  return op;
 }
 
-TEST(ShardMapTest, CompactCollapsesAForwardedSplit) {
-  // Split 0 -> 2 merged onward into 1: the split re-targets 1 directly —
-  // a target no ApplySplit replay could produce — and the merge goes.
-  ShardMap map = ShardMap::Build(geometry::MakeBox2(0, 0, 100, 100), 2);
-  map.ApplySplit(0, /*axis=*/1, /*threshold=*/50.0, /*new_shard=*/2);
-  map.ApplyMerge(2, 1);
-  const std::vector<int32_t> before = RouteProbe(map);
-  EXPECT_EQ(map.Compact(), 1);
-  ASSERT_EQ(map.refinements().size(), 1u);
-  EXPECT_EQ(map.refinements()[0].kind, ShardMap::Refinement::Kind::kSplit);
-  EXPECT_EQ(map.refinements()[0].shard, 0);
-  EXPECT_EQ(map.refinements()[0].target, 1);
-  EXPECT_EQ(RouteProbe(map), before);
-}
-
-TEST(ShardMapTest, CompactDropsOpsWithUnreachableSources) {
-  // Merge 0 -> 1 retires id 0; a later split of 0 can never fire.
-  ShardMap map = ShardMap::Build(geometry::MakeBox2(0, 0, 100, 100), 2);
-  map.ApplyMerge(0, 1);
-  map.ApplySplit(0, /*axis=*/0, /*threshold=*/50.0, /*new_shard=*/2);
-  const std::vector<int32_t> before = RouteProbe(map);
-  EXPECT_EQ(map.Compact(), 1);
-  ASSERT_EQ(map.refinements().size(), 1u);
-  EXPECT_EQ(map.refinements()[0].kind, ShardMap::Refinement::Kind::kMerge);
-  EXPECT_EQ(RouteProbe(map), before);
-}
-
-TEST(ShardMapTest, CompactKeepsOpsWhoseWindowIsDirty) {
-  // Split 0 -> 2 with a split of 2 in between before the merge back:
-  // the window references the detour target, so nothing may cancel.
-  ShardMap map = ShardMap::Build(geometry::MakeBox2(0, 0, 100, 100), 2);
-  map.ApplySplit(0, /*axis=*/0, /*threshold=*/50.0, /*new_shard=*/2);
-  map.ApplySplit(2, /*axis=*/1, /*threshold=*/50.0, /*new_shard=*/3);
-  map.ApplyMerge(2, 0);
-  const std::vector<int32_t> before = RouteProbe(map);
-  EXPECT_EQ(map.Compact(), 0);
-  EXPECT_EQ(map.refinements().size(), 3u);
-  EXPECT_EQ(RouteProbe(map), before);
+ShardMap::Refinement MergeOp(int32_t shard, int32_t target) {
+  ShardMap::Refinement op;
+  op.kind = ShardMap::Refinement::Kind::kMerge;
+  op.shard = shard;
+  op.target = target;
+  return op;
 }
 
 TEST(ShardMapTest, CompactedListRestoresThroughRestoreRefinements) {
-  // The persistence contract: a compacted list plus the high-water mark
-  // round-trips into a freshly built base map with identical routing.
+  // Older builds persisted a compacted list: here the split 0 -> 3 that
+  // was merged onward into 2 re-targets 2 directly and the merge is gone,
+  // a list no ApplySplit replay produces. Installed with the high-water
+  // mark, it must route exactly like the append-only list it stands for.
   ShardMap map = ShardMap::Build(geometry::MakeBox2(0, 0, 100, 100), 2);
   map.ApplySplit(1, /*axis=*/0, /*threshold=*/75.0, /*new_shard=*/2);
   map.ApplySplit(0, /*axis=*/1, /*threshold=*/50.0, /*new_shard=*/3);
   map.ApplyMerge(3, 2);
   map.ApplyMerge(1, 0);
-  map.Compact();
   const std::vector<int32_t> before = RouteProbe(map);
 
   ShardMap restored = ShardMap::Build(geometry::MakeBox2(0, 0, 100, 100), 2);
-  std::vector<ShardMap::Refinement> ops = map.refinements();
-  restored.RestoreRefinements(map.total_shards(), std::move(ops));
+  restored.RestoreRefinements(
+      map.total_shards(),
+      {SplitOp(1, /*axis=*/0, 75.0, 2), SplitOp(0, /*axis=*/1, 50.0, 2),
+       MergeOp(1, 0)});
   EXPECT_EQ(restored.total_shards(), map.total_shards());
+  EXPECT_EQ(restored.refinements().size(), 3u);
   EXPECT_EQ(RouteProbe(restored), before);
 }
 
@@ -1089,6 +1063,11 @@ TEST(RebalanceTest, RetiredEpochsLeakNoPages) {
   all.insert(all.end(), extra.begin(), extra.end());
   std::filesystem::copy_file(ShardedCoefficientIndex::ShardMapPath(path),
                              ShardedCoefficientIndex::ShardMapPath(fresh_path));
+  // A restart accepts the sidecar only if every slot it names has a page
+  // file. Empty ones do: they fail to open, so each slot still rebuilds.
+  for (int32_t s = 0; s < index.shard_count(); ++s) {
+    std::ofstream(fresh_path + ".shard" + std::to_string(s));
+  }
   ShardedCoefficientIndex fresh(DiskOptions(shards, fresh_path, kind));
   fresh.Build(all);
   EXPECT_EQ(fresh.restored_shards(), 0);
@@ -1107,12 +1086,10 @@ TEST(RebalanceTest, RetiredEpochsLeakNoPages) {
 }
 
 TEST(RebalanceTest, MergeCompactionPreservesRoutingAndRestart) {
-  // MergeShards compacts the refinement list in place. Here the merge
-  // forwards a freshly split shard onward, so compaction collapses the
-  // pair to one split targeting base id 2 — a list that can only be
-  // persisted through the v2 sidecar (no ApplySplit replay produces
-  // it). Queries, the memory twin, and a kill-and-restart must all be
-  // oblivious.
+  // The op list is append-only: a merge that forwards a freshly split
+  // shard onward keeps both ops, so a restart marks the merge source
+  // retired again and brings back exactly the live slots the run had.
+  // Queries, the memory twin, and a kill-and-restart must all agree.
   const auto records = MakeRecords(40, 50, 3);
   const std::string path = ::testing::TempDir() + "/mars_access_compact.pages";
   const int32_t shards = 4;
@@ -1128,10 +1105,18 @@ TEST(RebalanceTest, MergeCompactionPreservesRoutingAndRestart) {
   for (auto* index : {&memory_index, &disk_index}) {
     ASSERT_TRUE(index->SplitShard(0).ok());
     ASSERT_TRUE(index->MergeShards(4, 2).ok());
-    ASSERT_EQ(index->shard_map().refinements().size(), 1u);
-    EXPECT_EQ(index->shard_map().refinements()[0].target, 2);
+    const auto& ops = index->shard_map().refinements();
+    ASSERT_EQ(ops.size(), 2u);
+    EXPECT_EQ(ops[0].kind, ShardMap::Refinement::Kind::kSplit);
+    EXPECT_EQ(ops[0].shard, 0);
+    EXPECT_EQ(ops[0].target, 4);
+    EXPECT_EQ(ops[1].kind, ShardMap::Refinement::Kind::kMerge);
+    EXPECT_EQ(ops[1].shard, 4);
+    EXPECT_EQ(ops[1].target, 2);
     EXPECT_EQ(index->shard_map().total_shards(), 5);
   }
+  const int32_t live_before = disk_index.live_shard_count();
+  EXPECT_EQ(live_before, 4);
 
   common::Rng rng(17);
   for (int q = 0; q < 20; ++q) {
@@ -1145,18 +1130,17 @@ TEST(RebalanceTest, MergeCompactionPreservesRoutingAndRestart) {
   }
   ExpectMatchesOracle(disk_index, records);
 
-  // Kill and restart. The compacted sidecar restores the retargeted
-  // split; the merge itself is gone, so the annihilated slot 4 revives
-  // as an empty *live* slot (nothing routes there — its coverage is
-  // empty) instead of a tombstone. Routing and results are unaffected.
+  // Kill and restart. The sidecar replays both ops, so slot 4 comes back
+  // as the retired tombstone it was, not as an empty live slot.
   {
     ShardedCoefficientIndex revived(DiskOptions(
         shards, path, ShardedIndexOptions::Kind::kSupportRegion));
     revived.Build(records);
     EXPECT_EQ(revived.restored_shards(), shards + 1);
     EXPECT_EQ(revived.shard_count(), shards + 1);
-    ASSERT_EQ(revived.shard_map().refinements().size(), 1u);
-    EXPECT_EQ(revived.shard_map().refinements()[0].target, 2);
+    EXPECT_EQ(revived.shard_map().refinements().size(), 2u);
+    EXPECT_TRUE(revived.Stats()[4].retired);
+    EXPECT_EQ(revived.live_shard_count(), live_before);
     ExpectMatchesOracle(revived, records);
 
     common::Rng revived_rng(17);
@@ -1201,6 +1185,194 @@ TEST(RebalanceTest, StaleShardMapSidecarRecoversCleanly) {
   EXPECT_EQ(index.restored_shards(), 0);
   ExpectMatchesOracle(index, records);
   ShardedCoefficientIndex::RemoveFiles(path, shards + 2);
+}
+
+// --- Sidecar decoding: malformed bytes at the restart boundary -------------
+
+// A shard-map sidecar in either on-disk layout: version 1 has no
+// total_shards field and replays its ops through ApplySplit/ApplyMerge;
+// version 2, the one written today, stores total_shards.
+std::vector<uint8_t> EncodeSidecar(
+    uint32_t version, int32_t base_shards, int32_t total_shards,
+    const geometry::Box2& bounds,
+    const std::vector<ShardMap::Refinement>& ops) {
+  common::ByteWriter w;
+  w.WriteU64(0x50414d53524d3144ull);  // "D1MRSMAP" little-endian
+  w.WriteU32(version);
+  w.WriteI32(base_shards);
+  if (version >= 2) w.WriteI32(total_shards);
+  w.WriteU8(0);  // 0: the grid bounds follow
+  w.WriteDouble(bounds.lo(0));
+  w.WriteDouble(bounds.lo(1));
+  w.WriteDouble(bounds.hi(0));
+  w.WriteDouble(bounds.hi(1));
+  w.WriteI64(static_cast<int64_t>(ops.size()));
+  for (const ShardMap::Refinement& op : ops) {
+    w.WriteU8(static_cast<uint8_t>(op.kind));
+    w.WriteI32(op.shard);
+    w.WriteI32(op.target);
+    w.WriteI32(op.axis);
+    w.WriteDouble(op.threshold);
+  }
+  return w.Take();
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+int64_t CountFiles(const std::string& dir) {
+  return std::distance(std::filesystem::directory_iterator(dir),
+                       std::filesystem::directory_iterator());
+}
+
+TEST(SidecarDecodeTest, SlotCountBeyondThePageFilesIsRejected) {
+  // A K = 4 index with one split has total_shards = 5 on disk. A sidecar
+  // claiming 2,000 slots names slots that have no page file: the restart
+  // must reject it, create no page file, and route by the base grid.
+  const auto records = MakeRecords(20, 30, 11);
+  const auto kind = ShardedIndexOptions::Kind::kSupportRegion;
+  const int32_t shards = 4;
+  const std::string dir = ::testing::TempDir() + "/mars_access_slot_count";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/index.pages";
+  geometry::Box2 bounds;
+  {
+    ShardedCoefficientIndex index(DiskOptions(shards, path, kind));
+    index.Build(records);
+    ASSERT_TRUE(index.SplitShard(0).ok());
+    bounds = index.shard_map().bounds();
+    ASSERT_EQ(ReadBytes(ShardedCoefficientIndex::ShardMapPath(path)),
+              EncodeSidecar(2, shards, 5, bounds,
+                            index.shard_map().refinements()));
+    WriteBytes(ShardedCoefficientIndex::ShardMapPath(path),
+               EncodeSidecar(2, shards, 2000, bounds,
+                             index.shard_map().refinements()));
+  }
+  const int64_t files = CountFiles(dir);
+
+  ShardedCoefficientIndex revived(DiskOptions(shards, path, kind));
+  revived.Build(records);
+  EXPECT_EQ(CountFiles(dir), files);
+  EXPECT_EQ(revived.shard_count(), shards);
+  EXPECT_TRUE(revived.shard_map().refinements().empty());
+  ExpectMatchesOracle(revived, records);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SidecarDecodeTest, V1SplitOfAnUnknownShardIsRejected) {
+  // A version-1 sidecar whose single split names shard 50 of a K = 4
+  // index must fail to decode, not abort the process; the restart then
+  // restores the base-grid shards it already has.
+  const auto records = MakeRecords(20, 30, 11);
+  const auto kind = ShardedIndexOptions::Kind::kSupportRegion;
+  const int32_t shards = 4;
+  const std::string dir = ::testing::TempDir() + "/mars_access_v1_split";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/index.pages";
+  geometry::Box2 bounds;
+  {
+    ShardedCoefficientIndex index(DiskOptions(shards, path, kind));
+    index.Build(records);
+    bounds = index.shard_map().bounds();
+  }
+  WriteBytes(ShardedCoefficientIndex::ShardMapPath(path),
+             EncodeSidecar(1, shards, shards, bounds,
+                           {SplitOp(50, /*axis=*/0, 500.0, shards)}));
+
+  ShardedCoefficientIndex revived(DiskOptions(shards, path, kind));
+  revived.Build(records);
+  EXPECT_EQ(revived.shard_count(), shards);
+  EXPECT_EQ(revived.restored_shards(), shards);
+  ExpectMatchesOracle(revived, records);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SidecarDecodeTest, EveryBitFlipAndTruncationRestartsSafely) {
+  // Start from a K = 4 disk index after SplitShard(0) and MergeShards(4,
+  // 2): five page files and a sidecar holding both ops. For its v2
+  // sidecar and a hand-encoded v1 twin, restart once per byte with one
+  // seeded bit flipped and once per truncation length, each from a fresh
+  // copy of the files. Every restart must return, create no page file,
+  // report no more slots than the disk holds, and answer like the oracle.
+  const auto records = MakeRecords(16, 20, 3);
+  const auto kind = ShardedIndexOptions::Kind::kSupportRegion;
+  const int32_t shards = 4;
+  const int32_t slots_on_disk = shards + 1;
+  const std::string root = ::testing::TempDir() + "/mars_access_sweep";
+  const std::string pristine = root + "/pristine";
+  const std::string work = root + "/work";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(pristine);
+  const std::string pristine_path = pristine + "/index.pages";
+  const std::string work_path = work + "/index.pages";
+
+  std::vector<uint8_t> v2;
+  std::vector<uint8_t> v1;
+  {
+    ShardedCoefficientIndex index(DiskOptions(shards, pristine_path, kind));
+    index.Build(records);
+    ASSERT_TRUE(index.SplitShard(0).ok());
+    ASSERT_TRUE(index.MergeShards(4, 2).ok());
+    const ShardMap& map = index.shard_map();
+    ASSERT_EQ(map.refinements().size(), 2u);
+    v2 = ReadBytes(ShardedCoefficientIndex::ShardMapPath(pristine_path));
+    ASSERT_EQ(v2, EncodeSidecar(2, shards, map.total_shards(), map.bounds(),
+                                map.refinements()));
+    v1 = EncodeSidecar(1, shards, map.total_shards(), map.bounds(),
+                       map.refinements());
+  }
+
+  // Restarts from a fresh copy of the pristine files with `sidecar`.
+  const auto restart = [&](const std::vector<uint8_t>& sidecar) {
+    std::filesystem::remove_all(work);
+    std::filesystem::copy(pristine, work);
+    WriteBytes(ShardedCoefficientIndex::ShardMapPath(work_path), sidecar);
+    const int64_t files = CountFiles(work);
+    auto revived = std::make_unique<ShardedCoefficientIndex>(
+        DiskOptions(shards, work_path, kind));
+    revived->Build(records);
+    EXPECT_EQ(CountFiles(work), files);
+    EXPECT_LE(revived->shard_count(), slots_on_disk);
+    ExpectMatchesOracle(*revived, records);
+    return revived;
+  };
+
+  // Unmutated, both layouts restore every slot and the retired one.
+  for (const auto* sidecar : {&v2, &v1}) {
+    SCOPED_TRACE(sidecar == &v2 ? "v2" : "v1");
+    const auto revived = restart(*sidecar);
+    EXPECT_EQ(revived->restored_shards(), slots_on_disk);
+    EXPECT_EQ(revived->live_shard_count(), shards);
+  }
+
+  common::Rng rng(16);
+  for (const auto* sidecar : {&v2, &v1}) {
+    const char* version = sidecar == &v2 ? "v2" : "v1";
+    for (size_t i = 0; i < sidecar->size(); ++i) {
+      SCOPED_TRACE(std::string(version) + " flip at byte " +
+                   std::to_string(i));
+      std::vector<uint8_t> flipped = *sidecar;
+      flipped[i] ^= static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
+      restart(flipped);
+    }
+    for (size_t n = 0; n < sidecar->size(); ++n) {
+      SCOPED_TRACE(std::string(version) + " truncated to " +
+                   std::to_string(n));
+      restart(std::vector<uint8_t>(sidecar->begin(), sidecar->begin() + n));
+    }
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(RebalanceTest, ConcurrentQueriesDuringRebalanceStaySound) {

@@ -1,6 +1,6 @@
 // Dedicated coverage for buffer::LruCache: eviction order, the
 // capacity-1 (single-slot) regime, re-insert refresh semantics, and the
-// LeastRecent peek the buffer pool's eviction loop relies on.
+// LeastRecent peek.
 
 #include <cstdint>
 #include <string>

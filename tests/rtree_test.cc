@@ -69,26 +69,6 @@ void RunOracleTest(const Param& param) {
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, BruteForceQuery<Dim>(entries, window));
   }
-
-  // Remove a third of the entries, re-check, re-query.
-  std::vector<typename RTree<Dim>::Entry> kept;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i % 3 == 0) {
-      EXPECT_TRUE(tree.Remove(entries[i].box, entries[i].value));
-    } else {
-      kept.push_back(entries[i]);
-    }
-  }
-  ASSERT_EQ(tree.size(), static_cast<int64_t>(kept.size()));
-  ASSERT_TRUE(tree.CheckInvariants().ok())
-      << tree.CheckInvariants().ToString();
-  for (int q = 0; q < 50; ++q) {
-    const Box<Dim> window = RandomBox<Dim>(rng, 100.0, 30.0);
-    std::vector<int64_t> got;
-    tree.Query(window, &got);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, BruteForceQuery<Dim>(kept, window));
-  }
 }
 
 class RTreeOracleTest : public ::testing::TestWithParam<Param> {};
@@ -113,7 +93,6 @@ TEST(RTreeTest, EmptyTreeBehaves) {
   tree.Query(geometry::MakeBox2(0, 0, 10, 10), &out);
   EXPECT_TRUE(out.empty());
   EXPECT_TRUE(tree.Bounds().IsEmpty());
-  EXPECT_FALSE(tree.Remove(geometry::MakeBox2(0, 0, 1, 1), 5));
   EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
@@ -139,39 +118,6 @@ TEST(RTreeTest, DuplicateEntriesAllowed) {
   std::vector<int64_t> out;
   tree.Query(box, &out);
   EXPECT_EQ(out.size(), 3u);
-  // Remove removes exactly one match.
-  EXPECT_TRUE(tree.Remove(box, 7));
-  out.clear();
-  tree.Query(box, &out);
-  EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(RTreeTest, RemoveNonexistentReturnsFalse) {
-  RTree2 tree;
-  tree.Insert(geometry::MakeBox2(0, 0, 1, 1), 1);
-  EXPECT_FALSE(tree.Remove(geometry::MakeBox2(0, 0, 1, 1), 2));
-  EXPECT_FALSE(tree.Remove(geometry::MakeBox2(0, 0, 2, 2), 1));
-  EXPECT_EQ(tree.size(), 1);
-}
-
-TEST(RTreeTest, RemoveEverything) {
-  RTreeOptions options;
-  RTree2 tree(options);
-  common::Rng rng(5);
-  std::vector<RTree2::Entry> entries;
-  for (int i = 0; i < 300; ++i) {
-    const auto box = RandomBox<2>(rng, 50, 5);
-    tree.Insert(box, i);
-    entries.push_back({box, i});
-  }
-  for (const auto& e : entries) {
-    EXPECT_TRUE(tree.Remove(e.box, e.value));
-  }
-  EXPECT_EQ(tree.size(), 0);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-  std::vector<int64_t> out;
-  tree.Query(geometry::MakeBox2(0, 0, 100, 100), &out);
-  EXPECT_TRUE(out.empty());
 }
 
 TEST(RTreeTest, HeightGrowsLogarithmically) {
@@ -211,7 +157,6 @@ TEST(RTreeTest, QueryStatsAccumulate) {
   tree.Query(geometry::MakeBox2(0, 0, 10, 10), &out);
   const int64_t after_one = tree.stats().query_node_accesses;
   EXPECT_GT(after_one, 0);
-  EXPECT_EQ(tree.stats().queries, 1);
   tree.Query(geometry::MakeBox2(0, 0, 10, 10), &out);
   EXPECT_EQ(tree.stats().query_node_accesses, 2 * after_one);
 }
@@ -450,16 +395,12 @@ TEST(BulkLoadTest, SupportsSubsequentUpdates) {
     entries.push_back({RandomBox<2>(rng, 100, 5), i});
   }
   RTree2 tree = RTree2::BulkLoad(entries);
-  // Inserts and removes keep working on a bulk-loaded tree.
+  // Inserts keep working on a bulk-loaded tree.
   for (int i = 300; i < 400; ++i) {
     const auto box = RandomBox<2>(rng, 100, 5);
     tree.Insert(box, i);
     entries.push_back({box, i});
   }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(tree.Remove(entries[i].box, entries[i].value));
-  }
-  entries.erase(entries.begin(), entries.begin() + 100);
   ASSERT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
   for (int q = 0; q < 30; ++q) {

@@ -207,7 +207,10 @@ class DiskCorruptionTest : public ::testing::Test {
   void WriteFile(const std::vector<uint8_t>& bytes) {
     std::FILE* f = std::fopen(path_.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    // An empty vector's data() may be null, which fwrite must not get.
+    if (!bytes.empty()) {
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    }
     std::fclose(f);
   }
 
