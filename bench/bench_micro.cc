@@ -1,16 +1,18 @@
 // Microbenchmarks (google-benchmark) for the hot building blocks: R*-tree
 // insert/query at the experimental node parameters, wavelet analysis and
 // synthesis, window-difference decomposition, Kalman/RLS prediction, the
-// Eq.-2 buffer allocator, and the motion-prediction layers that dominate a
+// Eq.-2 buffer allocator, the motion-prediction layers that dominate a
 // buffered client's frame and the server's interest refresh (predicted
-// paths, block probabilities, prefetch plans, interest snapshots). These
-// are not paper figures; they document the substrate costs behind the
-// figure benches.
+// paths, block probabilities, prefetch plans, interest snapshots), and two
+// layers of the disk fleet's hot path (the wire encoding of a response and
+// the pool's prefetch-candidate scan). These are not paper figures; they
+// document the substrate costs behind the figure benches.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "buffer/prefetcher.h"
 #include "buffer/sector_allocator.h"
@@ -25,8 +27,12 @@
 #include "motion/kalman.h"
 #include "motion/predictor.h"
 #include "server/motion_interest.h"
+#include "server/wire_codec.h"
+#include "storage/buffer_pool.h"
+#include "storage/memory_storage.h"
 #include "wavelet/decompose.h"
 #include "wavelet/reconstruct.h"
+#include "workload/scene.h"
 
 namespace mars {
 namespace {
@@ -293,6 +299,81 @@ void BM_InterestSnapshot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InterestSnapshot);
+
+// --- Disk fleet hot path ----------------------------------------------------
+
+// Arg 0: one coefficient record, as the fleet's hot cache encodes each
+// miss. Arg 1: a 64-record response spread over 4 objects. Objects are
+// the perfbench buildings (4 levels, about 1,800 coefficients each).
+void BM_EncodeRecords(benchmark::State& state) {
+  workload::SceneOptions scene;
+  scene.object_count = 4;
+  scene.seed = 12;
+  auto db = workload::GenerateScene(scene);
+  if (!db.ok()) {
+    state.SkipWithError("scene generation failed");
+    return;
+  }
+  std::vector<index::RecordId> ids;
+  if (state.range(0) == 0) {
+    ids.push_back(1);  // object 0's first coefficient
+  } else {
+    common::Rng rng(13);
+    const int64_t last = static_cast<int64_t>(db->records().size()) - 1;
+    for (int k = 0; k < 64; ++k) ids.push_back(rng.UniformInt(0, last));
+  }
+  for (auto _ : state) {
+    auto bytes = server::EncodeRecords(*db, ids);
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(ids.size()));
+}
+BENCHMARK(BM_EncodeRecords)->ArgName("response")->Arg(0)->Arg(1);
+
+// The warmer's per-tick candidate scan over one disk_motion shard's pool:
+// about 3,500 registered node pages (of which 64 are resident) scored
+// against a 16 x 16 interest grid.
+void BM_PoolPrefetchCandidates(benchmark::State& state) {
+  constexpr int kPages = 3500;
+  constexpr int kResident = 64;
+  storage::MemoryStorageManager manager(4096);
+  storage::BufferPool pool(&manager, kResident, storage::EvictPolicy::kMotion);
+  common::Rng rng(14);
+  const std::vector<uint8_t> node(1024, 0);
+  for (int i = 0; i < kPages; ++i) {
+    storage::PageId id = storage::kInvalidPage;
+    if (!manager.Store(&id, node).ok()) {
+      state.SkipWithError("page store failed");
+      return;
+    }
+    const double x = rng.Uniform(0, 9800), y = rng.Uniform(0, 9800);
+    pool.SetPageRegion(id, geometry::MakeBox2(x, y, x + rng.Uniform(20, 200),
+                                              y + rng.Uniform(20, 200)));
+  }
+  std::vector<uint8_t> out;
+  for (int i = 0; i < kResident; ++i) {
+    if (!pool.Fetch(i * (kPages / kResident), &out).ok()) {
+      state.SkipWithError("page fetch failed");
+      return;
+    }
+  }
+  storage::InterestGrid interest;
+  interest.space = kMotionSpace;
+  interest.nx = 16;
+  interest.ny = 16;
+  interest.score.assign(256, 0.0);
+  for (double& v : interest.score) {
+    if (rng.Bernoulli(0.5)) v = rng.UniformDouble();
+  }
+  pool.UpdateInterest(interest);
+  for (auto _ : state) {
+    auto candidates = pool.PrefetchCandidates();
+    benchmark::DoNotOptimize(candidates);
+  }
+  state.SetItemsProcessed(state.iterations() * kPages);
+}
+BENCHMARK(BM_PoolPrefetchCandidates);
 
 void BM_BufferAllocation(benchmark::State& state) {
   const std::vector<double> probs = {0.4, 0.25, 0.2, 0.15};

@@ -151,24 +151,34 @@ int64_t PagedTree3::Query(const geometry::Box3& window,
 
 common::Status PagedTree3::FreePages() {
   if (root_ == storage::kInvalidPage) return common::OkStatus();
-  std::vector<storage::PageId> stack = {root_};
+  // Only pages above the leaf level are read: a leaf lists no page ids, so
+  // it is erased by the id its parent's entry holds. STR bulk loading puts
+  // every leaf at depth height_ - 1.
+  const int32_t leaf_depth = height_ - 1;
+  std::vector<std::pair<storage::PageId, int32_t>> stack = {{root_, 0}};
   while (!stack.empty()) {
-    const storage::PageId id = stack.back();
+    const auto [id, depth] = stack.back();
     stack.pop_back();
-    std::vector<uint8_t> bytes;
-    MARS_RETURN_IF_ERROR(pool_->Fetch(id, &bytes));
-    common::ByteReader r(bytes.data(), bytes.size());
-    uint8_t is_leaf = 0;
-    uint32_t count = 0;
-    MARS_RETURN_IF_ERROR(r.ReadU8(&is_leaf));
-    MARS_RETURN_IF_ERROR(r.ReadU32(&count));
-    if (is_leaf == 0) {
+    if (depth < leaf_depth) {
+      std::vector<uint8_t> bytes;
+      MARS_RETURN_IF_ERROR(pool_->Fetch(id, &bytes));
+      common::ByteReader r(bytes.data(), bytes.size());
+      uint8_t is_leaf = 0;
+      uint32_t count = 0;
+      MARS_RETURN_IF_ERROR(r.ReadU8(&is_leaf));
+      MARS_RETURN_IF_ERROR(r.ReadU32(&count));
+      if (is_leaf != 0) {
+        // The stored height is above the tree's own. This page's entries
+        // are record ids, not pages: stop rather than erase by them.
+        return common::InternalError(
+            "paged tree: leaf page above the stored leaf level");
+      }
       for (uint32_t k = 0; k < count; ++k) {
         geometry::Box3 box;
         int64_t child = 0;
         MARS_RETURN_IF_ERROR(ReadBox3(&r, &box));
         MARS_RETURN_IF_ERROR(r.ReadI64(&child));
-        stack.push_back(child);
+        stack.emplace_back(child, depth + 1);
       }
     }
     MARS_RETURN_IF_ERROR(pool_->Erase(id));

@@ -88,8 +88,10 @@ class PagedTree3 {
   // serializes page access and the counter is relaxed.
   int64_t Query(const geometry::Box3& window, std::vector<int64_t>* out) const;
 
-  // Returns every page of the tree to the store's freelist (epoch retire).
-  // A tree that was never written has nothing to free.
+  // Returns every page of the tree to the store's freelist (epoch retire),
+  // fetching only the pages above the leaf level. Fails when a page at an
+  // internal depth is a leaf (a stored height above the tree's own). A
+  // tree that was never written has nothing to free.
   common::Status FreePages();
 
   storage::PageId root() const { return root_; }

@@ -1,5 +1,6 @@
 #include "server/object_db.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -20,6 +21,7 @@ void ObjectDatabase::FinalizeRecords() {
   finalized_ = true;
   records_.clear();
   object_bounds_.clear();
+  detail_scale_.clear();
   object_full_bytes_.clear();
 
   for (int32_t obj_id = 0; obj_id < object_count(); ++obj_id) {
@@ -32,6 +34,7 @@ void ObjectDatabase::AppendObjectRecords(int32_t obj_id) {
   const geometry::Box3 bounds = obj.Bounds();
   object_bounds_.push_back(bounds);
   int64_t full_bytes = 0;
+  double scale = 0.0;
 
   // Base-mesh record: the coarsest shape, carried at w = 1.0 so it is
   // retrieved at any speed.
@@ -58,8 +61,10 @@ void ObjectDatabase::AppendObjectRecords(int32_t obj_id) {
     rec.wire_bytes = index::kCoefficientWireBytes;
     full_bytes += rec.wire_bytes;
     records_.push_back(rec);
+    scale = std::max(scale, c.magnitude);
   }
 
+  detail_scale_.push_back(scale);
   object_full_bytes_.push_back(full_bytes);
   total_bytes_ += full_bytes;
 }

@@ -50,6 +50,13 @@ class ObjectDatabase {
     return object_bounds_;
   }
 
+  // Largest detail magnitude over an object's coefficients (0 for none):
+  // the wire codec's quantization scale, computed once when the object's
+  // records are emitted.
+  double detail_scale(int32_t object_id) const {
+    return detail_scale_[object_id];
+  }
+
   // Total wire bytes of every record — the "data set size" knob of the
   // experiments (Sec. VII-A).
   int64_t total_bytes() const { return total_bytes_; }
@@ -62,12 +69,13 @@ class ObjectDatabase {
 
  private:
   // Emits the base-mesh and coefficient records of one object into the
-  // flat table, updating bounds and byte accounting.
+  // flat table, updating bounds, detail scale and byte accounting.
   void AppendObjectRecords(int32_t obj_id);
 
   std::vector<wavelet::MultiResMesh> objects_;
   std::vector<index::CoeffRecord> records_;
   std::vector<geometry::Box3> object_bounds_;
+  std::vector<double> detail_scale_;
   std::vector<int64_t> object_full_bytes_;
   int64_t total_bytes_ = 0;
   bool finalized_ = false;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/serialize.h"
@@ -40,25 +40,29 @@ double DequantizePos(uint16_t q, double lo, double hi) {
 
 std::vector<uint8_t> EncodeRecords(
     const ObjectDatabase& db, const std::vector<index::RecordId>& ids) {
-  // Group by object, ids ascending within each group.
-  std::map<int32_t, std::vector<index::RecordId>> groups;
+  // Group by object, ids ascending within each group: sorting (object id,
+  // record id) pairs yields the groups back to back.
+  std::vector<std::pair<int32_t, index::RecordId>> keyed;
+  keyed.reserve(ids.size());
   for (index::RecordId id : ids) {
-    groups[db.record(id).object_id].push_back(id);
+    keyed.emplace_back(db.record(id).object_id, id);
   }
-  for (auto& [obj, list] : groups) {
-    std::sort(list.begin(), list.end());
+  std::sort(keyed.begin(), keyed.end());
+  size_t group_count = 0;
+  for (size_t i = 0; i < keyed.size(); ++i) {
+    if (i == 0 || keyed[i].first != keyed[i - 1].first) ++group_count;
   }
 
   common::ByteWriter w;
-  w.WriteVarU64(groups.size());
-  for (const auto& [obj, list] : groups) {
+  w.WriteVarU64(group_count);
+  for (size_t begin = 0; begin < keyed.size();) {
+    const int32_t obj = keyed[begin].first;
+    size_t end = begin + 1;
+    while (end < keyed.size() && keyed[end].first == obj) ++end;
     const wavelet::MultiResMesh& object = db.object(obj);
     const geometry::Box3& bounds = db.object_bounds()[obj];
     // Detail quantization scale: the object's largest detail magnitude.
-    double scale = 0.0;
-    for (const auto& c : object.coefficients()) {
-      scale = std::max(scale, c.magnitude);
-    }
+    const double scale = db.detail_scale(obj);
 
     w.WriteVarU64(static_cast<uint64_t>(obj));
     w.WriteFloat(static_cast<float>(scale));
@@ -66,11 +70,11 @@ std::vector<uint8_t> EncodeRecords(
       w.WriteFloat(static_cast<float>(bounds.lo(d)));
       w.WriteFloat(static_cast<float>(bounds.hi(d)));
     }
-    w.WriteVarU64(list.size());
+    w.WriteVarU64(end - begin);
 
     int64_t prev_coeff = -1;
-    for (index::RecordId id : list) {
-      const index::CoeffRecord& record = db.record(id);
+    for (size_t k = begin; k < end; ++k) {
+      const index::CoeffRecord& record = db.record(keyed[k].second);
       if (record.is_base()) {
         w.WriteU8(kBaseMeshTag);
         const mesh::Mesh& base = object.base();
@@ -103,6 +107,7 @@ std::vector<uint8_t> EncodeRecords(
         w.WriteU32(Quantize(c.detail.z, scale));
       }
     }
+    begin = end;
   }
   return w.Take();
 }

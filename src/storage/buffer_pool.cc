@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "common/logging.h"
+
 namespace mars::storage {
 
 double InterestGrid::ScoreRegion(const geometry::Box2& region) const {
@@ -47,15 +49,20 @@ int64_t BufferPool::PageCost(size_t bytes) const {
       1, (static_cast<int64_t>(bytes) + payload - 1) / payload);
 }
 
+const geometry::Box2* BufferPool::RegionLocked(PageId id) const {
+  if (id < 0 || id >= static_cast<PageId>(regions_.size()) ||
+      !regions_[id].has_value()) {
+    return nullptr;
+  }
+  return &*regions_[id];
+}
+
 double BufferPool::ScoreLocked(PageId id) const {
   if (interest_.empty()) {
     return 0.0;
   }
-  auto it = regions_.find(id);
-  if (it == regions_.end()) {
-    return 0.0;
-  }
-  return interest_.ScoreRegion(it->second);
+  const geometry::Box2* region = RegionLocked(id);
+  return region == nullptr ? 0.0 : interest_.ScoreRegion(*region);
 }
 
 void BufferPool::RemoveResidentLocked(PageId victim) {
@@ -173,7 +180,7 @@ common::Status BufferPool::Erase(PageId id) {
     used_pages_ -= it->second.cost_pages;
     resident_.erase(it);
   }
-  regions_.erase(id);
+  if (RegionLocked(id) != nullptr) regions_[id].reset();
   return manager_->Erase(id);
 }
 
@@ -193,7 +200,11 @@ PageId BufferPool::root() const {
 }
 
 void BufferPool::SetPageRegion(PageId id, const geometry::Box2& region) {
+  MARS_CHECK_GE(id, 0) << "page region for an invalid page id";
   common::MutexLock lock(&mu_);
+  if (id >= static_cast<PageId>(regions_.size())) {
+    regions_.resize(static_cast<size_t>(id) + 1);
+  }
   regions_[id] = region;
   auto it = resident_.find(id);
   if (it != resident_.end()) {
@@ -216,21 +227,15 @@ std::vector<BufferPool::PrefetchCandidate> BufferPool::PrefetchCandidates()
   if (interest_.empty()) {
     return out;
   }
-  for (const auto& [id, region] : regions_) {
-    if (resident_.contains(id)) {
+  for (PageId id = 0; id < static_cast<PageId>(regions_.size()); ++id) {
+    if (!regions_[id].has_value() || resident_.contains(id)) {
       continue;
     }
-    const double score = interest_.ScoreRegion(region);
+    const double score = interest_.ScoreRegion(*regions_[id]);
     if (score > 0.0) {
       out.push_back({id, score});
     }
   }
-  // regions_ iterates in hash order; ascending id makes the candidate
-  // list — and therefore the warmer's tie-breaks — deterministic.
-  std::sort(out.begin(), out.end(),
-            [](const PrefetchCandidate& a, const PrefetchCandidate& b) {
-              return a.id < b.id;
-            });
   return out;
 }
 
@@ -265,7 +270,7 @@ void BufferPool::InstallPrefetched(PageId id,
     ++stats_.prefetch_dropped;
     return;
   }
-  if (!regions_.contains(id)) {
+  if (RegionLocked(id) == nullptr) {
     // Unregistered since dispatch (epoch swap erased the array).
     ++stats_.prefetch_dropped;
     return;

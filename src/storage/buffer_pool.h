@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -76,7 +77,8 @@ class BufferPool {
 
   // Registers the world-space ground region covered by an array's node, so
   // the motion policy can score it against the interest grid. Safe to call
-  // for ids that are not resident.
+  // for ids that are not resident; `id` must be a valid (non-negative)
+  // head page id.
   void SetPageRegion(PageId id, const geometry::Box2& region);
 
   // Installs a fresh interest field and rescores every resident array.
@@ -95,8 +97,9 @@ class BufferPool {
     double score = 0.0;
   };
   // Every registered array that is not resident and scores above zero
-  // under the current interest field, in ascending id order (the warmer
-  // re-sorts globally by score, so the order here only fixes ties).
+  // under the current interest field, in ascending id order (the order of
+  // the region table; the warmer re-sorts globally by score, so the order
+  // here only fixes ties).
   std::vector<PrefetchCandidate> PrefetchCandidates() const;
 
   // Loads the array's bytes from the backing store without touching the
@@ -146,6 +149,8 @@ class BufferPool {
   // kInvalidPage when no other array is resident.
   PageId ColdestLocked(PageId skip, bool by_score) const MARS_REQUIRES(mu_);
   double ScoreLocked(PageId id) const MARS_REQUIRES(mu_);
+  // The registered region of `id`, or null when it has none.
+  const geometry::Box2* RegionLocked(PageId id) const MARS_REQUIRES(mu_);
   // Removes `victim` from the resident set (never-touched speculative
   // victims count prefetch_wasted on top of the eviction).
   void RemoveResidentLocked(PageId victim) MARS_REQUIRES(mu_);
@@ -160,7 +165,10 @@ class BufferPool {
 
   mutable common::Mutex mu_;
   std::unordered_map<PageId, Resident> resident_ MARS_GUARDED_BY(mu_);
-  std::unordered_map<PageId, geometry::Box2> regions_ MARS_GUARDED_BY(mu_);
+  // Registered node regions indexed by page id. Managers hand out dense
+  // slot ids from 0 and reuse the lowest free one, so the table stays as
+  // long as the store; unregistered and erased slots hold nullopt.
+  std::vector<std::optional<geometry::Box2>> regions_ MARS_GUARDED_BY(mu_);
   InterestGrid interest_ MARS_GUARDED_BY(mu_);
   int64_t clock_ MARS_GUARDED_BY(mu_) = 0;
   int64_t used_pages_ MARS_GUARDED_BY(mu_) = 0;

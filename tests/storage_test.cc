@@ -6,9 +6,13 @@
 // bit-for-bit equivalence with its in-memory twin.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "geometry/box.h"
 #include "index/access.h"
 #include "index/record.h"
@@ -741,16 +746,205 @@ TEST(PagedIndexTest, TinyPoolStillReturnsExactResults) {
   std::remove(path.c_str());
 }
 
+// Internal (non-leaf) pages of the paged tree rooted at `root`, counted by
+// reading the store directly (the node page format of index/access.cc:
+// u8 is_leaf, u32 count, then count x (Box3 as 6 doubles, i64 value)).
+int64_t InternalPagesOf(IStorageManager* mgr, PageId root) {
+  int64_t internal = 0;
+  std::vector<PageId> stack = {root};
+  while (!stack.empty()) {
+    const PageId id = stack.back();
+    stack.pop_back();
+    std::vector<uint8_t> bytes;
+    EXPECT_TRUE(mgr->Load(id, &bytes).ok());
+    common::ByteReader r(bytes);
+    uint8_t is_leaf = 0;
+    uint32_t count = 0;
+    EXPECT_TRUE(r.ReadU8(&is_leaf).ok());
+    EXPECT_TRUE(r.ReadU32(&count).ok());
+    if (is_leaf != 0) continue;
+    ++internal;
+    for (uint32_t k = 0; k < count; ++k) {
+      double coord = 0.0;
+      for (int d = 0; d < 6; ++d) EXPECT_TRUE(r.ReadDouble(&coord).ok());
+      int64_t child = 0;
+      EXPECT_TRUE(r.ReadI64(&child).ok());
+      stack.push_back(child);
+    }
+  }
+  return internal;
+}
+
 TEST(PagedIndexTest, FreePagesReturnsEverythingToTheFreelist) {
-  const auto records = MakeRecords(10, 20, 9);
-  MemoryStorageManager mgr(1024);
-  BufferPool pool(&mgr, /*capacity_pages=*/4096, EvictPolicy::kLru);
-  index::SupportRegionIndex paged_index(index::RTreeOptions(), &pool);
-  paged_index.Build(records);
-  const int64_t allocated = mgr.stats().pages_allocated;
-  ASSERT_GT(allocated, 0);
-  ASSERT_TRUE(paged_index.FreePages().ok());
-  EXPECT_EQ(mgr.stats().pages_freed, allocated);
+  // Retiring a tree reads only its internal pages: leaves are erased by
+  // the ids their parents list. Cover heights 1-3, both right after the
+  // build (every page resident) and re-attached through a cold pool.
+  index::RTreeOptions options;
+  options.node_capacity = 8;
+  const struct {
+    int32_t height;
+    int objects;
+  } cases[] = {{1, 1}, {2, 4}, {3, 40}};
+  for (const auto& c : cases) {
+    for (const bool attach : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "height " << c.height << (attach ? " attached" : ""));
+      const auto records = MakeRecords(c.objects, 5, 9);
+      MemoryStorageManager mgr(1024);
+      BufferPool build_pool(&mgr, /*capacity_pages=*/4096, EvictPolicy::kLru);
+      index::SupportRegionIndex built(options, &build_pool);
+      built.Build(records);
+      const auto info = built.tree_info();
+      ASSERT_EQ(info.height, c.height);
+      const int64_t allocated = mgr.stats().pages_allocated;
+      const int64_t internal = InternalPagesOf(&mgr, info.root);
+      if (c.height == 1) {
+        ASSERT_EQ(internal, 0);
+      }
+
+      BufferPool cold_pool(&mgr, /*capacity_pages=*/4096, EvictPolicy::kLru);
+      index::SupportRegionIndex restored(options, &cold_pool);
+      restored.Restore(records, info);
+      index::SupportRegionIndex& tree = attach ? restored : built;
+      const BufferPool& pool = attach ? cold_pool : build_pool;
+      const PoolStats before = pool.stats();
+      ASSERT_TRUE(tree.FreePages().ok());
+      const PoolStats after = pool.stats();
+      EXPECT_EQ(mgr.stats().pages_freed, allocated);
+      EXPECT_EQ(after.hits + after.misses - before.hits - before.misses,
+                internal);
+      // The freed slots are reused lowest id first.
+      PageId reused = kInvalidPage;
+      ASSERT_TRUE(mgr.Store(&reused, Bytes(16, 1)).ok());
+      EXPECT_EQ(reused, 0);
+    }
+  }
+}
+
+TEST(PagedIndexTest, FreePagesRejectsAStoredHeightAboveTheTree) {
+  // A directory that records one level too many must not make the walk
+  // read leaf entries (record ids) as page ids.
+  index::RTreeOptions options;
+  options.node_capacity = 8;
+  for (const int objects : {1, 4, 40}) {
+    const auto records = MakeRecords(objects, 5, 9);
+    MemoryStorageManager mgr(1024);
+    BufferPool pool(&mgr, /*capacity_pages=*/4096, EvictPolicy::kLru);
+    index::SupportRegionIndex built(options, &pool);
+    built.Build(records);
+    auto info = built.tree_info();
+    SCOPED_TRACE(::testing::Message() << "height " << info.height);
+    ++info.height;
+    index::SupportRegionIndex restored(options, &pool);
+    restored.Restore(records, info);
+    EXPECT_FALSE(restored.FreePages().ok());
+  }
+}
+
+// --- Prefetch candidates against a brute-force scan ----------------------
+
+TEST(BufferPoolTest, PrefetchCandidatesMatchABruteForceScan) {
+  // A seeded mix of every call that changes the region table, residency
+  // or the interest field. After each step the pool's candidates must
+  // equal a scan over a plain map of regions: skip residents, score each
+  // region, order by id. The pool is large enough never to evict, so the
+  // scan's own residency model is exact (checked via the stats).
+  MemoryStorageManager mgr(256);
+  BufferPool pool(&mgr, /*capacity_pages=*/1 << 20, EvictPolicy::kMotion);
+  const geometry::Box2 space = geometry::MakeBox2(0, 0, 100, 100);
+  std::map<PageId, geometry::Box2> regions;
+  std::set<PageId> live;      // allocated in the manager
+  std::set<PageId> resident;  // cached by the pool
+  InterestGrid interest;
+  common::Rng rng(101);
+
+  auto random_region = [&rng] {
+    const double x = rng.Uniform(-10, 100), y = rng.Uniform(-10, 100);
+    return geometry::MakeBox2(x, y, x + rng.Uniform(0, 30),
+                              y + rng.Uniform(0, 30));
+  };
+  auto random_live = [&rng, &live] {
+    auto it = live.begin();
+    std::advance(it, rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+    return *it;
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const int64_t op = live.empty() ? 0 : rng.UniformInt(0, 9);
+    if (op <= 2) {
+      // Store through the pool (resident), or behind its back (cold).
+      PageId id = kInvalidPage;
+      if (op <= 1) {
+        ASSERT_TRUE(pool.Store(&id, Bytes(32, 1)).ok());
+        resident.insert(id);
+      } else {
+        ASSERT_TRUE(mgr.Store(&id, Bytes(32, 2)).ok());
+      }
+      live.insert(id);
+      if (rng.Bernoulli(0.8)) {
+        const geometry::Box2 region = random_region();
+        pool.SetPageRegion(id, region);
+        regions[id] = region;
+      }
+    } else if (op == 3) {
+      // Re-register a region, sometimes past the last allocated slot.
+      PageId id = random_live();
+      if (rng.Bernoulli(0.2)) id = *live.rbegin() + rng.UniformInt(1, 5);
+      const geometry::Box2 region = random_region();
+      pool.SetPageRegion(id, region);
+      regions[id] = region;
+    } else if (op <= 5) {
+      std::vector<uint8_t> out;
+      const PageId id = random_live();
+      ASSERT_TRUE(pool.Fetch(id, &out).ok());
+      resident.insert(id);
+    } else if (op == 6) {
+      const PageId id = random_live();
+      ASSERT_TRUE(pool.Erase(id).ok());
+      live.erase(id);
+      resident.erase(id);
+      regions.erase(id);
+    } else if (op == 7) {
+      if (rng.Bernoulli(0.1)) {
+        interest = InterestGrid();
+      } else {
+        interest.space = space;
+        interest.nx = static_cast<int32_t>(rng.UniformInt(1, 16));
+        interest.ny = static_cast<int32_t>(rng.UniformInt(1, 16));
+        interest.score.assign(
+            static_cast<size_t>(interest.nx) * interest.ny, 0.0);
+        for (double& v : interest.score) {
+          if (rng.Bernoulli(0.3)) v = rng.UniformDouble();
+        }
+      }
+      pool.UpdateInterest(interest);
+    } else {
+      // A speculative install: admitted only for a registered slot that
+      // is not resident (capacity never refuses here).
+      const PageId id = random_live();
+      pool.InstallPrefetched(id, Bytes(32, 3));
+      if (regions.contains(id)) resident.insert(id);
+    }
+
+    std::vector<BufferPool::PrefetchCandidate> want;
+    for (const auto& [id, region] : regions) {  // std::map: id order
+      if (resident.contains(id)) continue;
+      const double score = interest.ScoreRegion(region);  // 0 if empty
+      if (score > 0.0) want.push_back({id, score});
+    }
+    const auto got = pool.PrefetchCandidates();
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].id, want[i].id) << "step " << step;
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i].score),
+                std::bit_cast<uint64_t>(want[i].score))
+          << "step " << step;
+    }
+    ASSERT_EQ(pool.stats().resident,
+              static_cast<int64_t>(resident.size()))
+        << "step " << step;
+  }
+  EXPECT_EQ(pool.stats().evictions, 0);
 }
 
 }  // namespace

@@ -1,15 +1,122 @@
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/serialize.h"
 #include "server/object_db.h"
+#include "server/persistence.h"
 #include "server/wire_codec.h"
 #include "workload/scene.h"
 
 namespace mars::server {
 namespace {
+
+// A frozen copy of the encoder as it stood before the object database
+// kept a per-object detail scale: a std::map of groups, and a scan of
+// every coefficient of a group's object for its quantization scale. The
+// exactness tests below hold EncodeRecords to its bytes.
+uint16_t ReferenceQuantize(double v, double scale) {
+  if (scale <= 0.0) return 0;
+  const double t = std::clamp(v / scale, -1.0, 1.0);
+  return static_cast<uint16_t>(std::lround((t + 1.0) * 0.5 * 65535.0));
+}
+
+uint16_t ReferenceQuantizePos(double v, double lo, double hi) {
+  if (hi <= lo) return 0;
+  const double t = std::clamp((v - lo) / (hi - lo), 0.0, 1.0);
+  return static_cast<uint16_t>(std::lround(t * 65535.0));
+}
+
+std::vector<uint8_t> ReferenceEncode(const ObjectDatabase& db,
+                                     const std::vector<index::RecordId>& ids) {
+  std::map<int32_t, std::vector<index::RecordId>> groups;
+  for (index::RecordId id : ids) {
+    groups[db.record(id).object_id].push_back(id);
+  }
+  for (auto& [obj, list] : groups) {
+    std::sort(list.begin(), list.end());
+  }
+  common::ByteWriter w;
+  w.WriteVarU64(groups.size());
+  for (const auto& [obj, list] : groups) {
+    const wavelet::MultiResMesh& object = db.object(obj);
+    const geometry::Box3& b = db.object_bounds()[obj];
+    double scale = 0.0;
+    for (const auto& c : object.coefficients()) {
+      scale = std::max(scale, c.magnitude);
+    }
+    w.WriteVarU64(static_cast<uint64_t>(obj));
+    w.WriteFloat(static_cast<float>(scale));
+    for (size_t d = 0; d < 3; ++d) {
+      w.WriteFloat(static_cast<float>(b.lo(d)));
+      w.WriteFloat(static_cast<float>(b.hi(d)));
+    }
+    w.WriteVarU64(list.size());
+    int64_t prev_coeff = -1;
+    for (index::RecordId id : list) {
+      const index::CoeffRecord& record = db.record(id);
+      if (record.is_base()) {
+        w.WriteU8(1);
+        const mesh::Mesh& base = object.base();
+        w.WriteVarU64(static_cast<uint64_t>(base.vertex_count()));
+        for (const geometry::Vec3& v : base.vertices()) {
+          const uint32_t x = ReferenceQuantizePos(v.x, b.lo(0), b.hi(0));
+          const uint32_t y = ReferenceQuantizePos(v.y, b.lo(1), b.hi(1));
+          w.WriteU32(x | (y << 16));
+          w.WriteU32(ReferenceQuantizePos(v.z, b.lo(2), b.hi(2)));
+        }
+        w.WriteVarU64(static_cast<uint64_t>(base.face_count()));
+        for (const mesh::Face& f : base.faces()) {
+          for (int32_t c : f) w.WriteVarU64(static_cast<uint64_t>(c));
+        }
+      } else {
+        const wavelet::WaveletCoefficient& c =
+            object.coefficient(record.coeff_id);
+        w.WriteU8(0);
+        w.WriteVarU64(static_cast<uint64_t>(record.coeff_id - prev_coeff));
+        prev_coeff = record.coeff_id;
+        const uint32_t x = ReferenceQuantize(c.detail.x, scale);
+        const uint32_t y = ReferenceQuantize(c.detail.y, scale);
+        w.WriteU32(x | (y << 16));
+        w.WriteU32(ReferenceQuantize(c.detail.z, scale));
+      }
+    }
+  }
+  return w.Take();
+}
+
+// `count` record ids drawn with replacement from all of `db`, in draw
+// order: unsorted, spread across objects, duplicates possible.
+std::vector<index::RecordId> RandomIds(const ObjectDatabase& db,
+                                       common::Rng* rng, int64_t count) {
+  std::vector<index::RecordId> ids;
+  const int64_t last = static_cast<int64_t>(db.records().size()) - 1;
+  for (int64_t i = 0; i < count; ++i) {
+    ids.push_back(rng->UniformInt(0, last));
+  }
+  return ids;
+}
+
+// Every record alone, then seeded random groups: EncodeRecords must
+// match the reference byte for byte.
+void ExpectMatchesReference(const ObjectDatabase& db, uint64_t seed) {
+  for (size_t i = 0; i < db.records().size(); ++i) {
+    const std::vector<index::RecordId> one = {static_cast<int64_t>(i)};
+    ASSERT_EQ(EncodeRecords(db, one), ReferenceEncode(db, one))
+        << "record " << i;
+  }
+  common::Rng rng(seed);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto ids = RandomIds(db, &rng, rng.UniformInt(1, 64));
+    ASSERT_EQ(EncodeRecords(db, ids), ReferenceEncode(db, ids))
+        << "trial " << trial;
+  }
+}
 
 class WireCodecTest : public ::testing::Test {
  protected:
@@ -156,6 +263,52 @@ TEST_F(WireCodecTest, SubsetOfCoefficients) {
   auto decoded = DecodeRecords(bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->size(), ids.size());
+}
+
+TEST_F(WireCodecTest, MatchesTheReferenceEncoderByteForByte) {
+  ExpectMatchesReference(*db_, 71);
+  // Whole objects, in reverse object order, as one response.
+  std::vector<index::RecordId> ids;
+  for (int32_t obj = db_->object_count() - 1; obj >= 0; --obj) {
+    const auto all = AllOf(obj);
+    ids.insert(ids.end(), all.begin(), all.end());
+  }
+  EXPECT_EQ(EncodeRecords(*db_, ids), ReferenceEncode(*db_, ids));
+  EXPECT_EQ(EncodeRecords(*db_, {}), ReferenceEncode(*db_, {}));
+}
+
+TEST_F(WireCodecTest, OnlineIngestedObjectMatchesTheReference) {
+  // An object added after FinalizeRecords gets its records — and its
+  // detail scale — on the spot.
+  workload::SceneOptions scene;
+  scene.space = geometry::MakeBox2(0, 0, 1000, 1000);
+  scene.object_count = 2;
+  scene.levels = 3;
+  scene.seed = 67;
+  auto other = workload::GenerateScene(scene);
+  ASSERT_TRUE(other.ok());
+  const size_t before = db_->records().size();
+  const int32_t added = db_->AddObject(other->object(1));
+  ASSERT_GT(db_->records().size(), before);
+  std::vector<index::RecordId> fresh;
+  for (size_t i = before; i < db_->records().size(); ++i) {
+    fresh.push_back(static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(db_->record(fresh.front()).object_id, added);
+  EXPECT_EQ(EncodeRecords(*db_, fresh), ReferenceEncode(*db_, fresh));
+  ExpectMatchesReference(*db_, 73);
+}
+
+TEST_F(WireCodecTest, RestoredDatabaseMatchesTheReference) {
+  auto restored = DeserializeDatabase(SerializeDatabase(*db_));
+  ASSERT_TRUE(restored.ok());
+  ExpectMatchesReference(*restored, 79);
+  // The restored scale is the original's, so the bytes are too.
+  common::Rng rng(83);
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto ids = RandomIds(*db_, &rng, rng.UniformInt(1, 64));
+    ASSERT_EQ(EncodeRecords(*restored, ids), EncodeRecords(*db_, ids));
+  }
 }
 
 }  // namespace
