@@ -59,18 +59,6 @@ class LruCache {
     return evicted;
   }
 
-  // Reports the least-recently-used key other than `protect` without
-  // evicting it; false when no such key exists.
-  bool LeastRecent(const K& protect, K* out) const {
-    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-      if (!(*it == protect)) {
-        *out = *it;
-        return true;
-      }
-    }
-    return false;
-  }
-
   // Removes `key` if present.
   bool Erase(const K& key) {
     auto it = map_.find(key);

@@ -26,7 +26,6 @@ namespace mars::fleet {
 struct FleetEngine::ClientState {
   ClientSpec spec;
   std::vector<workload::TourPoint> tour;
-  std::unique_ptr<net::FaultSchedule> fault;
   std::unique_ptr<net::SimulatedLink> link;  // private bearer
   std::optional<core::FrameClient> client;
   // Adaptive resolution ladder (null with ABR off, and for naive clients
@@ -56,9 +55,6 @@ struct FleetEngine::ClientState {
   int32_t home_cell = 0;  // cell covering the tour's first point
   int64_t handovers = 0;
   int64_t failovers = 0;
-  // Consecutive routing rounds the covering cell has differed from the
-  // serving cell (the ping-pong hysteresis dwell counter).
-  int32_t away_rounds = 0;
 
   // A submitted-but-unresolved coalesced exchange: completes when its own
   // transfer and every attached carrier have drained.
@@ -97,7 +93,7 @@ FleetEngine::FleetEngine(const core::System& system, FleetOptions options,
                          std::vector<ClientSpec> specs)
     : system_(system),
       options_(options),
-      hot_cache_(options.hot_cache_bytes, options.hot_cache_shards),
+      hot_cache_(options.hot_cache_bytes),
       inflight_(options.coalesce) {
   // Coalesced delivery resolution needs the cell's per-client FIFO
   // completion order, which only WFQ provides (equal share drains every
@@ -147,9 +143,6 @@ FleetEngine::FleetEngine(const core::System& system, FleetOptions options,
   by_id_.reserve(specs.size());
   for (const ClientSpec& spec : specs) {
     MARS_CHECK(states_.empty() || states_.back()->spec.id < spec.id);
-    // Weights are registered everywhere: a client may be served by any
-    // cell over its tour, and registration does not activate it.
-    for (const auto& link : cells_) link->SetClientWeight(spec.id, spec.weight);
     states_.push_back(BuildState(spec));
     ClientState* state = states_.back().get();
     state->next_submit_seq.assign(static_cast<size_t>(num_cells), 0);
@@ -196,16 +189,6 @@ std::unique_ptr<FleetEngine::ClientState> FleetEngine::BuildState(
   net::SimulatedLink::Options link_opts = options_.client_link;
   link_opts.loss_seed = spec.seed * 0x9E3779B97F4A7C15ull + 1;
   state->link = std::make_unique<net::SimulatedLink>(link_opts);
-  net::FaultSchedule::Options fault_opts = options_.client_fault;
-  fault_opts.seed =
-      fault_opts.seed + 0x100 + static_cast<uint64_t>(spec.id) * 131;
-  state->fault = std::make_unique<net::FaultSchedule>(fault_opts);
-  // Attach when the sampled tracks are live OR handovers will inject
-  // re-association blackouts later (InjectOutage flips enabled(), but the
-  // bearer only consults a schedule attached up front).
-  if (state->fault->enabled() || options_.handover_blackout_seconds > 0.0) {
-    state->link->AttachFaultSchedule(state->fault.get());
-  }
 
   // ABR: the motion-aware clients read their w_min through a per-client
   // adaptive ladder instead of the static map. Naive clients retrieve
@@ -415,14 +398,14 @@ void FleetEngine::CommitClient(ClientState* state) {
         owned.emplace_back(rec, bytes);
         break;
       case AttachOutcome::kRefused:
-        // Waiter cap hit, or the carrier rides another cell: the payload
-        // is still in flight (re-registering would double-serve it), but
-        // this client pays full freight.
+        // The carrier rides another cell: the payload is still in flight
+        // (re-registering would double-serve it), but this client pays
+        // full freight.
         break;
     }
   }
   const int64_t header_bytes = static_cast<int64_t>(carriers.size()) *
-                               options_.coalesce.attach_header_bytes;
+                               server::InflightTable::kAttachHeaderBytes;
   state->coalesce_attaches += static_cast<int64_t>(carriers.size());
   const int64_t charged = state->wire_bytes - shared_bytes + header_bytes;
   // The exchange always carries at least its own request/response
@@ -786,7 +769,7 @@ FleetResult FleetEngine::Run() {
     result.coalesce_attaches += state->coalesce_attaches;
     result.coalesce_bytes_saved += state->coalesce_bytes_saved;
     result.coalesce_header_bytes +=
-        state->coalesce_attaches * options_.coalesce.attach_header_bytes;
+        state->coalesce_attaches * server::InflightTable::kAttachHeaderBytes;
     result.encode_calls += state->encode_calls;
     result.clients.push_back(std::move(client));
   }
@@ -846,30 +829,12 @@ void FleetEngine::RouteClients(double tick_seconds) {
         std::min<int32_t>(state->next_frame, state->spec.frames - 1));
     const int32_t home = topology_.CellAt(state->tour[frame].position);
     const int32_t target = topology_.NearestHealthy(home, healthy);
-    if (target == state->cell) {
-      state->away_rounds = 0;
-      continue;
-    }
+    if (target == state->cell) continue;
     const bool outage_forced = !healthy(state->cell);
-    if (!outage_forced) {
-      // Ping-pong hysteresis: a client grazing a cell edge flips its
-      // covering cell every few frames; make a voluntary move only after
-      // the pull has persisted for the dwell window. A failover never
-      // waits — the serving cell is dead.
-      ++state->away_rounds;
-      if (state->away_rounds < options_.handover_dwell_rounds) continue;
-    }
-    state->away_rounds = 0;
     state->cell = target;
     ++state->handovers;
     ++handovers_;
     ++cell_stats_[target].handovers_in;
-    if (options_.handover_blackout_seconds > 0.0) {
-      // Radio re-association gap: the private bearer blacks out for the
-      // configured window starting now.
-      state->fault->InjectOutage(state->link->now(),
-                                 options_.handover_blackout_seconds);
-    }
     if (outage_forced) {
       ++state->failovers;
       ++failovers_;

@@ -49,10 +49,6 @@ struct ClientSpec {
   // When this client's first frame fires, staggering fleet arrivals on
   // the shared cell.
   double start_offset_seconds = 0.0;
-  // This client's weighted-fair-queuing share of the shared cell
-  // (net/shared_link.h). Relative: a weight-2 client gets twice the
-  // bandwidth of a weight-1 client while both are backlogged.
-  double weight = 1.0;
   // Co-moving group membership (workload::GroupTourGenerator). -1 (the
   // default) keeps the historical independent tour — a strict
   // passthrough. >= 0 makes this client member `group_member` of the
@@ -72,9 +68,6 @@ struct FleetOptions {
   // Per-client private bearer (install semantics: loss, retries,
   // rollback). loss_seed is re-derived per client from ClientSpec::seed.
   net::SimulatedLink::Options client_link;
-  // Per-client fault schedule; seed is offset by the client id. All-zero
-  // rates disable it.
-  net::FaultSchedule::Options client_fault;
   // Number of radio cells tiling the ground plane (net/cell_topology.h).
   // 1 (the default) is the classic single shared cell — a strict
   // bit-identical passthrough. With K > 1 each client is served by the
@@ -88,11 +81,6 @@ struct FleetOptions {
   // Per-cell fault schedule (outages stall the whole cell at once).
   // Cell 0 uses the seed verbatim; cells k > 0 derive theirs from it.
   net::FaultSchedule::Options cell_fault;
-  // Seconds of private-bearer blackout injected at the instant of each
-  // handover (the radio re-association gap): the client's own link
-  // fails attempts for this long after it switches cells. 0 disables —
-  // the hook costs nothing when unused.
-  double handover_blackout_seconds = 0.0;
   // Deterministic forced cell outages, injected into the named cell's
   // fault schedule at construction — the chaos/bench hook for "cell k
   // dies at t for d seconds" scenarios.
@@ -104,7 +92,6 @@ struct FleetOptions {
   std::vector<CellOutage> cell_outages;
   // Shared hot-encoding cache budget; 0 disables.
   int64_t hot_cache_bytes = 256 * 1024;
-  int32_t hot_cache_shards = 8;
   // Server-side admission control on the shared cell (disabled by
   // default, so a fleet behaves exactly as before unless opted in).
   server::AdmissionController::Options admission;
@@ -116,12 +103,6 @@ struct FleetOptions {
   // discipline: coalesced delivery resolution relies on WFQ's per-client
   // FIFO completion order.
   server::InflightTable::Options coalesce;
-  // Cell-edge ping-pong hysteresis: a *voluntary* handover fires only
-  // after the cell covering the client's position has differed from its
-  // serving cell for this many consecutive routing rounds. 1 (the
-  // default) fires immediately — the historical behavior and a strict
-  // passthrough. Outage failovers always fire immediately.
-  int32_t handover_dwell_rounds = 1;
   // Per-client adaptive resolution ladder (qos/adaptive_ladder.h): the
   // motion-aware clients close the loop from delivered goodput and
   // admission backpressure to their requested w_min. Disabled by default
@@ -210,7 +191,7 @@ struct FleetResult {
   int64_t coalesce_hits = 0;
   int64_t coalesce_attaches = 0;
   int64_t coalesce_bytes_saved = 0;
-  int64_t coalesce_refused = 0;  // attaches refused by the waiter cap
+  int64_t coalesce_refused = 0;  // attaches refused across cells
   int64_t coalesce_header_bytes = 0;
   // Records wire-encoded server-side across the whole run (both modes).
   int64_t encode_calls = 0;
@@ -266,8 +247,8 @@ struct FleetResult {
 //   Phase B (serial, ascending client id): admission verdicts are
 //   recorded (deferred frames are rescheduled after their backoff),
 //   hot-cache touches/inserts are committed, each client's successful
-//   wire bytes are submitted to the shared cell (weighted-fair-queued
-//   per ClientSpec::weight), and the client's next frame is scheduled.
+//   wire bytes are submitted to the shared cell (fair-queued per
+//   client), and the client's next frame is scheduled.
 //   The phase ends with one Server::Tick(). Then the cell advances to the
 //   next tick, attributing delivery delays to clients.
 //

@@ -66,20 +66,9 @@ FaultSchedule::FaultSchedule() : FaultSchedule(Options()) {}
 
 FaultSchedule::FaultSchedule(Options options)
     : options_(options),
-      enabled_(options.outage_rate_per_hour > 0.0 ||
-               options.burst_rate_per_hour > 0.0 ||
-               options.dip_rate_per_hour > 0.0),
-      // Distinct derived seeds keep the three processes independent.
+      enabled_(options.outage_rate_per_hour > 0.0),
       outages_(options.outage_rate_per_hour, options.outage_mean_seconds,
-               options.seed * 2654435761u + 1),
-      bursts_(options.burst_rate_per_hour, options.burst_mean_seconds,
-              options.seed * 2654435761u + 2),
-      dips_(options.dip_rate_per_hour, options.dip_mean_seconds,
-            options.seed * 2654435761u + 3) {
-  MARS_CHECK_GE(options.burst_loss_factor, 1.0);
-  MARS_CHECK_GT(options.dip_bandwidth_factor, 0.0);
-  MARS_CHECK_LE(options.dip_bandwidth_factor, 1.0);
-}
+               options.seed * 2654435761u + 1) {}
 
 void FaultSchedule::InjectOutage(double start, double duration) {
   MARS_CHECK_GE(start, 0.0);
@@ -98,7 +87,7 @@ void FaultSchedule::InjectOutage(double start, double duration) {
 
 const FaultSchedule::Window* FaultSchedule::InjectedCovering(
     double t) const {
-  // Windows may overlap (a handover inside a blackout); report the one
+  // Windows may overlap (two forced failures of one cell); report the one
   // reaching furthest so OutageRemaining covers the union.
   const Window* best = nullptr;
   for (const Window& w : injected_) {
@@ -124,18 +113,8 @@ double FaultSchedule::OutageRemaining(double t) {
   return remaining;
 }
 
-double FaultSchedule::LossFactor(double t) {
-  return bursts_.Covering(t) != nullptr ? options_.burst_loss_factor : 1.0;
-}
-
-double FaultSchedule::BandwidthFactor(double t) {
-  return dips_.Covering(t) != nullptr ? options_.dip_bandwidth_factor : 1.0;
-}
-
 double FaultSchedule::NextBoundaryAfter(double t) {
-  double next = std::min({outages_.NextBoundaryAfter(t),
-                          bursts_.NextBoundaryAfter(t),
-                          dips_.NextBoundaryAfter(t)});
+  double next = outages_.NextBoundaryAfter(t);
   for (const Window& w : injected_) {
     if (w.start > t) {
       next = std::min(next, w.start);

@@ -10,26 +10,17 @@ namespace mars::net {
 
 // Deterministic fault schedule for the mobile link (paper Sec. I / VII-A:
 // a 256 Kbps, 200 ms wireless link whose quality collapses with motion).
-// Three independent Poisson window processes model the real impairments of
-// such a link:
-//
-//   * outages   — tunnel blackouts and whole-cell failures during which no
-//                 attempt can be delivered at all,
-//   * bursts    — windows of strongly elevated loss (interference, cell
-//                 edges): the link's base loss probability is multiplied,
-//   * dips      — transient bandwidth collapses: the usable bandwidth is
-//                 scaled down.
+// A Poisson window process models outages — tunnel blackouts and
+// whole-cell failures during which no attempt can be delivered at all.
 //
 // The sampled Poisson outages are *uncorrelated with motion* — they model
-// environmental failures, not handovers. Cell-handover blackouts (the
-// re-association gap a client suffers when it crosses into a new cell)
-// are injected explicitly through InjectOutage() by whoever routes the
-// client across cells (the fleet engine's CellTopology), so blackout
-// timing follows the client's actual trajectory instead of a rate.
+// environmental failures, not handovers. Deterministic windows (a forced
+// cell failure at a known time) are injected explicitly through
+// InjectOutage().
 //
 // Windows are sampled lazily from a seeded Rng (exponential inter-arrival
 // and duration), so the schedule is reproducible bit-for-bit, pure with
-// respect to simulated time, and free when every rate is zero and no
+// respect to simulated time, and free when the rate is zero and no
 // window was injected. All times are simulated seconds on the consumer's
 // clock (SimulatedLink's cumulative time or SharedMediumLink's now()).
 class FaultSchedule {
@@ -39,36 +30,21 @@ class FaultSchedule {
     double outage_rate_per_hour = 0.0;
     // Mean outage duration in seconds (exponentially distributed).
     double outage_mean_seconds = 8.0;
-
-    // Burst-loss windows.
-    double burst_rate_per_hour = 0.0;
-    double burst_mean_seconds = 3.0;
-    // Multiplier applied to the link's loss probability inside a burst
-    // (the effective probability is still capped by the link).
-    double burst_loss_factor = 8.0;
-
-    // Transient bandwidth dips.
-    double dip_rate_per_hour = 0.0;
-    double dip_mean_seconds = 10.0;
-    // Fraction of the usable bandwidth that survives inside a dip.
-    double dip_bandwidth_factor = 0.35;
-
     uint64_t seed = 1;
   };
 
   FaultSchedule();  // all-quiet default
   explicit FaultSchedule(Options options);
 
-  // True when any fault process is active or a window was injected; an
-  // all-quiet schedule costs nothing to consult.
+  // True when outages are sampled or a window was injected; an all-quiet
+  // schedule costs nothing to consult.
   bool enabled() const { return enabled_ || !injected_.empty(); }
 
   // Injects a deterministic outage window [start, start + duration) — the
-  // handover-blackout hook. Drives the same outage machinery as the
-  // sampled windows (attempts fail, fluid links stall), so a topology can
-  // model the re-association gap of a cell crossing at the exact simulated
-  // time the crossing happened. Enables an all-quiet schedule from the
-  // first injection; a schedule with no injections stays zero-cost.
+  // forced-cell-failure hook. Drives the same outage machinery as the
+  // sampled windows (attempts fail, fluid links stall). Enables an
+  // all-quiet schedule from the first injection; a schedule with no
+  // injections stays zero-cost.
   void InjectOutage(double start, double duration);
 
   // Injected windows so far (observability / tests).
@@ -81,14 +57,6 @@ class FaultSchedule {
 
   // Seconds until the current outage window ends; 0 when not in outage.
   double OutageRemaining(double t);
-
-  // Loss-probability multiplier at `t` (>= 1; burst_loss_factor inside a
-  // burst window).
-  double LossFactor(double t);
-
-  // Usable-bandwidth multiplier at `t` (1 normally, dip_bandwidth_factor
-  // inside a dip window).
-  double BandwidthFactor(double t);
 
   // The next time > `t` at which any window starts or ends. Lets fluid
   // link models advance in piecewise-constant steps without integrating
@@ -132,11 +100,9 @@ class FaultSchedule {
   Options options_;
   bool enabled_;
   Track outages_;
-  Track bursts_;
-  Track dips_;
-  // Explicitly injected outage windows (handover blackouts, forced cell
-  // failures), kept sorted by start. Usually empty and usually tiny —
-  // one entry per handover — so linear scans are fine.
+  // Explicitly injected outage windows (forced cell failures), kept
+  // sorted by start. Usually empty and always tiny, so linear scans are
+  // fine.
   std::vector<Window> injected_;
 };
 

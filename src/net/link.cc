@@ -41,20 +41,6 @@ double SimulatedLink::ExchangeSeconds(int64_t request_bytes,
          static_cast<double>(request_bytes + response_bytes) / bw;
 }
 
-double SimulatedLink::RawSeconds(int64_t request_bytes,
-                                 int64_t response_bytes, double speed) {
-  double seconds = ExchangeSeconds(request_bytes, response_bytes, speed);
-  if (fault_ != nullptr && fault_->enabled()) {
-    const double factor = fault_->BandwidthFactor(total_seconds_);
-    if (factor < 1.0) {
-      // Only the transfer part stretches; latency is propagation.
-      seconds = options_.latency_seconds +
-                (seconds - options_.latency_seconds) / factor;
-    }
-  }
-  return seconds;
-}
-
 SimulatedLink::AttemptOutcome SimulatedLink::Attempt(int64_t request_bytes,
                                                      int64_t response_bytes,
                                                      double speed) {
@@ -72,14 +58,12 @@ SimulatedLink::AttemptOutcome SimulatedLink::Attempt(int64_t request_bytes,
     return outcome;
   }
 
-  const double seconds = RawSeconds(request_bytes, response_bytes, speed);
+  const double seconds =
+      ExchangeSeconds(request_bytes, response_bytes, speed);
   double p = 0.0;
   if (options_.loss_probability > 0.0) {
-    p = options_.loss_probability * (1.0 + std::clamp(speed, 0.0, 1.0));
-    if (fault_ != nullptr && fault_->enabled()) {
-      p *= fault_->LossFactor(total_seconds_);
-    }
-    p = std::min(0.95, p);
+    p = std::min(0.95, options_.loss_probability *
+                           (1.0 + std::clamp(speed, 0.0, 1.0)));
   }
 
   if (p > 0.0 && rng_.Bernoulli(p)) {
@@ -139,7 +123,7 @@ double SimulatedLink::Exchange(int64_t request_bytes, int64_t response_bytes,
     total_seconds_ += wait;
   }
   const double final_seconds =
-      RawSeconds(request_bytes, response_bytes, speed);
+      ExchangeSeconds(request_bytes, response_bytes, speed);
   seconds += final_seconds;
   ++total_requests_;
   total_bytes_up_ += request_bytes;

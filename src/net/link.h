@@ -59,8 +59,8 @@ class SimulatedLink {
   SimulatedLink();  // default options
   explicit SimulatedLink(Options options);
 
-  // Attaches a fault schedule (outages / loss bursts / bandwidth dips)
-  // consulted at the link's cumulative simulated time. Pass nullptr to
+  // Attaches an outage schedule consulted at the link's cumulative
+  // simulated time. Pass nullptr to
   // detach. The schedule must outlive the link; it is shared mutable
   // state (lazy window generation), not owned.
   void AttachFaultSchedule(FaultSchedule* schedule) { fault_ = schedule; }
@@ -76,8 +76,6 @@ class SimulatedLink {
   void Wait(double seconds);
 
   // Usable bandwidth in bytes/second at normalized speed `speed` ∈ [0, 1].
-  // Pure with respect to the fault schedule: scheduled bandwidth dips are
-  // applied per attempt, not here.
   double UsableBandwidth(double speed) const;
 
   // Performs ONE delivery attempt of `request_bytes` up and
@@ -111,11 +109,6 @@ class SimulatedLink {
   void ResetStats();
 
  private:
-  // Exchange time ignoring loss, at the bandwidth valid *now* (i.e.
-  // including any scheduled dip at the current clock).
-  double RawSeconds(int64_t request_bytes, int64_t response_bytes,
-                    double speed);
-
   Options options_;
   common::Rng rng_;
   FaultSchedule* fault_ = nullptr;

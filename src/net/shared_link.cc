@@ -23,10 +23,6 @@ SharedMediumLink::SharedMediumLink(Options options)
   MARS_CHECK_GT(options.max_retries_per_transfer, 0);
 }
 
-void SharedMediumLink::SetClientWeight(int32_t client, double weight) {
-  vclock_.SetWeight(client, weight);
-}
-
 int64_t SharedMediumLink::Submit(int32_t client, int64_t bytes,
                                  double speed) {
   MARS_CHECK_GT(bytes, 0);
@@ -117,8 +113,8 @@ void SharedMediumLink::StepWeightedFair(
     double target, double cell, double bearer,
     std::vector<Completion>* completions) {
   const bool faulty = fault_ != nullptr && fault_->enabled();
-  const double bw_factor = faulty ? fault_->BandwidthFactor(now_) : 1.0;
-  const double active_weight = vclock_.total_active_weight();
+  const double share =
+      cell / static_cast<double>(vclock_.active_clients());
 
   // Piecewise-constant rates until the next head-of-line completion,
   // fault boundary, or the target. Each backlogged client serves only its
@@ -141,8 +137,6 @@ void SharedMediumLink::StepWeightedFair(
   for (auto& [id, cq] : clients_) {
     if (cq.queue.empty()) continue;
     const Transfer& head = cq.queue.front();
-    const double share =
-        cell * bw_factor * vclock_.WeightOf(id) / active_weight;
     const double rate = std::min(share, bearer * MotionFactor(head.speed));
     service.push_back(Service{id, &cq, rate});
     if (rate > 0.0) {
@@ -152,7 +146,7 @@ void SharedMediumLink::StepWeightedFair(
 
   now_ += step;
   // Virtual time advances with the capacity offered to the active set.
-  vclock_.OnServed(cell * bw_factor * step);
+  vclock_.OnServed(cell * step);
 
   // Drain heads; completions coinciding at this instant are emitted in
   // (virtual finish tag, client id) order.
@@ -190,9 +184,7 @@ void SharedMediumLink::StepEqualShare(double target, double cell,
                                       double bearer,
                                       std::vector<Completion>* completions) {
   const bool faulty = fault_ != nullptr && fault_->enabled();
-  const double bw_factor = faulty ? fault_->BandwidthFactor(now_) : 1.0;
-  const double share =
-      cell * bw_factor / static_cast<double>(in_flight_);
+  const double share = cell / static_cast<double>(in_flight_);
 
   double step = target - now_;
   if (faulty) {
@@ -218,7 +210,7 @@ void SharedMediumLink::StepEqualShare(double target, double cell,
   }
 
   now_ += step;
-  vclock_.OnServed(cell * bw_factor * step);
+  vclock_.OnServed(cell * step);
 
   // Second pass: drain with the identical rates and collect completions
   // (clients in id order; within a client, submission order).

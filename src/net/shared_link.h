@@ -17,16 +17,16 @@ namespace mars::net {
 // A shared wireless medium serving several clients at once, modelled as a
 // fluid queue over the cell's downlink capacity. Two service disciplines:
 //
-//   * kWeightedFair (default): deterministic weighted fair queuing. Each
-//     client owns a FIFO queue; at any instant the backlogged clients
-//     divide the cell capacity in proportion to their weights (fluid GPS),
-//     each serving its head-of-line transfer, additionally capped by the
-//     client's bearer rate and degraded by that transfer's motion.
-//     Arrivals are stamped with virtual start/finish tags (net/wfq.h);
-//     completions coinciding in real time are emitted in (finish tag,
-//     client id) order, so runs are bit-identical for a given submission
-//     sequence. A greedy client's backlog cannot starve anyone: every
-//     other client keeps at least its weight's share of the cell.
+//   * kWeightedFair (default): deterministic fair queuing. Each client
+//     owns a FIFO queue; at any instant the backlogged clients divide the
+//     cell capacity equally (fluid GPS at unit weights), each serving its
+//     head-of-line transfer, additionally capped by the client's bearer
+//     rate and degraded by that transfer's motion. Arrivals are stamped
+//     with virtual start/finish tags (net/wfq.h); completions coinciding
+//     in real time are emitted in (finish tag, client id) order, so runs
+//     are bit-identical for a given submission sequence. A greedy
+//     client's backlog cannot starve anyone: every other client keeps at
+//     least its equal share of the cell.
 //
 //   * kEqualShare: the legacy processor-sharing model — capacity divided
 //     equally among the *transfers* in flight, so a client with k
@@ -46,8 +46,7 @@ namespace mars::net {
 // Loss parity with SimulatedLink: each submission may be partially lost
 // and retransmitted (bounded retries, deterministic per-seed), which
 // inflates the bytes the cell has to carry; an attached FaultSchedule
-// additionally stalls the whole cell during outage windows and scales the
-// cell rate during bandwidth dips.
+// additionally stalls the whole cell during outage windows.
 //
 // Used by the fleet engine and the multi-client benches; the paper's
 // single-client evaluation corresponds to one client on a dedicated
@@ -115,15 +114,6 @@ class SharedMediumLink {
   // Attaches a fault schedule consulted at the cell's simulated time
   // now(). Not owned; must outlive the link.
   void AttachFaultSchedule(FaultSchedule* schedule) { fault_ = schedule; }
-
-  // Sets `client`'s WFQ weight (> 0; default 1). Under kWeightedFair a
-  // backlogged client receives cell * weight / sum(active weights); under
-  // kEqualShare weights are ignored. May be called at any time; takes
-  // effect from the next service interval.
-  void SetClientWeight(int32_t client, double weight);
-  double ClientWeight(int32_t client) const {
-    return vclock_.WeightOf(client);
-  }
 
   // Enqueues an exchange of `bytes` for `client` moving at normalized
   // `speed`, submitted at the current simulated time. Under loss the

@@ -8,19 +8,19 @@
 
 namespace mars::net {
 
-// Virtual-time bookkeeping for weighted fair queuing on the shared cell.
+// Virtual-time bookkeeping for fair queuing on the shared cell.
 //
 // The cell is modelled as a fluid server: at any instant the backlogged
-// (active) clients divide its capacity in proportion to their weights
-// (generalized processor sharing). This clock tracks the scheduler's
-// *virtual time* V, which advances at rate C / W(t) where C is the served
-// capacity and W(t) the total weight of the active set — one unit of
-// virtual time corresponds to one byte of service per unit of weight.
+// (active) clients divide its capacity equally (generalized processor
+// sharing at unit weights). This clock tracks the scheduler's *virtual
+// time* V, which advances at rate C / N(t) where C is the served capacity
+// and N(t) the number of active clients — one unit of virtual time
+// corresponds to one byte of service per client.
 //
 // Each arriving transfer is stamped with a virtual start and finish tag:
 //
 //   start  = max(V, last_finish[client])   (per-client FIFO)
-//   finish = start + bytes / weight
+//   finish = start + bytes
 //
 // Finish tags are the WFQ service order: under pure GPS a transfer's head
 // byte drains exactly when V reaches its finish tag. The cell additionally
@@ -35,26 +35,12 @@ namespace mars::net {
 // threads (the fleet engine only touches the cell from its serial phase).
 class WfqVirtualClock {
  public:
-  // Sets `client`'s weight (> 0). May be called at any time; an active
-  // client's share changes from the next service interval on.
-  void SetWeight(int32_t client, double weight) {
-    MARS_CHECK_GT(weight, 0.0);
-    ClientInfo& info = clients_[client];
-    if (info.active) active_weight_ += weight - info.weight;
-    info.weight = weight;
-  }
-
-  double WeightOf(int32_t client) const {
-    const auto it = clients_.find(client);
-    return it == clients_.end() ? 1.0 : it->second.weight;
-  }
-
   // Marks `client` backlogged. Idempotent.
   void Activate(int32_t client) {
     ClientInfo& info = clients_[client];
     if (!info.active) {
       info.active = true;
-      active_weight_ += info.weight;
+      ++active_clients_;
     }
   }
 
@@ -65,7 +51,7 @@ class WfqVirtualClock {
     const auto it = clients_.find(client);
     if (it != clients_.end() && it->second.active) {
       it->second.active = false;
-      active_weight_ -= it->second.weight;
+      --active_clients_;
     }
   }
 
@@ -74,13 +60,15 @@ class WfqVirtualClock {
     return it != clients_.end() && it->second.active;
   }
 
-  double total_active_weight() const { return active_weight_; }
+  int32_t active_clients() const { return active_clients_; }
 
   // Advances virtual time after the cell served `bytes` across the active
-  // set: dV = bytes / W. No-op when nothing is active.
+  // set: dV = bytes / N. No-op when nothing is active.
   void OnServed(double bytes) {
     MARS_CHECK_GE(bytes, 0.0);
-    if (active_weight_ > 0.0) v_ += bytes / active_weight_;
+    if (active_clients_ > 0) {
+      v_ += bytes / static_cast<double>(active_clients_);
+    }
   }
 
   // Stamps one arriving transfer of `bytes` for `client`; returns its
@@ -89,7 +77,7 @@ class WfqVirtualClock {
     MARS_CHECK_GE(bytes, 0.0);
     ClientInfo& info = clients_[client];
     const double start = info.last_finish > v_ ? info.last_finish : v_;
-    info.last_finish = start + bytes / info.weight;
+    info.last_finish = start + bytes;
     return info.last_finish;
   }
 
@@ -97,7 +85,6 @@ class WfqVirtualClock {
 
  private:
   struct ClientInfo {
-    double weight = 1.0;
     double last_finish = 0.0;
     bool active = false;
   };
@@ -106,7 +93,7 @@ class WfqVirtualClock {
   // floating-point sum) is a pure function of the submissions.
   std::map<int32_t, ClientInfo> clients_;
   double v_ = 0.0;
-  double active_weight_ = 0.0;
+  int32_t active_clients_ = 0;
 };
 
 }  // namespace mars::net

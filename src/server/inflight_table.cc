@@ -10,11 +10,8 @@ namespace mars::server {
 InflightTable::InflightTable() : InflightTable(Options()) {}
 
 InflightTable::InflightTable(Options options) : options_(options) {
-  MARS_CHECK_GE(options.shards, 1);
-  MARS_CHECK_GE(options.attach_header_bytes, 0);
-  MARS_CHECK_GE(options.max_waiters_per_entry, 0);
-  shards_.reserve(static_cast<size_t>(options.shards));
-  for (int32_t i = 0; i < options.shards; ++i) {
+  shards_.reserve(kShards);
+  for (size_t i = 0; i < kShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }
@@ -53,29 +50,17 @@ InflightTable::AttachResult InflightTable::Attach(index::RecordId id,
   const auto it = shard.map.find(id);
   if (it == shard.map.end()) return result;  // kNotInflight
   Entry& entry = it->second;
+  result.carrier = entry.carrier;
+  result.bytes = entry.bytes;
   if (entry.carrier.cell != follower_cell) {
     // The payload rides another cell's radio: no shared transfer to join.
     ++shard.refused;
-    ++shard.cross_cell_refused;
     result.outcome = AttachOutcome::kRefused;
-    result.carrier = entry.carrier;
-    result.bytes = entry.bytes;
-    return result;
-  }
-  if (options_.max_waiters_per_entry > 0 &&
-      static_cast<int32_t>(entry.waiters.size()) >=
-          options_.max_waiters_per_entry) {
-    ++shard.refused;
-    result.outcome = AttachOutcome::kRefused;
-    result.carrier = entry.carrier;
-    result.bytes = entry.bytes;
     return result;
   }
   entry.waiters.push_back(follower);
   ++shard.attached;
   result.outcome = AttachOutcome::kAttached;
-  result.carrier = entry.carrier;
-  result.bytes = entry.bytes;
   return result;
 }
 
@@ -169,15 +154,6 @@ int64_t InflightTable::total_cancelled() const {
   for (const auto& shard : shards_) {
     common::ReaderLock lock(&shard->mu);
     n += shard->cancelled;
-  }
-  return n;
-}
-
-int64_t InflightTable::total_cross_cell_refused() const {
-  int64_t n = 0;
-  for (const auto& shard : shards_) {
-    common::ReaderLock lock(&shard->mu);
-    n += shard->cross_cell_refused;
   }
   return n;
 }

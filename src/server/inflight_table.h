@@ -44,16 +44,11 @@ class InflightTable {
     // Off by default: a disabled table probes as empty and registers
     // nothing, so the engine's submission path is a strict passthrough.
     bool enabled = false;
-    // Wire bytes charged to a follower per distinct carrier it attaches
-    // to (the "also deliver this transfer to me" control frame).
-    int64_t attach_header_bytes = 64;
-    // Attach-policy knob: cap on waiters per entry (0 = unbounded). A
-    // full entry refuses further attaches — the next requester pays full
-    // freight for its copy, bounding how many sessions one carrier
-    // failure could strand.
-    int32_t max_waiters_per_entry = 0;
-    int32_t shards = 8;
   };
+
+  // Wire bytes charged to a follower per distinct carrier it attaches to
+  // (the "also deliver this transfer to me" control frame).
+  static constexpr int64_t kAttachHeaderBytes = 64;
 
   // The transfer carrying an entry's payload: the owning client, that
   // client's per-submission sequence number, and the cell the transfer
@@ -73,7 +68,7 @@ class InflightTable {
   enum class AttachOutcome {
     kAttached,     // rides `carrier`'s transfer; payload not re-sent
     kNotInflight,  // no entry: the caller owns (and must register) it
-    kRefused,      // entry full: in flight, but the caller pays in full
+    kRefused,      // carrier on another cell: the caller pays in full
   };
   struct AttachResult {
     AttachOutcome outcome = AttachOutcome::kNotInflight;
@@ -137,10 +132,9 @@ class InflightTable {
   int64_t entries() const;
   int64_t total_registered() const;
   int64_t total_attached() const;
+  // Attaches refused because the carrier rides another cell.
   int64_t total_refused() const;
   int64_t total_cancelled() const;
-  // Attaches refused because the carrier rides another cell.
-  int64_t total_cross_cell_refused() const;
   // Waiters currently attached to `id`, in attach order (tests).
   std::vector<int32_t> WaitersOf(index::RecordId id) const;
 
@@ -158,7 +152,6 @@ class InflightTable {
     int64_t attached MARS_GUARDED_BY(mu) = 0;
     int64_t refused MARS_GUARDED_BY(mu) = 0;
     int64_t cancelled MARS_GUARDED_BY(mu) = 0;
-    int64_t cross_cell_refused MARS_GUARDED_BY(mu) = 0;
   };
 
   Shard& ShardOf(index::RecordId id) {
@@ -167,6 +160,8 @@ class InflightTable {
   const Shard& ShardOf(index::RecordId id) const {
     return *shards_[static_cast<size_t>(id) % shards_.size()];
   }
+
+  static constexpr size_t kShards = 8;
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -179,9 +179,6 @@ class Server {
   // --- Observability ------------------------------------------------------
 
   const ObjectDatabase& db() const { return *db_; }
-  const index::CoefficientIndex& coefficient_index() const {
-    return *coeff_index_;
-  }
   const index::ShardedCoefficientIndex& sharded_index() const {
     return *coeff_index_;
   }

@@ -9,7 +9,6 @@ namespace mars::storage {
 
 PoolWarmer::PoolWarmer(Options options) : options_(options) {
   MARS_CHECK_GE(options_.budget, 1);
-  MARS_CHECK_GE(options_.max_in_flight, 1);
   MARS_CHECK_GE(options_.workers, 1);
   io_pool_ = std::make_unique<common::ThreadPool>(options_.workers);
   coordinator_ = std::thread([this] { CoordinatorLoop(); });
@@ -101,29 +100,18 @@ void PoolWarmer::Dispatch() {
   if (ranked.empty()) {
     return;
   }
-  const size_t admit = static_cast<size_t>(
-      std::min(options_.budget, options_.max_in_flight));
-  if (ranked.size() > admit) {
-    std::partial_sort(ranked.begin(),
-                      ranked.begin() + static_cast<ptrdiff_t>(admit),
-                      ranked.end(), [](const Ranked& a, const Ranked& b) {
-                        if (a.score != b.score) return a.score > b.score;
-                        if (a.pool_index != b.pool_index) {
-                          return a.pool_index < b.pool_index;
-                        }
-                        return a.id < b.id;
-                      });
-    ranked.resize(admit);
-  } else {
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) {
-                if (a.score != b.score) return a.score > b.score;
-                if (a.pool_index != b.pool_index) {
-                  return a.pool_index < b.pool_index;
-                }
-                return a.id < b.id;
-              });
-  }
+  const size_t admit =
+      std::min(static_cast<size_t>(options_.budget), ranked.size());
+  std::partial_sort(ranked.begin(),
+                    ranked.begin() + static_cast<ptrdiff_t>(admit),
+                    ranked.end(), [](const Ranked& a, const Ranked& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      if (a.pool_index != b.pool_index) {
+                        return a.pool_index < b.pool_index;
+                      }
+                      return a.id < b.id;
+                    });
+  ranked.resize(admit);
 
   std::vector<Slot> batch;
   batch.reserve(ranked.size());

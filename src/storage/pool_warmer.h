@@ -25,8 +25,8 @@ namespace mars::storage {
 //               under the pools' never-evict-hotter rule.
 //   Dispatch()  ranks every registered-not-resident array across all pools
 //               by its interest score (score desc, then pool asc, id asc),
-//               admits the top min(budget, max_in_flight) into flight, and
-//               hands the reads to a dedicated I/O pool.
+//               admits the top `budget` into flight, and hands the reads
+//               to a dedicated I/O pool.
 //
 // Between Dispatch and the next Join the reads run concurrently with query
 // Fetches (both serialise on each pool's mutex) — but never with the serial
@@ -39,9 +39,8 @@ namespace mars::storage {
 class PoolWarmer {
  public:
   struct Options {
-    int64_t budget = 32;        // arrays admitted into flight per tick
-    int64_t max_in_flight = 256;  // hard cap on one batch, over the budget
-    int32_t workers = 2;        // dedicated I/O pool width
+    int64_t budget = 32;   // arrays admitted into flight per tick
+    int32_t workers = 2;   // dedicated I/O pool width
   };
 
   explicit PoolWarmer(Options options);

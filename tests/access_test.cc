@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +23,13 @@
 
 namespace mars::index {
 namespace {
+
+// `name` under the test temp dir with this process's id appended, so two
+// copies of this binary running at once (say, two sanitizer builds)
+// never share a file.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "." + std::to_string(getpid());
+}
 
 // Synthesizes a record table resembling a decomposed scene: clustered
 // "objects", each with a large base record and many coefficients whose
@@ -580,8 +589,8 @@ class DiskShardEquivalenceTest : public ::testing::TestWithParam<int32_t> {};
 TEST_P(DiskShardEquivalenceTest, DiskMatchesMemoryBitForBit) {
   const int32_t shards = GetParam();
   const auto records = MakeRecords(40, 50, 3);
-  const std::string path = ::testing::TempDir() + "/mars_access_disk_" +
-                           std::to_string(shards) + ".pages";
+  const std::string path =
+      TempPath("mars_access_disk_" + std::to_string(shards) + ".pages");
 
   for (const auto kind : {ShardedIndexOptions::Kind::kSupportRegion,
                           ShardedIndexOptions::Kind::kNaivePoint}) {
@@ -614,7 +623,7 @@ INSTANTIATE_TEST_SUITE_P(DiskShardCounts, DiskShardEquivalenceTest,
 
 TEST(DiskShardedIndexTest, KillAndRestartRestoresIdenticalResults) {
   const auto records = MakeRecords(30, 40, 7);
-  const std::string path = ::testing::TempDir() + "/mars_access_restart.pages";
+  const std::string path = TempPath("mars_access_restart.pages");
   const int32_t shards = 4;
   ShardedCoefficientIndex::RemoveFiles(path, shards);
 
@@ -642,7 +651,7 @@ TEST(DiskShardedIndexTest, KillAndRestartRestoresIdenticalResults) {
 }
 
 TEST(DiskShardedIndexTest, MismatchedRecordsForceRebuildNotGarbage) {
-  const std::string path = ::testing::TempDir() + "/mars_access_mismatch.pages";
+  const std::string path = TempPath("mars_access_mismatch.pages");
   ShardedCoefficientIndex::RemoveFiles(path, 1);
   {
     ShardedCoefficientIndex index(DiskOptions(
@@ -668,7 +677,7 @@ TEST(DiskShardedIndexTest, MismatchedRecordsForceRebuildNotGarbage) {
 
 TEST(DiskShardedIndexTest, OnlineIngestWorksOnDisk) {
   const auto records = MakeRecords(20, 30, 31);
-  const std::string path = ::testing::TempDir() + "/mars_access_ingest.pages";
+  const std::string path = TempPath("mars_access_ingest.pages");
   const int32_t shards = 4;
   ShardedCoefficientIndex::RemoveFiles(path, shards);
 
@@ -961,8 +970,7 @@ TEST(RebalanceTest, StagedRecordsSurviveSplitAndMerge) {
 
 TEST(RebalanceTest, DiskSplitMergeMatchesMemoryAndSurvivesRestart) {
   const auto records = MakeRecords(40, 50, 3);
-  const std::string path =
-      ::testing::TempDir() + "/mars_access_rebalance.pages";
+  const std::string path = TempPath("mars_access_rebalance.pages");
   const int32_t shards = 4;
   // Clean slate, including ids the splits below will allocate.
   ShardedCoefficientIndex::RemoveFiles(path, shards + 4);
@@ -1038,7 +1046,7 @@ TEST(RebalanceTest, RetiredEpochsLeakNoPages) {
   const auto records = MakeRecords(30, 40, 7);
   const int32_t shards = 4;
   const auto kind = ShardedIndexOptions::Kind::kSupportRegion;
-  const std::string dir = ::testing::TempDir() + "/mars_access_lifecycle";
+  const std::string dir = TempPath("mars_access_lifecycle");
   const std::string fresh_dir = dir + "_fresh";
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(fresh_dir);
@@ -1091,7 +1099,7 @@ TEST(RebalanceTest, MergeCompactionPreservesRoutingAndRestart) {
   // retired again and brings back exactly the live slots the run had.
   // Queries, the memory twin, and a kill-and-restart must all agree.
   const auto records = MakeRecords(40, 50, 3);
-  const std::string path = ::testing::TempDir() + "/mars_access_compact.pages";
+  const std::string path = TempPath("mars_access_compact.pages");
   const int32_t shards = 4;
   ShardedCoefficientIndex::RemoveFiles(path, shards + 2);
 
@@ -1166,8 +1174,7 @@ TEST(RebalanceTest, StaleShardMapSidecarRecoversCleanly) {
   // A sidecar persisted for a different base grid (other K, other record
   // bounds) must be ignored — the build falls back to the fresh static
   // map and rebuilds, never routes under a mismatched refinement list.
-  const std::string path =
-      ::testing::TempDir() + "/mars_access_stale_map.pages";
+  const std::string path = TempPath("mars_access_stale_map.pages");
   const int32_t shards = 4;
   ShardedCoefficientIndex::RemoveFiles(path, shards + 2);
   {
@@ -1241,7 +1248,7 @@ TEST(SidecarDecodeTest, SlotCountBeyondThePageFilesIsRejected) {
   const auto records = MakeRecords(20, 30, 11);
   const auto kind = ShardedIndexOptions::Kind::kSupportRegion;
   const int32_t shards = 4;
-  const std::string dir = ::testing::TempDir() + "/mars_access_slot_count";
+  const std::string dir = TempPath("mars_access_slot_count");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/index.pages";
@@ -1276,7 +1283,7 @@ TEST(SidecarDecodeTest, V1SplitOfAnUnknownShardIsRejected) {
   const auto records = MakeRecords(20, 30, 11);
   const auto kind = ShardedIndexOptions::Kind::kSupportRegion;
   const int32_t shards = 4;
-  const std::string dir = ::testing::TempDir() + "/mars_access_v1_split";
+  const std::string dir = TempPath("mars_access_v1_split");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/index.pages";
@@ -1309,7 +1316,7 @@ TEST(SidecarDecodeTest, EveryBitFlipAndTruncationRestartsSafely) {
   const auto kind = ShardedIndexOptions::Kind::kSupportRegion;
   const int32_t shards = 4;
   const int32_t slots_on_disk = shards + 1;
-  const std::string root = ::testing::TempDir() + "/mars_access_sweep";
+  const std::string root = TempPath("mars_access_sweep");
   const std::string pristine = root + "/pristine";
   const std::string work = root + "/work";
   std::filesystem::remove_all(root);

@@ -32,8 +32,31 @@ test -s "$TMP/city.pages"
 # --store disk without --pages fails loudly.
 if "$BIN_DIR/tools/mars_sim" run --db "$TMP/city.mars" --frames 30 \
     --store disk 2>/dev/null; then exit 1; fi
-# Unknown flags and missing files fail loudly.
-if "$BIN_DIR/tools/mars_sim" run --loss 0.9 2>/dev/null; then exit 1; fi
-if "$BIN_DIR/tools/mars_sim" run --bogus 2>/dev/null; then exit 1; fi
+# Bad values, unknown flags and missing files fail loudly, with exit
+# code 2 for a bad invocation.
+expect_usage_error() {
+  status=0
+  "$BIN_DIR/tools/mars_sim" "$@" 2>/dev/null || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "expected exit 2, got $status: mars_sim $*" >&2
+    exit 1
+  fi
+}
+expect_usage_error run --loss 0.9
+expect_usage_error run --page-size 64
+expect_usage_error run --tour foo
+expect_usage_error run --bogus
+# Flags whose paths were deleted are unknown now.
+expect_usage_error run --handover-blackout 1
+expect_usage_error run --handover-dwell 2
+expect_usage_error run --weights 1,1,1
 if "$BIN_DIR/tools/mars_sim" info --db /nonexistent 2>/dev/null; then exit 1; fi
+# The usage text is generated from the flag table: every flag is listed.
+usage="$("$BIN_DIR/tools/mars_sim" 2>&1 || true)"
+for flag in --warm --warm-budget --pool-pages --abr-target; do
+  echo "$usage" | grep -q -- "^  $flag " || {
+    echo "usage text lacks $flag" >&2
+    exit 1
+  }
+done
 echo "cli smoke ok"

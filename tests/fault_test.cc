@@ -1,5 +1,5 @@
 // Fault-injection layer and outage-tolerant retrieval: FaultSchedule
-// window processes, SimulatedLink attempts under outage/dip, the bounded
+// outage windows, SimulatedLink attempts under outage, the bounded
 // ReliableChannel, SharedMediumLink loss parity, and the end-to-end
 // ack-based session reconciliation of the streaming and buffered clients.
 
@@ -37,8 +37,6 @@ TEST(FaultScheduleTest, AllQuietByDefault) {
   EXPECT_FALSE(fault.enabled());
   EXPECT_FALSE(fault.InOutage(10.0));
   EXPECT_DOUBLE_EQ(fault.OutageRemaining(10.0), 0.0);
-  EXPECT_DOUBLE_EQ(fault.LossFactor(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(fault.BandwidthFactor(10.0), 1.0);
   EXPECT_TRUE(std::isinf(fault.NextBoundaryAfter(0.0)));
 }
 
@@ -46,16 +44,17 @@ TEST(FaultScheduleTest, DeterministicAcrossInstances) {
   net::FaultSchedule::Options options;
   options.outage_rate_per_hour = 120.0;
   options.outage_mean_seconds = 5.0;
-  options.burst_rate_per_hour = 60.0;
-  options.dip_rate_per_hour = 30.0;
   options.seed = 7;
   net::FaultSchedule a(options);
   net::FaultSchedule b(options);
+  for (net::FaultSchedule* fault : {&a, &b}) {
+    fault->InjectOutage(100.0, 20.0);
+    fault->InjectOutage(500.0, 3.0);
+  }
   for (int i = 0; i < 500; ++i) {
     const double t = 1.7 * i;
     EXPECT_EQ(a.InOutage(t), b.InOutage(t)) << "t=" << t;
-    EXPECT_DOUBLE_EQ(a.LossFactor(t), b.LossFactor(t));
-    EXPECT_DOUBLE_EQ(a.BandwidthFactor(t), b.BandwidthFactor(t));
+    EXPECT_DOUBLE_EQ(a.OutageRemaining(t), b.OutageRemaining(t));
     EXPECT_DOUBLE_EQ(a.NextBoundaryAfter(t), b.NextBoundaryAfter(t));
   }
 }
@@ -97,46 +96,18 @@ TEST(FaultScheduleTest, OutageWindowsHaveDurationAndEnd) {
 TEST(FaultScheduleTest, StateConstantBetweenBoundaries) {
   net::FaultSchedule::Options options;
   options.outage_rate_per_hour = 240.0;
-  options.burst_rate_per_hour = 120.0;
-  options.dip_rate_per_hour = 120.0;
   options.seed = 11;
   net::FaultSchedule fault(options);
+  fault.InjectOutage(60.0, 30.0);
+  fault.InjectOutage(900.0, 4.0);
   double t = 0.0;
   for (int i = 0; i < 200 && t < 3600.0; ++i) {
     const double next = fault.NextBoundaryAfter(t);
     ASSERT_GT(next, t);
     const double mid = t + 0.5 * (next - t);
     EXPECT_EQ(fault.InOutage(t), fault.InOutage(mid));
-    EXPECT_DOUBLE_EQ(fault.LossFactor(t), fault.LossFactor(mid));
-    EXPECT_DOUBLE_EQ(fault.BandwidthFactor(t), fault.BandwidthFactor(mid));
     t = next + 1e-9;
   }
-}
-
-TEST(FaultScheduleTest, BurstAndDipFactorsTakeConfiguredValues) {
-  net::FaultSchedule::Options options;
-  options.burst_rate_per_hour = 600.0;
-  options.burst_mean_seconds = 4.0;
-  options.burst_loss_factor = 8.0;
-  options.dip_rate_per_hour = 600.0;
-  options.dip_mean_seconds = 4.0;
-  options.dip_bandwidth_factor = 0.35;
-  options.seed = 13;
-  net::FaultSchedule fault(options);
-  bool saw_burst = false, saw_quiet_burst = false;
-  bool saw_dip = false, saw_quiet_dip = false;
-  for (double t = 0.0; t < 600.0; t += 0.25) {
-    const double loss = fault.LossFactor(t);
-    EXPECT_TRUE(loss == 1.0 || loss == 8.0);
-    (loss == 8.0 ? saw_burst : saw_quiet_burst) = true;
-    const double bw = fault.BandwidthFactor(t);
-    EXPECT_TRUE(bw == 1.0 || bw == 0.35);
-    (bw == 0.35 ? saw_dip : saw_quiet_dip) = true;
-  }
-  EXPECT_TRUE(saw_burst);
-  EXPECT_TRUE(saw_quiet_burst);
-  EXPECT_TRUE(saw_dip);
-  EXPECT_TRUE(saw_quiet_dip);
 }
 
 TEST(FaultScheduleTest, InjectOutageEnablesQuietScheduleAndCoversWindow) {
@@ -221,25 +192,6 @@ TEST(LinkFaultTest, AttemptDuringOutageFailsFast) {
   EXPECT_DOUBLE_EQ(outcome.fraction_received, 0.0);
   EXPECT_EQ(link.total_retries(), 1);
   EXPECT_EQ(link.total_requests(), 0);
-}
-
-TEST(LinkFaultTest, BandwidthDipStretchesTransferNotLatency) {
-  net::FaultSchedule::Options fo;
-  fo.dip_rate_per_hour = 1200.0;
-  fo.dip_mean_seconds = 10.0;
-  fo.dip_bandwidth_factor = 0.25;
-  fo.seed = 5;
-  net::FaultSchedule fault(fo);
-  net::SimulatedLink link;  // loss 0: attempts always deliver
-  link.AttachFaultSchedule(&fault);
-  ASSERT_TRUE(WaitUntil(
-      &link, [&] { return fault.BandwidthFactor(link.now()) < 1.0; }));
-
-  // 32000 B at rest: 0.2 s latency + 1 s transfer; the dip quarters the
-  // bandwidth, so the transfer takes 4 s.
-  const auto outcome = link.Attempt(0, 32000, 0.0);
-  EXPECT_TRUE(outcome.delivered);
-  EXPECT_NEAR(outcome.seconds, 0.2 + 4.0, 1e-9);
 }
 
 TEST(LinkFaultTest, ExchangeRetryCapCountsTimeoutsAndTerminates) {

@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -19,6 +21,13 @@
 
 namespace mars {
 namespace {
+
+// `name` under the test temp dir with this process's id appended, so two
+// copies of this binary running at once (say, two sanitizer builds)
+// never share a file.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "." + std::to_string(getpid());
+}
 
 core::System::Config SmallConfig() {
   core::System::Config config;
@@ -479,14 +488,12 @@ TEST_F(FleetEngineTest, HotCacheServesOverlappingClients) {
 }
 
 // Degraded fleet: 5% loss on both the private bearers and the cell, plus
-// outage schedules, must still complete every frame with bounded retries
-// (no hang) and deterministic accounting.
+// a cell outage schedule, must still complete every frame with bounded
+// retries (no hang) and deterministic accounting.
 TEST_F(FleetEngineTest, LossyFleetCompletesWithBoundedRetries) {
   fleet::FleetOptions options;
   options.workers = 4;
   options.client_link.loss_probability = 0.05;
-  options.client_fault.outage_rate_per_hour = 60.0;
-  options.client_fault.outage_mean_seconds = 5.0;
   options.cell.loss_probability = 0.05;
   options.cell_fault.outage_rate_per_hour = 60.0;
   options.cell_fault.outage_mean_seconds = 5.0;
@@ -518,37 +525,6 @@ TEST_F(FleetEngineTest, LossyFleetCompletesWithBoundedRetries) {
   EXPECT_EQ(FleetJson(replay.Run()), FleetJson(result));
 }
 
-// WFQ in the fleet: two identical naive clients on a saturated cell, one
-// with triple weight. The heavier client must see strictly lower total
-// delivery delay — the weight actually buys bandwidth.
-TEST_F(FleetEngineTest, HeavierClientGetsLowerDelay) {
-  std::vector<fleet::ClientSpec> specs(2);
-  for (int i = 0; i < 2; ++i) {
-    specs[i].id = i;
-    specs[i].kind = fleet::ClientKind::kNaive;
-    specs[i].frames = 20;
-    specs[i].seed = 7;       // identical twins...
-    specs[i].tour_seed = 4;  // ...on the same trajectory
-    specs[i].query_fraction = 0.3;
-  }
-  specs[1].weight = 3.0;
-  fleet::FleetOptions options;
-  options.workers = 2;
-  options.hot_cache_bytes = 0;
-  // Squeeze the cell so both clients stay backlogged and contend.
-  options.cell.cell_bandwidth_kbps = 96.0;
-  options.cell.client_bandwidth_kbps = 96.0;
-  fleet::FleetEngine engine(*system_, options, std::move(specs));
-  const fleet::FleetResult result = engine.Run();
-  ASSERT_EQ(result.clients.size(), 2u);
-  const core::RunMetrics& light = result.clients[0].metrics;
-  const core::RunMetrics& heavy = result.clients[1].metrics;
-  ASSERT_GT(light.demand_bytes, 0);
-  EXPECT_EQ(light.demand_bytes, heavy.demand_bytes);
-  EXPECT_LT(heavy.total_response_seconds, light.total_response_seconds);
-  EXPECT_LT(heavy.P99ResponseSeconds(), light.P99ResponseSeconds());
-}
-
 // Admission control on a starved cell: naive bulk requests get deferred
 // and eventually shed, motion-aware classes are never shed, accounting
 // balances, and the whole thing stays bit-identical across worker counts.
@@ -576,7 +552,6 @@ TEST_F(FleetEngineTest, AdmissionShedsOnlyBulkAndStaysDeterministic) {
                                                     /*speed=*/0.5, /*seed=*/0);
     for (fleet::ClientSpec& spec : specs) {
       spec.query_fraction = 0.3;  // enough demand to congest the cell
-      spec.weight = 1.0 + static_cast<double>(spec.id % 3);
     }
     return specs;
   };
@@ -990,65 +965,6 @@ TEST_F(FleetEngineTest, SessionsStayIsolatedAcrossHandover) {
 }
 
 // ---------------------------------------------------------------------------
-// Handover hysteresis
-
-// Cell-edge ping-pong: with the dwell at 1 (the historical immediate
-// handover) a client hugging a border flips serving cells on every
-// routing wobble; requiring the pull to persist for a few rounds
-// suppresses the flip-flops without losing the real crossings.
-TEST_F(FleetEngineTest, HandoverDwellSuppressesPingPong) {
-  // A fast co-moving group with large seat jitter: whenever the shared
-  // base trajectory runs near a cell border, the members' per-frame
-  // drift flutters them back and forth across it — the canonical
-  // ping-pong workload.
-  auto wobblers = [](int32_t members, int32_t frames) {
-    std::vector<fleet::ClientSpec> specs;
-    for (int32_t i = 0; i < members; ++i) {
-      fleet::ClientSpec spec;
-      spec.id = i;
-      spec.kind = fleet::ClientKind::kStreaming;
-      spec.tour_kind = workload::TourKind::kPedestrian;
-      spec.speed = 0.9;
-      spec.frames = frames;
-      spec.seed = 60 + static_cast<uint64_t>(i);
-      // A base trajectory that hugs a cell border for the whole
-      // walk (found by scanning seeds), so seat drift keeps
-      // crossing it.
-      spec.tour_seed = 35;
-      spec.group_member = i;
-      spec.group_position_jitter_m = 400.0;
-      spec.query_fraction = 0.25;
-      specs.push_back(spec);
-    }
-    return specs;
-  };
-  auto run = [&](int32_t dwell) {
-    fleet::FleetOptions options;
-    options.workers = 4;
-    options.cells = 4;
-    options.handover_dwell_rounds = dwell;
-    fleet::FleetEngine engine(*system_, options, wobblers(12, 60));
-    return engine.Run();
-  };
-  const fleet::FleetResult immediate = run(1);
-  const fleet::FleetResult dwelled = run(3);
-  // Same tours, same delivered frames — hysteresis only re-times the
-  // switches.
-  EXPECT_EQ(dwelled.aggregate.frames, immediate.aggregate.frames);
-  EXPECT_GT(immediate.handovers, 0);
-  // Genuine crossings still hand over, oscillations do not.
-  EXPECT_GT(dwelled.handovers, 0);
-  EXPECT_LT(dwelled.handovers, immediate.handovers);
-  // Hysteresis must stay deterministic across worker counts too.
-  fleet::FleetOptions serial;
-  serial.workers = 1;
-  serial.cells = 4;
-  serial.handover_dwell_rounds = 3;
-  fleet::FleetEngine replay(*system_, serial, wobblers(12, 60));
-  EXPECT_EQ(TopologyJson(replay.Run()), TopologyJson(dwelled));
-}
-
-// ---------------------------------------------------------------------------
 // Co-moving groups
 
 // Four streaming clients riding one group trajectory (seat-jittered
@@ -1195,9 +1111,9 @@ TEST(FleetWarmingTest, DiskFleetBitIdenticalAcrossWorkersAndWarming) {
   std::string reference;
   for (const bool warm : {false, true}) {
     for (const int workers : {1, 8}) {
-      const std::string path = ::testing::TempDir() + "/fleet_warm_" +
-                               (warm ? "on" : "off") + "_" +
-                               std::to_string(workers) + ".pages";
+      const std::string path =
+          TempPath(std::string("fleet_warm_") + (warm ? "on" : "off") + "_" +
+                   std::to_string(workers) + ".pages");
       core::System::Config config = SmallConfig();
       config.shards = 4;
       config.storage.store = storage::StoreKind::kDisk;

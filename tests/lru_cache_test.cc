@@ -1,6 +1,5 @@
 // Dedicated coverage for buffer::LruCache: eviction order, the
-// capacity-1 (single-slot) regime, re-insert refresh semantics, and the
-// LeastRecent peek.
+// capacity-1 (single-slot) regime, and re-insert refresh semantics.
 
 #include <cstdint>
 #include <string>
@@ -99,34 +98,6 @@ TEST(LruCacheTest, TouchAndMissCounters) {
   // Contains is a pure probe: no recency change, no counter change.
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_EQ(cache.hits(), 1);
-}
-
-TEST(LruCacheTest, LeastRecentPeeksWithoutEvicting) {
-  LruCache<int> cache(3);
-  int victim = 0;
-  // Empty cache: nothing to report.
-  EXPECT_FALSE(cache.LeastRecent(-1, &victim));
-
-  cache.Put(1, 1);
-  cache.Put(2, 1);
-  cache.Put(3, 1);
-  ASSERT_TRUE(cache.LeastRecent(-1, &victim));
-  EXPECT_EQ(victim, 1);
-  // Peeking does not evict or reorder.
-  EXPECT_EQ(cache.size(), 3u);
-  ASSERT_TRUE(cache.LeastRecent(-1, &victim));
-  EXPECT_EQ(victim, 1);
-
-  // Protecting the LRU key reports the next-oldest instead.
-  ASSERT_TRUE(cache.LeastRecent(1, &victim));
-  EXPECT_EQ(victim, 2);
-
-  // A single resident entry that is itself protected leaves no victim.
-  LruCache<int> one(1);
-  one.Put(9, 1);
-  EXPECT_FALSE(one.LeastRecent(9, &victim));
-  ASSERT_TRUE(one.LeastRecent(-1, &victim));
-  EXPECT_EQ(victim, 9);
 }
 
 TEST(LruCacheTest, EraseReleasesBytes) {

@@ -234,61 +234,21 @@ TEST(WfqClockTest, StampsFollowFifoWithinClient) {
   EXPECT_DOUBLE_EQ(clock.Stamp(0, 100.0), 100.0);
   EXPECT_DOUBLE_EQ(clock.Stamp(0, 50.0), 150.0);
   // Once V overtakes the tail, the next stamp starts from V.
-  clock.OnServed(300.0);  // W = 1, so dV = 300
+  clock.OnServed(300.0);  // N = 1, so dV = 300
   EXPECT_DOUBLE_EQ(clock.virtual_time(), 300.0);
   EXPECT_DOUBLE_EQ(clock.Stamp(0, 10.0), 310.0);
-}
-
-TEST(WfqClockTest, WeightScalesFinishTags) {
-  WfqVirtualClock clock;
-  clock.SetWeight(1, 2.0);
-  clock.Activate(0);
-  clock.Activate(1);
-  EXPECT_DOUBLE_EQ(clock.total_active_weight(), 3.0);
-  // Equal bytes: the double-weight client's finish tag is half as far.
-  EXPECT_DOUBLE_EQ(clock.Stamp(0, 100.0), 100.0);
-  EXPECT_DOUBLE_EQ(clock.Stamp(1, 100.0), 50.0);
-  // Virtual time advances at served / W.
-  clock.OnServed(30.0);
-  EXPECT_DOUBLE_EQ(clock.virtual_time(), 10.0);
 }
 
 TEST(WfqClockTest, ActivationIsIdempotent) {
   WfqVirtualClock clock;
   clock.Activate(3);
   clock.Activate(3);
-  EXPECT_DOUBLE_EQ(clock.total_active_weight(), 1.0);
+  EXPECT_EQ(clock.active_clients(), 1);
   clock.Deactivate(3);
   clock.Deactivate(3);
-  EXPECT_DOUBLE_EQ(clock.total_active_weight(), 0.0);
+  EXPECT_EQ(clock.active_clients(), 0);
   clock.Deactivate(99);  // never seen: no-op
-  EXPECT_DOUBLE_EQ(clock.total_active_weight(), 0.0);
-  // Re-weighting an active client adjusts the active sum in place.
-  clock.Activate(3);
-  clock.SetWeight(3, 4.0);
-  EXPECT_DOUBLE_EQ(clock.total_active_weight(), 4.0);
-}
-
-TEST(SharedLinkWfqTest, WeightsSplitBandwidthTwoToOne) {
-  SharedMediumLink::Options options;
-  options.cell_bandwidth_kbps = 256.0;    // 32 KB/s
-  options.client_bandwidth_kbps = 256.0;  // bearer never binds
-  options.latency_seconds = 0.0;
-  options.motion_degradation = 0.0;
-  SharedMediumLink cell(options);
-  cell.SetClientWeight(0, 2.0);
-  cell.SetClientWeight(1, 1.0);
-  cell.Submit(0, 64000, 0.0);
-  cell.Submit(1, 64000, 0.0);
-  const auto done = cell.DrainAll();
-  ASSERT_EQ(done.size(), 2u);
-  // While both are backlogged, client 0 drains at 2/3 cell and client 1
-  // at 1/3: client 0 finishes at t = 64000 / (32000*2/3) = 3 s; client 1
-  // then holds the whole cell for its remaining 32000 bytes: t = 4 s.
-  EXPECT_EQ(done[0].client, 0);
-  EXPECT_NEAR(done[0].response_seconds, 3.0, 1e-6);
-  EXPECT_EQ(done[1].client, 1);
-  EXPECT_NEAR(done[1].response_seconds, 4.0, 1e-6);
+  EXPECT_EQ(clock.active_clients(), 0);
 }
 
 TEST(SharedLinkWfqTest, PerClientQueueIsFifo) {
@@ -355,7 +315,6 @@ TEST(SharedLinkWfqTest, DeterministicAcrossRuns) {
     options.loss_probability = 0.1;
     options.loss_seed = 42;
     SharedMediumLink cell(options);
-    cell.SetClientWeight(1, 3.0);
     std::vector<double> out;
     for (int i = 0; i < 20; ++i) {
       cell.Submit(i % 4, 8000 + 1000 * i, 0.1 * (i % 10));

@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 
@@ -11,6 +13,13 @@
 
 namespace mars::server {
 namespace {
+
+// `name` under the test temp dir with this process's id appended, so two
+// copies of this binary running at once (say, two sanitizer builds)
+// never share a file.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "." + std::to_string(getpid());
+}
 
 // --- ByteWriter / ByteReader -------------------------------------------------
 
@@ -161,7 +170,7 @@ TEST(PersistenceTest, RejectsWrongVersion) {
 TEST(PersistenceTest, FileRoundTrip) {
   auto db = workload::GenerateScene(TinyScene());
   ASSERT_TRUE(db.ok());
-  const std::string path = ::testing::TempDir() + "/mars_db_test.bin";
+  const std::string path = TempPath("mars_db_test.bin");
   ASSERT_TRUE(SaveDatabase(*db, path).ok());
   auto loaded = LoadDatabase(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

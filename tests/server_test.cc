@@ -568,25 +568,6 @@ TEST(InflightTableTest, WaitersRecordedInAttachOrder) {
   EXPECT_EQ(table.WaitersOf(42), (std::vector<int32_t>{9, 2, 6}));
 }
 
-TEST(InflightTableTest, WaiterCapRefusesWithoutReregistering) {
-  InflightTable::Options options = EnabledInflight();
-  options.max_waiters_per_entry = 2;
-  InflightTable table(options);
-  table.Register(1, /*owner=*/0, /*transfer_seq=*/0, /*bytes=*/100);
-  EXPECT_EQ(table.Attach(1, 1).outcome,
-            InflightTable::AttachOutcome::kAttached);
-  EXPECT_EQ(table.Attach(1, 2).outcome,
-            InflightTable::AttachOutcome::kAttached);
-  const auto refused = table.Attach(1, 3);
-  EXPECT_EQ(refused.outcome, InflightTable::AttachOutcome::kRefused);
-  // A refused attach still reports the carrier so the caller knows the
-  // payload is in flight — it pays full freight but must not register.
-  EXPECT_EQ(refused.carrier.owner, 0);
-  EXPECT_EQ(table.entries(), 1);
-  EXPECT_EQ(table.total_refused(), 1);
-  EXPECT_EQ(table.WaitersOf(1), (std::vector<int32_t>{1, 2}));
-}
-
 TEST(InflightTableTest, TransferCompleteRemovesOnlyMatchingCarrier) {
   InflightTable table(EnabledInflight());
   table.Register(10, /*owner=*/1, /*transfer_seq=*/0, /*bytes=*/50);
@@ -636,13 +617,13 @@ TEST(InflightTableTest, CrossCellAttachRefusedWithoutReregistering) {
   EXPECT_EQ(refused.outcome, InflightTable::AttachOutcome::kRefused);
   EXPECT_EQ(refused.carrier.cell, 2);
   EXPECT_EQ(refused.bytes, 90);
-  EXPECT_EQ(table.total_cross_cell_refused(), 1);
+  EXPECT_EQ(table.total_refused(), 1);
   EXPECT_TRUE(table.WaitersOf(40).empty());
   // The single-flight invariant spans cells: the entry is still live and
   // a same-cell requester still attaches.
   EXPECT_EQ(table.Attach(40, /*follower=*/6, /*follower_cell=*/2).outcome,
             InflightTable::AttachOutcome::kAttached);
-  EXPECT_EQ(table.total_cross_cell_refused(), 1);
+  EXPECT_EQ(table.total_refused(), 1);
 }
 
 TEST(InflightTableTest, CarrierIdentityIncludesCell) {

@@ -5,6 +5,8 @@
 // miss/eviction accounting under both policies, and the paged index's
 // bit-for-bit equivalence with its in-memory twin.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -41,8 +43,11 @@ std::vector<uint8_t> Bytes(size_t n, uint8_t seed) {
   return data;
 }
 
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+// `name` under the test temp dir with this process's id appended, so two
+// copies of this binary running at once (say, two sanitizer builds)
+// never share a file.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "." + std::to_string(getpid());
 }
 
 // --- Manager roundtrips (shared across implementations) -----------------
@@ -185,10 +190,12 @@ TEST(DiskStorageTest, ReopenTakesPageSizeFromFile) {
 
 class DiskCorruptionTest : public ::testing::Test {
  protected:
+  static constexpr int32_t kPageSize = 256;
+
   void SetUp() override {
     path_ = TempPath("storage_corrupt.pages");
     std::remove(path_.c_str());
-    auto mgr = DiskStorageManager::Open(path_, 256, /*truncate=*/true);
+    auto mgr = DiskStorageManager::Open(path_, kPageSize, /*truncate=*/true);
     ASSERT_TRUE(mgr.ok());
     id_ = kInvalidPage;
     ASSERT_TRUE((*mgr)->Store(&id_, Bytes(900, 5)).ok());
@@ -198,15 +205,17 @@ class DiskCorruptionTest : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  std::vector<uint8_t> ReadFile() {
+  // Reads the page file back. The tests flip and cut its bytes by
+  // index, so it must hold at least one page.
+  void ReadFile(std::vector<uint8_t>* bytes) {
     std::FILE* f = std::fopen(path_.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
+    ASSERT_NE(f, nullptr);
     std::fseek(f, 0, SEEK_END);
-    std::vector<uint8_t> bytes(static_cast<size_t>(std::ftell(f)));
+    bytes->resize(static_cast<size_t>(std::ftell(f)));
     std::fseek(f, 0, SEEK_SET);
-    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    EXPECT_EQ(std::fread(bytes->data(), 1, bytes->size(), f), bytes->size());
     std::fclose(f);
-    return bytes;
+    ASSERT_GE(bytes->size(), static_cast<size_t>(kPageSize));
   }
 
   void WriteFile(const std::vector<uint8_t>& bytes) {
@@ -224,13 +233,14 @@ class DiskCorruptionTest : public ::testing::Test {
 };
 
 TEST_F(DiskCorruptionTest, TruncatedFileFailsCleanly) {
-  const std::vector<uint8_t> full = ReadFile();
+  std::vector<uint8_t> full;
+  ASSERT_NO_FATAL_FAILURE(ReadFile(&full));
   // Every truncation point (sampled): either Open fails, or Open attaches
   // to the surviving prefix and the torn chain fails at Load — never a
   // crash, never garbage data returned as success.
   for (size_t len = 0; len < full.size(); len += 1 + full.size() / 64) {
     WriteFile(std::vector<uint8_t>(full.begin(), full.begin() + len));
-    auto mgr = DiskStorageManager::Open(path_, 256);
+    auto mgr = DiskStorageManager::Open(path_, kPageSize);
     if (!mgr.ok()) continue;
     std::vector<uint8_t> out;
     const auto status = (*mgr)->Load(id_, &out);
@@ -241,7 +251,8 @@ TEST_F(DiskCorruptionTest, TruncatedFileFailsCleanly) {
 }
 
 TEST_F(DiskCorruptionTest, BitFlipsSurfaceAsChecksumErrors) {
-  const std::vector<uint8_t> full = ReadFile();
+  std::vector<uint8_t> full;
+  ASSERT_NO_FATAL_FAILURE(ReadFile(&full));
   common::Rng rng(11);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<uint8_t> bytes = full;
@@ -249,7 +260,7 @@ TEST_F(DiskCorruptionTest, BitFlipsSurfaceAsChecksumErrors) {
         rng.Uniform(0, static_cast<int>(bytes.size() - 1)));
     bytes[pos] ^= static_cast<uint8_t>(1u << (trial % 8));
     WriteFile(bytes);
-    auto mgr = DiskStorageManager::Open(path_, 256);
+    auto mgr = DiskStorageManager::Open(path_, kPageSize);
     if (!mgr.ok()) continue;  // header flip: rejected at open
     std::vector<uint8_t> out;
     const auto status = (*mgr)->Load(id_, &out);
@@ -262,22 +273,24 @@ TEST_F(DiskCorruptionTest, BitFlipsSurfaceAsChecksumErrors) {
 }
 
 TEST_F(DiskCorruptionTest, BadMagicRejectedAtOpen) {
-  std::vector<uint8_t> bytes = ReadFile();
+  std::vector<uint8_t> bytes;
+  ASSERT_NO_FATAL_FAILURE(ReadFile(&bytes));
   bytes[0] ^= 0xFF;
   WriteFile(bytes);
-  auto mgr = DiskStorageManager::Open(path_, 256);
+  auto mgr = DiskStorageManager::Open(path_, kPageSize);
   EXPECT_FALSE(mgr.ok());
 }
 
 TEST_F(DiskCorruptionTest, TornPayloadWriteFailsTheLoad) {
   // Simulate a torn write: zero the tail of the last page (checksum and
   // header survive, payload does not).
-  std::vector<uint8_t> bytes = ReadFile();
+  std::vector<uint8_t> bytes;
+  ASSERT_NO_FATAL_FAILURE(ReadFile(&bytes));
   for (size_t i = bytes.size() - 64; i < bytes.size(); ++i) {
     bytes[i] = 0;
   }
   WriteFile(bytes);
-  auto mgr = DiskStorageManager::Open(path_, 256);
+  auto mgr = DiskStorageManager::Open(path_, kPageSize);
   ASSERT_TRUE(mgr.ok());  // header is fine
   std::vector<uint8_t> out;
   EXPECT_FALSE((*mgr)->Load(id_, &out).ok());
@@ -467,22 +480,6 @@ TEST(PoolWarmerTest, WarmsHottestPagesUpToBudget) {
   // The third-hottest page was not admitted this tick.
   ASSERT_TRUE(pool.Fetch(ids[2], &out).ok());
   EXPECT_EQ(pool.stats().misses, misses + 1);
-}
-
-TEST(PoolWarmerTest, InFlightBoundCapsAnOversizedBudget) {
-  MemoryStorageManager mgr(256);
-  BufferPool pool(&mgr, /*capacity_pages=*/8, EvictPolicy::kMotion);
-  ColdGradedPages(&mgr, &pool, 6);
-  pool.UpdateInterest(GradedGrid());
-
-  PoolWarmer::Options opts;
-  opts.budget = 100;
-  opts.max_in_flight = 3;
-  PoolWarmer warmer(opts);
-  warmer.AddPool(&pool);
-  warmer.Dispatch();
-  warmer.Join();
-  EXPECT_EQ(pool.stats().prefetch_issued, 3);
 }
 
 TEST(PoolWarmerTest, InertWithoutAnInterestField) {

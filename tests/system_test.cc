@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -12,6 +14,13 @@
 
 namespace mars::core {
 namespace {
+
+// `name` under the test temp dir with this process's id appended, so two
+// copies of this binary running at once (say, two sanitizer builds)
+// never share a file.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "." + std::to_string(getpid());
+}
 
 std::unique_ptr<System> SmallSystem(
     server::Server::IndexKind kind =
@@ -260,8 +269,8 @@ TEST(SystemTest, DiskWarmRebalanceRunsMatchMemory) {
     if (disk) {
       // A fresh page directory per System: a leftover page file would be
       // restored instead of built.
-      const std::string dir = ::testing::TempDir() + "/mars_system_disk_" +
-                              std::to_string(next_dir++);
+      const std::string dir =
+          TempPath("mars_system_disk_" + std::to_string(next_dir++));
       std::filesystem::remove_all(dir);
       std::filesystem::create_directories(dir);
       config.storage.store = storage::StoreKind::kDisk;

@@ -26,6 +26,7 @@ Usage:
 """
 
 import argparse
+import difflib
 import glob
 import json
 import os
@@ -39,6 +40,9 @@ CHAOS_KEYS = (
     "stranded_waiters",
     "unresolved_exchanges",
 )
+
+# Lines of the workers 1 vs 8 diff printed for a divergent run.
+MAX_DIFF_LINES = 40
 
 
 def run_sim(binary, seed, rate, clients, mb, frames, workers, coalesce,
@@ -80,6 +84,17 @@ def json_block(stdout):
     marker = "-- json --"
     pos = stdout.find(marker)
     return stdout[pos:] if pos >= 0 else None
+
+
+def json_diff(one, eight):
+    """Unified diff of two json blocks, capped at MAX_DIFF_LINES lines."""
+    diff = list(difflib.unified_diff(
+        one.splitlines(), eight.splitlines(),
+        fromfile="workers 1", tofile="workers 8", lineterm=""))
+    if len(diff) > MAX_DIFF_LINES:
+        kept = MAX_DIFF_LINES - 1
+        diff = diff[:kept] + [f"... {len(diff) - kept} more diff lines"]
+    return "\n".join(diff)
 
 
 def chaos_counters(stdout):
@@ -156,6 +171,7 @@ def main():
                 print(f"FATAL: workers 1 vs 8 diverged: seed={seed} "
                       f"rate={rate} clients={clients} mb={mb} "
                       f"coalesce={coalesce} warm={warm}")
+                print(json_diff(outputs[1], outputs[8]))
                 failures += 1
 
     if failures:

@@ -1,123 +1,12 @@
 // mars_sim — command-line driver for MARS experiments.
 //
-// Subcommands:
-//   generate  --out FILE [--objects N] [--mb N] [--zipf] [--seed S]
-//       Generate a procedural city scene and persist it.
-//   info      --db FILE
-//       Print a summary of a persisted scene.
-//   run       [--db FILE | --objects N | --mb N] [--tour tram|walk]
-//             [--speed S] [--frames N] [--distance M]
-//             [--client buffered|streaming|naive] [--buffer-kb N]
-//             [--query-frac F] [--index support|naive-point]
-//             [--no-prefetch] [--naive-prefetch] [--kalman] [--seed S]
-//             [--loss P] [--outage-rate R] [--outage-secs S]
-//             [--clients N] [--workers M] [--shards K]
-//             [--fanout-workers W]
-//             [--fairness wfq|equal] [--weights S,B,N] [--admission]
-//             [--coalesce on|off]
-//             [--cells K] [--cell-outage-rate R] [--handover-blackout S]
-//             [--store memory|disk] [--pages FILE] [--page-size N]
-//             [--pool-pages N] [--evict lru|motion]
-//             [--rebalance on|off] [--rebalance-interval N]
-//             [--split-factor F] [--merge-factor F] [--max-shards K]
-//             [--abr on|off] [--ladder-steps N] [--abr-target BPS]
-//             [--handover-dwell N]
-//       Run one client over one tour and print the metrics.
-//       --loss injects i.i.d. packet loss (probability per exchange,
-//       < 0.5); --outage-rate schedules full-connectivity outages at R
-//       per hour with mean duration --outage-secs (default 8 s).
-//       With --clients N > 1, runs a mixed fleet of N concurrent clients
-//       (streaming/buffered/naive, alternating tram/walk tours) against
-//       one shared server and a shared 2 Mbps cell, using --workers M
-//       threads for the parallel phase; the per-client and aggregate
-//       metrics are bit-identical at any M. --loss then applies to the
-//       cell, --outage-rate to the cell's fault schedule.
-//       --fairness selects the cell's scheduling discipline (weighted
-//       fair queuing by default; "equal" is the legacy per-transfer
-//       equal-share model). --weights sets the WFQ weight per client
-//       kind as three comma-separated values: streaming,buffered,naive
-//       (e.g. --weights 2,2,1 gives the motion-aware clients twice the
-//       naive baseline's share). --admission enables the server's
-//       admission controller on the cell (defer/shed under overload).
-//       --coalesce on enables cross-client request coalescing on the
-//       cell (fleet mode only, requires --fairness wfq): concurrent
-//       requests for the same record ride one wire copy through the
-//       server's inflight table; the cell is charged once for the
-//       coalesced payload plus a small per-attach header. Off (the
-//       default) is a strict passthrough — output is bit-identical to
-//       a build without the feature. When on, the JSON block gains
-//       per-class coalescing lines, a totals line, and per-shard hot
-//       cache stats.
-//       --shards K partitions the coefficient index over a ground-plane
-//       grid of K shards (default 1 = the classic single tree; every
-//       query's required set is identical at any K) and prints per-shard
-//       stats in the JSON block when K > 1. --fanout-workers W > 1
-//       queries the shards in parallel; results are identical to
-//       sequential fan-out.
-//       --cells K tiles the ground plane with K radio cells (fleet mode
-//       only; default 1 = the classic single shared cell, a strict
-//       bit-identical passthrough). Each client is served by the cell
-//       covering its position and handed over as it crosses cells; a
-//       cell outage fails its clients over to the nearest healthy
-//       neighbour, cancelling and re-issuing their in-flight transfers.
-//       --cell-outage-rate R schedules whole-cell outages at R per hour
-//       (per cell, independent seeds; mean duration --outage-secs),
-//       overriding --outage-rate for the cells. --handover-blackout S
-//       blacks out a client's private bearer for S seconds after each
-//       handover (the radio re-association gap). With --cells K > 1 the
-//       JSON block gains per-cell, handover and chaos-invariant lines.
-//       --store disk pages the coefficient index into the --pages file
-//       (shard k of K > 1 appends ".shard<k>") behind per-shard buffer
-//       pools of --pool-pages total pages of --page-size bytes; a rerun
-//       against an existing page file restores the trees instead of
-//       rebuilding ("restored shards" reports how many attached).
-//       --evict picks the pool's eviction policy: lru, or motion — the
-//       paper's client visit-probability logic run server-side over the
-//       fleet's predicted positions. The default --store memory is a
-//       bit-identical passthrough; disk mode adds "-- storage --" lines
-//       and per-shard pool stats to the JSON block.
-//       --warm on starts the background pool warmer (requires --store
-//       disk --evict motion): a dedicated I/O pool speculatively reads
-//       the pages the fleet's interest field predicts it is about to
-//       traverse, installing them at the next serial commit point under
-//       a never-evict-hotter rule. --warm-budget N caps the arrays
-//       admitted into flight per tick (default 32); --warm-workers W
-//       sizes the I/O pool (default 2). Query results and node-access
-//       counts are bit-identical to --warm off at any --workers or
-//       --warm-workers; only pool hit rates and wall-clock change. Off
-//       (the default) is a strict bit-identical passthrough; on extends
-//       the pool_shard JSON lines with prefetch counters.
-//       --rebalance on makes the shard set load-adaptive: every
-//       --rebalance-interval frames (default 16) the server splits a
-//       shard running hotter than --split-factor (default 2.0) times its
-//       fair share of that window's index accesses and merges one idling
-//       below --merge-factor (default 0.1) of it, up to --max-shards
-//       total slots — online split/merge via the same build-then-swap
-//       epochs as ingest, so queries never block. Works from any
-//       --shards (even 1) and in both single-client and fleet mode;
-//       fleet metrics stay byte-identical at any --workers. Off (the
-//       default) is a strict bit-identical passthrough. When on, the
-//       output gains a "-- rebalance --" summary and one JSON line per
-//       applied op.
-//       --abr on gives every motion-aware fleet client an adaptive
-//       resolution ladder (fleet mode only): under admission
-//       backpressure or collapsing goodput the client coarsens its
-//       requested w_min one rung at a time (fetch coarse now), and when
-//       the cell clears it steps back down, topping detail up through
-//       Algorithm 1's resolution-increment path. --ladder-steps N sets
-//       the rung count above the static mapping (default 4);
-//       --abr-target BPS the per-client goodput (bytes/second,
-//       default 16384) considered healthy. Ladder decisions are made in
-//       the fleet's serial commit phase from integer-microsecond
-//       virtual-clock state, so the fleet JSON stays byte-identical at
-//       any --workers. Off (the default) is a strict bit-identical
-//       passthrough; on adds per-client "abr_client" lines and an "abr"
-//       totals line to the JSON block.
-//       --handover-dwell N delays a voluntary cell handover until the
-//       covering cell has differed from the serving cell for N
-//       consecutive routing rounds (cell-edge ping-pong hysteresis;
-//       default 1 = immediate, the historical behavior). Outage
-//       failovers always fire immediately.
+//   mars_sim generate [flags]   generate a city scene and write it to --out
+//   mars_sim info [flags]       summarize the scene in --db
+//   mars_sim run [flags]        run one client, or a fleet, over tours
+//
+// Every flag is one row of kFlags below. Run mars_sim without arguments
+// to print them all with their valid values; README.md walks through the
+// run modes and what each one prints.
 //
 // Examples:
 //   mars_sim generate --mb 60 --out city.mars
@@ -127,12 +16,13 @@
 //   mars_sim run --mb 20 --clients 32 --workers 8 --frames 120
 //   mars_sim run --mb 20 --clients 12 --cells 4 --cell-outage-rate 60
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/units.h"
 #include "core/metrics.h"
@@ -146,202 +36,305 @@ namespace {
 
 using namespace mars;  // NOLINT
 
-struct Flags {
+// What one invocation configures. Flags write straight into the library
+// option structs, so every default is the library's; the fields before
+// them have no library home.
+struct Options {
   std::string command;
   std::string db_path;
   std::string out_path;
-  int objects = 0;
-  int mb = 0;
-  bool zipf = false;
-  uint64_t seed = 42;
-  std::string tour = "tram";
-  double speed = 0.5;
-  int frames = 300;
-  double distance = -1.0;
-  std::string client = "buffered";
-  int buffer_kb = 64;
-  double query_frac = 0.1;
-  std::string index = "support";
-  bool no_prefetch = false;
-  bool naive_prefetch = false;
-  bool kalman = false;
-  double loss = 0.0;
-  double outage_rate = 0.0;
-  double outage_secs = 8.0;
-  int clients = 1;
-  int workers = 1;
-  int shards = 1;
-  int fanout_workers = 1;
-  std::string fairness = "wfq";
-  double weight_streaming = 1.0;
-  double weight_buffered = 1.0;
-  double weight_naive = 1.0;
-  bool admission = false;
-  std::string coalesce = "off";
-  int cells = 1;
-  double cell_outage_rate = 0.0;
-  double handover_blackout = 0.0;
-  std::string store = "memory";
-  std::string pages_path;
-  int page_size = 4096;
-  int pool_pages = 256;
-  std::string evict = "lru";
-  std::string warm = "off";
-  int warm_budget = 32;
-  int warm_workers = 2;
-  std::string rebalance = "off";
-  int rebalance_interval = 16;
-  double split_factor = 2.0;
-  double merge_factor = 0.1;
-  int max_shards = 64;
-  std::string abr = "off";
-  int ladder_steps = 4;
-  double abr_target = 16384.0;  // bytes/second
-  int handover_dwell = 1;
+  int32_t mb = 0;       // scene size; 0 keeps the scene's default
+  int32_t objects = 0;  // object-count override; 0 = none
+  int32_t clients = 1;  // > 1 runs a fleet
+  fleet::ClientKind client = fleet::ClientKind::kBuffered;
+  double cell_outage_rate = 0.0;  // 0 = the cells use --outage-rate
+  core::System::Config system;
+  fleet::FleetOptions fleet;
+  workload::TourOptions tour;
+  client::StreamingClient::Options streaming;
+  client::BufferedClient::Options buffered;
+  client::NaiveObjectClient::Options naive;
 };
 
-void Usage() {
-  std::fprintf(stderr,
-               "usage: mars_sim generate|info|run [flags]\n"
-               "run `head -30 tools/mars_sim.cc` for the flag list\n");
+// How a flag's value parses: a switch takes none, text is kept as given,
+// a choice must be one of the '|'-separated words of its hint, and a
+// number parses like atoll (kInt) or atof (kReal) and must lie in range.
+enum class Kind { kSwitch, kText, kChoice, kInt, kReal };
+
+// A number's valid values: at least `lo` (above it when `lo_open`) and
+// below `hi`. The default admits every value.
+struct Range {
+  double lo = -std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  double hi = std::numeric_limits<double>::infinity();
+};
+constexpr Range AtLeast(double lo) { return {lo, false}; }
+constexpr Range Above(double lo) { return {lo, true}; }
+constexpr Range Within(double lo, double hi) { return {lo, false, hi}; }
+
+struct Arg {
+  std::string_view text;
+  int64_t i = 0;
+  double d = 0.0;
+};
+
+struct Flag {
+  const char* name;  // without the leading "--"
+  Kind kind;
+  const char* hint;  // the value's placeholder; a choice's word list
+  const char* help;
+  Range range;
+  void (*set)(Options&, Arg);
+};
+
+constexpr Flag kFlags[] = {
+    {"db", Kind::kText, "FILE", "scene file to load (info, run)", {},
+     [](Options& o, Arg a) { o.db_path = a.text; }},
+    {"out", Kind::kText, "FILE", "scene file to write (generate)", {},
+     [](Options& o, Arg a) { o.out_path = a.text; }},
+    {"objects", Kind::kInt, "N", "scene object count, over --mb", {},
+     [](Options& o, Arg a) { o.objects = a.i; }},
+    {"mb", Kind::kInt, "N", "scene size in MB, 5 objects per MB", {},
+     [](Options& o, Arg a) { o.mb = a.i; }},
+    {"zipf", Kind::kSwitch, "", "Zipf-clustered object placement", {},
+     [](Options& o, Arg) {
+       o.system.scene.placement = workload::Placement::kZipf;
+     }},
+    {"seed", Kind::kInt, "S", "scene seed; tour and faults add 1, 2", {},
+     [](Options& o, Arg a) { o.system.scene.seed = a.i; }},
+    {"tour", Kind::kChoice, "tram|walk", "tour kind", {},
+     [](Options& o, Arg a) {
+       o.tour.kind = a.text == "walk" ? workload::TourKind::kPedestrian
+                                      : workload::TourKind::kTram;
+     }},
+    {"speed", Kind::kReal, "S", "normalized cruise speed", {},
+     [](Options& o, Arg a) { o.tour.target_speed = a.d; }},
+    {"frames", Kind::kInt, "N", "query frames per tour", {},
+     [](Options& o, Arg a) { o.tour.frames = a.i; }},
+    {"distance", Kind::kReal, "M", "tour meters; > 0 overrides --frames", {},
+     [](Options& o, Arg a) { o.tour.distance = a.d; }},
+    {"client", Kind::kChoice, "buffered|streaming|naive",
+     "client of a single-client run", {},
+     [](Options& o, Arg a) {
+       o.client = a.text == "streaming" ? fleet::ClientKind::kStreaming
+                  : a.text == "naive"   ? fleet::ClientKind::kNaive
+                                        : fleet::ClientKind::kBuffered;
+     }},
+    {"buffer-kb", Kind::kInt, "N", "client buffer or cache size in KB", {},
+     [](Options& o, Arg a) {
+       o.buffered.buffer_bytes = a.i * 1024;
+       o.naive.cache_bytes = a.i * 1024;
+     }},
+    {"query-frac", Kind::kReal, "F", "query window side / space side", {},
+     [](Options& o, Arg a) {
+       o.streaming.query_fraction = a.d;
+       o.buffered.query_fraction = a.d;
+       o.naive.query_fraction = a.d;
+     }},
+    {"index", Kind::kChoice, "support|naive-point", "coefficient index", {},
+     [](Options& o, Arg a) {
+       o.system.index_kind = a.text == "naive-point"
+                                 ? server::Server::IndexKind::kNaivePoint
+                                 : server::Server::IndexKind::kSupportRegion;
+     }},
+    {"no-prefetch", Kind::kSwitch, "", "buffered client: no prefetch", {},
+     [](Options& o, Arg) { o.buffered.enable_prefetch = false; }},
+    {"naive-prefetch", Kind::kSwitch, "", "buffered: uniform-ring prefetch",
+     {}, [](Options& o, Arg) { o.buffered.motion_aware = false; }},
+    {"kalman", Kind::kSwitch, "", "buffered client: Kalman predictor", {},
+     [](Options& o, Arg) {
+       o.buffered.predictor =
+           client::BufferedClient::Options::Predictor::kKalman;
+     }},
+    {"loss", Kind::kReal, "P", "loss per attempt; the cell's in a fleet",
+     Within(0.0, 0.5),
+     [](Options& o, Arg a) {
+       o.system.link.loss_probability = a.d;
+       o.fleet.cell.loss_probability = a.d;
+     }},
+    {"outage-rate", Kind::kReal, "R", "outages per hour; per cell in a fleet",
+     AtLeast(0.0),
+     [](Options& o, Arg a) {
+       o.system.fault.outage_rate_per_hour = a.d;
+       o.fleet.cell_fault.outage_rate_per_hour = a.d;
+     }},
+    {"outage-secs", Kind::kReal, "S", "mean outage seconds", {},
+     [](Options& o, Arg a) {
+       o.system.fault.outage_mean_seconds = a.d;
+       o.fleet.cell_fault.outage_mean_seconds = a.d;
+     }},
+    {"clients", Kind::kInt, "N", "> 1 runs a mixed fleet on a shared cell",
+     {}, [](Options& o, Arg a) { o.clients = a.i; }},
+    {"workers", Kind::kInt, "N", "fleet threads; output is the same at any",
+     {}, [](Options& o, Arg a) { o.fleet.workers = a.i; }},
+    {"shards", Kind::kInt, "K", "coefficient index shards", AtLeast(1),
+     [](Options& o, Arg a) { o.system.shards = a.i; }},
+    {"fanout-workers", Kind::kInt, "N", "threads querying the shards",
+     AtLeast(1), [](Options& o, Arg a) { o.system.fanout_workers = a.i; }},
+    {"fairness", Kind::kChoice, "wfq|equal",
+     "cell discipline: fair queuing or per-transfer share", {},
+     [](Options& o, Arg a) {
+       o.fleet.cell.discipline =
+           a.text == "equal" ? net::SharedMediumLink::Discipline::kEqualShare
+                             : net::SharedMediumLink::Discipline::kWeightedFair;
+     }},
+    {"admission", Kind::kSwitch, "", "admission control on the cell", {},
+     [](Options& o, Arg) { o.fleet.admission.enabled = true; }},
+    {"coalesce", Kind::kChoice, "on|off", "cross-client request coalescing",
+     {}, [](Options& o, Arg a) { o.fleet.coalesce.enabled = a.text == "on"; }},
+    {"cells", Kind::kInt, "K", "radio cells tiling the ground plane",
+     AtLeast(1), [](Options& o, Arg a) { o.fleet.cells = a.i; }},
+    {"cell-outage-rate", Kind::kReal, "R",
+     "outages per hour per cell, over --outage-rate", AtLeast(0.0),
+     [](Options& o, Arg a) { o.cell_outage_rate = a.d; }},
+    {"store", Kind::kChoice, "memory|disk", "where index nodes live", {},
+     [](Options& o, Arg a) {
+       o.system.storage.store = a.text == "disk" ? storage::StoreKind::kDisk
+                                                 : storage::StoreKind::kMemory;
+     }},
+    {"pages", Kind::kText, "FILE", "page file of --store disk", {},
+     [](Options& o, Arg a) { o.system.storage.path = a.text; }},
+    {"page-size", Kind::kInt, "BYTES", "bytes per index page", AtLeast(128),
+     [](Options& o, Arg a) { o.system.storage.page_size = a.i; }},
+    {"pool-pages", Kind::kInt, "N", "buffer-pool pages over all shards",
+     AtLeast(1), [](Options& o, Arg a) { o.system.storage.pool_pages = a.i; }},
+    {"evict", Kind::kChoice, "lru|motion", "buffer-pool eviction policy", {},
+     [](Options& o, Arg a) {
+       o.system.storage.evict = a.text == "motion"
+                                    ? storage::EvictPolicy::kMotion
+                                    : storage::EvictPolicy::kLru;
+     }},
+    {"warm", Kind::kChoice, "on|off", "background pool warming", {},
+     [](Options& o, Arg a) { o.system.storage.warm = a.text == "on"; }},
+    {"warm-budget", Kind::kInt, "N", "pages warmed per tick", AtLeast(1),
+     [](Options& o, Arg a) { o.system.storage.warm_budget = a.i; }},
+    {"warm-workers", Kind::kInt, "N", "warming I/O threads", AtLeast(1),
+     [](Options& o, Arg a) { o.system.storage.warm_workers = a.i; }},
+    {"rebalance", Kind::kChoice, "on|off", "load-adaptive shard split/merge",
+     {},
+     [](Options& o, Arg a) { o.system.rebalance.enabled = a.text == "on"; }},
+    {"rebalance-interval", Kind::kInt, "N", "frames between rebalance rounds",
+     AtLeast(1), [](Options& o, Arg a) { o.system.rebalance.interval = a.i; }},
+    {"split-factor", Kind::kReal, "F", "split above F x fair share",
+     Above(1.0),
+     [](Options& o, Arg a) { o.system.rebalance.split_factor = a.d; }},
+    {"merge-factor", Kind::kReal, "F", "merge below F x fair share",
+     Within(0.0, 1.0),
+     [](Options& o, Arg a) { o.system.rebalance.merge_factor = a.d; }},
+    {"max-shards", Kind::kInt, "K", "cap on shard slots", AtLeast(1),
+     [](Options& o, Arg a) { o.system.rebalance.max_shards = a.i; }},
+    {"abr", Kind::kChoice, "on|off", "adaptive resolution ladder", {},
+     [](Options& o, Arg a) { o.fleet.abr.enabled = a.text == "on"; }},
+    {"ladder-steps", Kind::kInt, "N", "rungs above the static speed map",
+     AtLeast(1),
+     [](Options& o, Arg a) { o.fleet.abr.ladder.ladder_steps = a.i; }},
+    {"abr-target", Kind::kReal, "BPS", "healthy per-client goodput, B/s",
+     Above(0.0),
+     [](Options& o, Arg a) { o.fleet.abr.ladder.target_goodput_bps = a.d; }},
+};
+
+bool Bounded(const Range& r) { return !std::isinf(r.lo); }
+
+bool InRange(const Range& r, double v) {
+  return (r.lo_open ? v > r.lo : v >= r.lo) && v < r.hi;
 }
 
-bool ParseFlags(int argc, char** argv, Flags* flags) {
+std::string RangeText(const Range& r) {
+  char text[64];
+  if (std::isinf(r.hi)) {
+    std::snprintf(text, sizeof(text), "%s %g", r.lo_open ? ">" : ">=", r.lo);
+  } else {
+    std::snprintf(text, sizeof(text), "in [%g, %g)", r.lo, r.hi);
+  }
+  return text;
+}
+
+bool IsChoice(std::string_view words, std::string_view text) {
+  for (size_t start = 0;;) {
+    const size_t bar = words.find('|', start);
+    if (words.substr(start, bar - start) == text) return true;
+    if (bar == std::string_view::npos) return false;
+    start = bar + 1;
+  }
+}
+
+void Usage() {
+  std::fprintf(stderr, "usage: mars_sim generate|info|run [flags]\n");
+  for (const Flag& flag : kFlags) {
+    std::string name = std::string("--") + flag.name;
+    if (flag.kind != Kind::kSwitch) name += std::string(" ") + flag.hint;
+    std::string help = flag.help;
+    if (Bounded(flag.range)) help += "; " + RangeText(flag.range);
+    std::fprintf(stderr, "  %-34s %s\n", name.c_str(), help.c_str());
+  }
+}
+
+const Flag* FindFlag(std::string_view arg) {
+  if (!arg.starts_with("--")) return nullptr;
+  for (const Flag& flag : kFlags) {
+    if (arg.substr(2) == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
+// Values that combine several flags, computed once after parsing so
+// that flag order cannot change a run.
+void Derive(Options* o) {
+  workload::SceneOptions& scene = o->system.scene;
+  if (o->mb > 0) {
+    const workload::Placement placement = scene.placement;
+    scene = workload::SceneForDatasetSize(o->mb, scene.seed);
+    scene.placement = placement;
+  }
+  if (o->objects > 0) scene.object_count = o->objects;
+  o->tour.seed = scene.seed + 1;
+  o->system.fault.seed = scene.seed + 2;
+  o->fleet.cell_fault.seed = scene.seed + 2;
+  if (o->cell_outage_rate > 0.0) {
+    o->fleet.cell_fault.outage_rate_per_hour = o->cell_outage_rate;
+  }
+}
+
+bool ParseFlags(int argc, char** argv, Options* o) {
   if (argc < 2) return false;
-  flags->command = argv[1];
+  o->command = argv[1];
   for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--db") {
-      flags->db_path = next();
-    } else if (arg == "--out") {
-      flags->out_path = next();
-    } else if (arg == "--objects") {
-      flags->objects = std::atoi(next());
-    } else if (arg == "--mb") {
-      flags->mb = std::atoi(next());
-    } else if (arg == "--zipf") {
-      flags->zipf = true;
-    } else if (arg == "--seed") {
-      flags->seed = static_cast<uint64_t>(std::atoll(next()));
-    } else if (arg == "--tour") {
-      flags->tour = next();
-    } else if (arg == "--speed") {
-      flags->speed = std::atof(next());
-    } else if (arg == "--frames") {
-      flags->frames = std::atoi(next());
-    } else if (arg == "--distance") {
-      flags->distance = std::atof(next());
-    } else if (arg == "--client") {
-      flags->client = next();
-    } else if (arg == "--buffer-kb") {
-      flags->buffer_kb = std::atoi(next());
-    } else if (arg == "--query-frac") {
-      flags->query_frac = std::atof(next());
-    } else if (arg == "--index") {
-      flags->index = next();
-    } else if (arg == "--no-prefetch") {
-      flags->no_prefetch = true;
-    } else if (arg == "--naive-prefetch") {
-      flags->naive_prefetch = true;
-    } else if (arg == "--kalman") {
-      flags->kalman = true;
-    } else if (arg == "--loss") {
-      flags->loss = std::atof(next());
-    } else if (arg == "--outage-rate") {
-      flags->outage_rate = std::atof(next());
-    } else if (arg == "--outage-secs") {
-      flags->outage_secs = std::atof(next());
-    } else if (arg == "--clients") {
-      flags->clients = std::atoi(next());
-    } else if (arg == "--workers") {
-      flags->workers = std::atoi(next());
-    } else if (arg == "--shards") {
-      flags->shards = std::atoi(next());
-    } else if (arg == "--fanout-workers") {
-      flags->fanout_workers = std::atoi(next());
-    } else if (arg == "--fairness") {
-      flags->fairness = next();
-    } else if (arg == "--weights") {
-      if (std::sscanf(next(), "%lf,%lf,%lf", &flags->weight_streaming,
-                      &flags->weight_buffered, &flags->weight_naive) != 3) {
-        std::fprintf(stderr, "--weights wants S,B,N (three doubles)\n");
-        return false;
-      }
-    } else if (arg == "--admission") {
-      flags->admission = true;
-    } else if (arg == "--coalesce") {
-      flags->coalesce = next();
-    } else if (arg == "--cells") {
-      flags->cells = std::atoi(next());
-    } else if (arg == "--cell-outage-rate") {
-      flags->cell_outage_rate = std::atof(next());
-    } else if (arg == "--handover-blackout") {
-      flags->handover_blackout = std::atof(next());
-    } else if (arg == "--store") {
-      flags->store = next();
-    } else if (arg == "--pages") {
-      flags->pages_path = next();
-    } else if (arg == "--page-size") {
-      flags->page_size = std::atoi(next());
-    } else if (arg == "--pool-pages") {
-      flags->pool_pages = std::atoi(next());
-    } else if (arg == "--evict") {
-      flags->evict = next();
-    } else if (arg == "--warm") {
-      flags->warm = next();
-    } else if (arg == "--warm-budget") {
-      flags->warm_budget = std::atoi(next());
-    } else if (arg == "--warm-workers") {
-      flags->warm_workers = std::atoi(next());
-    } else if (arg == "--rebalance") {
-      flags->rebalance = next();
-    } else if (arg == "--rebalance-interval") {
-      flags->rebalance_interval = std::atoi(next());
-    } else if (arg == "--split-factor") {
-      flags->split_factor = std::atof(next());
-    } else if (arg == "--merge-factor") {
-      flags->merge_factor = std::atof(next());
-    } else if (arg == "--max-shards") {
-      flags->max_shards = std::atoi(next());
-    } else if (arg == "--abr") {
-      flags->abr = next();
-    } else if (arg == "--ladder-steps") {
-      flags->ladder_steps = std::atoi(next());
-    } else if (arg == "--abr-target") {
-      flags->abr_target = std::atof(next());
-    } else if (arg == "--handover-dwell") {
-      flags->handover_dwell = std::atoi(next());
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+    const Flag* flag = FindFlag(argv[i]);
+    if (flag == nullptr) {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return false;
     }
+    Arg arg;
+    if (flag->kind != Kind::kSwitch) {
+      if (++i >= argc) {
+        std::fprintf(stderr, "missing value for --%s\n", flag->name);
+        return false;
+      }
+      arg = Arg{argv[i], std::atoll(argv[i]), std::atof(argv[i])};
+    }
+    if (flag->kind == Kind::kChoice && !IsChoice(flag->hint, arg.text)) {
+      std::fprintf(stderr, "--%s wants %s\n", flag->name, flag->hint);
+      return false;
+    }
+    const double value =
+        flag->kind == Kind::kInt ? static_cast<double>(arg.i) : arg.d;
+    if (Bounded(flag->range) && !InRange(flag->range, value)) {
+      std::fprintf(stderr, "--%s must be %s\n", flag->name,
+                   RangeText(flag->range).c_str());
+      return false;
+    }
+    flag->set(*o, arg);
   }
+  Derive(o);
   return true;
 }
 
-workload::SceneOptions SceneFromFlags(const Flags& flags) {
-  workload::SceneOptions scene =
-      flags.mb > 0 ? workload::SceneForDatasetSize(flags.mb, flags.seed)
-                   : workload::SceneOptions();
-  if (flags.objects > 0) scene.object_count = flags.objects;
-  scene.seed = flags.seed;
-  if (flags.zipf) scene.placement = workload::Placement::kZipf;
-  return scene;
-}
-
-int Generate(const Flags& flags) {
-  if (flags.out_path.empty()) {
+int Generate(const Options& o) {
+  if (o.out_path.empty()) {
     std::fprintf(stderr, "generate requires --out\n");
     return 2;
   }
-  const workload::SceneOptions scene = SceneFromFlags(flags);
+  const workload::SceneOptions& scene = o.system.scene;
   std::printf("generating %d objects (seed %llu)...\n", scene.object_count,
               static_cast<unsigned long long>(scene.seed));
   auto db = workload::GenerateScene(scene);
@@ -349,24 +342,23 @@ int Generate(const Flags& flags) {
     std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
     return 1;
   }
-  const auto status = server::SaveDatabase(*db, flags.out_path);
+  const auto status = server::SaveDatabase(*db, o.out_path);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   std::printf("wrote %s: %d objects, %zu records, %s of records\n",
-              flags.out_path.c_str(), db->object_count(),
-              db->records().size(),
+              o.out_path.c_str(), db->object_count(), db->records().size(),
               common::FormatBytes(db->total_bytes()).c_str());
   return 0;
 }
 
-int Info(const Flags& flags) {
-  if (flags.db_path.empty()) {
+int Info(const Options& o) {
+  if (o.db_path.empty()) {
     std::fprintf(stderr, "info requires --db\n");
     return 2;
   }
-  auto db = server::LoadDatabase(flags.db_path);
+  auto db = server::LoadDatabase(o.db_path);
   if (!db.ok()) {
     std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
     return 1;
@@ -515,53 +507,19 @@ void PrintStorageSummary(const core::System& system) {
 }
 
 // Fleet mode: N concurrent clients against one shared server and cell.
-int RunFleet(const core::System& system, const Flags& flags) {
-  fleet::FleetOptions options;
-  options.workers = flags.workers;
-  options.cell.loss_probability = flags.loss;
-  options.cell.discipline =
-      flags.fairness == "equal"
-          ? net::SharedMediumLink::Discipline::kEqualShare
-          : net::SharedMediumLink::Discipline::kWeightedFair;
-  options.admission.enabled = flags.admission;
-  options.coalesce.enabled = flags.coalesce == "on";
-  options.cell_fault.outage_rate_per_hour = flags.outage_rate;
-  options.cell_fault.outage_mean_seconds = flags.outage_secs;
-  options.cell_fault.seed = flags.seed + 2;
-  options.cells = flags.cells;
-  options.handover_blackout_seconds = flags.handover_blackout;
-  options.handover_dwell_rounds = flags.handover_dwell;
-  options.abr.enabled = flags.abr == "on";
-  options.abr.ladder.ladder_steps = flags.ladder_steps;
-  options.abr.ladder.target_goodput_bps = flags.abr_target;
-  if (flags.cell_outage_rate > 0.0) {
-    // Whole-cell failure rate for the multi-cell topology; each cell
-    // derives an independent outage stream from the base seed.
-    options.cell_fault.outage_rate_per_hour = flags.cell_outage_rate;
-  }
+int RunFleet(const core::System& system, const Options& o) {
   std::vector<fleet::ClientSpec> specs = fleet::FleetEngine::MakeMixedFleet(
-      flags.clients, flags.frames, flags.speed, flags.seed);
+      o.clients, o.tour.frames, o.tour.target_speed, o.system.scene.seed);
   for (fleet::ClientSpec& spec : specs) {
-    spec.buffer_bytes = static_cast<int64_t>(flags.buffer_kb) * 1024;
-    switch (spec.kind) {
-      case fleet::ClientKind::kStreaming:
-        spec.weight = flags.weight_streaming;
-        break;
-      case fleet::ClientKind::kBuffered:
-        spec.weight = flags.weight_buffered;
-        break;
-      case fleet::ClientKind::kNaive:
-        spec.weight = flags.weight_naive;
-        break;
-    }
+    spec.buffer_bytes = o.buffered.buffer_bytes;
   }
-  fleet::FleetEngine engine(system, options, std::move(specs));
+  fleet::FleetEngine engine(system, o.fleet, std::move(specs));
   const fleet::FleetResult result = engine.Run();
 
-  std::printf("\n-- fleet (%d clients, %d workers) --\n", flags.clients,
-              flags.workers);
-  if (flags.cells > 1) {
-    std::printf("cells                   : %d\n", flags.cells);
+  std::printf("\n-- fleet (%d clients, %d workers) --\n", o.clients,
+              o.fleet.workers);
+  if (o.fleet.cells > 1) {
+    std::printf("cells                   : %d\n", o.fleet.cells);
     std::printf("handovers / failovers   : %lld / %lld\n",
                 static_cast<long long>(result.handovers),
                 static_cast<long long>(result.failovers));
@@ -587,7 +545,7 @@ int RunFleet(const core::System& system, const Flags& flags) {
   std::printf("p50 / p99 response      : %.3f / %.3f s\n",
               result.aggregate.P50ResponseSeconds(),
               result.aggregate.P99ResponseSeconds());
-  const bool coalescing = flags.coalesce == "on";
+  const bool coalescing = o.fleet.coalesce.enabled;
   if (coalescing) {
     std::printf("coalesce hits / attach  : %lld / %lld\n",
                 static_cast<long long>(result.coalesce_hits),
@@ -598,13 +556,13 @@ int RunFleet(const core::System& system, const Flags& flags) {
     std::printf("encode calls            : %lld\n",
                 static_cast<long long>(result.encode_calls));
   }
-  if (flags.abr == "on") {
+  if (o.fleet.abr.enabled) {
     std::printf("abr step-ups / top-ups  : %lld / %lld (worst rung %d/%d)\n",
                 static_cast<long long>(result.abr_step_ups),
                 static_cast<long long>(result.abr_top_ups),
-                result.abr_max_ladder_step, flags.ladder_steps);
+                result.abr_max_ladder_step, o.fleet.abr.ladder.ladder_steps);
   }
-  if (flags.admission) {
+  if (o.fleet.admission.enabled) {
     std::printf("admitted/deferred/shed  : %lld / %lld / %lld\n",
                 static_cast<long long>(result.admitted_exchanges),
                 static_cast<long long>(result.deferred_exchanges),
@@ -680,7 +638,7 @@ int RunFleet(const core::System& system, const Flags& flags) {
           static_cast<long long>(s.bytes));
     }
   }
-  if (flags.abr == "on") {
+  if (o.fleet.abr.enabled) {
     // ABR telemetry rides extra JSON lines so the off-mode block above
     // stays byte-identical to the pre-ladder era. Per-client ladder state
     // first (the nightly chaos sweep watches degradation trends), then
@@ -700,9 +658,9 @@ int RunFleet(const core::System& system, const Flags& flags) {
         "\"max_ladder_step\": %d, \"ladder_steps\": %d}}\n",
         static_cast<long long>(result.abr_step_ups),
         static_cast<long long>(result.abr_top_ups),
-        result.abr_max_ladder_step, flags.ladder_steps);
+        result.abr_max_ladder_step, o.fleet.abr.ladder.ladder_steps);
   }
-  if (flags.cells > 1) {
+  if (o.fleet.cells > 1) {
     // Multi-cell telemetry rides extra JSON lines so the single-cell
     // block above stays byte-identical to the pre-topology era. The
     // chaos line carries the engine's handover invariants (all zero, or
@@ -747,148 +705,52 @@ int RunFleet(const core::System& system, const Flags& flags) {
   return 0;
 }
 
-int Run(const Flags& flags) {
-  // Assemble the system: from a persisted DB or a fresh scene.
-  core::System::Config config;
-  config.scene = SceneFromFlags(flags);
-  config.index_kind = flags.index == "naive-point"
-                          ? server::Server::IndexKind::kNaivePoint
-                          : server::Server::IndexKind::kSupportRegion;
-  if (flags.loss < 0.0 || flags.loss >= 0.5) {
-    std::fprintf(stderr, "--loss must be in [0, 0.5)\n");
-    return 2;
-  }
-  if (flags.outage_rate < 0.0) {
-    std::fprintf(stderr, "--outage-rate must be >= 0\n");
-    return 2;
-  }
-  if (flags.outage_rate > 0.0 && flags.outage_secs <= 0.0) {
+int Run(const Options& o) {
+  // Rules that tie several flags together; each flag's own range was
+  // checked while parsing.
+  if (o.system.fault.outage_rate_per_hour > 0.0 &&
+      o.system.fault.outage_mean_seconds <= 0.0) {
     std::fprintf(stderr, "--outage-secs must be > 0\n");
     return 2;
   }
-  if (flags.shards < 1 || flags.fanout_workers < 1) {
-    std::fprintf(stderr, "--shards and --fanout-workers must be >= 1\n");
-    return 2;
-  }
-  if (flags.coalesce != "on" && flags.coalesce != "off") {
-    std::fprintf(stderr, "--coalesce wants on|off\n");
-    return 2;
-  }
-  if (flags.coalesce == "on" && flags.fairness == "equal") {
+  if (o.fleet.coalesce.enabled &&
+      o.fleet.cell.discipline ==
+          net::SharedMediumLink::Discipline::kEqualShare) {
     std::fprintf(stderr,
                  "--coalesce on requires --fairness wfq (shared-delivery "
                  "resolution relies on per-client FIFO completions)\n");
     return 2;
   }
-  if (flags.cells < 1) {
-    std::fprintf(stderr, "--cells must be >= 1\n");
-    return 2;
-  }
-  if (flags.cells > 1 && flags.clients <= 1) {
+  if (o.fleet.cells > 1 && o.clients <= 1) {
     std::fprintf(stderr, "--cells K > 1 requires fleet mode (--clients > 1)\n");
     return 2;
   }
-  if (flags.cell_outage_rate < 0.0 || flags.handover_blackout < 0.0) {
-    std::fprintf(stderr,
-                 "--cell-outage-rate and --handover-blackout must be >= 0\n");
-    return 2;
-  }
-  if (flags.store != "memory" && flags.store != "disk") {
-    std::fprintf(stderr, "--store wants memory|disk\n");
-    return 2;
-  }
-  if (flags.evict != "lru" && flags.evict != "motion") {
-    std::fprintf(stderr, "--evict wants lru|motion\n");
-    return 2;
-  }
-  if (flags.store == "disk" && flags.pages_path.empty()) {
+  const storage::StorageConfig& storage_config = o.system.storage;
+  const bool disk = storage_config.store == storage::StoreKind::kDisk;
+  const bool motion = storage_config.evict == storage::EvictPolicy::kMotion;
+  if (disk && storage_config.path.empty()) {
     std::fprintf(stderr, "--store disk requires --pages FILE\n");
     return 2;
   }
-  if (flags.page_size < 128 || flags.pool_pages < 1) {
-    std::fprintf(stderr,
-                 "--page-size must be >= 128 and --pool-pages >= 1\n");
-    return 2;
-  }
-  if (flags.warm != "on" && flags.warm != "off") {
-    std::fprintf(stderr, "--warm wants on|off\n");
-    return 2;
-  }
-  if (flags.warm == "on" &&
-      (flags.store != "disk" || flags.evict != "motion")) {
+  if (storage_config.warm && (!disk || !motion)) {
     std::fprintf(stderr, "--warm on requires --store disk --evict motion\n");
     return 2;
   }
-  if (flags.warm_budget < 1 || flags.warm_workers < 1) {
-    std::fprintf(stderr,
-                 "--warm-budget and --warm-workers must be >= 1\n");
-    return 2;
-  }
-  if (flags.rebalance != "on" && flags.rebalance != "off") {
-    std::fprintf(stderr, "--rebalance wants on|off\n");
-    return 2;
-  }
-  if (flags.rebalance_interval < 1 || flags.max_shards < 1) {
-    std::fprintf(stderr,
-                 "--rebalance-interval and --max-shards must be >= 1\n");
-    return 2;
-  }
-  if (flags.split_factor <= 1.0 || flags.merge_factor < 0.0 ||
-      flags.merge_factor >= 1.0) {
-    std::fprintf(stderr,
-                 "--split-factor must be > 1 and --merge-factor in [0, 1)\n");
-    return 2;
-  }
-  if (flags.abr != "on" && flags.abr != "off") {
-    std::fprintf(stderr, "--abr wants on|off\n");
-    return 2;
-  }
-  if (flags.abr == "on" && flags.clients <= 1) {
+  if (o.fleet.abr.enabled && o.clients <= 1) {
     std::fprintf(stderr, "--abr on requires fleet mode (--clients > 1)\n");
     return 2;
   }
-  if (flags.ladder_steps < 1 || flags.abr_target <= 0.0) {
-    std::fprintf(stderr,
-                 "--ladder-steps must be >= 1 and --abr-target > 0\n");
-    return 2;
-  }
-  if (flags.handover_dwell < 1) {
-    std::fprintf(stderr, "--handover-dwell must be >= 1\n");
-    return 2;
-  }
-  config.shards = flags.shards;
-  config.fanout_workers = flags.fanout_workers;
-  config.storage.store = flags.store == "disk" ? storage::StoreKind::kDisk
-                                               : storage::StoreKind::kMemory;
-  config.storage.path = flags.pages_path;
-  config.storage.page_size = flags.page_size;
-  config.storage.pool_pages = flags.pool_pages;
-  config.storage.evict = flags.evict == "motion" ? storage::EvictPolicy::kMotion
-                                                 : storage::EvictPolicy::kLru;
-  config.storage.warm = flags.warm == "on";
-  config.storage.warm_budget = flags.warm_budget;
-  config.storage.warm_workers = flags.warm_workers;
-  config.rebalance.enabled = flags.rebalance == "on";
-  config.rebalance.interval = flags.rebalance_interval;
-  config.rebalance.split_factor = flags.split_factor;
-  config.rebalance.merge_factor = flags.merge_factor;
-  config.rebalance.max_shards = flags.max_shards;
-  config.link.loss_probability = flags.loss;
-  config.fault.outage_rate_per_hour = flags.outage_rate;
-  config.fault.outage_mean_seconds = flags.outage_secs;
-  config.fault.seed = flags.seed + 2;
 
   std::unique_ptr<core::System> system;
-  if (!flags.db_path.empty()) {
-    auto db = server::LoadDatabase(flags.db_path);
+  if (!o.db_path.empty()) {
+    auto db = server::LoadDatabase(o.db_path);
     if (!db.ok()) {
       std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
       return 1;
     }
-    auto sys = core::System::FromDatabase(config, std::move(*db));
-    system = std::move(sys);
+    system = core::System::FromDatabase(o.system, std::move(*db));
   } else {
-    auto sys = core::System::Create(config);
+    auto sys = core::System::Create(o.system);
     if (!sys.ok()) {
       std::fprintf(stderr, "%s\n", sys.status().ToString().c_str());
       return 1;
@@ -900,49 +762,32 @@ int Run(const Flags& flags) {
               system->db().object_count());
   if (system->server().disk_store()) {
     std::printf("store: disk (%s), %s eviction, restored shards %d/%d\n",
-                flags.pages_path.c_str(), flags.evict.c_str(),
-                system->server().restored_shards(), flags.shards);
+                storage_config.path.c_str(), motion ? "motion" : "lru",
+                system->server().restored_shards(), o.system.shards);
   }
   if (system->server().pool_warming_enabled()) {
-    std::printf("warm: on (budget %d, workers %d)\n", flags.warm_budget,
-                flags.warm_workers);
+    std::printf("warm: on (budget %lld, workers %d)\n",
+                static_cast<long long>(storage_config.warm_budget),
+                storage_config.warm_workers);
   }
 
-  if (flags.clients > 1) return RunFleet(*system, flags);
+  if (o.clients > 1) return RunFleet(*system, o);
 
-  workload::TourOptions tour_options;
-  tour_options.kind = flags.tour == "walk" ? workload::TourKind::kPedestrian
-                                           : workload::TourKind::kTram;
+  workload::TourOptions tour_options = o.tour;
   tour_options.space = system->space();
-  tour_options.target_speed = flags.speed;
-  tour_options.frames = flags.frames;
-  tour_options.distance = flags.distance;
-  tour_options.seed = flags.seed + 1;
   const auto tour = workload::GenerateTour(tour_options);
+  const bool walk = o.tour.kind == workload::TourKind::kPedestrian;
   std::printf("tour: %s, %zu frames, %.0f m at speed %.3f\n",
-              flags.tour.c_str(), tour.size(),
-              workload::TourDistance(tour), flags.speed);
+              walk ? "walk" : "tram", tour.size(),
+              workload::TourDistance(tour), o.tour.target_speed);
 
   core::RunMetrics metrics;
-  if (flags.client == "streaming") {
-    client::StreamingClient::Options options;
-    options.query_fraction = flags.query_frac;
-    metrics = system->RunStreaming(tour, options);
-  } else if (flags.client == "naive") {
-    client::NaiveObjectClient::Options options;
-    options.query_fraction = flags.query_frac;
-    options.cache_bytes = static_cast<int64_t>(flags.buffer_kb) * 1024;
-    metrics = system->RunNaiveObject(tour, options);
+  if (o.client == fleet::ClientKind::kStreaming) {
+    metrics = system->RunStreaming(tour, o.streaming);
+  } else if (o.client == fleet::ClientKind::kNaive) {
+    metrics = system->RunNaiveObject(tour, o.naive);
   } else {
-    client::BufferedClient::Options options;
-    options.query_fraction = flags.query_frac;
-    options.buffer_bytes = static_cast<int64_t>(flags.buffer_kb) * 1024;
-    options.enable_prefetch = !flags.no_prefetch;
-    options.motion_aware = !flags.naive_prefetch;
-    if (flags.kalman) {
-      options.predictor = client::BufferedClient::Options::Predictor::kKalman;
-    }
-    metrics = system->RunBuffered(tour, options);
+    metrics = system->RunBuffered(tour, o.buffered);
   }
 
   std::printf("\n-- metrics --\n");
@@ -962,7 +807,8 @@ int Run(const Flags& flags) {
               100.0 * metrics.data_utilization);
   std::printf("index I/O per frame     : %.1f\n",
               metrics.MeanNodeAccesses());
-  if (flags.loss > 0.0 || flags.outage_rate > 0.0) {
+  if (o.system.link.loss_probability > 0.0 ||
+      o.system.fault.outage_rate_per_hour > 0.0) {
     std::printf("link retries            : %lld\n",
                 static_cast<long long>(metrics.retries));
     std::printf("exchange timeouts       : %lld\n",
@@ -974,7 +820,7 @@ int Run(const Flags& flags) {
     std::printf("worst stale run         : %lld frames\n",
                 static_cast<long long>(metrics.max_stale_run_frames));
   }
-  if (flags.shards > 1) {
+  if (o.system.shards > 1) {
     std::printf("\n-- shards --\n");
     PrintShardStats(*system);
   }
@@ -988,14 +834,14 @@ int Run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) {
+  Options options;
+  if (!ParseFlags(argc, argv, &options)) {
     Usage();
     return 2;
   }
-  if (flags.command == "generate") return Generate(flags);
-  if (flags.command == "info") return Info(flags);
-  if (flags.command == "run") return Run(flags);
+  if (options.command == "generate") return Generate(options);
+  if (options.command == "info") return Info(options);
+  if (options.command == "run") return Run(options);
   Usage();
   return 2;
 }
