@@ -67,8 +67,6 @@ class MotionAwarePrefetcher {
                     const geometry::Vec2& position, double w_min,
                     int32_t budget_blocks, common::Rng& rng) const;
 
-  const Options& options() const { return options_; }
-
  private:
   Options options_;
 };

@@ -77,8 +77,8 @@ class System {
                             const client::NaiveObjectClient::Options& options);
 
   const server::Server& server() const { return *server_; }
-  // Ingest entry point (serial phase only): the server owns the staging
-  // and epoch machinery.
+  // For callers that drive their own clients and frame loop over this
+  // system's server; its non-const calls belong in serial phases.
   server::Server* mutable_server() { return server_.get(); }
   const server::ObjectDatabase& db() const { return *db_; }
   const geometry::Box2& space() const { return config_.scene.space; }

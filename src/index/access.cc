@@ -385,12 +385,6 @@ void ObjectIndex::Build(const std::vector<geometry::Box3>& object_bounds) {
   }
 }
 
-void ObjectIndex::Insert(int32_t object_id, const geometry::Box3& bounds) {
-  tree_.Insert(geometry::Box2({bounds.lo(0), bounds.lo(1)},
-                              {bounds.hi(0), bounds.hi(1)}),
-               static_cast<int64_t>(object_id));
-}
-
 int64_t ObjectIndex::Query(const geometry::Box2& region,
                            std::vector<int32_t>* out) const {
   std::vector<int64_t> hits;

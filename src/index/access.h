@@ -261,10 +261,6 @@ class ObjectIndex {
   // object_bounds[i] = world bounds of object i.
   void Build(const std::vector<geometry::Box3>& object_bounds);
 
-  // Adds one object after Build (online ingest). Not safe against
-  // concurrent queries — callers serialize it with the query path.
-  void Insert(int32_t object_id, const geometry::Box3& bounds);
-
   // Appends the ids of objects whose ground-plane MBR intersects `region`;
   // returns this call's node accesses.
   int64_t Query(const geometry::Box2& region,

@@ -38,13 +38,13 @@ namespace mars::index {
 //      its source shard at that point of the list — exactly a root-to-
 //      leaf walk of the split tree, in list form.
 //
-// Records staged after Build (online ingest) may fall outside the
-// original bounds; Route clamps them to the nearest edge cell, so the
-// map never has to be rebuilt when the world grows. Refinement lists are
-// append-only and short: one entry per rebalance op, and the rebalancer's
-// max-shards budget caps the splits while each merge retires a slot, so a
-// list holds at most about 2 × max_shards ops. Route runs only at build,
-// stage and re-bucket, never per query.
+// A support center exactly on the grid's high edge computes column
+// `cols` (or row `rows`); Route clamps it, like any point outside the
+// bounds, into the nearest edge cell. Refinement lists are append-only
+// and short: one entry per rebalance op, and the rebalancer's max-shards
+// budget caps the splits while each merge retires a slot, so a list
+// holds at most about 2 × max_shards ops. Route runs only at build,
+// never per query.
 class ShardMap {
  public:
   // One refinement op of the splittable tree (see class comment).

@@ -483,14 +483,8 @@ void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
     }
   }
 
-  {
-    common::WriterLock lock(&mu_);
-    shards_ = std::move(shards);
-    epoch_ = 0;
-  }
-  common::MutexLock stage_lock(&stage_mu_);
-  staged_.assign(total, {});
-  staged_count_ = 0;
+  common::WriterLock lock(&mu_);
+  shards_ = std::move(shards);
 }
 
 int64_t ShardedCoefficientIndex::QueryShard(const Shard& shard,
@@ -619,74 +613,6 @@ std::string ShardedCoefficientIndex::name() const {
   return "sharded-" + std::to_string(options_.shards) + "(" + inner + ")";
 }
 
-void ShardedCoefficientIndex::Stage(const CoeffRecord* records, size_t count,
-                                    RecordId first_id) {
-  common::MutexLock lock(&stage_mu_);
-  MARS_CHECK(!staged_.empty());  // Build must run before ingest starts.
-  for (size_t i = 0; i < count; ++i) {
-    const int32_t s = map_.Route(records[i]);
-    staged_[s].emplace_back(first_id + static_cast<RecordId>(i), records[i]);
-  }
-  staged_count_ += static_cast<int64_t>(count);
-}
-
-int64_t ShardedCoefficientIndex::CommitStaged() {
-  // Claim the staged buffers.
-  std::vector<std::vector<std::pair<RecordId, CoeffRecord>>> pending;
-  {
-    common::MutexLock lock(&stage_mu_);
-    if (staged_count_ == 0) return 0;
-    pending = std::move(staged_);
-    staged_.assign(pending.size(), {});
-    staged_count_ = 0;
-  }
-
-  // Snapshot the affected shards' tables (queries keep running on the
-  // old shards meanwhile).
-  struct Rebuild {
-    int32_t shard;
-    std::vector<CoeffRecord> records;
-    std::vector<RecordId> ids;
-  };
-  std::vector<Rebuild> rebuilds;
-  int64_t folded = 0;
-  {
-    common::ReaderLock lock(&mu_);
-    MARS_CHECK_EQ(pending.size(), shards_.size());
-    for (size_t s = 0; s < pending.size(); ++s) {
-      if (pending[s].empty()) continue;
-      Rebuild rb;
-      rb.shard = static_cast<int32_t>(s);
-      rb.records = shards_[s]->records;
-      rb.ids = shards_[s]->ids;
-      for (auto& [id, record] : pending[s]) {
-        rb.records.push_back(std::move(record));
-        rb.ids.push_back(id);
-      }
-      folded += static_cast<int64_t>(pending[s].size());
-      rebuilds.push_back(std::move(rb));
-    }
-  }
-
-  // Build the replacement shards with no lock held — the expensive part
-  // of the epoch happens while readers proceed untouched.
-  std::vector<std::unique_ptr<Shard>> built;
-  built.reserve(rebuilds.size());
-  for (Rebuild& rb : rebuilds) {
-    built.push_back(
-        BuildShard(rb.shard, std::move(rb.records), std::move(rb.ids)));
-  }
-
-  // Swap (SwapSlot transfers counters, frees the replaced epoch's pages
-  // and rewrites the shard directory).
-  common::WriterLock lock(&mu_);
-  for (auto& shard : built) {
-    SwapSlot(std::move(shard));
-  }
-  ++epoch_;
-  return folded;
-}
-
 void ShardedCoefficientIndex::SwapSlot(std::unique_ptr<Shard> next,
                                        Shard* heir) {
   std::unique_ptr<Shard>& slot = shards_[next->id];
@@ -794,17 +720,6 @@ void ShardedCoefficientIndex::AddShardStore(int32_t shard) {
   // candidate scan or an install.
   if (warmer_ != nullptr) {
     warmer_->AddPool(pools_.back().get());
-  }
-}
-
-void ShardedCoefficientIndex::RebucketStaged(int32_t new_shard_count) {
-  std::vector<std::vector<std::pair<RecordId, CoeffRecord>>> old =
-      std::move(staged_);
-  staged_.assign(static_cast<size_t>(new_shard_count), {});
-  for (auto& bucket : old) {
-    for (auto& [id, record] : bucket) {
-      staged_[map_.Route(record)].emplace_back(id, std::move(record));
-    }
   }
 }
 
@@ -916,12 +831,9 @@ common::StatusOr<int32_t> ShardedCoefficientIndex::SplitShard(int32_t shard) {
     ++rebalances_;
   }
 
-  // Route future records — and the already-staged ones — under the
-  // refined map.
-  common::MutexLock stage_lock(&stage_mu_);
+  // A restart partitions the table by the refined map.
   map_.ApplySplit(shard, axis, threshold, new_id);
   if (disk_store()) PersistShardMap();
-  RebucketStaged(new_id + 1);
   return new_id;
 }
 
@@ -973,7 +885,6 @@ common::Status ShardedCoefficientIndex::MergeShards(int32_t src, int32_t dst) {
   std::unique_ptr<Shard> tombstone = BuildShard(src, {}, {});
   tombstone->retired = true;
 
-  int32_t count = 0;
   {
     common::WriterLock lock(&mu_);
     // src's cumulative counters move into the union before the swap adds
@@ -982,13 +893,10 @@ common::Status ShardedCoefficientIndex::MergeShards(int32_t src, int32_t dst) {
     SwapSlot(std::move(tombstone), /*heir=*/merged.get());
     SwapSlot(std::move(merged));
     ++rebalances_;
-    count = static_cast<int32_t>(shards_.size());
   }
 
-  common::MutexLock stage_lock(&stage_mu_);
   map_.ApplyMerge(src, dst);
   if (disk_store()) PersistShardMap();
-  RebucketStaged(count);
   return common::OkStatus();
 }
 
@@ -1012,16 +920,6 @@ int32_t ShardedCoefficientIndex::live_shard_count() const {
     if (!shard->retired) ++live;
   }
   return live;
-}
-
-int64_t ShardedCoefficientIndex::staged_records() const {
-  common::MutexLock lock(&stage_mu_);
-  return staged_count_;
-}
-
-int64_t ShardedCoefficientIndex::epoch() const {
-  common::ReaderLock lock(&mu_);
-  return epoch_;
 }
 
 std::vector<ShardedCoefficientIndex::ShardStats>

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -67,28 +66,22 @@ struct ShardedIndexOptions {
 // results in ascending shard id so the output is deterministic for any
 // fan-out execution order.
 //
-// Sharding is also what takes ingest online: records staged after Build
-// (AddObject after FinalizeRecords) accumulate in per-shard staging
-// buffers, and CommitStaged folds each buffer into its shard by an epoch
-// rebuild — build the shard's new table + tree off to the side, then
-// swap it in under a writer lock. The other K−1 shards are untouched
-// (their trees, coverage and counters survive by identity), and
-// in-flight queries are never invalidated: they either hold the reader
-// lock (and the swap waits) or start after the swap (and see the new
-// epoch).
-//
-// The same build-then-swap machinery also powers *load-adaptive
-// rebalancing* (SplitShard/MergeShards): the shard map generalizes to a
-// splittable ground-plane tree (shard_map.h), so a hot shard can be
-// halved at the median of its record centers — the high half moving to a
-// freshly allocated shard id — and a cold shard forwarded into a
-// neighbour, each as one epoch-style swap with counters, page files and
-// buffer-pool state following the records.
+// The record table is fixed at Build; the shard layout changes only by
+// *load-adaptive rebalancing* (SplitShard/MergeShards): the shard map
+// generalizes to a splittable ground-plane tree (shard_map.h), so a hot
+// shard can be halved at the median of its record centers — the high
+// half moving to a freshly allocated shard id — and a cold shard
+// forwarded into a neighbour. Each op is one epoch swap: build the
+// affected shards' new tables + trees off to the side, then swap them in
+// under a writer lock, with counters, page files and buffer-pool state
+// following the records. The other shards are untouched (their trees,
+// coverage and counters survive by identity), and in-flight queries are
+// never invalidated: they either hold the reader lock (and the swap
+// waits) or start after the swap (and see the new epoch).
 //
 // Thread safety: Query/node_accesses/Stats are safe from many threads
-// concurrently, including against a concurrent Stage. CommitStaged,
-// SplitShard, MergeShards and ResetStats are single-writer operations:
-// at most one at a time, but safe against concurrent queries.
+// concurrently. SplitShard, MergeShards and ResetStats are single-writer
+// operations: at most one at a time, but safe against concurrent queries.
 class ShardedCoefficientIndex : public CoefficientIndex {
  public:
   explicit ShardedCoefficientIndex(ShardedIndexOptions options);
@@ -127,36 +120,17 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   void ResetStats() override;
   std::string name() const override;
 
-  // --- Online ingest ------------------------------------------------------
-
-  // Stages `count` records (global ids first_id, first_id + 1, ...) into
-  // their shards' staging buffers. Staged records are invisible to
-  // queries until CommitStaged. Thread-safe against concurrent queries.
-  void Stage(const CoeffRecord* records, size_t count, RecordId first_id);
-
-  // Epoch rebuild: folds every non-empty staging buffer into its shard
-  // (build-then-swap; only the affected shards are rebuilt). Returns the
-  // number of records folded. Single-writer; safe against concurrent
-  // queries.
-  int64_t CommitStaged();
-
-  // Records staged but not yet committed.
-  int64_t staged_records() const;
-
-  // Epochs committed so far (CommitStaged calls that folded records).
-  int64_t epoch() const;
-
   // --- Load-adaptive rebalancing (single-writer, serial phase only) -------
 
   // Splits `shard` at the median of its records' support centers along
   // the axis with the wider center spread: the high half re-routes to a
-  // freshly allocated shard id (returned). Build-then-swap like
-  // CommitStaged — the split shard's traversal counters stay with the
-  // surviving low half, the new shard starts fresh, and in disk mode the
-  // old epoch's pages are freed, the new shard gets its own page file +
-  // buffer pool, and both directories are rewritten. Fails (no state
-  // change) when the shard is retired, holds fewer than two records, or
-  // every center is identical on both axes.
+  // freshly allocated shard id (returned). Build-then-swap: the split
+  // shard's traversal counters stay with the surviving low half, the new
+  // shard starts fresh, and in disk mode the old epoch's pages are freed,
+  // the new shard gets its own page file + buffer pool, and both
+  // directories are rewritten. Fails (no state change) when the shard is
+  // retired, holds fewer than two records, or every center is identical
+  // on both axes.
   common::StatusOr<int32_t> SplitShard(int32_t shard);
 
   // Forwards everything routed to `src` into `dst` and retires `src`:
@@ -215,8 +189,8 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // Both calls are serial-phase only and come as a pair per tick: WarmJoin
   // installs the previous tick's speculative reads (call it FIRST, before
   // any serial-phase work that touches the raw storage managers — interest
-  // refresh, rebalancing, ingest — so in-flight reads never overlap page
-  // frees or directory writes), and WarmDispatch issues the next batch
+  // refresh, rebalancing — so in-flight reads never overlap page frees or
+  // directory writes), and WarmDispatch issues the next batch
   // (call it LAST, after the tick's interest refresh and rebalance, so the
   // ranking sees the fresh grid and the settled shard layout). Const like
   // UpdateInterest: the serving path holds a const index.
@@ -308,11 +282,6 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // Caller holds mu_ exclusively (PoolStats/UpdateInterest read under
   // the reader lock).
   void AddShardStore(int32_t shard);
-  // Re-buckets every staged record under the current map (shard ids
-  // change across a split/merge, and the staging buffers grow with the
-  // slot table).
-  void RebucketStaged(int32_t new_shard_count)
-      MARS_REQUIRES(stage_mu_);
   // Transfers the replaced shard's cumulative counters into `heir`
   // (default: `next` itself) and frees its pages; installs `next` into
   // its slot (mu_ held exclusively).
@@ -323,19 +292,11 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   ShardMap map_;
 
   // Shard array. Slots are only appended (by Build and SplitShard) and
-  // the pointed-to shards are swapped whole by CommitStaged and the
-  // rebalance ops — always under the writer lock, so readers iterate a
-  // stable snapshot.
+  // the pointed-to shards are swapped whole by the rebalance ops — always
+  // under the writer lock, so readers iterate a stable snapshot.
   mutable common::SharedMutex mu_;
   std::vector<std::unique_ptr<Shard>> shards_ MARS_GUARDED_BY(mu_);
-  int64_t epoch_ MARS_GUARDED_BY(mu_) = 0;
   int64_t rebalances_ MARS_GUARDED_BY(mu_) = 0;
-
-  // Per-shard staging buffers for online ingest.
-  mutable common::Mutex stage_mu_;
-  std::vector<std::vector<std::pair<RecordId, CoeffRecord>>> staged_
-      MARS_GUARDED_BY(stage_mu_);
-  int64_t staged_count_ MARS_GUARDED_BY(stage_mu_) = 0;
 
   // Fan-out pool (fanout_workers > 1). pool_mu_ admits one fanning-out
   // query at a time; contenders fall back to sequential execution.
@@ -344,12 +305,11 @@ class ShardedCoefficientIndex : public CoefficientIndex {
 
   // Disk mode only: per-shard page stores and buffer pools. Created by
   // Build (one per configured slot) and appended by SplitShard for each
-  // slot it allocates; every epoch of a shard shares its pool
-  // (CommitStaged writes the new epoch's pages and frees the old
-  // epoch's through it). Queries reach a pool through the pointer its
-  // tree captured at build time, so only the vectors need mu_: appends
-  // hold it exclusively, PoolStats/UpdateInterest scan under the reader
-  // lock.
+  // slot it allocates; every epoch of a shard shares its pool (a split
+  // or merge writes the new epoch's pages and frees the old epoch's
+  // through it). Queries reach a pool through the pointer its tree
+  // captured at build time, so only the vectors need mu_: appends hold it
+  // exclusively, PoolStats/UpdateInterest scan under the reader lock.
   std::vector<std::unique_ptr<storage::DiskStorageManager>> managers_;
   std::vector<std::unique_ptr<storage::BufferPool>> pools_;
   int32_t restored_shards_ = 0;

@@ -65,8 +65,7 @@ double FaultSchedule::Track::NextBoundaryAfter(double t) {
 FaultSchedule::FaultSchedule() : FaultSchedule(Options()) {}
 
 FaultSchedule::FaultSchedule(Options options)
-    : options_(options),
-      enabled_(options.outage_rate_per_hour > 0.0),
+    : enabled_(options.outage_rate_per_hour > 0.0),
       outages_(options.outage_rate_per_hour, options.outage_mean_seconds,
                options.seed * 2654435761u + 1) {}
 

@@ -63,8 +63,6 @@ class FaultSchedule {
   // across a fault boundary.
   double NextBoundaryAfter(double t);
 
-  const Options& options() const { return options_; }
-
  private:
   struct Window {
     double start = 0.0;
@@ -97,7 +95,6 @@ class FaultSchedule {
   // The injected window covering `t`, or nullptr.
   const Window* InjectedCovering(double t) const;
 
-  Options options_;
   bool enabled_;
   Track outages_;
   // Explicitly injected outage windows (forced cell failures), kept

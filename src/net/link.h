@@ -64,7 +64,6 @@ class SimulatedLink {
   // detach. The schedule must outlive the link; it is shared mutable
   // state (lazy window generation), not owned.
   void AttachFaultSchedule(FaultSchedule* schedule) { fault_ = schedule; }
-  const FaultSchedule* fault_schedule() const { return fault_; }
 
   // The link's cumulative simulated time: every attempt and exchange
   // advances it, and the fault schedule is evaluated against it.

@@ -76,7 +76,6 @@ class ReliableChannel {
   int64_t total_deferrals() const { return total_deferrals_; }
   double total_deferred_seconds() const { return total_deferred_seconds_; }
 
-  const Options& options() const { return options_; }
   int64_t total_exchanges() const { return total_exchanges_; }
   int64_t total_retries() const { return total_retries_; }
   // Exchanges that failed (budget exhausted or deadline exceeded).

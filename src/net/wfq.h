@@ -55,11 +55,6 @@ class WfqVirtualClock {
     }
   }
 
-  bool active(int32_t client) const {
-    const auto it = clients_.find(client);
-    return it != clients_.end() && it->second.active;
-  }
-
   int32_t active_clients() const { return active_clients_; }
 
   // Advances virtual time after the cell served `bytes` across the active

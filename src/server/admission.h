@@ -88,7 +88,6 @@ class AdmissionController {
   // Folds a verdict into the counters (serial phase only).
   void Record(const Request& request, const Verdict& verdict);
 
-  const Options& options() const { return options_; }
   bool enabled() const { return options_.enabled; }
   int64_t admitted_requests() const { return admitted_requests_; }
   int64_t admitted_bytes() const { return admitted_bytes_; }

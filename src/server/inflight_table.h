@@ -83,7 +83,6 @@ class InflightTable {
   InflightTable& operator=(const InflightTable&) = delete;
 
   bool enabled() const { return options_.enabled; }
-  const Options& options() const { return options_; }
 
   // Payload bytes of `id`'s inflight copy, or -1 when nothing is in
   // flight. Read-only (see the phase protocol above).

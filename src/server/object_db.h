@@ -23,13 +23,11 @@ class ObjectDatabase {
   ObjectDatabase& operator=(ObjectDatabase&&) = default;
 
   // Adds an object (world coordinates already baked in); returns its id.
-  // Before FinalizeRecords() this only stores the mesh; after it (online
-  // ingest) the object's records are appended to the table immediately, so
-  // callers can diff records().size() around the call to learn the new
-  // record-id range. Not safe against concurrent readers of records().
+  // Only stores the mesh: the records are emitted by FinalizeRecords(),
+  // after which the database is fixed and AddObject() fails a check.
   int32_t AddObject(wavelet::MultiResMesh object);
 
-  // Builds the record table. Call once, after the last bulk AddObject().
+  // Builds the record table. Call once, after the last AddObject().
   void FinalizeRecords();
   bool finalized() const { return finalized_; }
 
@@ -68,10 +66,6 @@ class ObjectDatabase {
   }
 
  private:
-  // Emits the base-mesh and coefficient records of one object into the
-  // flat table, updating bounds, detail scale and byte accounting.
-  void AppendObjectRecords(int32_t obj_id);
-
   std::vector<wavelet::MultiResMesh> objects_;
   std::vector<index::CoeffRecord> records_;
   std::vector<geometry::Box3> object_bounds_;

@@ -48,9 +48,8 @@ struct RebalanceEvent {
 
 // Drives ShardedCoefficientIndex::SplitShard/MergeShards from windowed
 // per-shard access rates. Single-threaded by contract: Tick mutates the
-// index through its single-writer surface, so it must only run where
-// CommitIngest may — the fleet's serial phase or the single-client frame
-// loop. Determinism: decisions depend only on per-shard node-access
+// index through its single-writer surface, so it must only run in the
+// fleet's serial phase or the single-client frame loop. Determinism: decisions depend only on per-shard node-access
 // totals, which are order-independent sums, so a fleet run applies the
 // same ops at any --workers.
 class ShardRebalancer {
@@ -66,8 +65,6 @@ class ShardRebalancer {
   // Every op applied since construction.
   const std::vector<RebalanceEvent>& events() const { return events_; }
   int64_t rounds() const { return rounds_; }
-
-  const RebalanceOptions& options() const { return options_; }
 
  private:
   std::vector<RebalanceEvent> RunRound();

@@ -46,34 +46,6 @@ Server::Server(const ObjectDatabase* db, Options options)
   }
 }
 
-Server::Server(ObjectDatabase* db, Options options)
-    : Server(static_cast<const ObjectDatabase*>(db), options) {
-  mutable_db_ = db;
-}
-
-int32_t Server::AddObject(wavelet::MultiResMesh object) {
-  MARS_CHECK(mutable_db_ != nullptr)
-      << "AddObject requires the ingest-capable constructor";
-  const size_t first = db_->records().size();
-  const int32_t obj_id = mutable_db_->AddObject(std::move(object));
-  const auto& records = db_->records();
-  coeff_index_->Stage(records.data() + first, records.size() - first,
-                      static_cast<index::RecordId>(first));
-  staged_objects_.push_back(obj_id);
-  return obj_id;
-}
-
-int64_t Server::CommitIngest() {
-  MARS_CHECK(mutable_db_ != nullptr)
-      << "CommitIngest requires the ingest-capable constructor";
-  const int64_t folded = coeff_index_->CommitStaged();
-  for (int32_t obj_id : staged_objects_) {
-    object_index_.Insert(obj_id, db_->object_bounds()[obj_id]);
-  }
-  staged_objects_.clear();
-  return folded;
-}
-
 QueryResult Server::Execute(const std::vector<SubQuery>& queries,
                             ClientSession* session) const {
   MARS_CHECK(session != nullptr);
@@ -107,25 +79,6 @@ QueryResult Server::Execute(const std::vector<SubQuery>& queries,
       result.per_query_bytes[qi] += bytes;
       result.response_bytes += bytes;
     }
-  }
-  return result;
-}
-
-Server::ObjectQueryResult Server::ExecuteObjectQuery(
-    const geometry::Box2& region,
-    std::unordered_set<int32_t>* delivered_objects) const {
-  MARS_CHECK(delivered_objects != nullptr);
-  ObjectQueryResult result;
-  result.request_bytes = kRequestHeaderBytes + kSubQueryBytes;
-  result.response_bytes = kResponseHeaderBytes;
-
-  std::vector<int32_t> hits;
-  result.node_accesses = object_index_.Query(region, &hits);
-  result.all_objects = hits;
-  for (int32_t obj : hits) {
-    if (!delivered_objects->insert(obj).second) continue;
-    result.objects.push_back(obj);
-    result.response_bytes += db_->ObjectFullBytes(obj);
   }
   return result;
 }

@@ -18,7 +18,6 @@
 #include "server/object_db.h"
 #include "server/rebalancer.h"
 #include "storage/storage_manager.h"
-#include "wavelet/multires_mesh.h"
 
 namespace mars::server {
 
@@ -97,9 +96,8 @@ struct QueryResult {
 // fleet engine's striped SessionTable guarantees exactly that. Index
 // access counters are relaxed atomics; per-exchange accounting uses
 // per-call counts, so concurrent clients never see each other's I/O.
-// ResetStats, AddObject and CommitIngest are NOT thread-safe and must only
-// run while no queries are in flight (the fleet's serial phase): ingest
-// appends to the shared record table that Execute reads.
+// ResetStats is NOT thread-safe and must only run while no queries are in
+// flight (the fleet's serial phase).
 class Server {
  public:
   using IndexKind = index::ShardedIndexOptions::Kind;
@@ -122,12 +120,8 @@ class Server {
     RebalanceOptions rebalance = {};
   };
 
-  // Read-only server: `db` must be finalized and must outlive the server.
+  // `db` must be finalized and must outlive the server.
   Server(const ObjectDatabase* db, Options options);
-
-  // Ingest-capable server: additionally accepts AddObject/CommitIngest,
-  // which append to `db`.
-  Server(ObjectDatabase* db, Options options);
 
   // Executes a batch of sub-queries as one exchange, filtering against
   // `session` (committed and pending records). The newly selected records
@@ -137,44 +131,14 @@ class Server {
   QueryResult Execute(const std::vector<SubQuery>& queries,
                       ClientSession* session) const;
 
-  // Naive path: full-resolution object retrieval for every object whose
-  // MBR intersects `region`. `delivered_objects` is the session state.
-  struct ObjectQueryResult {
-    std::vector<int32_t> objects;      // newly delivered object ids
-    std::vector<int32_t> all_objects;  // every object the window intersects
-    int64_t response_bytes = 0;
-    int64_t request_bytes = 0;
-    int64_t node_accesses = 0;
-  };
-  ObjectQueryResult ExecuteObjectQuery(
-      const geometry::Box2& region,
-      std::unordered_set<int32_t>* delivered_objects) const;
-
-  // Lists the objects whose ground-plane MBR intersects `region` plus the
-  // index node accesses spent, without any delivery bookkeeping.
+  // Naive path: lists the objects whose ground-plane MBR intersects
+  // `region` plus the index node accesses spent. The naive client keeps
+  // its own cache and works out which objects to fetch whole.
   struct ObjectListing {
     std::vector<int32_t> objects;
     int64_t node_accesses = 0;
   };
   ObjectListing ListObjects(const geometry::Box2& region) const;
-
-  // --- Online ingest (serial phase only; requires the ingest ctor) --------
-
-  // Adds an object to the database and stages its records into the
-  // coefficient index. The object stays invisible to every query path
-  // until CommitIngest() swaps it in. Returns the object id.
-  int32_t AddObject(wavelet::MultiResMesh object);
-
-  // Commits everything staged since the last commit: epoch-rebuilds the
-  // affected coefficient shards (build-then-swap; untouched shards keep
-  // their trees and counters) and inserts the new objects into the
-  // object-granularity index. Returns the number of coefficient records
-  // folded in.
-  int64_t CommitIngest();
-
-  bool ingest_enabled() const { return mutable_db_ != nullptr; }
-  int64_t staged_records() const { return coeff_index_->staged_records(); }
-  int64_t ingest_epoch() const { return coeff_index_->epoch(); }
 
   // --- Observability ------------------------------------------------------
 
@@ -235,7 +199,7 @@ class Server {
   // motion-interest hooks (the serving path holds a const Server), but
   // NOT internally locked: the rebalancer drives the index's
   // single-writer split/merge surface, so TickRebalancer must only run
-  // in serial phases — exactly where CommitIngest may.
+  // in serial phases.
   bool rebalance_enabled() const { return rebalancer_ != nullptr; }
   // Advances the rebalancer one tick; returns the ops it applied (empty
   // on non-policy ticks or when disabled).
@@ -260,11 +224,8 @@ class Server {
 
  private:
   const ObjectDatabase* db_;
-  ObjectDatabase* mutable_db_ = nullptr;  // non-null iff ingest-capable
   std::unique_ptr<index::ShardedCoefficientIndex> coeff_index_;
   index::ObjectIndex object_index_;
-  // Objects added but not yet committed into the object index.
-  std::vector<int32_t> staged_objects_;
   // Set once in the constructor (disk + motion eviction only), then only
   // read — motion_interest_enabled() needs no lock. Observe and Snapshot
   // (which refreshes the tracker's cached fields) both mutate the tracker

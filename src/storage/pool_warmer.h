@@ -63,7 +63,6 @@ class PoolWarmer {
 
   // Ticks that dispatched at least one read.
   int64_t active_ticks() const;
-  const Options& options() const { return options_; }
 
  private:
   // One speculative read: filled by the I/O pool, installed by Join.

@@ -95,7 +95,6 @@ class GroupTourGenerator {
   std::vector<TourPoint> Tour(int32_t member) const;
 
   const std::vector<TourPoint>& base() const { return base_; }
-  const Options& options() const { return options_; }
 
  private:
   Options options_;

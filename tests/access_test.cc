@@ -496,79 +496,6 @@ TEST(ShardedIndexTest, FanOutSkipsNonIntersectingShards) {
   EXPECT_LT(queried_shards, index.shard_count());
 }
 
-TEST(ShardedIndexTest, OnlineIngestVisibleAfterCommit) {
-  const auto records = MakeRecords(30, 30, 13);
-  ShardedCoefficientIndex index(
-      ShardedOptions(4, ShardedIndexOptions::Kind::kSupportRegion));
-  index.Build(records);
-
-  // Stage a batch of extra records continuing the global id space.
-  auto extra = MakeRecords(10, 30, 99);
-  const RecordId first = static_cast<RecordId>(records.size());
-  index.Stage(extra.data(), extra.size(), first);
-  EXPECT_EQ(index.staged_records(), static_cast<int64_t>(extra.size()));
-  EXPECT_EQ(index.epoch(), 0);
-
-  const geometry::Box2 everything = geometry::MakeBox2(-100, -100, 1100, 1100);
-  std::vector<RecordId> out;
-  index.Query(everything, 0.0, 1.0, &out);
-  EXPECT_EQ(out.size(), records.size());  // staged still invisible
-
-  EXPECT_EQ(index.CommitStaged(), static_cast<int64_t>(extra.size()));
-  EXPECT_EQ(index.staged_records(), 0);
-  EXPECT_EQ(index.epoch(), 1);
-
-  // All records visible, ids correct: the oracle over the union table.
-  std::vector<CoeffRecord> all = records;
-  all.insert(all.end(), extra.begin(), extra.end());
-  out.clear();
-  index.Query(everything, 0.0, 1.0, &out);
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, Oracle(all, everything, 0.0, 1.0));
-
-  // Empty commit is a no-op.
-  EXPECT_EQ(index.CommitStaged(), 0);
-  EXPECT_EQ(index.epoch(), 1);
-}
-
-TEST(ShardedIndexTest, CommitOnlyRebuildsAffectedShards) {
-  const auto records = MakeRecords(40, 40, 21);
-  ShardedCoefficientIndex index(
-      ShardedOptions(16, ShardedIndexOptions::Kind::kSupportRegion));
-  index.Build(records);
-
-  // One extra record lands in exactly one shard.
-  CoeffRecord extra = records[0];
-  index.Stage(&extra, 1, static_cast<RecordId>(records.size()));
-  ASSERT_EQ(index.CommitStaged(), 1);
-
-  int64_t rebuilt = 0;
-  for (const auto& s : index.Stats()) {
-    rebuilt += s.rebuilds;
-  }
-  EXPECT_EQ(rebuilt, 1);
-}
-
-TEST(ShardedIndexTest, StatsSurviveEpochRebuild) {
-  const auto records = MakeRecords(30, 30, 23);
-  ShardedCoefficientIndex index(
-      ShardedOptions(4, ShardedIndexOptions::Kind::kSupportRegion));
-  index.Build(records);
-
-  const geometry::Box2 everything = geometry::MakeBox2(-100, -100, 1100, 1100);
-  std::vector<RecordId> out;
-  index.Query(everything, 0.0, 1.0, &out);
-  const int64_t before = index.node_accesses();
-  EXPECT_GT(before, 0);
-
-  CoeffRecord extra = records[0];
-  index.Stage(&extra, 1, static_cast<RecordId>(records.size()));
-  index.CommitStaged();
-  // The rebuilt shard retires its traversal counter into the new epoch:
-  // totals stay monotonic across the swap.
-  EXPECT_GE(index.node_accesses(), before);
-}
-
 // --- Disk-backed storage (--store disk) -----------------------------------
 
 ShardedIndexOptions DiskOptions(int32_t shards, const std::string& path,
@@ -673,41 +600,6 @@ TEST(DiskShardedIndexTest, MismatchedRecordsForceRebuildNotGarbage) {
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, Oracle(records, everything, 0.0, 1.0));
   ShardedCoefficientIndex::RemoveFiles(path, 1);
-}
-
-TEST(DiskShardedIndexTest, OnlineIngestWorksOnDisk) {
-  const auto records = MakeRecords(20, 30, 31);
-  const std::string path = TempPath("mars_access_ingest.pages");
-  const int32_t shards = 4;
-  ShardedCoefficientIndex::RemoveFiles(path, shards);
-
-  ShardedCoefficientIndex index(DiskOptions(
-      shards, path, ShardedIndexOptions::Kind::kSupportRegion));
-  index.Build(records);
-
-  auto extra = MakeRecords(5, 30, 97);
-  index.Stage(extra.data(), extra.size(),
-              static_cast<RecordId>(records.size()));
-  EXPECT_EQ(index.CommitStaged(), static_cast<int64_t>(extra.size()));
-
-  std::vector<CoeffRecord> all = records;
-  all.insert(all.end(), extra.begin(), extra.end());
-  const geometry::Box2 everything = geometry::MakeBox2(-100, -100, 1100, 1100);
-  std::vector<RecordId> got;
-  index.Query(everything, 0.0, 1.0, &got);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, Oracle(all, everything, 0.0, 1.0));
-
-  // The post-commit epoch is what a restart restores.
-  ShardedCoefficientIndex revived(DiskOptions(
-      shards, path, ShardedIndexOptions::Kind::kSupportRegion));
-  revived.Build(all);
-  EXPECT_EQ(revived.restored_shards(), shards);
-  std::vector<RecordId> after;
-  revived.Query(everything, 0.0, 1.0, &after);
-  std::sort(after.begin(), after.end());
-  EXPECT_EQ(after, got);
-  ShardedCoefficientIndex::RemoveFiles(path, shards);
 }
 
 // --- Load-adaptive rebalancing (--rebalance on) ----------------------------
@@ -851,6 +743,23 @@ void ExpectMatchesOracle(const ShardedCoefficientIndex& index,
   }
 }
 
+// A rebalance op rebuilds slots `a` and `b` only: every other slot keeps
+// its records, node accesses, fan-out queries and rebuilds.
+void ExpectOtherSlotsUntouched(
+    const std::vector<ShardedCoefficientIndex::ShardStats>& before,
+    const std::vector<ShardedCoefficientIndex::ShardStats>& after, int32_t a,
+    int32_t b) {
+  ASSERT_GE(after.size(), before.size());
+  for (int32_t s = 0; s < static_cast<int32_t>(before.size()); ++s) {
+    if (s == a || s == b) continue;
+    EXPECT_EQ(after[s].records, before[s].records) << "slot " << s;
+    EXPECT_EQ(after[s].node_accesses, before[s].node_accesses) << "slot " << s;
+    EXPECT_EQ(after[s].fanout_queries, before[s].fanout_queries)
+        << "slot " << s;
+    EXPECT_EQ(after[s].rebuilds, before[s].rebuilds) << "slot " << s;
+  }
+}
+
 TEST(RebalanceTest, ForcedSplitsKeepOracleEquivalence) {
   const auto records = MakeRecords(40, 50, 3);
   ShardedCoefficientIndex index(
@@ -861,9 +770,16 @@ TEST(RebalanceTest, ForcedSplitsKeepOracleEquivalence) {
 
   // Split every original shard once; each op allocates the next id.
   for (int32_t s = 0; s < 4; ++s) {
+    const auto before = index.Stats();
     auto split = index.SplitShard(s);
     ASSERT_TRUE(split.ok()) << split.status().message();
     EXPECT_EQ(split.value(), 4 + s);
+    // The split slot absorbs one rebuild; the new slot starts at none.
+    const auto after = index.Stats();
+    ASSERT_EQ(after.size(), before.size() + 1);
+    EXPECT_EQ(after[s].rebuilds, before[s].rebuilds + 1);
+    EXPECT_EQ(after[4 + s].rebuilds, 0);
+    ExpectOtherSlotsUntouched(before, after, s, 4 + s);
     ExpectMatchesOracle(index, records);
   }
   EXPECT_EQ(index.shard_count(), 8);
@@ -904,6 +820,10 @@ TEST(RebalanceTest, MergeRetiresSourceAndTransfersCounters) {
   EXPECT_EQ(after[2].records, before[2].records + moved);
   // The destination inherits both shards' cumulative traversal counters.
   EXPECT_GE(after[2].node_accesses, src_accesses + dst_accesses);
+  // Each of the two slots absorbs one rebuild; no other slot changes.
+  EXPECT_EQ(after[1].rebuilds, before[1].rebuilds + 1);
+  EXPECT_EQ(after[2].rebuilds, before[2].rebuilds + 1);
+  ExpectOtherSlotsUntouched(before, after, 1, 2);
   ExpectMatchesOracle(index, records);
 
   // The retired slot's empty coverage keeps it out of every fan-out.
@@ -941,31 +861,6 @@ TEST(RebalanceTest, InvalidOpsAreRejectedWithoutStateChange) {
       ShardedOptions(1, ShardedIndexOptions::Kind::kSupportRegion));
   point_index.Build(stacked);
   EXPECT_FALSE(point_index.SplitShard(0).ok());
-}
-
-TEST(RebalanceTest, StagedRecordsSurviveSplitAndMerge) {
-  // Records staged before an op must land in the post-op shards when
-  // committed (the staging buffers are re-bucketed under the new map).
-  const auto records = MakeRecords(30, 40, 23);
-  ShardedCoefficientIndex index(
-      ShardedOptions(2, ShardedIndexOptions::Kind::kSupportRegion));
-  index.Build(records);
-
-  const auto extra = MakeRecords(6, 40, 71);
-  index.Stage(extra.data(), extra.size(),
-              static_cast<RecordId>(records.size()));
-  ASSERT_TRUE(index.SplitShard(0).ok());
-  ASSERT_TRUE(index.MergeShards(1, 2).ok());
-  EXPECT_EQ(index.staged_records(), static_cast<int64_t>(extra.size()));
-  EXPECT_EQ(index.CommitStaged(), static_cast<int64_t>(extra.size()));
-
-  std::vector<CoeffRecord> all = records;
-  all.insert(all.end(), extra.begin(), extra.end());
-  const geometry::Box2 everything = geometry::MakeBox2(-100, -100, 1100, 1100);
-  std::vector<RecordId> got;
-  index.Query(everything, 0.0, 1.0, &got);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, Oracle(all, everything, 0.0, 1.0));
 }
 
 TEST(RebalanceTest, DiskSplitMergeMatchesMemoryAndSurvivesRestart) {
@@ -1039,10 +934,10 @@ TEST(RebalanceTest, DiskSplitMergeMatchesMemoryAndSurvivesRestart) {
 }
 
 TEST(RebalanceTest, RetiredEpochsLeakNoPages) {
-  // Every swap that retires a shard epoch (ingest commit, split, merge)
-  // must free the replaced tree's pages. The reference is a fresh build
-  // over the final records that routes them by the same refined map: each
-  // slot must hold exactly as many pages in use as the reference does.
+  // Every swap that retires a shard epoch (split, merge) must free the
+  // replaced tree's pages. The reference is a fresh build over the same
+  // records that routes them by the same refined map: each slot must hold
+  // exactly as many pages in use as the reference does.
   const auto records = MakeRecords(30, 40, 7);
   const int32_t shards = 4;
   const auto kind = ShardedIndexOptions::Kind::kSupportRegion;
@@ -1057,18 +952,9 @@ TEST(RebalanceTest, RetiredEpochsLeakNoPages) {
 
   ShardedCoefficientIndex index(DiskOptions(shards, path, kind));
   index.Build(records);
-  // Copies of existing records lie inside the original ground bounds, so
-  // the reference grids the same base map the sidecar was written for.
-  std::vector<CoeffRecord> extra(records.begin(), records.begin() + 300);
-  for (CoeffRecord& r : extra) r.object_id += 1000;
-  index.Stage(extra.data(), extra.size(),
-              static_cast<RecordId>(records.size()));
-  ASSERT_EQ(index.CommitStaged(), static_cast<int64_t>(extra.size()));
   ASSERT_TRUE(index.SplitShard(0).ok());
   ASSERT_TRUE(index.MergeShards(1, 2).ok());
 
-  std::vector<CoeffRecord> all = records;
-  all.insert(all.end(), extra.begin(), extra.end());
   std::filesystem::copy_file(ShardedCoefficientIndex::ShardMapPath(path),
                              ShardedCoefficientIndex::ShardMapPath(fresh_path));
   // A restart accepts the sidecar only if every slot it names has a page
@@ -1077,7 +963,7 @@ TEST(RebalanceTest, RetiredEpochsLeakNoPages) {
     std::ofstream(fresh_path + ".shard" + std::to_string(s));
   }
   ShardedCoefficientIndex fresh(DiskOptions(shards, fresh_path, kind));
-  fresh.Build(all);
+  fresh.Build(records);
   EXPECT_EQ(fresh.restored_shards(), 0);
   ASSERT_EQ(fresh.shard_count(), index.shard_count());
 
@@ -1422,18 +1308,6 @@ TEST(ShardedIndexTest, Name) {
       ShardedOptions(4, ShardedIndexOptions::Kind::kNaivePoint));
   EXPECT_EQ(one.name(), "support-region");
   EXPECT_EQ(four.name(), "sharded-4(naive-point)");
-}
-
-TEST(ObjectIndexTest, InsertAfterBuildIsQueryable) {
-  std::vector<geometry::Box3> bounds = {
-      geometry::MakeBox3(0, 0, 0, 10, 10, 30),
-  };
-  ObjectIndex idx;
-  idx.Build(bounds);
-  idx.Insert(1, geometry::MakeBox3(50, 50, 0, 60, 60, 30));
-  std::vector<int32_t> out;
-  idx.Query(geometry::MakeBox2(45, 45, 65, 65), &out);
-  EXPECT_EQ(out, (std::vector<int32_t>{1}));
 }
 
 TEST(ObjectIndexTest, IoCounterAdvances) {

@@ -312,6 +312,31 @@ TEST_F(ClientFixture, NaiveClientCachesObjects) {
   EXPECT_EQ(first.objects_needed, second.objects_needed);
 }
 
+TEST_F(ClientFixture, NaiveClientFetchesWholeObjectsOnce) {
+  net::SimulatedLink link;
+  NaiveObjectClient::Options options;
+  options.cache_bytes = 10 * 1024 * 1024;  // plenty
+  NaiveObjectClient client(options, space_, server_.get(), &link);
+  const auto& b = db_->object_bounds()[3];
+  const geometry::Vec2 pos{0.5 * (b.lo(0) + b.hi(0)),
+                           0.5 * (b.lo(1) + b.hi(1))};
+  const auto first = client.Step(pos, 0.5);
+  // Cold cache: every object in the window is fetched whole, one response
+  // header plus each object's full-resolution bytes.
+  const Viewport vp(space_, options.query_fraction, options.query_fraction);
+  const auto listing = server_->ListObjects(vp.WindowAt(pos));
+  ASSERT_FALSE(listing.objects.empty());
+  int64_t expected = server::Server::kResponseHeaderBytes;
+  for (int32_t obj : listing.objects) expected += db_->ObjectFullBytes(obj);
+  EXPECT_EQ(first.objects_fetched,
+            static_cast<int64_t>(listing.objects.size()));
+  EXPECT_EQ(first.bytes, expected);
+  // Warm cache: the same window fetches nothing.
+  const auto second = client.Step(pos, 0.5);
+  EXPECT_EQ(second.objects_fetched, 0);
+  EXPECT_EQ(second.bytes, 0);
+}
+
 TEST_F(ClientFixture, NaiveClientRefetchesAfterEviction) {
   net::SimulatedLink link;
   NaiveObjectClient::Options options;

@@ -35,13 +35,13 @@ TEST(SerializeTest, PrimitivesRoundTrip) {
   w.WriteString("hello mars");
 
   common::ByteReader r(w.buffer());
-  uint8_t u8;
-  uint32_t u32;
-  uint64_t u64;
-  int32_t i32;
-  int64_t i64;
-  double d;
-  float f;
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int32_t i32 = 0;
+  int64_t i64 = 0;
+  double d = 0.0;
+  float f = 0.0f;
   std::string s;
   ASSERT_TRUE(r.ReadU8(&u8).ok());
   ASSERT_TRUE(r.ReadU32(&u32).ok());

@@ -479,8 +479,8 @@ TEST(ShardMapTest, GridCoversAllShards) {
 TEST(ShardMapTest, OutOfBoundsPointsClampToEdgeCells) {
   const ShardMap map =
       ShardMap::Build(geometry::MakeBox2(0, 0, 100, 100), 4);
-  // Ingested records outside the original bounds still route somewhere
-  // valid (the nearest edge cell), never out of range.
+  // Points outside the bounds route to the nearest edge cell, never out
+  // of range; the same clamp catches a center exactly on the high edge.
   for (const auto& [x, y] : std::vector<std::pair<double, double>>{
            {-50, -50}, {150, 150}, {-50, 150}, {50, 1e6}}) {
     const int32_t s = map.Route(RecordAt(x, y));

@@ -237,22 +237,6 @@ TEST_F(ServerTest, NodeAccessesPositiveAndResettable) {
   EXPECT_EQ(server_->node_accesses(), 0);
 }
 
-TEST_F(ServerTest, ObjectQueryDeliversOnceAndCountsBytes) {
-  std::unordered_set<int32_t> delivered;
-  const auto first =
-      server_->ExecuteObjectQuery(WindowAroundObject(3), &delivered);
-  ASSERT_FALSE(first.objects.empty());
-  int64_t expected = Server::kResponseHeaderBytes;
-  for (int32_t obj : first.objects) {
-    expected += db_->ObjectFullBytes(obj);
-  }
-  EXPECT_EQ(first.response_bytes, expected);
-  const auto second =
-      server_->ExecuteObjectQuery(WindowAroundObject(3), &delivered);
-  EXPECT_TRUE(second.objects.empty());
-  EXPECT_EQ(second.all_objects.size(), first.all_objects.size());
-}
-
 TEST_F(ServerTest, ListObjectsMatchesBruteForce) {
   const geometry::Box2 window = geometry::MakeBox2(0, 0, 600, 600);
   auto listing = server_->ListObjects(window);
@@ -285,118 +269,6 @@ TEST(ServerIndexKindTest, BothIndexesServeIdenticalResults) {
     EXPECT_EQ(ra.records, rb.records) << "w_min " << w_min;
     EXPECT_EQ(ra.response_bytes, rb.response_bytes);
   }
-}
-
-// --- Online ingest --------------------------------------------------------
-
-TEST(ServerIngestTest, ObjectVisibleOnlyAfterCommit) {
-  auto db = workload::GenerateScene(SmallScene(13));
-  ASSERT_TRUE(db.ok());
-  ObjectDatabase database = std::move(*db);
-
-  // A donor scene supplies the mesh to ingest mid-run.
-  auto donor = workload::GenerateScene(SmallScene(31));
-  ASSERT_TRUE(donor.ok());
-
-  Server::Options options;
-  options.shards = 4;
-  Server server(&database, options);
-  ASSERT_TRUE(server.ingest_enabled());
-
-  const geometry::Box2 everything = geometry::MakeBox2(-5000, -5000,
-                                                       5000, 5000);
-  ClientSession warm;
-  const auto before =
-      server.Execute({SubQuery{everything, 0.0, 1.0}}, &warm);
-
-  const int32_t old_objects = database.object_count();
-  const size_t old_records = database.records().size();
-  const int32_t obj_id = server.AddObject(donor->object(0));
-  EXPECT_EQ(obj_id, old_objects);
-  const int64_t new_records =
-      static_cast<int64_t>(database.records().size() - old_records);
-  EXPECT_GT(new_records, 0);
-  EXPECT_EQ(server.staged_records(), new_records);
-  EXPECT_EQ(server.ingest_epoch(), 0);
-
-  // Invisible until the epoch swap: identical result set, and the naive
-  // object path does not list it either.
-  ClientSession staged_session;
-  const auto staged =
-      server.Execute({SubQuery{everything, 0.0, 1.0}}, &staged_session);
-  EXPECT_EQ(staged.records.size(), before.records.size());
-  auto listing = server.ListObjects(everything);
-  EXPECT_EQ(std::count(listing.objects.begin(), listing.objects.end(),
-                       obj_id),
-            0);
-
-  EXPECT_EQ(server.CommitIngest(), new_records);
-  EXPECT_EQ(server.staged_records(), 0);
-  EXPECT_EQ(server.ingest_epoch(), 1);
-
-  // Visible everywhere now.
-  ClientSession fresh;
-  const auto after =
-      server.Execute({SubQuery{everything, 0.0, 1.0}}, &fresh);
-  EXPECT_EQ(after.records.size(),
-            before.records.size() + static_cast<size_t>(new_records));
-  int64_t ingested_seen = 0;
-  for (index::RecordId id : after.records) {
-    if (database.record(id).object_id == obj_id) ++ingested_seen;
-  }
-  EXPECT_EQ(ingested_seen, new_records);
-  listing = server.ListObjects(everything);
-  EXPECT_EQ(std::count(listing.objects.begin(), listing.objects.end(),
-                       obj_id),
-            1);
-}
-
-TEST(ServerIngestTest, CommitLeavesOtherShardsUntouched) {
-  auto db = workload::GenerateScene(SmallScene(17));
-  ASSERT_TRUE(db.ok());
-  ObjectDatabase database = std::move(*db);
-  auto donor = workload::GenerateScene(SmallScene(37));
-  ASSERT_TRUE(donor.ok());
-
-  Server::Options options;
-  options.shards = 8;
-  Server server(&database, options);
-
-  // Touch every shard's counters with a broad query first.
-  ClientSession session;
-  server.Execute(
-      {SubQuery{geometry::MakeBox2(-5000, -5000, 5000, 5000), 0.0, 1.0}},
-      &session);
-  const auto before = server.sharded_index().Stats();
-
-  server.AddObject(donor->object(0));
-  server.CommitIngest();
-  const auto after = server.sharded_index().Stats();
-
-  ASSERT_EQ(before.size(), after.size());
-  int64_t rebuilt = 0;
-  for (size_t s = 0; s < after.size(); ++s) {
-    if (after[s].rebuilds > 0) {
-      ++rebuilt;
-      EXPECT_GT(after[s].records, before[s].records);
-    } else {
-      // Untouched shard: same tree, same records, same counters.
-      EXPECT_EQ(after[s].records, before[s].records);
-      EXPECT_EQ(after[s].node_accesses, before[s].node_accesses);
-      EXPECT_EQ(after[s].fanout_queries, before[s].fanout_queries);
-    }
-  }
-  EXPECT_GE(rebuilt, 1);
-  EXPECT_LT(rebuilt, static_cast<int64_t>(after.size()));
-}
-
-TEST(ServerIngestTest, ReadOnlyServerRejectsIngest) {
-  auto db = workload::GenerateScene(SmallScene(19));
-  ASSERT_TRUE(db.ok());
-  ObjectDatabase database = std::move(*db);
-  const ObjectDatabase* const_db = &database;
-  Server server(const_db, Server::Options{});
-  EXPECT_FALSE(server.ingest_enabled());
 }
 
 AdmissionController::Options AdmissionOptions() {

@@ -277,28 +277,6 @@ TEST_F(WireCodecTest, MatchesTheReferenceEncoderByteForByte) {
   EXPECT_EQ(EncodeRecords(*db_, {}), ReferenceEncode(*db_, {}));
 }
 
-TEST_F(WireCodecTest, OnlineIngestedObjectMatchesTheReference) {
-  // An object added after FinalizeRecords gets its records — and its
-  // detail scale — on the spot.
-  workload::SceneOptions scene;
-  scene.space = geometry::MakeBox2(0, 0, 1000, 1000);
-  scene.object_count = 2;
-  scene.levels = 3;
-  scene.seed = 67;
-  auto other = workload::GenerateScene(scene);
-  ASSERT_TRUE(other.ok());
-  const size_t before = db_->records().size();
-  const int32_t added = db_->AddObject(other->object(1));
-  ASSERT_GT(db_->records().size(), before);
-  std::vector<index::RecordId> fresh;
-  for (size_t i = before; i < db_->records().size(); ++i) {
-    fresh.push_back(static_cast<int64_t>(i));
-  }
-  EXPECT_EQ(db_->record(fresh.front()).object_id, added);
-  EXPECT_EQ(EncodeRecords(*db_, fresh), ReferenceEncode(*db_, fresh));
-  ExpectMatchesReference(*db_, 73);
-}
-
 TEST_F(WireCodecTest, RestoredDatabaseMatchesTheReference) {
   auto restored = DeserializeDatabase(SerializeDatabase(*db_));
   ASSERT_TRUE(restored.ok());
