@@ -75,23 +75,6 @@ void BM_RTreeWindowQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeWindowQuery)->Arg(10000)->Arg(100000);
 
-void BM_GuttmanInsert(benchmark::State& state) {
-  common::Rng rng(3);
-  index::RTreeOptions options;
-  options.split_policy = index::SplitPolicy::kGuttmanQuadratic;
-  options.forced_reinsert = false;
-  for (auto _ : state) {
-    state.PauseTiming();
-    index::RTree3 tree(options);
-    state.ResumeTiming();
-    for (int64_t i = 0; i < state.range(0); ++i) {
-      tree.Insert(RandomBox3(rng), i);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GuttmanInsert)->Arg(10000);
-
 void BM_WaveletDecompose(benchmark::State& state) {
   const int levels = static_cast<int>(state.range(0));
   const mesh::Mesh base = mesh::MakeBuilding(30, 40, 20, 6);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,24 +10,14 @@
 
 namespace mars::index {
 
-GroundScale GroundScale::FromRecords(
-    const std::vector<CoeffRecord>& records) {
-  geometry::Box2 bounds;
-  for (const CoeffRecord& r : records) {
-    bounds.ExtendPoint({r.support_bounds.lo(0), r.support_bounds.lo(1)});
-    bounds.ExtendPoint({r.support_bounds.hi(0), r.support_bounds.hi(1)});
-  }
-  GroundScale s;
-  if (!bounds.IsEmpty()) {
-    s.off_x = bounds.lo(0);
-    s.off_y = bounds.lo(1);
-    if (bounds.Extent(0) > 0) s.scale_x = 1.0 / bounds.Extent(0);
-    if (bounds.Extent(1) > 0) s.scale_y = 1.0 / bounds.Extent(1);
-  }
-  return s;
-}
-
 namespace {
+
+// Ids 0..n-1: the whole table.
+std::vector<RecordId> AllIds(size_t n) {
+  std::vector<RecordId> ids(n);
+  std::iota(ids.begin(), ids.end(), RecordId{0});
+  return ids;
+}
 
 // Node page payload:
 //   u8  is_leaf
@@ -60,6 +51,29 @@ geometry::Box2 GroundRegion(const GroundScale& scale,
 }
 
 }  // namespace
+
+GroundScale GroundScale::FromRecords(
+    const std::vector<CoeffRecord>& records) {
+  return FromRecords(records, AllIds(records.size()));
+}
+
+GroundScale GroundScale::FromRecords(const std::vector<CoeffRecord>& table,
+                                     const std::vector<RecordId>& ids) {
+  geometry::Box2 bounds;
+  for (const RecordId id : ids) {
+    const CoeffRecord& r = table[id];
+    bounds.ExtendPoint({r.support_bounds.lo(0), r.support_bounds.lo(1)});
+    bounds.ExtendPoint({r.support_bounds.hi(0), r.support_bounds.hi(1)});
+  }
+  GroundScale s;
+  if (!bounds.IsEmpty()) {
+    s.off_x = bounds.lo(0);
+    s.off_y = bounds.lo(1);
+    if (bounds.Extent(0) > 0) s.scale_x = 1.0 / bounds.Extent(0);
+    if (bounds.Extent(1) > 0) s.scale_y = 1.0 / bounds.Extent(1);
+  }
+  return s;
+}
 
 // --- PagedTree3 ----------------------------------------------------------
 
@@ -195,16 +209,22 @@ RTreeCoefficientIndex::RTreeCoefficientIndex(RTreeOptions options,
                                              storage::BufferPool* pool)
     : options_(options), pool_(pool), tree_(options), paged_(pool) {}
 
-void RTreeCoefficientIndex::Derive(const std::vector<CoeffRecord>& records) {
-  scale_ = GroundScale::FromRecords(records);
+void RTreeCoefficientIndex::Derive(const std::vector<CoeffRecord>& table,
+                                   const std::vector<RecordId>& ids) {
+  scale_ = GroundScale::FromRecords(table, ids);
 }
 
 void RTreeCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
-  Derive(records);
+  Build(records, AllIds(records.size()));
+}
+
+void RTreeCoefficientIndex::Build(const std::vector<CoeffRecord>& table,
+                                  const std::vector<RecordId>& ids) {
+  Derive(table, ids);
   std::vector<RTree3::Entry> entries;
-  entries.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    entries.push_back({Key(records[i]), static_cast<int64_t>(i)});
+  entries.reserve(ids.size());
+  for (const RecordId id : ids) {
+    entries.push_back({Key(table[id]), id});
   }
   RTree3 tree = RTree3::BulkLoad(std::move(entries), options_);
   if (pool_ == nullptr) {
@@ -215,10 +235,11 @@ void RTreeCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
   MARS_CHECK(status.ok()) << "paged build failed: " << status.ToString();
 }
 
-void RTreeCoefficientIndex::Restore(const std::vector<CoeffRecord>& records,
+void RTreeCoefficientIndex::Restore(const std::vector<CoeffRecord>& table,
+                                    const std::vector<RecordId>& ids,
                                     const TreeInfo& info) {
   MARS_CHECK(pool_ != nullptr) << "Restore needs a buffer pool";
-  Derive(records);
+  Derive(table, ids);
   paged_.Attach(info.root, info.height, info.size);
 }
 
@@ -276,12 +297,14 @@ NaivePointIndex::NaivePointIndex(RTreeOptions options,
                                  storage::BufferPool* pool)
     : RTreeCoefficientIndex(options, pool) {}
 
-void NaivePointIndex::Derive(const std::vector<CoeffRecord>& records) {
-  RTreeCoefficientIndex::Derive(records);
-  records_ = &records;
+void NaivePointIndex::Derive(const std::vector<CoeffRecord>& table,
+                             const std::vector<RecordId>& ids) {
+  RTreeCoefficientIndex::Derive(table, ids);
+  table_ = &table;
   max_extent_x_ = 0.0;
   max_extent_y_ = 0.0;
-  for (const CoeffRecord& r : records) {
+  for (const RecordId id : ids) {
+    const CoeffRecord& r = table[id];
     max_extent_x_ = std::max(max_extent_x_,
                              r.support_bounds.Extent(0) * scale_.scale_x);
     max_extent_y_ = std::max(max_extent_y_,
@@ -298,7 +321,7 @@ geometry::Box3 NaivePointIndex::Key(const CoeffRecord& r) const {
 int64_t NaivePointIndex::Query(const geometry::Box2& region, double w_min,
                                double w_max,
                                std::vector<RecordId>* out) const {
-  MARS_CHECK(records_ != nullptr) << "Query before Build";
+  MARS_CHECK(table_ != nullptr) << "Query before Build";
 
   // Pass 1 (paper Sec. VI): coefficients whose vertex falls inside the
   // window. These results alone are insufficient for rendering; they only
@@ -320,7 +343,7 @@ int64_t NaivePointIndex::Query(const geometry::Box2& region, double w_min,
   accesses += QueryTree(extended, &second_pass);
 
   for (int64_t id : second_pass) {
-    const CoeffRecord& rec = (*records_)[id];
+    const CoeffRecord& rec = (*table_)[id];
     const geometry::Box2 support2(
         {rec.support_bounds.lo(0), rec.support_bounds.lo(1)},
         {rec.support_bounds.hi(0), rec.support_bounds.hi(1)});

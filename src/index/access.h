@@ -55,6 +55,9 @@ struct GroundScale {
   double scale_x = 1.0, scale_y = 1.0;
 
   static GroundScale FromRecords(const std::vector<CoeffRecord>& records);
+  // Over the records table[id] for id in `ids` only.
+  static GroundScale FromRecords(const std::vector<CoeffRecord>& table,
+                                 const std::vector<RecordId>& ids);
 
   double X(double x) const { return (x - off_x) * scale_x; }
   double Y(double y) const { return (y - off_y) * scale_y; }
@@ -131,7 +134,13 @@ class RTreeCoefficientIndex : public CoefficientIndex {
     int64_t size = 0;
   };
 
+  // Builds over the whole table: record i gets id i.
   void Build(const std::vector<CoeffRecord>& records) override;
+  // Builds over the records table[id] for id in `ids` only. Leaves hold
+  // these ids, so queries return them; `table` must outlive the index,
+  // `ids` need not.
+  void Build(const std::vector<CoeffRecord>& table,
+             const std::vector<RecordId>& ids);
   int64_t node_accesses() const override;
   void ResetStats() override;
 
@@ -139,9 +148,10 @@ class RTreeCoefficientIndex : public CoefficientIndex {
   TreeInfo tree_info() const;
 
   // Attaches to a paged tree persisted in the pool instead of rebuilding:
-  // derived state is recomputed from `records`, which must be the same
-  // table the tree was built from.
-  void Restore(const std::vector<CoeffRecord>& records, const TreeInfo& info);
+  // derived state is recomputed from `table` and `ids`, which must be the
+  // ones the tree was built from.
+  void Restore(const std::vector<CoeffRecord>& table,
+               const std::vector<RecordId>& ids, const TreeInfo& info);
 
   // Frees the paged tree's pages; a no-op without a pool. The destructor
   // intentionally does not: pages must survive shutdown for
@@ -152,10 +162,11 @@ class RTreeCoefficientIndex : public CoefficientIndex {
   // `pool`, when not null, must outlive the index.
   RTreeCoefficientIndex(RTreeOptions options, storage::BufferPool* pool);
 
-  // State derived from the record table: the GroundScale, plus whatever a
-  // strategy adds. Build and Restore both call it, so both paths agree bit
-  // for bit.
-  virtual void Derive(const std::vector<CoeffRecord>& records);
+  // State derived from the indexed records: the GroundScale, plus
+  // whatever a strategy adds. Build and Restore both call it, so both
+  // paths agree bit for bit.
+  virtual void Derive(const std::vector<CoeffRecord>& table,
+                      const std::vector<RecordId>& ids);
 
   // A record's key in the normalized (x, y, w) space.
   virtual geometry::Box3 Key(const CoeffRecord& r) const = 0;
@@ -201,10 +212,10 @@ class SupportRegionIndex : public RTreeCoefficientIndex {
 // re-fetches data the first already saw.
 //
 // For the extended region we use the correctness-preserving variant: the
-// window grown by the dataset's maximum support-region extent. It subsumes
-// the paper's per-result bounding region (any record whose support box
-// intersects R has its vertex within that distance of R), so both
-// strategies provably return the same required set.
+// window grown by the indexed records' maximum support-region extent. It
+// subsumes the paper's per-result bounding region (any record whose
+// support box intersects R has its vertex within that distance of R), so
+// both strategies provably return the same required set.
 class NaivePointIndex : public RTreeCoefficientIndex {
  public:
   explicit NaivePointIndex(RTreeOptions options = RTreeOptions(),
@@ -215,10 +226,11 @@ class NaivePointIndex : public RTreeCoefficientIndex {
   std::string name() const override { return "naive-point"; }
 
  private:
-  void Derive(const std::vector<CoeffRecord>& records) override;
+  void Derive(const std::vector<CoeffRecord>& table,
+              const std::vector<RecordId>& ids) override;
   geometry::Box3 Key(const CoeffRecord& r) const override;
 
-  const std::vector<CoeffRecord>* records_ = nullptr;
+  const std::vector<CoeffRecord>* table_ = nullptr;
   // Maximum support extents in normalized coordinates.
   double max_extent_x_ = 0.0;
   double max_extent_y_ = 0.0;

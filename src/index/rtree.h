@@ -20,21 +20,10 @@ namespace mars::index {
 
 class PagedTree3;
 
-// Split algorithm for overflowing nodes.
-enum class SplitPolicy {
-  kGuttmanQuadratic,  // Guttman 1984 quadratic split (classic R-tree)
-  kRStar,             // Beckmann et al. 1990 axis/margin split (R*-tree)
-};
-
-// Tuning knobs. The defaults mirror the paper's experimental setup: up to
+// Tuning knobs. The default mirrors the paper's experimental setup: up to
 // 20 entries per node, the fan-out of its 4 KB pages (Sec. VII-D).
 struct RTreeOptions {
   int32_t node_capacity = 20;
-  SplitPolicy split_policy = SplitPolicy::kRStar;
-  // R*-tree forced reinsertion: on the first overflow per level per
-  // insertion, re-insert the 30% of entries farthest from the node center
-  // instead of splitting.
-  bool forced_reinsert = true;
 };
 
 // Relaxed atomic counter that behaves like a plain int64_t at the call
@@ -81,10 +70,12 @@ struct RTreeStats {
   RelaxedCounter query_node_accesses;
 };
 
-// In-memory R-tree / R*-tree over axis-aligned boxes in `Dim` dimensions
-// with int64 payloads. MARS instantiates it with Dim = 2 (object MBRs for
-// the naive system), Dim = 3 (the paper's x-y-w experimental index), and
-// Dim = 4 (the full x-y-z-w index of Sec. VI-B).
+// In-memory R*-tree over axis-aligned boxes in `Dim` dimensions with int64
+// payloads: STR bulk loading for the static indexes, and R*-tree insertion
+// (Beckmann et al. 1990: axis/margin split, forced reinsertion) for the
+// ones built entry by entry. MARS instantiates it with Dim = 2 (object
+// MBRs for the naive system), Dim = 3 (the paper's x-y-w experimental
+// index), and Dim = 4 (the full x-y-z-w index of Sec. VI-B).
 //
 // Not thread-safe; queries are logically const but mutate the access
 // counters (declared mutable).
@@ -410,8 +401,7 @@ class RTree {
       const double enlargement = child->mbr.Enlargement(box);
       const double volume = child->mbr.Volume();
       double primary, secondary, tertiary;
-      if (options_.split_policy == SplitPolicy::kRStar &&
-          children_are_leaves) {
+      if (children_are_leaves) {
         const BoxT grown = child->mbr.Union(box);
         double overlap_delta = 0.0;
         for (const auto& other : node->children) {
@@ -450,8 +440,10 @@ class RTree {
       if (node->count() <= options_.node_capacity) continue;
       const int32_t level = static_cast<int32_t>(path.size()) - 1 - i;
       Node* parent = (i == 0) ? nullptr : path[i - 1];
-      if (options_.split_policy == SplitPolicy::kRStar &&
-          options_.forced_reinsert && parent != nullptr &&
+      // Forced reinsertion: on the first overflow per level per insertion,
+      // re-insert the entries farthest from the node center instead of
+      // splitting.
+      if (parent != nullptr &&
           level < static_cast<int32_t>(reinserted_levels_.size()) &&
           !reinserted_levels_[level]) {
         reinserted_levels_[level] = true;
@@ -521,9 +513,7 @@ class RTree {
   // Splits `node` in place; the new sibling is attached to `parent` (or a
   // new root is grown).
   void SplitNode(Node* node, Node* parent) {
-    std::unique_ptr<Node> sibling =
-        options_.split_policy == SplitPolicy::kRStar ? RStarSplit(node)
-                                                     : QuadraticSplit(node);
+    std::unique_ptr<Node> sibling = RStarSplit(node);
     node->RecomputeMbr();
     sibling->RecomputeMbr();
     if (parent == nullptr) {
@@ -652,99 +642,6 @@ class RTree {
       return use_hi ? boxes[a].lo(axis) < boxes[b].lo(axis)
                     : boxes[a].hi(axis) < boxes[b].hi(axis);
     });
-  }
-
-  // Guttman quadratic split: pick the pair of seeds wasting the most area,
-  // then greedily assign by strongest preference.
-  std::unique_ptr<Node> QuadraticSplit(Node* node) {
-    const std::vector<BoxT> boxes = MemberBoxes(node);
-    const int32_t total = static_cast<int32_t>(boxes.size());
-
-    int32_t seed_a = 0, seed_b = 1;
-    double worst_waste = -std::numeric_limits<double>::max();
-    for (int32_t i = 0; i < total; ++i) {
-      for (int32_t j = i + 1; j < total; ++j) {
-        const double waste = boxes[i].Union(boxes[j]).Volume() -
-                             boxes[i].Volume() - boxes[j].Volume();
-        if (waste > worst_waste) {
-          worst_waste = waste;
-          seed_a = i;
-          seed_b = j;
-        }
-      }
-    }
-
-    std::vector<int32_t> group_a = {seed_a};
-    std::vector<int32_t> group_b = {seed_b};
-    BoxT mbr_a = boxes[seed_a];
-    BoxT mbr_b = boxes[seed_b];
-    std::vector<bool> assigned(total, false);
-    assigned[seed_a] = assigned[seed_b] = true;
-    int32_t remaining = total - 2;
-
-    while (remaining > 0) {
-      // Force-assign when one group must take all the rest to reach
-      // min_fill.
-      if (static_cast<int32_t>(group_a.size()) + remaining <= min_fill_) {
-        for (int32_t i = 0; i < total; ++i) {
-          if (!assigned[i]) {
-            group_a.push_back(i);
-            mbr_a.Extend(boxes[i]);
-            assigned[i] = true;
-          }
-        }
-        remaining = 0;
-        break;
-      }
-      if (static_cast<int32_t>(group_b.size()) + remaining <= min_fill_) {
-        for (int32_t i = 0; i < total; ++i) {
-          if (!assigned[i]) {
-            group_b.push_back(i);
-            mbr_b.Extend(boxes[i]);
-            assigned[i] = true;
-          }
-        }
-        remaining = 0;
-        break;
-      }
-      // PickNext: the unassigned box with the largest preference
-      // difference.
-      int32_t pick = -1;
-      double max_diff = -1.0;
-      double pick_da = 0.0, pick_db = 0.0;
-      for (int32_t i = 0; i < total; ++i) {
-        if (assigned[i]) continue;
-        const double da = mbr_a.Enlargement(boxes[i]);
-        const double db = mbr_b.Enlargement(boxes[i]);
-        const double diff = std::abs(da - db);
-        if (diff > max_diff) {
-          max_diff = diff;
-          pick = i;
-          pick_da = da;
-          pick_db = db;
-        }
-      }
-      MARS_CHECK_GE(pick, 0);
-      const bool to_a =
-          pick_da < pick_db ||
-          (pick_da == pick_db && (mbr_a.Volume() < mbr_b.Volume() ||
-                                  (mbr_a.Volume() == mbr_b.Volume() &&
-                                   group_a.size() <= group_b.size())));
-      if (to_a) {
-        group_a.push_back(pick);
-        mbr_a.Extend(boxes[pick]);
-      } else {
-        group_b.push_back(pick);
-        mbr_b.Extend(boxes[pick]);
-      }
-      assigned[pick] = true;
-      --remaining;
-    }
-
-    std::vector<int32_t> order = group_a;
-    order.insert(order.end(), group_b.begin(), group_b.end());
-    Permute(node, order);
-    return SplitOffTail(node, static_cast<int32_t>(group_a.size()));
   }
 
   // --- Subtree reinsertion (for forced reinsert) -------------------------

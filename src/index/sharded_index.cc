@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "common/logging.h"
@@ -22,10 +23,12 @@ geometry::Box2 GroundSupport(const CoeffRecord& r) {
 }
 
 // Per-shard-file directory blob, stored as the page store's root array so a
-// restart can find the persisted tree and prove it matches the table that
-// would be routed to this shard today.
+// restart can find the persisted tree and prove it matches the ids that
+// would be routed to this shard today. Version 2 trees hold global record
+// ids in their leaves; version 1 trees held shard-local ones, so a version
+// 1 directory is rejected and its shard rebuilt, never attached.
 constexpr uint64_t kDirMagic = 0x52494452414d3144ull;  // "D1MARDIR" LE
-constexpr uint32_t kDirVersion = 1;
+constexpr uint32_t kDirVersion = 2;
 
 uint64_t HashDouble(double v, uint64_t h) {
   uint64_t bits = 0;
@@ -33,14 +36,14 @@ uint64_t HashDouble(double v, uint64_t h) {
   return storage::Fnv1a64Mix(bits, h);
 }
 
-// Fingerprint of a shard's routed table: record identity, geometry, and
+// Fingerprint of a shard's routed records: record identity, geometry, and
 // global ids, order-sensitive. Any change to the dataset or the routing
 // (shard count, shard map) changes the fingerprint and forces a rebuild.
-uint64_t FingerprintTable(const std::vector<CoeffRecord>& records,
+uint64_t FingerprintTable(const std::vector<CoeffRecord>& table,
                           const std::vector<RecordId>& ids) {
   uint64_t h = storage::kFnvOffset;
-  for (size_t i = 0; i < records.size(); ++i) {
-    const CoeffRecord& r = records[i];
+  for (const RecordId id : ids) {
+    const CoeffRecord& r = table[id];
     h = storage::Fnv1a64Mix(static_cast<uint64_t>(r.object_id), h);
     h = storage::Fnv1a64Mix(static_cast<uint64_t>(r.coeff_id), h);
     h = HashDouble(r.w, h);
@@ -50,7 +53,7 @@ uint64_t FingerprintTable(const std::vector<CoeffRecord>& records,
     h = HashDouble(r.support_bounds.lo(1), h);
     h = HashDouble(r.support_bounds.hi(0), h);
     h = HashDouble(r.support_bounds.hi(1), h);
-    h = storage::Fnv1a64Mix(static_cast<uint64_t>(ids[i]), h);
+    h = storage::Fnv1a64Mix(static_cast<uint64_t>(id), h);
   }
   return h;
 }
@@ -286,24 +289,20 @@ std::unique_ptr<RTreeCoefficientIndex> ShardedCoefficientIndex::MakeInner(
 
 std::unique_ptr<ShardedCoefficientIndex::Shard>
 ShardedCoefficientIndex::BuildShard(
-    int32_t id, std::vector<CoeffRecord> records, std::vector<RecordId> ids,
+    int32_t id, std::vector<RecordId> ids,
     const RTreeCoefficientIndex::TreeInfo* restore) const {
   auto shard = std::make_unique<Shard>();
   shard->id = id;
-  shard->records = std::move(records);
   shard->ids = std::move(ids);
-  for (const CoeffRecord& r : shard->records) {
-    shard->coverage.Extend(GroundSupport(r));
+  for (const RecordId record : shard->ids) {
+    shard->coverage.Extend(GroundSupport((*table_)[record]));
   }
-  if (!shard->records.empty()) {
+  if (!shard->ids.empty()) {
     shard->index = MakeInner(disk_store() ? pools_[id].get() : nullptr);
-    // Built over the shard's own table (the inner access methods keep a
-    // pointer to it), so the records copied here must stay put — which
-    // they do: a Shard is immutable once installed.
     if (restore == nullptr) {
-      shard->index->Build(shard->records);
+      shard->index->Build(*table_, shard->ids);
     } else {
-      shard->index->Restore(shard->records, *restore);
+      shard->index->Restore(*table_, shard->ids, *restore);
     }
   }
   return shard;
@@ -311,7 +310,6 @@ ShardedCoefficientIndex::BuildShard(
 
 common::StatusOr<std::unique_ptr<ShardedCoefficientIndex::Shard>>
 ShardedCoefficientIndex::RestoreShard(int32_t id,
-                                      std::vector<CoeffRecord> records,
                                       std::vector<RecordId> ids) const {
   storage::BufferPool* pool = pools_[id].get();
   const storage::PageId dir_page = pool->root();
@@ -326,16 +324,16 @@ ShardedCoefficientIndex::RestoreShard(int32_t id,
     return common::FailedPreconditionError("shard restore: directory is for "
                                            "a different index");
   }
-  if (dir.record_count != static_cast<int64_t>(records.size()) ||
-      dir.fingerprint != FingerprintTable(records, ids)) {
+  if (dir.record_count != static_cast<int64_t>(ids.size()) ||
+      dir.fingerprint != FingerprintTable(*table_, ids)) {
     return common::FailedPreconditionError(
         "shard restore: record table changed since persist");
   }
-  if (!records.empty() && dir.root == storage::kInvalidPage) {
+  if (!ids.empty() && dir.root == storage::kInvalidPage) {
     return common::InternalError("shard restore: directory has no tree");
   }
   const RTreeCoefficientIndex::TreeInfo tree{dir.root, dir.height, dir.size};
-  return BuildShard(id, std::move(records), std::move(ids), &tree);
+  return BuildShard(id, std::move(ids), &tree);
 }
 
 common::Status ShardedCoefficientIndex::WriteDirectory(
@@ -343,8 +341,8 @@ common::Status ShardedCoefficientIndex::WriteDirectory(
   Directory dir;
   dir.kind = static_cast<uint8_t>(options_.kind);
   dir.shard = id;
-  dir.record_count = static_cast<int64_t>(shard.records.size());
-  dir.fingerprint = FingerprintTable(shard.records, shard.ids);
+  dir.record_count = static_cast<int64_t>(shard.ids.size());
+  dir.fingerprint = FingerprintTable(*table_, shard.ids);
   if (shard.index != nullptr) {
     const RTreeCoefficientIndex::TreeInfo info = shard.index->tree_info();
     dir.root = info.root;
@@ -359,12 +357,13 @@ common::Status ShardedCoefficientIndex::WriteDirectory(
 }
 
 void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
+  table_ = &records;
   const int32_t k = options_.shards;
   map_ = k == 1 ? ShardMap()
                 : ShardMap::Build(ShardMap::GroundBounds(records), k);
   if (disk_store()) {
     // Replay a persisted refinement list (if any) BEFORE partitioning, so
-    // the routed per-slot tables match the directories the rebalanced run
+    // the routed per-slot id lists match the directories the rebalanced run
     // wrote and every slot — including the ones splits allocated past the
     // configured K — re-attaches its page file instead of rebuilding.
     LoadShardMap(&map_);
@@ -372,13 +371,11 @@ void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
   const int32_t total = map_.total_shards();
 
   // Partition the table over every slot the map has ever allocated
-  // (total == k unless a restored refinement list grew it).
-  std::vector<std::vector<CoeffRecord>> tables(total);
+  // (total == k unless a restored refinement list grew it), each slot's
+  // ids in table order.
   std::vector<std::vector<RecordId>> ids(total);
   for (size_t i = 0; i < records.size(); ++i) {
-    const int32_t s = map_.Route(records[i]);
-    tables[s].push_back(records[i]);
-    ids[s].push_back(static_cast<RecordId>(i));
+    ids[map_.Route(records[i])].push_back(static_cast<RecordId>(i));
   }
 
   if (options_.fanout_workers > 1 && pool_ == nullptr) {
@@ -388,7 +385,7 @@ void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
   std::vector<std::unique_ptr<Shard>> shards(total);
   if (disk_store()) {
     // Disk mode: open (or create) each shard's page file, then restore
-    // the persisted tree when its directory matches the routed table —
+    // the persisted tree when its directory matches the routed ids —
     // partitioning above is deterministic, so an unchanged dataset
     // restores every shard and a restart skips the whole rebuild. Any
     // mismatch or corruption falls back to a fresh file and rebuild:
@@ -417,7 +414,7 @@ void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
         pools_[s] = std::make_unique<storage::BufferPool>(
             managers_[s].get(), pool_pages, options_.storage.evict);
         if (managers_[s]->opened_existing()) {
-          auto restored = RestoreShard(s, tables[s], ids[s]);
+          auto restored = RestoreShard(s, ids[s]);
           if (restored.ok()) {
             shards[s] = std::move(restored).value();
             ++restored_shards_;
@@ -439,7 +436,7 @@ void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
             managers_[s].get(), pool_pages, options_.storage.evict);
       }
       if (shards[s] == nullptr) {
-        shards[s] = BuildShard(s, std::move(tables[s]), std::move(ids[s]));
+        shards[s] = BuildShard(s, std::move(ids[s]));
         const common::Status dir = WriteDirectory(s, *shards[s]);
         MARS_CHECK(dir.ok())
             << "cannot persist shard directory: " << dir.ToString();
@@ -471,15 +468,15 @@ void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
     std::vector<std::function<void()>> tasks;
     tasks.reserve(total);
     for (int32_t s = 0; s < total; ++s) {
-      tasks.push_back([this, s, &shards, &tables, &ids] {
-        shards[s] = BuildShard(s, std::move(tables[s]), std::move(ids[s]));
+      tasks.push_back([this, s, &shards, &ids] {
+        shards[s] = BuildShard(s, std::move(ids[s]));
       });
     }
     common::MutexLock pool_lock(&pool_mu_);
     pool_->RunBatch(tasks);
   } else {
     for (int32_t s = 0; s < total; ++s) {
-      shards[s] = BuildShard(s, std::move(tables[s]), std::move(ids[s]));
+      shards[s] = BuildShard(s, std::move(ids[s]));
     }
   }
 
@@ -493,13 +490,7 @@ int64_t ShardedCoefficientIndex::QueryShard(const Shard& shard,
                                             std::vector<RecordId>* out) {
   ++shard.fanout_queries;
   if (shard.index == nullptr) return 0;
-  std::vector<RecordId> local;
-  const int64_t accesses = shard.index->Query(region, w_min, w_max, &local);
-  out->reserve(out->size() + local.size());
-  for (RecordId id : local) {
-    out->push_back(shard.ids[static_cast<size_t>(id)]);
-  }
-  return accesses;
+  return shard.index->Query(region, w_min, w_max, out);
 }
 
 int64_t ShardedCoefficientIndex::Query(const geometry::Box2& region,
@@ -724,9 +715,8 @@ void ShardedCoefficientIndex::AddShardStore(int32_t shard) {
 }
 
 common::StatusOr<int32_t> ShardedCoefficientIndex::SplitShard(int32_t shard) {
-  // Snapshot the shard's table under the reader lock; queries keep
-  // running against the old shards while the halves build off-side.
-  std::vector<CoeffRecord> records;
+  // Snapshot the shard's ids under the reader lock; queries keep running
+  // against the old shards while the halves build off-side.
   std::vector<RecordId> ids;
   int32_t new_id = 0;
   {
@@ -738,10 +728,9 @@ common::StatusOr<int32_t> ShardedCoefficientIndex::SplitShard(int32_t shard) {
     if (s.retired) {
       return common::FailedPreconditionError("split: shard is retired");
     }
-    if (s.records.size() < 2) {
+    if (s.ids.size() < 2) {
       return common::FailedPreconditionError("split: fewer than two records");
     }
-    records = s.records;
     ids = s.ids;
     new_id = static_cast<int32_t>(shards_.size());
   }
@@ -749,11 +738,12 @@ common::StatusOr<int32_t> ShardedCoefficientIndex::SplitShard(int32_t shard) {
   // Median split along the axis with the wider spread of support
   // centers; fall back to the other axis when duplicate centers collapse
   // one side of the first.
-  const size_t n = records.size();
+  const size_t n = ids.size();
   std::array<std::vector<double>, 2> centers;
   centers[0].reserve(n);
   centers[1].reserve(n);
-  for (const CoeffRecord& r : records) {
+  for (const RecordId id : ids) {
+    const CoeffRecord& r = (*table_)[id];
     centers[0].push_back(
         0.5 * (r.support_bounds.lo(0) + r.support_bounds.hi(0)));
     centers[1].push_back(
@@ -788,17 +778,14 @@ common::StatusOr<int32_t> ShardedCoefficientIndex::SplitShard(int32_t shard) {
         "split: all record centers coincide");
   }
 
-  // Partition exactly as the refined map will route.
-  std::vector<CoeffRecord> low_records;
-  std::vector<CoeffRecord> high_records;
+  // Partition exactly as the refined map will route; each half keeps
+  // ascending ids.
   std::vector<RecordId> low_ids;
   std::vector<RecordId> high_ids;
   for (size_t i = 0; i < n; ++i) {
     if (centers[axis][i] >= threshold) {
-      high_records.push_back(records[i]);
       high_ids.push_back(ids[i]);
     } else {
-      low_records.push_back(records[i]);
       low_ids.push_back(ids[i]);
     }
   }
@@ -811,10 +798,8 @@ common::StatusOr<int32_t> ShardedCoefficientIndex::SplitShard(int32_t shard) {
   }
 
   // Build both halves off to the side, no lock held.
-  std::unique_ptr<Shard> low =
-      BuildShard(shard, std::move(low_records), std::move(low_ids));
-  std::unique_ptr<Shard> high =
-      BuildShard(new_id, std::move(high_records), std::move(high_ids));
+  std::unique_ptr<Shard> low = BuildShard(shard, std::move(low_ids));
+  std::unique_ptr<Shard> high = BuildShard(new_id, std::move(high_ids));
 
   {
     common::WriterLock lock(&mu_);
@@ -841,7 +826,6 @@ common::Status ShardedCoefficientIndex::MergeShards(int32_t src, int32_t dst) {
   if (src == dst) {
     return common::InvalidArgumentError("merge: src == dst");
   }
-  std::vector<CoeffRecord> records;
   std::vector<RecordId> ids;
   {
     common::ReaderLock lock(&mu_);
@@ -852,37 +836,20 @@ common::Status ShardedCoefficientIndex::MergeShards(int32_t src, int32_t dst) {
     if (shards_[src]->retired || shards_[dst]->retired) {
       return common::FailedPreconditionError("merge: shard is retired");
     }
-    records = shards_[dst]->records;
-    ids = shards_[dst]->ids;
-    records.insert(records.end(), shards_[src]->records.begin(),
-                   shards_[src]->records.end());
-    ids.insert(ids.end(), shards_[src]->ids.begin(), shards_[src]->ids.end());
-  }
-  // Union in ascending global id — exactly the order a fresh Build
-  // partition produces when it routes the table under the merged map, so
-  // the rebuilt shard fingerprints identically and a restart re-attaches
-  // its page file instead of rebuilding.
-  {
-    std::vector<size_t> order(ids.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&ids](size_t a, size_t b) { return ids[a] < ids[b]; });
-    std::vector<CoeffRecord> sorted_records;
-    std::vector<RecordId> sorted_ids;
-    sorted_records.reserve(records.size());
-    sorted_ids.reserve(ids.size());
-    for (const size_t i : order) {
-      sorted_records.push_back(std::move(records[i]));
-      sorted_ids.push_back(ids[i]);
-    }
-    records = std::move(sorted_records);
-    ids = std::move(sorted_ids);
+    // Union in ascending id — exactly the order a fresh Build partition
+    // produces when it routes the table under the merged map, so the
+    // rebuilt shard fingerprints identically and a restart re-attaches
+    // its page file instead of rebuilding.
+    const std::vector<RecordId>& a = shards_[dst]->ids;
+    const std::vector<RecordId>& b = shards_[src]->ids;
+    ids.reserve(a.size() + b.size());
+    std::merge(a.begin(), a.end(), b.begin(), b.end(),
+               std::back_inserter(ids));
   }
 
   // Build the union shard and src's empty tombstone off to the side.
-  std::unique_ptr<Shard> merged =
-      BuildShard(dst, std::move(records), std::move(ids));
-  std::unique_ptr<Shard> tombstone = BuildShard(src, {}, {});
+  std::unique_ptr<Shard> merged = BuildShard(dst, std::move(ids));
+  std::unique_ptr<Shard> tombstone = BuildShard(src, {});
   tombstone->retired = true;
 
   {
@@ -930,7 +897,7 @@ ShardedCoefficientIndex::Stats() const {
   for (const auto& shard : shards_) {
     ShardStats s;
     s.shard = shard->id;
-    s.records = static_cast<int64_t>(shard->records.size());
+    s.records = static_cast<int64_t>(shard->ids.size());
     s.node_accesses = shard->retired_accesses;
     if (shard->index != nullptr) {
       s.node_accesses += shard->index->node_accesses();

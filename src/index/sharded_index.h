@@ -59,12 +59,12 @@ struct ShardedIndexOptions {
 
 // The coefficient access method refactored for scale: a ground-plane
 // ShardMap routes every record to one of K shards, each owning an
-// independent inner index (support-region or naive-point) over its own
-// record slice with its own GroundScale normalization. A window query
-// fans out only to the shards whose coverage box (union of routed
-// support MBBs — exact for any routing) intersects the window, merging
-// results in ascending shard id so the output is deterministic for any
-// fan-out execution order.
+// independent inner index (support-region or naive-point) over the ids of
+// its records in the one shared table, with its own GroundScale
+// normalization. A window query fans out only to the shards whose
+// coverage box (union of routed support MBBs — exact for any routing)
+// intersects the window, merging results in ascending shard id so the
+// output is deterministic for any fan-out execution order.
 //
 // The record table is fixed at Build; the shard layout changes only by
 // *load-adaptive rebalancing* (SplitShard/MergeShards): the shard map
@@ -72,7 +72,7 @@ struct ShardedIndexOptions {
 // shard can be halved at the median of its record centers — the high
 // half moving to a freshly allocated shard id — and a cold shard
 // forwarded into a neighbour. Each op is one epoch swap: build the
-// affected shards' new tables + trees off to the side, then swap them in
+// affected shards' new id lists + trees off to the side, then swap them in
 // under a writer lock, with counters, page files and buffer-pool state
 // following the records. The other shards are untouched (their trees,
 // coverage and counters survive by identity), and in-flight queries are
@@ -90,9 +90,9 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   ShardedCoefficientIndex(const ShardedCoefficientIndex&) = delete;
   ShardedCoefficientIndex& operator=(const ShardedCoefficientIndex&) = delete;
 
-  // Builds the shard map and every shard's inner index. Unlike the inner
-  // access methods, the sharded index copies each record into its shard's
-  // local table, so `records` does NOT need to outlive the index.
+  // Builds the shard map and every shard's inner index. Shards hold only
+  // ids into `records`, which must outlive the index (as for the inner
+  // access methods); SplitShard and MergeShards read it too.
   void Build(const std::vector<CoeffRecord>& records) override;
 
   // Fans out Q(region, w_max, w_min) to the intersecting shards and
@@ -134,7 +134,7 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   common::StatusOr<int32_t> SplitShard(int32_t shard);
 
   // Forwards everything routed to `src` into `dst` and retires `src`:
-  // dst is rebuilt over both record tables (dst's first), inherits the
+  // dst is rebuilt over the union of both id lists, inherits the
   // sum of both shards' counters, and src becomes a permanently empty
   // slot (its id is never reused). In disk mode both old trees' pages
   // are freed and both directories rewritten (src's as empty). Fails
@@ -224,10 +224,8 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // statistics counters (relaxed atomics, like the inner trees').
   struct Shard {
     int32_t id = 0;
-    // Shard-local record table the inner index is built over (the inner
-    // access methods require the table to outlive the tree, so each
-    // epoch owns its copy) and the local → global id map.
-    std::vector<CoeffRecord> records;
+    // Ascending ids of the records routed here: the inner index is built
+    // over table_[ids] and its leaves hold these ids.
     std::vector<RecordId> ids;
     // Paged in disk mode (over the slot's pool); null for an empty shard.
     std::unique_ptr<RTreeCoefficientIndex> index;
@@ -247,21 +245,20 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // when it is not null.
   std::unique_ptr<RTreeCoefficientIndex> MakeInner(
       storage::BufferPool* pool) const;
-  // Assembles shard `id` over `records`/`ids` (no locks held). Its inner
-  // index is built, or, given `restore`, attached to that paged tree.
+  // Assembles shard `id` over `ids` (no locks held). Its inner index is
+  // built, or, given `restore`, attached to that paged tree.
   std::unique_ptr<Shard> BuildShard(
-      int32_t id, std::vector<CoeffRecord> records, std::vector<RecordId> ids,
+      int32_t id, std::vector<RecordId> ids,
       const RTreeCoefficientIndex::TreeInfo* restore = nullptr) const;
   // Disk mode: attaches shard `id` to the tree persisted in its page file
   // instead of rebuilding. Fails (caller then rebuilds) when the stored
-  // directory does not match the routed table.
+  // directory does not match the routed ids.
   common::StatusOr<std::unique_ptr<Shard>> RestoreShard(
-      int32_t id, std::vector<CoeffRecord> records,
-      std::vector<RecordId> ids) const;
+      int32_t id, std::vector<RecordId> ids) const;
   // Disk mode: persists shard metadata (tree root, record fingerprint) as
   // the store's root array so a restart can find and validate the tree.
   common::Status WriteDirectory(int32_t id, const Shard& shard) const;
-  // Queries one shard, appending global ids; returns node accesses.
+  // Queries one shard, appending its hits; returns node accesses.
   static int64_t QueryShard(const Shard& shard, const geometry::Box2& region,
                             double w_min, double w_max,
                             std::vector<RecordId>* out);
@@ -290,6 +287,8 @@ class ShardedCoefficientIndex : public CoefficientIndex {
 
   ShardedIndexOptions options_;
   ShardMap map_;
+  // The record table Build was given; every shard indexes ids into it.
+  const std::vector<CoeffRecord>* table_ = nullptr;
 
   // Shard array. Slots are only appended (by Build and SplitShard) and
   // the pointed-to shards are swapped whole by the rebalance ops — always

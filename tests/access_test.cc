@@ -1,6 +1,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -18,6 +19,7 @@
 #include "index/record.h"
 #include "index/sharded_index.h"
 #include "index/shard_map.h"
+#include "storage/disk_storage.h"
 #include "storage/storage_manager.h"
 #include "workload/scene.h"
 
@@ -581,9 +583,10 @@ TEST(DiskShardedIndexTest, MismatchedRecordsForceRebuildNotGarbage) {
   const std::string path = TempPath("mars_access_mismatch.pages");
   ShardedCoefficientIndex::RemoveFiles(path, 1);
   {
+    const auto stale = MakeRecords(20, 30, 11);
     ShardedCoefficientIndex index(DiskOptions(
         1, path, ShardedIndexOptions::Kind::kSupportRegion));
-    index.Build(MakeRecords(20, 30, 11));
+    index.Build(stale);
   }
   // A different record table must NOT attach to the stale tree: the
   // fingerprint mismatch forces a truncate-and-rebuild, and queries
@@ -1064,9 +1067,10 @@ TEST(RebalanceTest, StaleShardMapSidecarRecoversCleanly) {
   const int32_t shards = 4;
   ShardedCoefficientIndex::RemoveFiles(path, shards + 2);
   {
+    const auto stale = MakeRecords(40, 50, 3);
     ShardedCoefficientIndex index(DiskOptions(
         shards, path, ShardedIndexOptions::Kind::kSupportRegion));
-    index.Build(MakeRecords(40, 50, 3));
+    index.Build(stale);
     ASSERT_TRUE(index.SplitShard(0).ok());
   }
   // Same path, different dataset: bounds differ, sidecar must not apply.
@@ -1078,6 +1082,42 @@ TEST(RebalanceTest, StaleShardMapSidecarRecoversCleanly) {
   EXPECT_EQ(index.restored_shards(), 0);
   ExpectMatchesOracle(index, records);
   ShardedCoefficientIndex::RemoveFiles(path, shards + 2);
+}
+
+TEST(DiskShardedIndexTest, VersionOneDirectoryIsRebuiltNotAttached) {
+  // Version 1 trees held shard-local record ids in their leaves. A shard
+  // whose directory says version 1 must be rebuilt, never attached: its
+  // leaves would answer with the wrong ids.
+  const auto records = MakeRecords(30, 40, 7);
+  const std::string path = TempPath("mars_access_dir_v1.pages");
+  const int32_t shards = 4;
+  const auto kind = ShardedIndexOptions::Kind::kSupportRegion;
+  ShardedCoefficientIndex::RemoveFiles(path, shards);
+  {
+    ShardedCoefficientIndex index(DiskOptions(shards, path, kind));
+    index.Build(records);
+  }
+  {
+    // Rewrite shard 2's directory in place with version 1: the u32 after
+    // the 8-byte magic.
+    auto store = storage::DiskStorageManager::Open(
+        path + ".shard2", DiskOptions(shards, path, kind).storage.page_size,
+        /*truncate=*/false);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    storage::PageId dir_page = (*store)->root();
+    std::vector<uint8_t> blob;
+    ASSERT_TRUE((*store)->Load(dir_page, &blob).ok());
+    ASSERT_GE(blob.size(), 12u);
+    const uint32_t version = 1;
+    std::memcpy(blob.data() + 8, &version, sizeof(version));
+    ASSERT_TRUE((*store)->Store(&dir_page, blob).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  ShardedCoefficientIndex revived(DiskOptions(shards, path, kind));
+  revived.Build(records);
+  EXPECT_EQ(revived.restored_shards(), shards - 1);
+  ExpectMatchesOracle(revived, records);
+  ShardedCoefficientIndex::RemoveFiles(path, shards);
 }
 
 // --- Sidecar decoding: malformed bytes at the restart boundary -------------

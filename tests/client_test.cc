@@ -187,6 +187,12 @@ class ClientFixture : public ::testing::Test {
     return out;
   }
 
+  // Ground-plane center of object `obj`.
+  geometry::Vec2 ObjectCenter(int32_t obj) const {
+    const auto& b = db_->object_bounds()[obj];
+    return {0.5 * (b.lo(0) + b.hi(0)), 0.5 * (b.lo(1) + b.hi(1))};
+  }
+
   std::unique_ptr<server::ObjectDatabase> db_;
   std::unique_ptr<server::Server> server_;
   Box2 space_;
@@ -305,8 +311,10 @@ TEST_F(ClientFixture, NaiveClientCachesObjects) {
   NaiveObjectClient::Options options;
   options.cache_bytes = 10 * 1024 * 1024;  // plenty
   NaiveObjectClient client(options, space_, server_.get(), &link);
-  const auto first = client.Step({500, 500}, 0.5);
-  const auto second = client.Step({500, 500}, 0.5);
+  const geometry::Vec2 pos = ObjectCenter(3);
+  const auto first = client.Step(pos, 0.5);
+  ASSERT_GT(first.objects_fetched, 0);
+  const auto second = client.Step(pos, 0.5);
   EXPECT_EQ(second.objects_fetched, 0);
   EXPECT_DOUBLE_EQ(second.response_seconds, 0.0);
   EXPECT_EQ(first.objects_needed, second.objects_needed);
@@ -317,9 +325,7 @@ TEST_F(ClientFixture, NaiveClientFetchesWholeObjectsOnce) {
   NaiveObjectClient::Options options;
   options.cache_bytes = 10 * 1024 * 1024;  // plenty
   NaiveObjectClient client(options, space_, server_.get(), &link);
-  const auto& b = db_->object_bounds()[3];
-  const geometry::Vec2 pos{0.5 * (b.lo(0) + b.hi(0)),
-                           0.5 * (b.lo(1) + b.hi(1))};
+  const geometry::Vec2 pos = ObjectCenter(3);
   const auto first = client.Step(pos, 0.5);
   // Cold cache: every object in the window is fetched whole, one response
   // header plus each object's full-resolution bytes.
@@ -340,12 +346,17 @@ TEST_F(ClientFixture, NaiveClientFetchesWholeObjectsOnce) {
 TEST_F(ClientFixture, NaiveClientRefetchesAfterEviction) {
   net::SimulatedLink link;
   NaiveObjectClient::Options options;
-  options.cache_bytes = 1;  // effectively no cache
+  options.cache_bytes = 1;  // holds only the last object fetched
   NaiveObjectClient client(options, space_, server_.get(), &link);
-  const auto first = client.Step({500, 500}, 0.5);
-  // Move far away and back: everything must be re-fetched.
-  client.Step({50, 50}, 0.5);
-  const auto back = client.Step({500, 500}, 0.5);
+  const geometry::Vec2 pos = ObjectCenter(3);
+  const auto first = client.Step(pos, 0.5);
+  ASSERT_GT(first.objects_fetched, 0);
+  // The cache admits one oversized object alone, so a step at another
+  // object evicts what the first step fetched: back at `pos`, everything
+  // must be re-fetched.
+  const auto away = client.Step(ObjectCenter(0), 0.5);
+  ASSERT_GT(away.objects_fetched, 0);
+  const auto back = client.Step(pos, 0.5);
   EXPECT_EQ(back.objects_fetched, first.objects_fetched);
 }
 
@@ -353,16 +364,16 @@ TEST_F(ClientFixture, NaiveClientFetchesFullResolutionBytes) {
   net::SimulatedLink link;
   NaiveObjectClient::Options options;
   NaiveObjectClient client(options, space_, server_.get(), &link);
-  const auto report = client.Step({500, 500}, 0.5);
-  if (report.objects_fetched > 0) {
-    // Full-resolution objects are big; a motion-aware client at the same
-    // speed would fetch far less. Cross-check against the record table.
-    net::SimulatedLink link2;
-    StreamingClient streaming(StreamingClient::Options(), space_,
-                              server_.get(), &link2);
-    const auto ma = streaming.Step({500, 500}, 0.5);
-    EXPECT_GT(report.bytes, ma.response_bytes);
-  }
+  const geometry::Vec2 pos = ObjectCenter(3);
+  const auto report = client.Step(pos, 0.5);
+  ASSERT_GT(report.objects_fetched, 0);
+  // Full-resolution objects are big; a motion-aware client at the same
+  // speed would fetch far less. Cross-check against the record table.
+  net::SimulatedLink link2;
+  StreamingClient streaming(StreamingClient::Options(), space_,
+                            server_.get(), &link2);
+  const auto ma = streaming.Step(pos, 0.5);
+  EXPECT_GT(report.bytes, ma.response_bytes);
 }
 
 }  // namespace

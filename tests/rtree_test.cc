@@ -39,17 +39,14 @@ std::vector<int64_t> BruteForceQuery(
 }
 
 // Exercises the tree against a brute-force oracle. Parameterized over
-// (split policy, forced reinsert, entry count, seed); repeated for
-// dimensions 2, 3 and 4 through the typed helper below.
-using Param = std::tuple<SplitPolicy, bool, int, int>;
+// (entry count, seed); repeated for dimensions 2, 3 and 4 through the
+// typed helper below.
+using Param = std::tuple<int, int>;
 
 template <size_t Dim>
 void RunOracleTest(const Param& param) {
-  const auto [policy, reinsert, count, seed] = param;
-  RTreeOptions options;
-  options.split_policy = policy;
-  options.forced_reinsert = reinsert;
-  RTree<Dim> tree(options);
+  const auto [count, seed] = param;
+  RTree<Dim> tree;
   common::Rng rng(static_cast<uint64_t>(seed) * 7919 + Dim);
 
   std::vector<typename RTree<Dim>::Entry> entries;
@@ -80,8 +77,6 @@ TEST_P(RTreeOracleTest, MatchesBruteForce4D) { RunOracleTest<4>(GetParam()); }
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RTreeOracleTest,
     ::testing::Combine(
-        ::testing::Values(SplitPolicy::kGuttmanQuadratic, SplitPolicy::kRStar),
-        ::testing::Values(false, true),
         ::testing::Values(25, 200, 1500),
         ::testing::Values(1, 2)));
 
@@ -176,45 +171,6 @@ TEST(RTreeTest, SmallWindowCostsLessThanFullScanWindow) {
   tree.Query(geometry::MakeBox2(0, 0, 1000, 1000), &out);
   const int64_t full_cost = tree.stats().query_node_accesses;
   EXPECT_LT(small_cost, full_cost / 4);
-}
-
-TEST(RTreeTest, RStarBeatsOrMatchesGuttmanOnClusteredData) {
-  // The R* split should not be (much) worse than quadratic on clustered
-  // data; typically it is clearly better. We assert a generous bound to
-  // keep the test robust.
-  common::Rng rng(10);
-  std::vector<RTree2::Entry> entries;
-  for (int cluster = 0; cluster < 30; ++cluster) {
-    const double cx = rng.Uniform(0, 1000), cy = rng.Uniform(0, 1000);
-    for (int i = 0; i < 60; ++i) {
-      const double x = cx + rng.Normal(0, 10), y = cy + rng.Normal(0, 10);
-      entries.push_back(
-          {geometry::MakeBox2(x, y, x + 2, y + 2),
-           static_cast<int64_t>(entries.size())});
-    }
-  }
-  RTreeOptions rstar_options;
-  rstar_options.split_policy = SplitPolicy::kRStar;
-  RTreeOptions guttman_options;
-  guttman_options.split_policy = SplitPolicy::kGuttmanQuadratic;
-  guttman_options.forced_reinsert = false;
-  RTree2 rstar(rstar_options), guttman(guttman_options);
-  for (const auto& e : entries) {
-    rstar.Insert(e.box, e.value);
-    guttman.Insert(e.box, e.value);
-  }
-  rstar.ResetStats();
-  guttman.ResetStats();
-  common::Rng qrng(11);
-  for (int q = 0; q < 200; ++q) {
-    const auto w = RandomBox<2>(qrng, 1000, 50);
-    std::vector<int64_t> out;
-    rstar.Query(w, &out);
-    out.clear();
-    guttman.Query(w, &out);
-  }
-  EXPECT_LE(rstar.stats().query_node_accesses,
-            guttman.stats().query_node_accesses * 1.25);
 }
 
 TEST(RTreeTest, CapacityOptionRespected) {

@@ -609,8 +609,9 @@ void QueryRegion(const index::ShardedCoefficientIndex& index,
 TEST(RebalancerTest, IntervalGatesRounds) {
   index::ShardedIndexOptions options;
   options.shards = 4;
+  const auto records = GridRecords(32);
   index::ShardedCoefficientIndex index(options);
-  index.Build(GridRecords(32));
+  index.Build(records);
 
   RebalanceOptions policy;
   policy.interval = 4;
@@ -626,8 +627,9 @@ TEST(RebalancerTest, IntervalGatesRounds) {
 TEST(RebalancerTest, SplitsTheHotShard) {
   index::ShardedIndexOptions options;
   options.shards = 4;
+  const auto records = GridRecords(32);  // 256 records per shard
   index::ShardedCoefficientIndex index(options);
-  index.Build(GridRecords(32));  // 256 records per shard
+  index.Build(records);
 
   RebalanceOptions policy;
   policy.interval = 1;
@@ -654,8 +656,10 @@ TEST(RebalancerTest, SplitsTheHotShard) {
 TEST(RebalancerTest, MergesTheColdSmallShard) {
   index::ShardedIndexOptions options;
   options.shards = 4;
+  // 16 records per shard: all mergeable.
+  const auto records = GridRecords(8);
   index::ShardedCoefficientIndex index(options);
-  index.Build(GridRecords(8));  // 16 records per shard: all mergeable
+  index.Build(records);
 
   RebalanceOptions policy;
   policy.interval = 1;
@@ -681,8 +685,10 @@ TEST(RebalancerTest, MergesTheColdSmallShard) {
 TEST(RebalancerTest, LargeColdShardIsNotAMergeSource) {
   index::ShardedIndexOptions options;
   options.shards = 4;
+  // 256 records per shard: none mergeable.
+  const auto records = GridRecords(32);
   index::ShardedCoefficientIndex index(options);
-  index.Build(GridRecords(32));  // 256 records per shard: none mergeable
+  index.Build(records);
 
   RebalanceOptions policy;
   policy.interval = 1;
@@ -702,8 +708,9 @@ TEST(RebalancerTest, LargeColdShardIsNotAMergeSource) {
 TEST(RebalancerTest, MaxShardsCapsGrowth) {
   index::ShardedIndexOptions options;
   options.shards = 4;
+  const auto records = GridRecords(32);
   index::ShardedCoefficientIndex index(options);
-  index.Build(GridRecords(32));
+  index.Build(records);
 
   RebalanceOptions policy;
   policy.interval = 1;

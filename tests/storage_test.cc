@@ -14,6 +14,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -669,6 +670,14 @@ std::vector<index::CoeffRecord> MakeRecords(int objects, int coeffs,
   return records;
 }
 
+// Every id of `records`, the id list a whole-table Build indexes.
+std::vector<index::RecordId> AllIds(
+    const std::vector<index::CoeffRecord>& records) {
+  std::vector<index::RecordId> ids(records.size());
+  std::iota(ids.begin(), ids.end(), index::RecordId{0});
+  return ids;
+}
+
 TEST(PagedIndexTest, MatchesMemoryIndexIncludingNodeAccesses) {
   const auto records = MakeRecords(30, 40, 3);
   MemoryStorageManager mgr(1024);
@@ -801,7 +810,7 @@ TEST(PagedIndexTest, FreePagesReturnsEverythingToTheFreelist) {
 
       BufferPool cold_pool(&mgr, /*capacity_pages=*/4096, EvictPolicy::kLru);
       index::SupportRegionIndex restored(options, &cold_pool);
-      restored.Restore(records, info);
+      restored.Restore(records, AllIds(records), info);
       index::SupportRegionIndex& tree = attach ? restored : built;
       const BufferPool& pool = attach ? cold_pool : build_pool;
       const PoolStats before = pool.stats();
@@ -833,7 +842,7 @@ TEST(PagedIndexTest, FreePagesRejectsAStoredHeightAboveTheTree) {
     SCOPED_TRACE(::testing::Message() << "height " << info.height);
     ++info.height;
     index::SupportRegionIndex restored(options, &pool);
-    restored.Restore(records, info);
+    restored.Restore(records, AllIds(records), info);
     EXPECT_FALSE(restored.FreePages().ok());
   }
 }
