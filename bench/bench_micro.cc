@@ -1,17 +1,23 @@
 // Microbenchmarks (google-benchmark) for the hot building blocks: R*-tree
-// insert/query at the experimental node parameters, wavelet analysis and
-// synthesis, window-difference decomposition, Kalman/RLS prediction, the
-// Eq.-2 buffer allocator, the motion-prediction layers that dominate a
-// buffered client's frame and the server's interest refresh (predicted
-// paths, block probabilities, prefetch plans, interest snapshots), and two
-// layers of the disk fleet's hot path (the wire encoding of a response and
-// the pool's prefetch-candidate scan). These are not paper figures; they
-// document the substrate costs behind the figure benches.
+// insert/query/STR bulk load at the experimental node parameters, wavelet
+// analysis and synthesis, window-difference decomposition, Kalman/RLS
+// prediction, the Eq.-2 buffer allocator, the motion-prediction layers
+// that dominate a buffered client's frame and the server's interest
+// refresh (predicted paths, block probabilities, prefetch plans, interest
+// snapshots), and three layers of the disk fleet's hot path (the wire
+// encoding of a response, the pool's prefetch-candidate scan and a page
+// file's store/load/erase). These are not paper figures; they document
+// the substrate costs behind the figure benches.
+
+#include <unistd.h>
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "buffer/prefetcher.h"
@@ -29,6 +35,7 @@
 #include "server/motion_interest.h"
 #include "server/wire_codec.h"
 #include "storage/buffer_pool.h"
+#include "storage/disk_storage.h"
 #include "storage/memory_storage.h"
 #include "wavelet/decompose.h"
 #include "wavelet/reconstruct.h"
@@ -74,6 +81,25 @@ void BM_RTreeWindowQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RTreeWindowQuery)->Arg(10000)->Arg(100000);
+
+// Sort-Tile-Recursive bulk load, the build every index shard and every
+// rebalancer split runs (copying the input is not timed).
+void BM_StrBulkLoad(benchmark::State& state) {
+  common::Rng rng(3);
+  std::vector<index::RTree3::Entry> entries;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    entries.push_back({RandomBox3(rng), i});
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<index::RTree3::Entry> input = entries;
+    state.ResumeTiming();
+    auto tree = index::RTree3::BulkLoad(std::move(input));
+    benchmark::DoNotOptimize(tree);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StrBulkLoad)->Arg(10000)->Arg(100000);
 
 void BM_WaveletDecompose(benchmark::State& state) {
   const int levels = static_cast<int>(state.range(0));
@@ -357,6 +383,42 @@ void BM_PoolPrefetchCandidates(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPages);
 }
 BENCHMARK(BM_PoolPrefetchCandidates);
+
+// One 1.1 KB node (an R*-tree page of the 3-D index) stored, loaded and
+// erased through a page file of 4 KB pages: two page writes, two page
+// reads and a page-header write. The file lives in the temp directory and
+// is removed at the end.
+void BM_DiskPageRoundTrip(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("mars_bench_roundtrip." + std::to_string(getpid()) + ".pages"))
+          .string();
+  {
+    auto manager = storage::DiskStorageManager::Open(path, 4096,
+                                                     /*truncate=*/true);
+    if (!manager.ok()) {
+      state.SkipWithError("page file open failed");
+      return;
+    }
+    std::vector<uint8_t> node(1100);
+    for (size_t i = 0; i < node.size(); ++i) {
+      node[i] = static_cast<uint8_t>(i * 31);
+    }
+    std::vector<uint8_t> out;
+    for (auto _ : state) {
+      storage::PageId id = storage::kInvalidPage;
+      if (!(*manager)->Store(&id, node).ok() ||
+          !(*manager)->Load(id, &out).ok() || !(*manager)->Erase(id).ok()) {
+        state.SkipWithError("page round trip failed");
+        break;
+      }
+      benchmark::DoNotOptimize(out);
+    }
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DiskPageRoundTrip);
 
 void BM_BufferAllocation(benchmark::State& state) {
   const std::vector<double> probs = {0.4, 0.25, 0.2, 0.15};

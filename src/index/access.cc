@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/serialize.h"
+#include "index/shard_map.h"
 
 namespace mars::index {
 
@@ -50,21 +51,9 @@ geometry::Box2 GroundRegion(const GroundScale& scale,
                          mbr.hi(1) / scale.scale_y + scale.off_y});
 }
 
-}  // namespace
-
-GroundScale GroundScale::FromRecords(
-    const std::vector<CoeffRecord>& records) {
-  return FromRecords(records, AllIds(records.size()));
-}
-
-GroundScale GroundScale::FromRecords(const std::vector<CoeffRecord>& table,
-                                     const std::vector<RecordId>& ids) {
-  geometry::Box2 bounds;
-  for (const RecordId id : ids) {
-    const CoeffRecord& r = table[id];
-    bounds.ExtendPoint({r.support_bounds.lo(0), r.support_bounds.lo(1)});
-    bounds.ExtendPoint({r.support_bounds.hi(0), r.support_bounds.hi(1)});
-  }
+// The scale that maps `bounds` onto [0, 1] per axis (identity on an empty
+// box, and on a flat axis).
+GroundScale ScaleOf(const geometry::Box2& bounds) {
   GroundScale s;
   if (!bounds.IsEmpty()) {
     s.off_x = bounds.lo(0);
@@ -73,6 +62,18 @@ GroundScale GroundScale::FromRecords(const std::vector<CoeffRecord>& table,
     if (bounds.Extent(1) > 0) s.scale_y = 1.0 / bounds.Extent(1);
   }
   return s;
+}
+
+}  // namespace
+
+GroundScale GroundScale::FromRecords(
+    const std::vector<CoeffRecord>& records) {
+  return ScaleOf(ShardMap::GroundBounds(records));
+}
+
+GroundScale GroundScale::FromRecords(const std::vector<CoeffRecord>& table,
+                                     const std::vector<RecordId>& ids) {
+  return ScaleOf(ShardMap::GroundBounds(table, ids));
 }
 
 // --- PagedTree3 ----------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <numeric>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -271,18 +272,68 @@ class RTree {
 
   // --- Bulk loading ------------------------------------------------------
 
+  // An item of the range being sorted, keyed by its box's center on the
+  // sort axis.
+  struct CenterKey {
+    double key;
+    size_t pos;  // offset of the item in the range
+  };
+
+  // Sorts items[lo, hi) by box center on `axis`, in the order std::sort
+  // with a center comparator over the items gives: the same sort runs on
+  // (key, position) pairs under the same `<` on keys, so it makes the same
+  // comparisons and moves, but each key is computed once and only 16-byte
+  // pairs move. The items are then permuted in place, cycle by cycle.
+  // `keyed` is scratch.
+  template <typename Item, typename GetBox>
+  static void SortByCenter(std::vector<Item>& items, size_t lo, size_t hi,
+                           size_t axis, const GetBox& get_box,
+                           std::vector<CenterKey>& keyed) {
+    keyed.clear();
+    for (size_t k = lo; k < hi; ++k) {
+      keyed.push_back({get_box(items[k]).Center()[axis], k - lo});
+    }
+    std::sort(keyed.begin(), keyed.end(),
+              [](const CenterKey& a, const CenterKey& b) {
+                return a.key < b.key;
+              });
+    // Offset i takes the item at offset keyed[i].pos. A placed offset is
+    // marked by pointing at itself.
+    for (size_t i = 0; i < keyed.size(); ++i) {
+      if (keyed[i].pos == i) continue;
+      Item held = std::move(items[lo + i]);
+      size_t j = i;
+      while (keyed[j].pos != i) {
+        const size_t from = keyed[j].pos;
+        items[lo + j] = std::move(items[lo + from]);
+        keyed[j].pos = j;
+        j = from;
+      }
+      items[lo + j] = std::move(held);
+      keyed[j].pos = j;
+    }
+  }
+
+  // Sorts `items` into Sort-Tile-Recursive order (StrSortRange over all
+  // of them). The key table (16 B per item) is sized once and freed
+  // before the caller packs nodes, so it never coexists with them.
+  template <typename Item, typename GetBox>
+  static void StrSort(std::vector<Item>& items, int32_t capacity,
+                      const GetBox& get_box) {
+    std::vector<CenterKey> keyed;
+    keyed.reserve(items.size());
+    StrSortRange(items, 0, items.size(), 0, capacity, get_box, keyed);
+  }
+
   // Recursively sorts items[lo, hi) into Sort-Tile-Recursive order:
   // slabbed along each axis in turn so that consecutive runs of
-  // `capacity` items form spatially tight tiles.
+  // `capacity` items form spatially tight tiles. `keyed` is scratch.
   template <typename Item, typename GetBox>
   static void StrSortRange(std::vector<Item>& items, size_t lo, size_t hi,
-                           size_t axis, int32_t capacity, GetBox get_box) {
-    std::sort(items.begin() + static_cast<int64_t>(lo),
-              items.begin() + static_cast<int64_t>(hi),
-              [axis, &get_box](const Item& a, const Item& b) {
-                return get_box(a).Center()[axis] <
-                       get_box(b).Center()[axis];
-              });
+                           size_t axis, int32_t capacity,
+                           const GetBox& get_box,
+                           std::vector<CenterKey>& keyed) {
+    SortByCenter(items, lo, hi, axis, get_box, keyed);
     if (axis + 1 == Dim) return;
     const size_t n = hi - lo;
     const size_t cap = static_cast<size_t>(capacity);
@@ -295,7 +346,7 @@ class RTree {
     const size_t per_slab = ((pages + slabs - 1) / slabs) * cap;
     for (size_t s = lo; s < hi; s += per_slab) {
       StrSortRange(items, s, std::min(hi, s + per_slab), axis + 1, capacity,
-                   get_box);
+                   get_box, keyed);
     }
   }
 
@@ -323,8 +374,8 @@ class RTree {
 
   static std::vector<std::unique_ptr<Node>> PackLeaves(
       std::vector<Entry> entries, int32_t capacity, int32_t min_fill) {
-    StrSortRange(entries, 0, entries.size(), 0, capacity,
-                 [](const Entry& e) -> const BoxT& { return e.box; });
+    StrSort(entries, capacity,
+            [](const Entry& e) -> const BoxT& { return e.box; });
     std::vector<std::unique_ptr<Node>> nodes;
     size_t pos = 0;
     for (size_t count : ChunkSizes(entries.size(), capacity, min_fill)) {
@@ -341,10 +392,10 @@ class RTree {
   static std::vector<std::unique_ptr<Node>> PackInternal(
       std::vector<std::unique_ptr<Node>> children, int32_t capacity,
       int32_t min_fill) {
-    StrSortRange(children, 0, children.size(), 0, capacity,
-                 [](const std::unique_ptr<Node>& n) -> const BoxT& {
-                   return n->mbr;
-                 });
+    StrSort(children, capacity,
+            [](const std::unique_ptr<Node>& n) -> const BoxT& {
+              return n->mbr;
+            });
     std::vector<std::unique_ptr<Node>> nodes;
     size_t pos = 0;
     for (size_t count : ChunkSizes(children.size(), capacity, min_fill)) {

@@ -77,14 +77,20 @@ class ShardMap {
     return map;
   }
 
-  // Bounding box of the records' ground-plane support MBBs.
-  static geometry::Box2 GroundBounds(const std::vector<CoeffRecord>& records) {
-    geometry::Box2 bounds;
-    for (const CoeffRecord& r : records) {
-      bounds.ExtendPoint({r.support_bounds.lo(0), r.support_bounds.lo(1)});
-      bounds.ExtendPoint({r.support_bounds.hi(0), r.support_bounds.hi(1)});
-    }
-    return bounds;
+  // Bounding box of the ground-plane support MBBs of every record of
+  // `table`, or with `ids` of the records table[id] for id in `ids` only.
+  static geometry::Box2 GroundBounds(const std::vector<CoeffRecord>& table) {
+    return GroundBoundsOf(table.size(),
+                          [&table](size_t k) -> const CoeffRecord& {
+                            return table[k];
+                          });
+  }
+  static geometry::Box2 GroundBounds(const std::vector<CoeffRecord>& table,
+                                     const std::vector<RecordId>& ids) {
+    return GroundBoundsOf(ids.size(),
+                          [&table, &ids](size_t k) -> const CoeffRecord& {
+                            return table[ids[k]];
+                          });
   }
 
   // Base grid size K. total_shards() counts every id the map has ever
@@ -177,6 +183,18 @@ class ShardMap {
   const geometry::Box2& bounds() const { return bounds_; }
 
  private:
+  // GroundBounds over the records record_at(0 .. n-1).
+  template <typename RecordAt>
+  static geometry::Box2 GroundBoundsOf(size_t n, const RecordAt& record_at) {
+    geometry::Box2 bounds;
+    for (size_t k = 0; k < n; ++k) {
+      const CoeffRecord& r = record_at(k);
+      bounds.ExtendPoint({r.support_bounds.lo(0), r.support_bounds.lo(1)});
+      bounds.ExtendPoint({r.support_bounds.hi(0), r.support_bounds.hi(1)});
+    }
+    return bounds;
+  }
+
   static int32_t Clamp(int32_t v, int32_t n) {
     return std::max<int32_t>(0, std::min<int32_t>(v, n - 1));
   }

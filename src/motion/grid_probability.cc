@@ -28,11 +28,31 @@ Chol2 Cholesky2(double xx, double xy, double yy) {
 
 }  // namespace
 
+std::vector<double> DrawSampleNormals(const GridProbabilityOptions& options,
+                                      common::Rng& rng) {
+  MARS_CHECK_GE(options.horizon, 1);
+  MARS_CHECK_GE(options.samples_per_step, 1);
+  std::vector<double> normals(2 * static_cast<size_t>(options.horizon) *
+                              static_cast<size_t>(options.samples_per_step));
+  for (double& z : normals) z = rng.Normal();
+  return normals;
+}
+
 BlockProbabilities ComputeBlockProbabilities(
     const PositionPredictor& predictor, const geometry::GridPartition& grid,
     const GridProbabilityOptions& options, common::Rng& rng) {
+  return ComputeBlockProbabilities(predictor, grid, options,
+                                   DrawSampleNormals(options, rng));
+}
+
+BlockProbabilities ComputeBlockProbabilities(
+    const PositionPredictor& predictor, const geometry::GridPartition& grid,
+    const GridProbabilityOptions& options, std::span<const double> normals) {
   MARS_CHECK_GE(options.horizon, 1);
   MARS_CHECK_GE(options.samples_per_step, 1);
+  MARS_CHECK_GE(normals.size(),
+                2 * static_cast<size_t>(options.horizon) *
+                    static_cast<size_t>(options.samples_per_step));
 
   // Sample mass per block id, and the blocks in the order samples first
   // touched them (a touch may carry zero mass once the discount
@@ -53,13 +73,15 @@ BlockProbabilities ComputeBlockProbabilities(
   };
 
   const std::vector<Prediction> path = predictor.PredictPath(options.horizon);
+  MARS_CHECK_EQ(path.size(), static_cast<size_t>(options.horizon));
   double weight = 1.0;
+  const double* z = normals.data();
   for (const Prediction& pred : path) {
     const Chol2 chol = Cholesky2(pred.cov_xx, pred.cov_xy, pred.cov_yy);
     sample_weight = weight / static_cast<double>(options.samples_per_step);
-    for (int32_t s = 0; s < options.samples_per_step; ++s) {
-      const double z1 = rng.Normal();
-      const double z2 = rng.Normal();
+    for (int32_t s = 0; s < options.samples_per_step; ++s, z += 2) {
+      const double z1 = z[0];
+      const double z2 = z[1];
       const geometry::Vec2 p{pred.mean.x + chol.l11 * z1,
                              pred.mean.y + chol.l21 * z1 + chol.l22 * z2};
       if (options.frame_half_width > 0.0 ||

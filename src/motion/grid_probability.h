@@ -2,7 +2,9 @@
 #define MARS_MOTION_GRID_PROBABILITY_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "geometry/grid.h"
@@ -36,6 +38,12 @@ struct GridProbabilityOptions {
   double frame_half_height = 0.0;
 };
 
+// The standard normals one ComputeBlockProbabilities call consumes: two
+// per sample (x, then y), samples_per_step samples per step, steps in
+// order — 2 × horizon × samples_per_step values drawn from `rng`.
+std::vector<double> DrawSampleNormals(const GridProbabilityOptions& options,
+                                      common::Rng& rng);
+
 // Computes visit probabilities for blocks of `grid`, by sampling the
 // predictor's Gaussian N(mean_i, cov_i) at each future step i of one
 // PredictPath(horizon) call and accumulating discounted sample mass per
@@ -44,6 +52,16 @@ struct GridProbabilityOptions {
 // probabilities for "different blocks that can be visited by a client"
 // rather than per-point probabilities for exactly this reason — cell-level
 // integration is cheap.
+//
+// The samples' standard normals come from `normals`, laid out as
+// DrawSampleNormals draws them; it must hold at least that many.
+BlockProbabilities ComputeBlockProbabilities(
+    const PositionPredictor& predictor, const geometry::GridPartition& grid,
+    const GridProbabilityOptions& options, std::span<const double> normals);
+
+// The same, drawing the normals from `rng` first (DrawSampleNormals): the
+// table and the generator's state afterwards equal drawing each sample's
+// pair as it is placed.
 BlockProbabilities ComputeBlockProbabilities(
     const PositionPredictor& predictor, const geometry::GridPartition& grid,
     const GridProbabilityOptions& options, common::Rng& rng);

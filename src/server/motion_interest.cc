@@ -37,11 +37,16 @@ storage::InterestGrid MotionInterestTracker::Snapshot() {
   for (auto& [client_id, client] : clients_) {
     if (client.stale) {
       // A fresh per-client sampler keeps the field a pure function of the
-      // observation history — snapshots never drift with call count.
-      const uint64_t stream = static_cast<uint64_t>(client_id + 1);
-      common::Rng rng(options_.seed + 0x9e3779b97f4a7c15ull * stream);
+      // observation history — snapshots never drift with call count. Its
+      // draws are the same at every snapshot, so they are made once.
+      if (client.normals.empty()) {
+        const uint64_t stream = static_cast<uint64_t>(client_id + 1);
+        common::Rng rng(options_.seed + 0x9e3779b97f4a7c15ull * stream);
+        client.normals =
+            motion::DrawSampleNormals(options_.probability, rng);
+      }
       const auto probs = motion::ComputeBlockProbabilities(
-          client.predictor, grid_, options_.probability, rng);
+          client.predictor, grid_, options_.probability, client.normals);
       client.field.assign(probs.begin(), probs.end());
       client.stale = false;
     }

@@ -47,6 +47,8 @@ class MotionInterestTracker {
   // so a client's field is a pure function of its observation history.
   // Each field is therefore kept until the client's next Observe, and a
   // snapshot recomputes only the clients observed since the last one.
+  // The sampler's draws depend on the seed and the client id alone, so
+  // each client's are drawn once, at its first snapshot, and kept.
   storage::InterestGrid Snapshot();
 
   int64_t clients() const { return static_cast<int64_t>(clients_.size()); }
@@ -54,6 +56,10 @@ class MotionInterestTracker {
  private:
   struct Client {
     motion::MotionPredictor predictor;
+    // The standard normals every field of this client samples with
+    // (motion::DrawSampleNormals from the client's stream); empty until
+    // its first snapshot.
+    std::vector<double> normals;
     // The client's block probabilities in their BlockProbabilities
     // iteration order; valid while !stale.
     std::vector<std::pair<int64_t, double>> field;

@@ -8,33 +8,49 @@
 
 namespace mars::storage {
 
-double InterestGrid::ScoreRegion(const geometry::Box2& region) const {
-  if (empty() || region.IsEmpty()) {
-    return 0.0;
+bool InterestGrid::SameGeometry(const InterestGrid& other) const {
+  return nx == other.nx && ny == other.ny && space == other.space;
+}
+
+BlockRange InterestGrid::RangeOf(const geometry::Box2& region) const {
+  if (nx <= 0 || ny <= 0 || region.IsEmpty()) {
+    return {};
   }
   const double width = space.hi(0) - space.lo(0);
   const double height = space.hi(1) - space.lo(1);
-  if (width <= 0.0 || height <= 0.0) {
-    return 0.0;
+  if (!(width > 0.0 && height > 0.0)) {
+    return {};
   }
+  // Written so that a NaN coordinate misses too.
+  if (!(region.lo(0) <= space.hi(0) && region.hi(0) >= space.lo(0) &&
+        region.lo(1) <= space.hi(1) && region.hi(1) >= space.lo(1))) {
+    return {};
+  }
+  // Clamped in double, so a far coordinate never overflows the cast.
   auto block_of = [](double v, double lo, double extent, int32_t n) {
     const double t = (v - lo) / extent;
-    const int32_t i = static_cast<int32_t>(std::floor(t * n));
-    return std::clamp<int32_t>(i, 0, n - 1);
+    return static_cast<int32_t>(
+        std::clamp(std::floor(t * n), 0.0, static_cast<double>(n - 1)));
   };
-  const int32_t i0 = block_of(region.lo(0), space.lo(0), width, nx);
-  const int32_t i1 = block_of(region.hi(0), space.lo(0), width, nx);
-  const int32_t j0 = block_of(region.lo(1), space.lo(1), height, ny);
-  const int32_t j1 = block_of(region.hi(1), space.lo(1), height, ny);
+  return {block_of(region.lo(0), space.lo(0), width, nx),
+          block_of(region.hi(0), space.lo(0), width, nx),
+          block_of(region.lo(1), space.lo(1), height, ny),
+          block_of(region.hi(1), space.lo(1), height, ny)};
+}
+
+double InterestGrid::ScoreRange(const BlockRange& range) const {
+  if (empty() || range.empty()) {
+    return 0.0;
+  }
   double total = 0.0;
-  int64_t blocks = 0;
-  for (int32_t j = j0; j <= j1; ++j) {
-    for (int32_t i = i0; i <= i1; ++i) {
+  for (int32_t j = range.j0; j <= range.j1; ++j) {
+    for (int32_t i = range.i0; i <= range.i1; ++i) {
       total += score[static_cast<size_t>(j) * nx + i];
-      ++blocks;
     }
   }
-  return blocks > 0 ? total / static_cast<double>(blocks) : 0.0;
+  const int64_t cols = range.i1 - range.i0 + 1;
+  const int64_t rows = range.j1 - range.j0 + 1;
+  return total / static_cast<double>(cols * rows);
 }
 
 BufferPool::BufferPool(IStorageManager* manager, int64_t capacity_pages,
@@ -49,20 +65,24 @@ int64_t BufferPool::PageCost(size_t bytes) const {
       1, (static_cast<int64_t>(bytes) + payload - 1) / payload);
 }
 
-const geometry::Box2* BufferPool::RegionLocked(PageId id) const {
-  if (id < 0 || id >= static_cast<PageId>(regions_.size()) ||
-      !regions_[id].has_value()) {
-    return nullptr;
+bool BufferPool::RegisteredLocked(PageId id) const {
+  return id >= 0 && id < static_cast<PageId>(slots_.size()) &&
+         slots_[id].region.has_value();
+}
+
+BufferPool::Slot& BufferPool::SlotLocked(PageId id) {
+  MARS_CHECK_GE(id, 0) << "pool slot for an invalid page id";
+  if (id >= static_cast<PageId>(slots_.size())) {
+    slots_.resize(static_cast<size_t>(id) + 1);
   }
-  return &*regions_[id];
+  return slots_[id];
 }
 
 double BufferPool::ScoreLocked(PageId id) const {
-  if (interest_.empty()) {
+  if (interest_.empty() || !RegisteredLocked(id)) {
     return 0.0;
   }
-  const geometry::Box2* region = RegionLocked(id);
-  return region == nullptr ? 0.0 : interest_.ScoreRegion(*region);
+  return interest_.ScoreRange(slots_[id].range);
 }
 
 void BufferPool::RemoveResidentLocked(PageId victim) {
@@ -75,6 +95,7 @@ void BufferPool::RemoveResidentLocked(PageId victim) {
   }
   used_pages_ -= it->second.cost_pages;
   resident_.erase(it);
+  slots_[victim].resident = false;
   ++stats_.evictions;
 }
 
@@ -134,6 +155,7 @@ void BufferPool::InsertLocked(PageId id, const std::vector<uint8_t>& bytes) {
   entry.last_use = ++clock_;
   entry.score = ScoreLocked(id);
   resident_.emplace(id, std::move(entry));
+  SlotLocked(id).resident = true;
   used_pages_ += cost;
   EvictForLocked(id);
 }
@@ -180,7 +202,9 @@ common::Status BufferPool::Erase(PageId id) {
     used_pages_ -= it->second.cost_pages;
     resident_.erase(it);
   }
-  if (RegionLocked(id) != nullptr) regions_[id].reset();
+  if (id >= 0 && id < static_cast<PageId>(slots_.size())) {
+    slots_[id] = Slot();
+  }
   return manager_->Erase(id);
 }
 
@@ -202,19 +226,27 @@ PageId BufferPool::root() const {
 void BufferPool::SetPageRegion(PageId id, const geometry::Box2& region) {
   MARS_CHECK_GE(id, 0) << "page region for an invalid page id";
   common::MutexLock lock(&mu_);
-  if (id >= static_cast<PageId>(regions_.size())) {
-    regions_.resize(static_cast<size_t>(id) + 1);
-  }
-  regions_[id] = region;
-  auto it = resident_.find(id);
-  if (it != resident_.end()) {
-    it->second.score = ScoreLocked(id);
+  Slot& slot = SlotLocked(id);
+  slot.region = region;
+  slot.range = range_grid_.RangeOf(region);
+  if (slot.resident) {
+    resident_.at(id).score = ScoreLocked(id);
   }
 }
 
 void BufferPool::UpdateInterest(const InterestGrid& interest) {
   common::MutexLock lock(&mu_);
   interest_ = interest;
+  if (!interest_.empty() && !interest_.SameGeometry(range_grid_)) {
+    range_grid_.space = interest_.space;
+    range_grid_.nx = interest_.nx;
+    range_grid_.ny = interest_.ny;
+    for (Slot& slot : slots_) {
+      if (slot.region.has_value()) {
+        slot.range = range_grid_.RangeOf(*slot.region);
+      }
+    }
+  }
   for (auto& [id, entry] : resident_) {
     entry.score = ScoreLocked(id);
   }
@@ -227,11 +259,12 @@ std::vector<BufferPool::PrefetchCandidate> BufferPool::PrefetchCandidates()
   if (interest_.empty()) {
     return out;
   }
-  for (PageId id = 0; id < static_cast<PageId>(regions_.size()); ++id) {
-    if (!regions_[id].has_value() || resident_.contains(id)) {
+  for (PageId id = 0; id < static_cast<PageId>(slots_.size()); ++id) {
+    const Slot& slot = slots_[id];
+    if (!slot.region.has_value() || slot.resident) {
       continue;
     }
-    const double score = interest_.ScoreRegion(*regions_[id]);
+    const double score = interest_.ScoreRange(slot.range);
     if (score > 0.0) {
       out.push_back({id, score});
     }
@@ -270,7 +303,7 @@ void BufferPool::InstallPrefetched(PageId id,
     ++stats_.prefetch_dropped;
     return;
   }
-  if (RegionLocked(id) == nullptr) {
+  if (!RegisteredLocked(id)) {
     // Unregistered since dispatch (epoch swap erased the array).
     ++stats_.prefetch_dropped;
     return;
@@ -296,6 +329,7 @@ void BufferPool::InstallPrefetched(PageId id,
   entry.score = score;
   entry.speculative = true;
   resident_.emplace(id, std::move(entry));
+  slots_[id].resident = true;
   used_pages_ += cost;
 }
 

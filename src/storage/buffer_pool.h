@@ -14,6 +14,17 @@
 
 namespace mars::storage {
 
+// Blocks [i0, i1] x [j0, j1] (inclusive) of an interest grid; empty when
+// either interval is.
+struct BlockRange {
+  int32_t i0 = 0;
+  int32_t i1 = -1;
+  int32_t j0 = 0;
+  int32_t j1 = -1;
+
+  bool empty() const { return i1 < i0 || j1 < j0; }
+};
+
 // Server-side visit-probability field over the ground plane, produced from
 // the fleet's motion predictors (see server::MotionInterestTracker). Kept
 // dependency-free of src/motion so the storage layer stays a leaf library:
@@ -26,9 +37,25 @@ struct InterestGrid {
 
   bool empty() const { return nx <= 0 || ny <= 0 || score.empty(); }
 
+  // True when `other` has the same space, nx and ny: block ranges of one
+  // are block ranges of the other.
+  bool SameGeometry(const InterestGrid& other) const;
+
+  // The blocks a world-space region overlaps, clamped to the grid. A
+  // function of the geometry alone (never of `score`): empty when the grid
+  // has no blocks or no area, or the region is empty or misses the space.
+  BlockRange RangeOf(const geometry::Box2& region) const;
+
+  // Mean block score over `range`, summed row by row (zero when the grid
+  // or the range is empty).
+  double ScoreRange(const BlockRange& range) const;
+
   // Mean block score over the blocks a world-space region overlaps (zero
-  // when the grid is empty or the region misses the space entirely).
-  double ScoreRegion(const geometry::Box2& region) const;
+  // when the grid is empty or the region misses the space entirely):
+  // ScoreRange(RangeOf(region)).
+  double ScoreRegion(const geometry::Box2& region) const {
+    return ScoreRange(RangeOf(region));
+  }
 };
 
 // Cumulative buffer-pool counters, exported per shard in the fleet JSON.
@@ -82,6 +109,8 @@ class BufferPool {
   void SetPageRegion(PageId id, const geometry::Box2& region);
 
   // Installs a fresh interest field and rescores every resident array.
+  // A field of another geometry than the last non-empty one (the first
+  // non-empty field included) recomputes every registered block range.
   void UpdateInterest(const InterestGrid& interest);
 
   // --- Pool-warming surface (storage::PoolWarmer) -------------------------
@@ -98,8 +127,9 @@ class BufferPool {
   };
   // Every registered array that is not resident and scores above zero
   // under the current interest field, in ascending id order (the order of
-  // the region table; the warmer re-sorts globally by score, so the order
-  // here only fixes ties).
+  // the slot table; the warmer re-sorts globally by score, so the order
+  // here only fixes ties). Each score sums the block range cached with the
+  // array's region, bitwise InterestGrid::ScoreRegion of the region.
   std::vector<PrefetchCandidate> PrefetchCandidates() const;
 
   // Loads the array's bytes from the backing store without touching the
@@ -140,6 +170,17 @@ class BufferPool {
     bool speculative = false;
   };
 
+  // What the pool knows of one page id besides a resident array's bytes.
+  struct Slot {
+    // The world-space region of the array's node; nullopt until
+    // registered and after Erase.
+    std::optional<geometry::Box2> region;
+    // `region`'s blocks on range_grid_ (empty while unregistered).
+    BlockRange range;
+    // Whether resident_ holds the array.
+    bool resident = false;
+  };
+
   int64_t PageCost(size_t bytes) const;
   void InsertLocked(PageId id, const std::vector<uint8_t>& bytes)
       MARS_REQUIRES(mu_);
@@ -149,8 +190,10 @@ class BufferPool {
   // kInvalidPage when no other array is resident.
   PageId ColdestLocked(PageId skip, bool by_score) const MARS_REQUIRES(mu_);
   double ScoreLocked(PageId id) const MARS_REQUIRES(mu_);
-  // The registered region of `id`, or null when it has none.
-  const geometry::Box2* RegionLocked(PageId id) const MARS_REQUIRES(mu_);
+  // Whether `id` has a registered region.
+  bool RegisteredLocked(PageId id) const MARS_REQUIRES(mu_);
+  // The slot of `id` (a valid page id), growing the table to reach it.
+  Slot& SlotLocked(PageId id) MARS_REQUIRES(mu_);
   // Removes `victim` from the resident set (never-touched speculative
   // victims count prefetch_wasted on top of the eviction).
   void RemoveResidentLocked(PageId victim) MARS_REQUIRES(mu_);
@@ -165,11 +208,14 @@ class BufferPool {
 
   mutable common::Mutex mu_;
   std::unordered_map<PageId, Resident> resident_ MARS_GUARDED_BY(mu_);
-  // Registered node regions indexed by page id. Managers hand out dense
-  // slot ids from 0 and reuse the lowest free one, so the table stays as
-  // long as the store; unregistered and erased slots hold nullopt.
-  std::vector<std::optional<geometry::Box2>> regions_ MARS_GUARDED_BY(mu_);
+  // Slots indexed by page id. Managers hand out dense slot ids from 0 and
+  // reuse the lowest free one, so the table stays as long as the store.
+  std::vector<Slot> slots_ MARS_GUARDED_BY(mu_);
   InterestGrid interest_ MARS_GUARDED_BY(mu_);
+  // The geometry (no scores) every Slot::range is computed on: that of the
+  // last non-empty interest field installed, none before the first. While
+  // interest_ is non-empty the two share their geometry.
+  InterestGrid range_grid_ MARS_GUARDED_BY(mu_);
   int64_t clock_ MARS_GUARDED_BY(mu_) = 0;
   int64_t used_pages_ MARS_GUARDED_BY(mu_) = 0;
   PoolStats stats_ MARS_GUARDED_BY(mu_);

@@ -1,10 +1,12 @@
 #include "storage/disk_storage.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
 #include <utility>
-
-#include "common/serialize.h"
 
 namespace mars::storage {
 namespace {
@@ -16,6 +18,28 @@ constexpr uint32_t kVersion = 1;
 constexpr uint32_t kUsedFlag = 1u << 0;
 constexpr uint32_t kHeadFlag = 1u << 1;
 constexpr int32_t kMinPageSize = 128;
+
+// Page header fields in host byte order, as common::ByteWriter lays them.
+template <typename T>
+void Put(uint8_t* at, T value) {
+  std::memcpy(at, &value, sizeof(value));
+}
+template <typename T>
+T Get(const uint8_t* at) {
+  T value;
+  std::memcpy(&value, at, sizeof(value));
+  return value;
+}
+
+// Whole-buffer positional I/O: false unless every byte moved.
+bool ReadAt(int fd, uint8_t* buf, int64_t size, int64_t offset) {
+  return ::pread(fd, buf, static_cast<size_t>(size),
+                 static_cast<off_t>(offset)) == size;
+}
+bool WriteAt(int fd, const uint8_t* buf, int64_t size, int64_t offset) {
+  return ::pwrite(fd, buf, static_cast<size_t>(size),
+                  static_cast<off_t>(offset)) == size;
+}
 
 }  // namespace
 
@@ -31,21 +55,23 @@ common::StatusOr<std::unique_ptr<DiskStorageManager>> DiskStorageManager::Open(
       new DiskStorageManager(path, page_size));
   bool exists = false;
   if (!truncate) {
-    if (std::FILE* probe = std::fopen(path.c_str(), "rb")) {
-      std::fclose(probe);
+    const int probe = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (probe >= 0) {
+      ::close(probe);
       exists = true;
     }
   }
   if (exists) {
-    mgr->file_ = std::fopen(path.c_str(), "rb+");
-    if (mgr->file_ == nullptr) {
+    mgr->fd_ = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+    if (mgr->fd_ < 0) {
       return common::InternalError("disk store: cannot open " + path);
     }
     MARS_RETURN_IF_ERROR(mgr->OpenExisting());
     mgr->opened_existing_ = true;
   } else {
-    mgr->file_ = std::fopen(path.c_str(), "wb+");
-    if (mgr->file_ == nullptr) {
+    mgr->fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                      0666);
+    if (mgr->fd_ < 0) {
       return common::InternalError("disk store: cannot create " + path);
     }
     MARS_RETURN_IF_ERROR(mgr->CreateFresh());
@@ -57,10 +83,9 @@ DiskStorageManager::DiskStorageManager(std::string path, int32_t page_size)
     : path_(std::move(path)), page_size_(page_size) {}
 
 DiskStorageManager::~DiskStorageManager() {
-  if (file_ != nullptr) {
+  if (fd_ >= 0) {
     WriteHeader();  // best effort: persist root across shutdown
-    std::fflush(file_);
-    std::fclose(file_);
+    ::close(fd_);
   }
 }
 
@@ -77,19 +102,13 @@ bool DiskStorageManager::IsUsed(PageId id) const {
 }
 
 common::Status DiskStorageManager::WriteHeader() {
-  common::ByteWriter w;
-  w.WriteU64(kMagic);
-  w.WriteU32(kVersion);
-  w.WriteU32(static_cast<uint32_t>(page_size_));
-  w.WriteI64(root_);
-  std::vector<uint8_t> buf = std::move(w).Take();
-  buf.resize(kHeaderBytes - 8, 0);
-  const uint64_t checksum = Fnv1a64(buf.data(), buf.size());
-  common::ByteWriter tail;
-  tail.WriteU64(checksum);
-  buf.insert(buf.end(), tail.buffer().begin(), tail.buffer().end());
-  if (std::fseek(file_, 0, SEEK_SET) != 0 ||
-      std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size()) {
+  uint8_t buf[kHeaderBytes] = {};
+  Put<uint64_t>(buf, kMagic);
+  Put<uint32_t>(buf + 8, kVersion);
+  Put<uint32_t>(buf + 12, static_cast<uint32_t>(page_size_));
+  Put<int64_t>(buf + 16, root_);
+  Put<uint64_t>(buf + kHeaderBytes - 8, Fnv1a64(buf, kHeaderBytes - 8));
+  if (!WriteAt(fd_, buf, kHeaderBytes, 0)) {
     return common::InternalError("disk store: header write failed");
   }
   return common::OkStatus();
@@ -98,35 +117,27 @@ common::Status DiskStorageManager::WriteHeader() {
 common::Status DiskStorageManager::CreateFresh() {
   page_count_ = 0;
   root_ = kInvalidPage;
-  MARS_RETURN_IF_ERROR(WriteHeader());
-  if (std::fflush(file_) != 0) {
-    return common::InternalError("disk store: flush failed");
-  }
-  return common::OkStatus();
+  page_.assign(static_cast<size_t>(page_size_), 0);
+  return WriteHeader();
 }
 
 common::Status DiskStorageManager::OpenExisting() {
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) {
     return common::InternalError("disk store: seek failed");
   }
-  const int64_t file_size = std::ftell(file_);
+  const int64_t file_size = st.st_size;
   if (file_size < kHeaderBytes) {
     return common::InternalError("disk store: truncated header in " + path_);
   }
-  std::vector<uint8_t> buf(kHeaderBytes);
-  if (std::fseek(file_, 0, SEEK_SET) != 0 ||
-      std::fread(buf.data(), 1, buf.size(), file_) != buf.size()) {
+  uint8_t buf[kHeaderBytes];
+  if (!ReadAt(fd_, buf, kHeaderBytes, 0)) {
     return common::InternalError("disk store: header read failed");
   }
-  common::ByteReader head(buf.data(), kHeaderBytes - 8);
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  uint32_t page_size = 0;
-  int64_t root = kInvalidPage;
-  MARS_RETURN_IF_ERROR(head.ReadU64(&magic));
-  MARS_RETURN_IF_ERROR(head.ReadU32(&version));
-  MARS_RETURN_IF_ERROR(head.ReadU32(&page_size));
-  MARS_RETURN_IF_ERROR(head.ReadI64(&root));
+  const uint64_t magic = Get<uint64_t>(buf);
+  const uint32_t version = Get<uint32_t>(buf + 8);
+  const uint32_t page_size = Get<uint32_t>(buf + 12);
+  const int64_t root = Get<int64_t>(buf + 16);
   if (magic != kMagic) {
     return common::InternalError("disk store: bad magic in " + path_);
   }
@@ -138,34 +149,25 @@ common::Status DiskStorageManager::OpenExisting() {
       page_size > (1u << 26)) {
     return common::InternalError("disk store: bad page size in " + path_);
   }
-  common::ByteReader tail(buf.data() + (kHeaderBytes - 8), 8);
-  uint64_t stored_checksum = 0;
-  MARS_RETURN_IF_ERROR(tail.ReadU64(&stored_checksum));
-  if (Fnv1a64(buf.data(), kHeaderBytes - 8) != stored_checksum) {
+  if (Fnv1a64(buf, kHeaderBytes - 8) !=
+      Get<uint64_t>(buf + kHeaderBytes - 8)) {
     return common::InternalError("disk store: header checksum mismatch in " +
                                  path_);
   }
   page_size_ = static_cast<int32_t>(page_size);
+  page_.assign(static_cast<size_t>(page_size_), 0);
   root_ = root;
   page_count_ = (file_size - kHeaderBytes) / page_size_;
   // Rebuild the freelist by scanning the used bit of every page header. A
   // corrupt flag word can at worst leak a slot or route a Load into a
   // checksum mismatch; it never reads out of bounds.
   freelist_.clear();
-  std::vector<uint8_t> page_head(kPageHeaderBytes);
   for (PageId id = 0; id < page_count_; ++id) {
-    if (std::fseek(file_, static_cast<long>(PageOffset(id)), SEEK_SET) != 0 ||
-        std::fread(page_head.data(), 1, page_head.size(), file_) !=
-            page_head.size()) {
+    if (!ReadAt(fd_, page_.data(), kPageHeaderBytes, PageOffset(id))) {
       return common::InternalError("disk store: truncated page table in " +
                                    path_);
     }
-    common::ByteReader r(page_head.data(), page_head.size());
-    uint64_t checksum = 0;
-    uint32_t flags = 0;
-    MARS_RETURN_IF_ERROR(r.ReadU64(&checksum));
-    MARS_RETURN_IF_ERROR(r.ReadU32(&flags));
-    if ((flags & kUsedFlag) == 0) {
+    if ((Get<uint32_t>(page_.data() + 8) & kUsedFlag) == 0) {
       freelist_.insert(id);
     }
   }
@@ -189,9 +191,8 @@ PageId DiskStorageManager::AllocatePage() {
 common::Status DiskStorageManager::FreePage(PageId id) {
   // Clear the used bit on disk so a restart's freelist scan sees the slot
   // as free; the payload itself is left in place.
-  std::vector<uint8_t> head(kPageHeaderBytes, 0);
-  if (std::fseek(file_, static_cast<long>(PageOffset(id)), SEEK_SET) != 0 ||
-      std::fwrite(head.data(), 1, head.size(), file_) != head.size()) {
+  static constexpr uint8_t kZeroHead[kPageHeaderBytes] = {};
+  if (!WriteAt(fd_, kZeroHead, kPageHeaderBytes, PageOffset(id))) {
     return common::InternalError("disk store: page free failed");
   }
   freelist_.insert(id);
@@ -203,20 +204,17 @@ common::Status DiskStorageManager::WritePage(PageId id, uint32_t flags,
                                              PageId next,
                                              const uint8_t* payload,
                                              uint32_t payload_len) {
-  common::ByteWriter w;
-  w.WriteU32(flags);
-  w.WriteU32(payload_len);
-  w.WriteI64(next);
-  std::vector<uint8_t> body = std::move(w).Take();
-  body.insert(body.end(), payload, payload + payload_len);
-  const uint64_t checksum = Fnv1a64(body.data(), body.size());
-  common::ByteWriter page;
-  page.WriteU64(checksum);
-  std::vector<uint8_t> buf = std::move(page).Take();
-  buf.insert(buf.end(), body.begin(), body.end());
-  buf.resize(page_size_, 0);
-  if (std::fseek(file_, static_cast<long>(PageOffset(id)), SEEK_SET) != 0 ||
-      std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size()) {
+  uint8_t* page = page_.data();
+  Put<uint32_t>(page + 8, flags);
+  Put<uint32_t>(page + 12, payload_len);
+  Put<int64_t>(page + 16, next);
+  if (payload_len > 0) {
+    std::memcpy(page + kPageHeaderBytes, payload, payload_len);
+  }
+  std::memset(page + kPageHeaderBytes + payload_len, 0,
+              static_cast<size_t>(PayloadCapacity()) - payload_len);
+  Put<uint64_t>(page, Fnv1a64(page + 8, kPageHeaderBytes - 8 + payload_len));
+  if (!WriteAt(fd_, page, page_size_, PageOffset(id))) {
     return common::InternalError("disk store: page write failed");
   }
   ++stats_.writes;
@@ -225,35 +223,46 @@ common::Status DiskStorageManager::WritePage(PageId id, uint32_t flags,
 
 common::Status DiskStorageManager::ReadPage(PageId id, uint32_t* flags,
                                             PageId* next,
-                                            std::vector<uint8_t>* payload) {
+                                            std::span<const uint8_t>* payload) {
   if (id < 0 || id >= page_count_) {
     return common::OutOfRangeError("disk store: page id out of range");
   }
-  std::vector<uint8_t> buf(page_size_);
-  if (std::fseek(file_, static_cast<long>(PageOffset(id)), SEEK_SET) != 0 ||
-      std::fread(buf.data(), 1, buf.size(), file_) != buf.size()) {
+  uint8_t* page = page_.data();
+  if (!ReadAt(fd_, page, page_size_, PageOffset(id))) {
     return common::InternalError("disk store: truncated page read in " +
                                  path_);
   }
-  common::ByteReader r(buf.data(), buf.size());
-  uint64_t stored_checksum = 0;
-  uint32_t payload_len = 0;
-  MARS_RETURN_IF_ERROR(r.ReadU64(&stored_checksum));
-  MARS_RETURN_IF_ERROR(r.ReadU32(flags));
-  MARS_RETURN_IF_ERROR(r.ReadU32(&payload_len));
-  MARS_RETURN_IF_ERROR(r.ReadI64(next));
+  const uint32_t payload_len = Get<uint32_t>(page + 12);
+  *flags = Get<uint32_t>(page + 8);
+  *next = Get<int64_t>(page + 16);
   if (payload_len > static_cast<uint64_t>(PayloadCapacity())) {
     return common::InternalError("disk store: corrupt payload length");
   }
-  const uint64_t checksum =
-      Fnv1a64(buf.data() + 8, kPageHeaderBytes - 8 + payload_len);
-  if (checksum != stored_checksum) {
+  if (Fnv1a64(page + 8, kPageHeaderBytes - 8 + payload_len) !=
+      Get<uint64_t>(page)) {
     return common::InternalError("disk store: page checksum mismatch in " +
                                  path_);
   }
-  payload->assign(buf.begin() + kPageHeaderBytes,
-                  buf.begin() + kPageHeaderBytes + payload_len);
+  *payload = {page + kPageHeaderBytes, payload_len};
   ++stats_.reads;
+  return common::OkStatus();
+}
+
+common::Status DiskStorageManager::ReadChain(PageId id,
+                                             std::vector<PageId>* chain) {
+  PageId cur = id;
+  int64_t steps = 0;
+  while (cur != kInvalidPage) {
+    if (++steps > page_count_) {
+      return common::InternalError("disk store: page chain cycle");
+    }
+    chain->push_back(cur);
+    uint32_t flags = 0;
+    PageId next = kInvalidPage;
+    std::span<const uint8_t> payload;
+    MARS_RETURN_IF_ERROR(ReadPage(cur, &flags, &next, &payload));
+    cur = next;
+  }
   return common::OkStatus();
 }
 
@@ -273,19 +282,7 @@ common::Status DiskStorageManager::Store(PageId* id,
     if (!IsUsed(*id)) {
       return common::NotFoundError("disk store: rewrite of unknown page");
     }
-    PageId cur = *id;
-    int64_t steps = 0;
-    while (cur != kInvalidPage) {
-      if (++steps > page_count_) {
-        return common::InternalError("disk store: page chain cycle");
-      }
-      chain.push_back(cur);
-      uint32_t flags = 0;
-      PageId next = kInvalidPage;
-      std::vector<uint8_t> scratch;
-      MARS_RETURN_IF_ERROR(ReadPage(cur, &flags, &next, &scratch));
-      cur = next;
-    }
+    MARS_RETURN_IF_ERROR(ReadChain(*id, &chain));
     while (static_cast<int64_t>(chain.size()) > pages_needed) {
       MARS_RETURN_IF_ERROR(FreePage(chain.back()));
       chain.pop_back();
@@ -324,7 +321,7 @@ common::Status DiskStorageManager::Load(PageId id, std::vector<uint8_t>* out) {
     }
     uint32_t flags = 0;
     PageId next = kInvalidPage;
-    std::vector<uint8_t> payload;
+    std::span<const uint8_t> payload;
     MARS_RETURN_IF_ERROR(ReadPage(cur, &flags, &next, &payload));
     if ((flags & kUsedFlag) == 0) {
       return common::InternalError("disk store: chain through free page");
@@ -347,19 +344,7 @@ common::Status DiskStorageManager::Erase(PageId id) {
   // Collect the chain before freeing anything so a mid-chain error leaves a
   // consistent (if leaky) file.
   std::vector<PageId> chain;
-  PageId cur = id;
-  int64_t steps = 0;
-  while (cur != kInvalidPage) {
-    if (++steps > page_count_) {
-      return common::InternalError("disk store: page chain cycle");
-    }
-    chain.push_back(cur);
-    uint32_t flags = 0;
-    PageId next = kInvalidPage;
-    std::vector<uint8_t> payload;
-    MARS_RETURN_IF_ERROR(ReadPage(cur, &flags, &next, &payload));
-    cur = next;
-  }
+  MARS_RETURN_IF_ERROR(ReadChain(id, &chain));
   for (const PageId page : chain) {
     MARS_RETURN_IF_ERROR(FreePage(page));
   }
@@ -367,13 +352,7 @@ common::Status DiskStorageManager::Erase(PageId id) {
   return common::OkStatus();
 }
 
-common::Status DiskStorageManager::Flush() {
-  MARS_RETURN_IF_ERROR(WriteHeader());
-  if (std::fflush(file_) != 0) {
-    return common::InternalError("disk store: flush failed");
-  }
-  return common::OkStatus();
-}
+common::Status DiskStorageManager::Flush() { return WriteHeader(); }
 
 common::Status DiskStorageManager::SetRoot(PageId id) {
   root_ = id;

@@ -2,9 +2,9 @@
 #define MARS_STORAGE_DISK_STORAGE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +28,11 @@ namespace mars::storage {
 // The checksum covers everything after itself up to the end of the payload.
 // `flags` bit 0 marks the slot used, bit 1 marks a chain head; the freelist
 // is rebuilt on open by scanning the used bits.
+//
+// Pages and the header move through one reused page-size buffer with
+// pread/pwrite on a plain file descriptor, so every write reaches the
+// file (not a user-space buffer) before the call returns. Flush rewrites
+// the header; nothing here calls fsync.
 class DiskStorageManager : public IStorageManager {
  public:
   // Opens `path`. If the file exists (and `truncate` is false) its header is
@@ -88,8 +93,12 @@ class DiskStorageManager : public IStorageManager {
   common::Status FreePage(PageId id);
   common::Status WritePage(PageId id, uint32_t flags, PageId next,
                            const uint8_t* payload, uint32_t payload_len);
+  // Reads and checks page `id` into page_; *payload views its payload
+  // there, valid until the next page read or write.
   common::Status ReadPage(PageId id, uint32_t* flags, PageId* next,
-                          std::vector<uint8_t>* payload);
+                          std::span<const uint8_t>* payload);
+  // The chain starting at head `id`, walked through ReadPage.
+  common::Status ReadChain(PageId id, std::vector<PageId>* chain);
   common::Status WriteHeader();
   common::Status OpenExisting();
   common::Status CreateFresh();
@@ -97,7 +106,9 @@ class DiskStorageManager : public IStorageManager {
 
   std::string path_;
   int32_t page_size_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
+  // The one page buffer every page read and write goes through.
+  std::vector<uint8_t> page_;
   int64_t page_count_ = 0;
   std::set<PageId> freelist_;  // ordered so reuse picks the lowest id
   PageId root_ = kInvalidPage;

@@ -537,6 +537,74 @@ TEST(GridProbabilityTest, MatchesPerSampleReferenceLeavingTheSpace) {
   ExpectMatchesReference(cold, grid, frame, 8);
 }
 
+// The normals one call consumes, drawn one at a time the way the
+// sampling loop once drew them.
+std::vector<double> DrawnOneByOne(const GridProbabilityOptions& options,
+                                  common::Rng& rng) {
+  std::vector<double> normals;
+  for (int32_t step = 0; step < options.horizon; ++step) {
+    for (int32_t s = 0; s < options.samples_per_step; ++s) {
+      normals.push_back(rng.Normal());  // x
+      normals.push_back(rng.Normal());  // y
+    }
+  }
+  return normals;
+}
+
+void ExpectSameTables(const BlockProbabilities& got,
+                      const BlockProbabilities& want) {
+  ASSERT_EQ(got.size(), want.size());
+  auto g = got.begin();
+  for (auto w = want.begin(); w != want.end(); ++w, ++g) {
+    EXPECT_EQ(g->first, w->first);
+    EXPECT_EQ(g->second, w->second) << "block " << w->first;
+  }
+}
+
+TEST(GridProbabilityTest, SpanAndGeneratorFormsAgree) {
+  // The span form fed normals drawn one by one, and the generator form
+  // fed an equal generator, give the same table (iteration order and
+  // bits) and leave the generators in the same state — including one
+  // that holds a cached second Box–Muller value on entry.
+  MotionPredictor predictor;
+  for (int t = 0; t < 40; ++t) predictor.Observe({12.0 * t, 400 + 3.0 * t});
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
+                                     20, 20);
+  GridProbabilityOptions point;
+  point.horizon = 12;
+  point.samples_per_step = 24;
+  GridProbabilityOptions frame = point;
+  frame.frame_half_width = 80;
+  frame.frame_half_height = 40;
+  for (const GridProbabilityOptions& options : {point, frame}) {
+    for (const bool odd_start : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "frame " << options.frame_half_width
+                                      << " odd start " << odd_start);
+      common::Rng by_rng(43), by_span(43);
+      if (odd_start) {
+        by_rng.Normal();
+        by_span.Normal();
+      }
+      const std::vector<double> normals = DrawnOneByOne(options, by_span);
+      common::Rng copy = by_rng;
+      ASSERT_EQ(DrawSampleNormals(options, copy), normals);
+      const BlockProbabilities from_rng =
+          ComputeBlockProbabilities(predictor, grid, options, by_rng);
+      const BlockProbabilities from_span =
+          ComputeBlockProbabilities(predictor, grid, options, normals);
+      ExpectSameTables(from_span, from_rng);
+      EXPECT_EQ(by_rng.Normal(), by_span.Normal());
+      EXPECT_EQ(by_rng.NextUint64(), by_span.NextUint64());
+      // Extra normals past the ones a call consumes are ignored.
+      std::vector<double> longer = normals;
+      longer.push_back(1e9);
+      ExpectSameTables(
+          ComputeBlockProbabilities(predictor, grid, options, longer),
+          from_rng);
+    }
+  }
+}
+
 TEST(GridProbabilityTest, ZeroMassTouchesStayInTheTable) {
   // With no discount carry-over every step after the first samples with
   // zero weight; the blocks those samples touch first are still entries

@@ -1,6 +1,9 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -391,6 +394,202 @@ TEST(BulkLoadTest, QueryCostComparableToInsertBuilt) {
   // uniform data (it is usually better).
   EXPECT_LE(bulk.stats().query_node_accesses,
             incremental.stats().query_node_accesses * 1.3);
+}
+
+// --- STR order against a frozen comparator sort ---------------------------
+
+// The STR sort BulkLoad ran before it keyed its sorts, frozen: std::sort
+// over the items themselves, computing the center of both boxes in every
+// comparison.
+template <size_t Dim, typename Item, typename GetBox>
+void FrozenStrSortRange(std::vector<Item>& items, size_t lo, size_t hi,
+                        size_t axis, int32_t capacity, GetBox get_box) {
+  std::sort(items.begin() + static_cast<int64_t>(lo),
+            items.begin() + static_cast<int64_t>(hi),
+            [axis, &get_box](const Item& a, const Item& b) {
+              return get_box(a).Center()[axis] < get_box(b).Center()[axis];
+            });
+  if (axis + 1 == Dim) return;
+  const size_t n = hi - lo;
+  const size_t cap = static_cast<size_t>(capacity);
+  const size_t pages = (n + cap - 1) / cap;
+  const double remaining_dims = static_cast<double>(Dim - axis);
+  const double root =
+      std::ceil(std::pow(static_cast<double>(pages), 1.0 / remaining_dims));
+  const size_t slabs = std::max<size_t>(1, static_cast<size_t>(root));
+  const size_t per_slab = ((pages + slabs - 1) / slabs) * cap;
+  for (size_t s = lo; s < hi; s += per_slab) {
+    FrozenStrSortRange<Dim>(items, s, std::min(hi, s + per_slab), axis + 1,
+                            capacity, get_box);
+  }
+}
+
+// A node of the reference tree: entries at a leaf, children above.
+template <size_t Dim>
+struct RefNode {
+  Box<Dim> mbr;
+  std::vector<typename RTree<Dim>::Entry> entries;
+  std::vector<RefNode> children;
+};
+
+// BulkLoad's packing around the frozen sort: STR-sort a level, cut it
+// into chunks of `capacity` (the last two rebalanced to the minimum
+// fill), bound each chunk, repeat until one node remains.
+template <size_t Dim>
+RefNode<Dim> FrozenBulkLoad(std::vector<typename RTree<Dim>::Entry> entries,
+                            int32_t capacity) {
+  const size_t min_fill = static_cast<size_t>(
+      std::max<int32_t>(2, static_cast<int32_t>(capacity * 0.4)));
+  const auto chunks = [&](size_t n) {
+    std::vector<size_t> sizes;
+    for (size_t left = n; left > 0;) {
+      sizes.push_back(std::min(left, static_cast<size_t>(capacity)));
+      left -= sizes.back();
+    }
+    if (sizes.size() >= 2 && sizes.back() < min_fill) {
+      sizes[sizes.size() - 2] -= min_fill - sizes.back();
+      sizes.back() = min_fill;
+    }
+    return sizes;
+  };
+  FrozenStrSortRange<Dim>(
+      entries, 0, entries.size(), 0, capacity,
+      [](const typename RTree<Dim>::Entry& e) -> const Box<Dim>& {
+        return e.box;
+      });
+  std::vector<RefNode<Dim>> level;
+  size_t pos = 0;
+  for (const size_t count : chunks(entries.size())) {
+    RefNode<Dim> leaf;
+    leaf.entries.assign(entries.begin() + static_cast<int64_t>(pos),
+                        entries.begin() + static_cast<int64_t>(pos + count));
+    for (const auto& e : leaf.entries) leaf.mbr.Extend(e.box);
+    level.push_back(std::move(leaf));
+    pos += count;
+  }
+  while (level.size() > 1) {
+    FrozenStrSortRange<Dim>(
+        level, 0, level.size(), 0, capacity,
+        [](const RefNode<Dim>& n) -> const Box<Dim>& { return n.mbr; });
+    std::vector<RefNode<Dim>> up;
+    pos = 0;
+    for (const size_t count : chunks(level.size())) {
+      RefNode<Dim> node;
+      for (size_t i = pos; i < pos + count; ++i) {
+        node.mbr.Extend(level[i].mbr);
+        node.children.push_back(std::move(level[i]));
+      }
+      up.push_back(std::move(node));
+      pos += count;
+    }
+    level = std::move(up);
+  }
+  return std::move(level.front());
+}
+
+// RTree::Query's traversal over the reference tree.
+template <size_t Dim>
+void RefQuery(const RefNode<Dim>& node, const Box<Dim>& window,
+              std::vector<int64_t>* out, int64_t* accesses) {
+  ++*accesses;
+  for (const auto& e : node.entries) {
+    if (e.box.Intersects(window)) out->push_back(e.value);
+  }
+  for (const RefNode<Dim>& child : node.children) {
+    if (child.mbr.Intersects(window)) RefQuery(child, window, out, accesses);
+  }
+}
+
+template <size_t Dim>
+int32_t RefHeight(const RefNode<Dim>& node) {
+  return node.children.empty() ? 1 : 1 + RefHeight(node.children.front());
+}
+
+// Entries on a coarse lattice, so centers tie often on every axis; and a
+// third of them are copies of three boxes, so whole leaves share one MBR
+// and centers tie among nodes too. Values are unique, so any change in
+// the order of tied items shows in a query's output order.
+template <size_t Dim>
+std::vector<typename RTree<Dim>::Entry> TiedEntries(int count,
+                                                    uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<Box<Dim>> copies;
+  for (int k = 0; k < 3; ++k) copies.push_back(RandomBox<Dim>(rng, 50, 4));
+  std::vector<typename RTree<Dim>::Entry> entries;
+  for (int i = 0; i < count; ++i) {
+    if (rng.Bernoulli(1.0 / 3.0)) {
+      entries.push_back({copies[rng.UniformInt(0, 2)], i});
+      continue;
+    }
+    std::array<double, Dim> lo, hi;
+    for (size_t d = 0; d < Dim; ++d) {
+      const double center = 5.0 * static_cast<double>(rng.UniformInt(0, 9));
+      const double half = static_cast<double>(rng.UniformInt(0, 3));
+      lo[d] = center - half;
+      hi[d] = center + half;
+    }
+    entries.push_back({Box<Dim>(lo, hi), i});
+  }
+  return entries;
+}
+
+// Share of entries whose center on axis 0 equals another entry's.
+template <size_t Dim>
+double TiedShare(const std::vector<typename RTree<Dim>::Entry>& entries) {
+  std::vector<double> centers;
+  for (const auto& e : entries) centers.push_back(e.box.Center()[0]);
+  std::sort(centers.begin(), centers.end());
+  size_t tied = 0;
+  for (size_t i = 0; i < centers.size(); ++i) {
+    if ((i > 0 && centers[i] == centers[i - 1]) ||
+        (i + 1 < centers.size() && centers[i] == centers[i + 1])) {
+      ++tied;
+    }
+  }
+  return static_cast<double>(tied) / static_cast<double>(centers.size());
+}
+
+template <size_t Dim>
+void ExpectSameTreeAsFrozenSort(int count, int32_t capacity, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "dim " << Dim << " count " << count
+                                  << " capacity " << capacity);
+  const auto entries = TiedEntries<Dim>(count, seed);
+  if (count >= 100) {
+    EXPECT_GE(TiedShare<Dim>(entries), 0.3);
+  }
+  RTreeOptions options;
+  options.node_capacity = capacity;
+  const RTree<Dim> tree = RTree<Dim>::BulkLoad(entries, options);
+  const RefNode<Dim> ref = FrozenBulkLoad<Dim>(entries, capacity);
+  ASSERT_EQ(tree.height(), RefHeight(ref));
+  EXPECT_EQ(tree.Bounds().lo(0), ref.mbr.lo(0));
+  EXPECT_EQ(tree.Bounds().hi(Dim - 1), ref.mbr.hi(Dim - 1));
+  // The whole tree in traversal order: the leaf order of every entry.
+  std::array<double, Dim> lo, hi;
+  lo.fill(-std::numeric_limits<double>::max());
+  hi.fill(std::numeric_limits<double>::max());
+  std::vector<Box<Dim>> windows = {Box<Dim>(lo, hi)};
+  common::Rng rng(seed + 1);
+  for (int q = 0; q < 60; ++q) windows.push_back(RandomBox<Dim>(rng, 50, 15));
+  for (const Box<Dim>& window : windows) {
+    std::vector<int64_t> got, want;
+    const int64_t got_accesses = tree.Query(window, &got);
+    int64_t want_accesses = 0;
+    RefQuery(ref, window, &want, &want_accesses);
+    ASSERT_EQ(got, want);
+    ASSERT_EQ(got_accesses, want_accesses);
+  }
+}
+
+TEST(BulkLoadTest, KeyedSortBuildsTheFrozenSortsTree) {
+  for (const int32_t capacity : {4, 20}) {
+    for (const int count : {1, 5, 57, 400, 3000}) {
+      const uint64_t seed = 500 + static_cast<uint64_t>(count) + capacity;
+      ExpectSameTreeAsFrozenSort<2>(count, capacity, seed);
+      ExpectSameTreeAsFrozenSort<3>(count, capacity, seed);
+      ExpectSameTreeAsFrozenSort<4>(count, capacity, seed);
+    }
+  }
 }
 
 // --- ShardMap -------------------------------------------------------------

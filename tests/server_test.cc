@@ -1,13 +1,18 @@
 #include <algorithm>
+#include <map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "geometry/box.h"
+#include "geometry/grid.h"
 #include "index/record.h"
 #include "index/sharded_index.h"
+#include "motion/grid_probability.h"
+#include "motion/predictor.h"
 #include "server/admission.h"
 #include "server/hot_cache.h"
 #include "server/inflight_table.h"
@@ -816,6 +821,64 @@ TEST(MotionInterestTrackerTest, CachedSnapshotsEqualFreshOnes) {
     ExpectSameScores(tracker.Snapshot(), FreshSnapshot(history));
   }
   EXPECT_EQ(tracker.clients(), 8);
+}
+
+// The tracker's field built from first principles: per client, in
+// ascending id, ComputeBlockProbabilities over a predictor fed the same
+// positions, sampling from a freshly seeded generator of the client's own
+// stream (the tracker's default seed and stream rule).
+class ReferenceInterest {
+ public:
+  void Observe(int32_t id, const geometry::Vec2& position) {
+    predictors_[id].Observe(position);
+  }
+
+  storage::InterestGrid Snapshot() const {
+    const MotionInterestTracker::Options options;
+    const geometry::GridPartition grid(kTrackerSpace, options.grid_nx,
+                                       options.grid_ny);
+    storage::InterestGrid interest;
+    interest.space = kTrackerSpace;
+    interest.nx = options.grid_nx;
+    interest.ny = options.grid_ny;
+    interest.score.assign(
+        static_cast<size_t>(options.grid_nx) * options.grid_ny, 0.0);
+    for (const auto& [id, predictor] : predictors_) {
+      const uint64_t stream = static_cast<uint64_t>(id + 1);
+      common::Rng rng(options.seed + 0x9e3779b97f4a7c15ull * stream);
+      const auto probs = motion::ComputeBlockProbabilities(
+          predictor, grid, options.probability, rng);
+      for (const auto& [block, p] : probs) {
+        interest.score[static_cast<size_t>(block)] += p;
+      }
+    }
+    return interest;
+  }
+
+ private:
+  std::map<int32_t, motion::MotionPredictor> predictors_;
+};
+
+TEST(MotionInterestTrackerTest, SnapshotsEqualAFreshlySeededReference) {
+  // Six clients from the start, each observing on two ticks of three; a
+  // seventh joins at tick 25. Every snapshot must equal the reference bit
+  // for bit, so each client's cached draws must be its own stream's.
+  MotionInterestTracker tracker(kTrackerSpace, {});
+  ReferenceInterest reference;
+  for (int tick = 0; tick < 45; ++tick) {
+    for (int32_t id = 0; id < 7; ++id) {
+      if (id == 6 ? tick < 25 : (tick + id) % 3 == 0) continue;
+      tracker.Observe(id, FleetPosition(id, tick));
+      reference.Observe(id, FleetPosition(id, tick));
+    }
+    SCOPED_TRACE(testing::Message() << "tick " << tick);
+    const storage::InterestGrid got = tracker.Snapshot();
+    const storage::InterestGrid want = reference.Snapshot();
+    EXPECT_EQ(got.nx, want.nx);
+    EXPECT_EQ(got.ny, want.ny);
+    ExpectSameScores(got, want);
+  }
+  EXPECT_EQ(tracker.clients(), 7);
 }
 
 TEST(MotionInterestTrackerTest, SnapshotWithoutObservationIsUnchanged) {

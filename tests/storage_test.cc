@@ -310,6 +310,270 @@ TEST(DiskStorageTest, LoadOfInvalidIdsFailsCleanly) {
   std::remove(path.c_str());
 }
 
+// --- Page files against a frozen stdio writer ----------------------------
+
+// The page writer DiskStorageManager had while it went through stdio,
+// frozen: every page built by two ByteWriters, every access positioned
+// with fseek on a FILE*, the header rewritten by SetRoot, Flush and
+// close. Chains live in a map here instead of being read back from the
+// file, which changes no byte it writes.
+class FrozenStdioPageWriter {
+ public:
+  FrozenStdioPageWriter(const std::string& path, int32_t page_size)
+      : page_size_(page_size), file_(std::fopen(path.c_str(), "wb+")) {
+    if (file_ == nullptr) return;
+    WriteHeader();
+    std::fflush(file_);
+  }
+  ~FrozenStdioPageWriter() {
+    if (file_ == nullptr) return;
+    WriteHeader();
+    std::fflush(file_);
+    std::fclose(file_);
+  }
+
+  bool ok() const { return file_ != nullptr; }
+
+  // Store(&id, data) of the manager: `id` kInvalidPage allocates.
+  PageId Store(PageId id, const std::vector<uint8_t>& data) {
+    const int64_t capacity = page_size_ - 24;
+    const int64_t pages_needed = std::max<int64_t>(
+        1, (static_cast<int64_t>(data.size()) + capacity - 1) / capacity);
+    std::vector<PageId> chain;
+    if (id != kInvalidPage) {
+      chain = chains_.at(id);
+      chains_.erase(id);
+      while (static_cast<int64_t>(chain.size()) > pages_needed) {
+        FreePage(chain.back());
+        chain.pop_back();
+      }
+    }
+    while (static_cast<int64_t>(chain.size()) < pages_needed) {
+      if (!freelist_.empty()) {
+        chain.push_back(*freelist_.begin());
+        freelist_.erase(freelist_.begin());
+      } else {
+        chain.push_back(page_count_++);
+      }
+    }
+    for (int64_t i = 0; i < pages_needed; ++i) {
+      const int64_t begin = i * capacity;
+      const int64_t end = std::min<int64_t>(begin + capacity,
+                                            static_cast<int64_t>(data.size()));
+      const uint32_t flags = 1u | (i == 0 ? 2u : 0u);
+      const PageId next = i + 1 < pages_needed ? chain[i + 1] : kInvalidPage;
+      WritePage(chain[i], flags, next, data.data() + begin,
+                static_cast<uint32_t>(end - begin));
+    }
+    chains_[chain[0]] = chain;
+    return chain[0];
+  }
+
+  void Erase(PageId id) {
+    for (const PageId page : chains_.at(id)) FreePage(page);
+    chains_.erase(id);
+  }
+
+  void SetRoot(PageId id) {
+    root_ = id;
+    WriteHeader();
+  }
+
+  void Flush() {
+    WriteHeader();
+    std::fflush(file_);
+  }
+
+ private:
+  void WriteHeader() {
+    common::ByteWriter w;
+    w.WriteU64(0x3145474150535244ull);
+    w.WriteU32(1);
+    w.WriteU32(static_cast<uint32_t>(page_size_));
+    w.WriteI64(root_);
+    std::vector<uint8_t> buf = std::move(w).Take();
+    buf.resize(56, 0);
+    const uint64_t checksum = Fnv1a64(buf.data(), buf.size());
+    common::ByteWriter tail;
+    tail.WriteU64(checksum);
+    buf.insert(buf.end(), tail.buffer().begin(), tail.buffer().end());
+    std::fseek(file_, 0, SEEK_SET);
+    std::fwrite(buf.data(), 1, buf.size(), file_);
+  }
+
+  void FreePage(PageId id) {
+    std::vector<uint8_t> head(24, 0);
+    std::fseek(file_, static_cast<long>(64 + id * page_size_), SEEK_SET);
+    std::fwrite(head.data(), 1, head.size(), file_);
+    freelist_.insert(id);
+  }
+
+  void WritePage(PageId id, uint32_t flags, PageId next,
+                 const uint8_t* payload, uint32_t payload_len) {
+    common::ByteWriter w;
+    w.WriteU32(flags);
+    w.WriteU32(payload_len);
+    w.WriteI64(next);
+    std::vector<uint8_t> body = std::move(w).Take();
+    body.insert(body.end(), payload, payload + payload_len);
+    const uint64_t checksum = Fnv1a64(body.data(), body.size());
+    common::ByteWriter page;
+    page.WriteU64(checksum);
+    std::vector<uint8_t> buf = std::move(page).Take();
+    buf.insert(buf.end(), body.begin(), body.end());
+    buf.resize(page_size_, 0);
+    std::fseek(file_, static_cast<long>(64 + id * page_size_), SEEK_SET);
+    std::fwrite(buf.data(), 1, buf.size(), file_);
+  }
+
+  const int32_t page_size_;
+  std::FILE* const file_;
+  int64_t page_count_ = 0;
+  std::set<PageId> freelist_;
+  PageId root_ = kInvalidPage;
+  std::map<PageId, std::vector<PageId>> chains_;  // by head id
+};
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  uint8_t chunk[4096];
+  size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + got);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+TEST(DiskStorageTest, PageFilesEqualTheFrozenStdioWriter) {
+  constexpr int32_t kPageSize = 256;  // 232-byte payloads
+  const std::string path = TempPath("storage_pages_new.pages");
+  const std::string frozen_path = TempPath("storage_pages_frozen.pages");
+  common::Rng rng(61);
+  {
+    auto mgr = DiskStorageManager::Open(path, kPageSize, /*truncate=*/true);
+    ASSERT_TRUE(mgr.ok());
+    FrozenStdioPageWriter frozen(frozen_path, kPageSize);
+    ASSERT_TRUE(frozen.ok());
+    std::vector<PageId> heads;
+    int flushes = 0;
+    for (int step = 0; step < 600; ++step) {
+      const int64_t op = heads.empty() ? 0 : rng.UniformInt(0, 9);
+      // Payloads of 0 to 3.5 pages, so chains grow and shrink.
+      const std::vector<uint8_t> data =
+          Bytes(static_cast<size_t>(rng.UniformInt(0, 812)),
+                static_cast<uint8_t>(step));
+      if (op <= 3) {
+        PageId id = kInvalidPage;
+        ASSERT_TRUE((*mgr)->Store(&id, data).ok());
+        ASSERT_EQ(frozen.Store(kInvalidPage, data), id);
+        heads.push_back(id);
+      } else if (op <= 5) {
+        PageId id = heads[rng.UniformInt(0, heads.size() - 1)];
+        const PageId before = id;
+        ASSERT_TRUE((*mgr)->Store(&id, data).ok());  // in-place rewrite
+        ASSERT_EQ(id, before);
+        frozen.Store(id, data);
+      } else if (op <= 7) {
+        const size_t k = rng.UniformInt(0, heads.size() - 1);
+        ASSERT_TRUE((*mgr)->Erase(heads[k]).ok());
+        frozen.Erase(heads[k]);
+        heads.erase(heads.begin() + k);
+      } else if (op == 8) {
+        const PageId root = heads[rng.UniformInt(0, heads.size() - 1)];
+        ASSERT_TRUE((*mgr)->SetRoot(root).ok());
+        frozen.SetRoot(root);
+      } else {
+        ASSERT_TRUE((*mgr)->Flush().ok());
+        frozen.Flush();
+        ++flushes;
+        ASSERT_EQ(FileBytes(path), FileBytes(frozen_path)) << "step " << step;
+      }
+    }
+    EXPECT_GT(flushes, 10);
+    EXPECT_GT((*mgr)->page_count(), 100);
+  }  // both close, rewriting their headers
+  const std::vector<uint8_t> bytes = FileBytes(path);
+  EXPECT_GT(bytes.size(), 100u * kPageSize);
+  EXPECT_EQ(bytes, FileBytes(frozen_path));
+  std::remove(path.c_str());
+  std::remove(frozen_path.c_str());
+}
+
+TEST_F(DiskCorruptionTest, TruncationUnderAnOpenStoreFailsTheRead) {
+  // The file loses its last page while the store is open: every page
+  // read goes to the file, so the read of that page comes back short. (A
+  // stdio stream could serve it from its read buffer instead.)
+  std::vector<uint8_t> full;
+  ASSERT_NO_FATAL_FAILURE(ReadFile(&full));
+  auto mgr = DiskStorageManager::Open(path_, kPageSize);
+  ASSERT_TRUE(mgr.ok());
+  WriteFile(std::vector<uint8_t>(full.begin(), full.end() - kPageSize));
+  std::vector<uint8_t> out;
+  const common::Status status = (*mgr)->Load(id_, &out);
+  EXPECT_EQ(status.code(), common::StatusCode::kInternal);
+  EXPECT_EQ(status.message(), "disk store: truncated page read in " + path_);
+}
+
+TEST_F(DiskCorruptionTest, TruncationAndFlipsReturnTheirStatuses) {
+  std::vector<uint8_t> full;
+  ASSERT_NO_FATAL_FAILURE(ReadFile(&full));
+  ASSERT_EQ(full.size(), 64u + 4 * kPageSize);  // a 4-page chain, head 0
+  std::vector<uint8_t> out;
+
+  // Cut by a page, the file holds three pages, and the four-page chain
+  // outruns them.
+  WriteFile(std::vector<uint8_t>(full.begin(), full.end() - kPageSize));
+  {
+    auto mgr = DiskStorageManager::Open(path_, kPageSize);
+    ASSERT_TRUE(mgr.ok());
+    EXPECT_EQ((*mgr)->page_count(), 3);
+    const common::Status status = (*mgr)->Load(id_, &out);
+    EXPECT_EQ(status.code(), common::StatusCode::kInternal);
+    EXPECT_EQ(status.message(), "disk store: page chain cycle");
+  }
+  // Cut to the header alone, the root page is gone.
+  WriteFile(std::vector<uint8_t>(full.begin(), full.begin() + 64));
+  EXPECT_EQ(DiskStorageManager::Open(path_, kPageSize).status().message(),
+            "disk store: root page not in use in " + path_);
+  // Half a header.
+  WriteFile(std::vector<uint8_t>(full.begin(), full.begin() + 32));
+  EXPECT_EQ(DiskStorageManager::Open(path_, kPageSize).status().message(),
+            "disk store: truncated header in " + path_);
+
+  // One flipped payload byte in the second page.
+  std::vector<uint8_t> flipped = full;
+  flipped[64 + kPageSize + 24 + 5] ^= 0x10;
+  WriteFile(flipped);
+  {
+    auto mgr = DiskStorageManager::Open(path_, kPageSize);
+    ASSERT_TRUE(mgr.ok());
+    const common::Status status = (*mgr)->Load(id_, &out);
+    EXPECT_EQ(status.code(), common::StatusCode::kInternal);
+    EXPECT_EQ(status.message(),
+              "disk store: page checksum mismatch in " + path_);
+  }
+  // A payload length past the page.
+  std::vector<uint8_t> long_len = full;
+  long_len[64 + 12 + 1] = 0xFF;
+  WriteFile(long_len);
+  {
+    auto mgr = DiskStorageManager::Open(path_, kPageSize);
+    ASSERT_TRUE(mgr.ok());
+    const common::Status status = (*mgr)->Load(id_, &out);
+    EXPECT_EQ(status.code(), common::StatusCode::kInternal);
+    EXPECT_EQ(status.message(), "disk store: corrupt payload length");
+  }
+  // The untouched file still loads.
+  WriteFile(full);
+  auto mgr = DiskStorageManager::Open(path_, kPageSize);
+  ASSERT_TRUE(mgr.ok());
+  ASSERT_TRUE((*mgr)->Load(id_, &out).ok());
+  EXPECT_EQ(out, Bytes(900, 5));
+}
+
 // --- BufferPool ---------------------------------------------------------
 
 TEST(BufferPoolTest, CountsHitsMissesAndWritesThrough) {
@@ -417,6 +681,43 @@ TEST(InterestGridTest, ScoreRegionAveragesOverlappedBlocks) {
   // Degenerate cases score zero.
   EXPECT_DOUBLE_EQ(InterestGrid().ScoreRegion(geometry::MakeBox2(0, 0, 1, 1)),
                    0.0);
+}
+
+TEST(InterestGridTest, RegionsOutsideTheSpaceScoreZero) {
+  // Every block is hot, so any block a region is (wrongly) clamped onto
+  // would score 1.
+  InterestGrid grid;
+  grid.space = geometry::MakeBox2(0, 0, 100, 100);
+  grid.nx = 2;
+  grid.ny = 2;
+  grid.score = {1.0, 1.0, 1.0, 1.0};
+
+  EXPECT_EQ(grid.ScoreRegion(geometry::MakeBox2(200, 200, 300, 300)), 0.0);
+  EXPECT_TRUE(grid.RangeOf(geometry::MakeBox2(200, 200, 300, 300)).empty());
+  // Far enough that t * n leaves the range of int32_t.
+  EXPECT_EQ(grid.ScoreRegion(geometry::MakeBox2(1e12, 1e12, 1e12 + 1,
+                                                1e12 + 1)),
+            0.0);
+  EXPECT_EQ(grid.ScoreRegion(geometry::MakeBox2(-1e12, 10, -1e12 + 1, 20)),
+            0.0);
+  // Missing on one axis is enough.
+  EXPECT_EQ(grid.ScoreRegion(geometry::MakeBox2(10, 101, 20, 120)), 0.0);
+
+  // Regions that overlap the space, even at one edge or from far away,
+  // keep clamping onto the blocks they overlap.
+  EXPECT_EQ(grid.ScoreRegion(geometry::MakeBox2(100, 100, 150, 150)), 1.0);
+  const BlockRange corner =
+      grid.RangeOf(geometry::MakeBox2(100, 100, 150, 150));
+  EXPECT_EQ(corner.i0, 1);
+  EXPECT_EQ(corner.i1, 1);
+  EXPECT_EQ(corner.j0, 1);
+  EXPECT_EQ(corner.j1, 1);
+  const BlockRange all =
+      grid.RangeOf(geometry::MakeBox2(-1e12, -1e12, 1e12, 1e12));
+  EXPECT_EQ(all.i0, 0);
+  EXPECT_EQ(all.i1, 1);
+  EXPECT_EQ(all.j0, 0);
+  EXPECT_EQ(all.j1, 1);
 }
 
 // --- Pool warming (storage::PoolWarmer) ---------------------------------
@@ -854,10 +1155,16 @@ TEST(BufferPoolTest, PrefetchCandidatesMatchABruteForceScan) {
   // or the interest field. After each step the pool's candidates must
   // equal a scan over a plain map of regions: skip residents, score each
   // region, order by id. The pool is large enough never to evict, so the
-  // scan's own residency model is exact (checked via the stats).
+  // scan's own residency model is exact (checked via the stats). The
+  // pool caches each region's block range, so the mix also registers
+  // regions before the first field, installs fields of other spaces and
+  // grid sizes, and erases slots that are then stored and registered
+  // again.
   MemoryStorageManager mgr(256);
   BufferPool pool(&mgr, /*capacity_pages=*/1 << 20, EvictPolicy::kMotion);
-  const geometry::Box2 space = geometry::MakeBox2(0, 0, 100, 100);
+  const geometry::Box2 spaces[] = {geometry::MakeBox2(0, 0, 100, 100),
+                                   geometry::MakeBox2(-20, 10, 80, 130),
+                                   geometry::MakeBox2(30, -5, 60, 45)};
   std::map<PageId, geometry::Box2> regions;
   std::set<PageId> live;      // allocated in the manager
   std::set<PageId> resident;  // cached by the pool
@@ -875,8 +1182,45 @@ TEST(BufferPoolTest, PrefetchCandidatesMatchABruteForceScan) {
     return *it;
   };
 
+  const auto expect_candidates = [&](int step) {
+    std::vector<BufferPool::PrefetchCandidate> want;
+    for (const auto& [id, region] : regions) {  // std::map: id order
+      if (resident.contains(id)) continue;
+      const double score = interest.ScoreRegion(region);  // 0 if empty
+      if (score > 0.0) want.push_back({id, score});
+    }
+    const auto got = pool.PrefetchCandidates();
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].id, want[i].id) << "step " << step;
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i].score),
+                std::bit_cast<uint64_t>(want[i].score))
+          << "step " << step;
+    }
+    ASSERT_EQ(pool.stats().resident,
+              static_cast<int64_t>(resident.size()))
+        << "step " << step;
+  };
+
+  // Regions registered before any field: the first field must give them
+  // their block ranges.
+  for (int i = 0; i < 40; ++i) {
+    PageId id = kInvalidPage;
+    if (i % 2 == 0) {
+      ASSERT_TRUE(pool.Store(&id, Bytes(32, 1)).ok());
+      resident.insert(id);
+    } else {
+      ASSERT_TRUE(mgr.Store(&id, Bytes(32, 2)).ok());
+    }
+    live.insert(id);
+    const geometry::Box2 region = random_region();
+    pool.SetPageRegion(id, region);
+    regions[id] = region;
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_candidates(-1));
+
   for (int step = 0; step < 3000; ++step) {
-    const int64_t op = live.empty() ? 0 : rng.UniformInt(0, 9);
+    const int64_t op = live.empty() ? 0 : rng.UniformInt(0, 10);
     if (op <= 2) {
       // Store through the pool (resident), or behind its back (cold).
       PageId id = kInvalidPage;
@@ -914,7 +1258,7 @@ TEST(BufferPoolTest, PrefetchCandidatesMatchABruteForceScan) {
       if (rng.Bernoulli(0.1)) {
         interest = InterestGrid();
       } else {
-        interest.space = space;
+        interest.space = spaces[rng.UniformInt(0, 2)];
         interest.nx = static_cast<int32_t>(rng.UniformInt(1, 16));
         interest.ny = static_cast<int32_t>(rng.UniformInt(1, 16));
         interest.score.assign(
@@ -924,31 +1268,28 @@ TEST(BufferPoolTest, PrefetchCandidatesMatchABruteForceScan) {
         }
       }
       pool.UpdateInterest(interest);
-    } else {
+    } else if (op <= 9) {
       // A speculative install: admitted only for a registered slot that
       // is not resident (capacity never refuses here).
       const PageId id = random_live();
       pool.InstallPrefetched(id, Bytes(32, 3));
       if (regions.contains(id)) resident.insert(id);
+    } else {
+      // Erase a slot, then store into the lowest free slot (the erased
+      // one, unless a lower one is free) and register it cold.
+      const PageId erased = random_live();
+      ASSERT_TRUE(pool.Erase(erased).ok());
+      live.erase(erased);
+      resident.erase(erased);
+      regions.erase(erased);
+      PageId id = kInvalidPage;
+      ASSERT_TRUE(mgr.Store(&id, Bytes(32, 4)).ok());
+      live.insert(id);
+      const geometry::Box2 region = random_region();
+      pool.SetPageRegion(id, region);
+      regions[id] = region;
     }
-
-    std::vector<BufferPool::PrefetchCandidate> want;
-    for (const auto& [id, region] : regions) {  // std::map: id order
-      if (resident.contains(id)) continue;
-      const double score = interest.ScoreRegion(region);  // 0 if empty
-      if (score > 0.0) want.push_back({id, score});
-    }
-    const auto got = pool.PrefetchCandidates();
-    ASSERT_EQ(got.size(), want.size()) << "step " << step;
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].id, want[i].id) << "step " << step;
-      ASSERT_EQ(std::bit_cast<uint64_t>(got[i].score),
-                std::bit_cast<uint64_t>(want[i].score))
-          << "step " << step;
-    }
-    ASSERT_EQ(pool.stats().resident,
-              static_cast<int64_t>(resident.size()))
-        << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(expect_candidates(step));
   }
   EXPECT_EQ(pool.stats().evictions, 0);
 }
