@@ -9,7 +9,7 @@
 // cell fills. Earlier revisions re-priced offline single-client traces;
 // the fleet engine replaces that with an actual simulation: exchanges
 // queue against each other at the instants they really happen, and the
-// server's session table and hot-encoding cache see the true
+// server's sessions and hot-encoding cache see the true
 // interleaving.
 //
 // Expected shape: the motion-aware system's tiny transfers leave the cell

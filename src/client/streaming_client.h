@@ -64,9 +64,9 @@ class StreamingClient {
   };
 
   // `server` and `link` must outlive the client. `session` optionally
-  // points at an external (e.g. server-side SessionTable-resident)
-  // session this client exchanges against; when null the client keeps a
-  // private one. An external session must outlive the client and must not
+  // points at an external session this client exchanges against (the
+  // fleet engine keeps one in each streaming client's state); when null
+  // the client keeps a private one. An external session must outlive the client and must not
   // be shared with another client — it carries this client's
   // duplicate-filter state.
   StreamingClient(const Options& options, const geometry::Box2& space,

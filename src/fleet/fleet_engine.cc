@@ -21,12 +21,18 @@ namespace mars::fleet {
 
 // All per-client simulation state. During phase A exactly one worker
 // touches a given ClientState; the shared Server/ObjectDatabase are only
-// read, and the hot cache is only probed through const Lookup. The tick
-// scratch fields carry phase A's shared-side effects into phase B.
+// read, and the hot cache and inflight table are only probed through
+// const Lookup/Probe. The tick scratch fields carry phase A's shared-side
+// effects into phase B.
 struct FleetEngine::ClientState {
   ClientSpec spec;
   std::vector<workload::TourPoint> tour;
   std::unique_ptr<net::SimulatedLink> link;  // private bearer
+  // Server-side session of a streaming client (the other kinds keep
+  // none): the duplicate filter carried across the whole tour. The state
+  // is heap-allocated and never moves, so the client's pointer to it
+  // stays valid.
+  std::optional<server::ClientSession> session;
   std::optional<core::FrameClient> client;
   // Adaptive resolution ladder (null with ABR off, and for naive clients
   // — whole-object retrieval has no resolution axis). The client reads it
@@ -56,13 +62,17 @@ struct FleetEngine::ClientState {
   int64_t handovers = 0;
   int64_t failovers = 0;
 
-  // A submitted-but-unresolved coalesced exchange: completes when its own
-  // transfer and every attached carrier have drained.
+  // A submitted exchange not yet booked. One without carriers is booked
+  // when its own transfer completes; one that attached to carriers waits
+  // until they have drained too.
   struct PendingExchange {
     int64_t seq = 0;
     int32_t cell = 0;  // cell the own transfer currently rides on
     double submit_seconds = 0.0;
-    double own_finish = -1.0;  // < 0 while the own transfer is in flight
+    // The own transfer was cancelled off a dead cell and re-issued, so
+    // its delay runs from submit_seconds, not from the re-submission.
+    bool reissued = false;
+    double own_delay = -1.0;  // < 0 while the own transfer is in flight
     std::vector<server::InflightTable::Carrier> carriers;
   };
   std::deque<PendingExchange> pending;  // engine thread only, FIFO by seq
@@ -80,13 +90,12 @@ struct FleetEngine::ClientState {
   server::AdmissionController::Request adm_request;
   server::AdmissionController::Verdict adm_verdict;
   std::vector<index::RecordId> hot_touch;
+  // The records missed by both the inflight table and the cache, with
+  // their encodings: phase A lists the misses, the claim step keeps the
+  // ones this client encodes, and the encode batch fills them in.
   std::vector<std::pair<index::RecordId, std::vector<uint8_t>>> hot_insert;
-  // Coalescing tick scratch: this tick's delivered records with their
-  // payload byte counts, the records missed by both the inflight table
-  // and the cache, and the subset this client claimed for encoding.
-  std::vector<std::pair<index::RecordId, int64_t>> tick_records;
-  std::vector<index::RecordId> encode_candidates;
-  std::vector<index::RecordId> claimed;
+  // This tick's delivered records, ascending and distinct.
+  std::vector<index::RecordId> tick_records;
 };
 
 FleetEngine::FleetEngine(const core::System& system, FleetOptions options,
@@ -206,10 +215,7 @@ std::unique_ptr<FleetEngine::ClientState> FleetEngine::BuildState(
       opts.query_fraction = spec.query_fraction;
       opts.policy = state->abr.get();
       opts.channel.seed = spec.seed * 31 + 7;
-      // Streaming sessions are long-lived server-side state: they carry
-      // the duplicate filter across the whole tour, so they live in the
-      // server's striped SessionTable, keyed by client id.
-      session = sessions_.GetOrCreate(spec.id);
+      session = &state->session.emplace();
       break;
     }
     case ClientKind::kBuffered: {
@@ -241,8 +247,6 @@ void FleetEngine::StepClient(ClientState* state) {
   state->hot_touch.clear();
   state->hot_insert.clear();
   state->tick_records.clear();
-  state->encode_candidates.clear();
-  state->claimed.clear();
 
   core::RunMetrics& m = state->metrics;
 
@@ -293,59 +297,28 @@ void FleetEngine::StepClient(ClientState* state) {
   }
   state->wire_bytes = frame.wire_bytes;
   if (state->wire_bytes > 0) state->last_wire_bytes = state->wire_bytes;
-  std::vector<index::RecordId> delivered = std::move(frame.records);
+  std::vector<index::RecordId>& delivered = state->tick_records;
+  delivered = std::move(frame.records);
 
   // Classify this tick's delivered records against the tick-frozen shared
   // structures — read-only probes, so the outcome cannot depend on worker
-  // interleaving.
-  if (inflight_.enabled() && !delivered.empty()) {
-    // Coalescing path: a record already riding another client's transfer
-    // needs neither cache accounting nor an encoding — the serial commit
-    // will attach this client to the carrier. The remaining records probe
-    // the hot cache as usual, but misses are *not* encoded here: the
-    // serial claim sub-phase first deduplicates them across the tick's
-    // clients (see Run()).
-    std::sort(delivered.begin(), delivered.end());
-    delivered.erase(std::unique(delivered.begin(), delivered.end()),
-                    delivered.end());
-    for (const index::RecordId id : delivered) {
-      state->tick_records.emplace_back(id,
-                                       system_.db().record(id).wire_bytes);
-      if (inflight_.Probe(id) >= 0) continue;
-      if (!hot_cache_.enabled()) continue;
-      const int64_t cached_bytes = hot_cache_.Lookup(id);
-      if (cached_bytes >= 0) {
-        ++state->hot_hits;
-        state->hot_bytes_saved += cached_bytes;
-        state->hot_touch.push_back(id);
-      } else {
-        ++state->hot_misses;
-        state->encode_candidates.push_back(id);
-      }
-    }
-    return;
-  }
-  // Probe the shared hot-encoding cache: read-only against the state the
-  // cache had at the tick boundary, so the hit/miss pattern cannot depend
-  // on worker interleaving. Misses are encoded *here* — that is the
-  // parallel CPU work the cache exists to spread — and installed by the
-  // serial commit.
-  if (hot_cache_.enabled() && !delivered.empty()) {
-    std::sort(delivered.begin(), delivered.end());
-    delivered.erase(std::unique(delivered.begin(), delivered.end()),
-                    delivered.end());
-    for (const index::RecordId id : delivered) {
-      const int64_t cached_bytes = hot_cache_.Lookup(id);
-      if (cached_bytes >= 0) {
-        ++state->hot_hits;
-        state->hot_bytes_saved += cached_bytes;
-        state->hot_touch.push_back(id);
-      } else {
-        ++state->hot_misses;
-        ++state->encode_calls;
-        state->hot_insert.emplace_back(
-            id, server::EncodeRecords(system_.db(), {id}));
-      }
+  // interleaving. A record already riding another client's transfer
+  // needs neither cache accounting nor an encoding: the serial commit
+  // attaches this client to its carrier. A cache miss is encoded after
+  // the serial claim step (see Run()), and installed by the commit.
+  std::sort(delivered.begin(), delivered.end());
+  delivered.erase(std::unique(delivered.begin(), delivered.end()),
+                  delivered.end());
+  for (const index::RecordId id : delivered) {
+    if (inflight_.Probe(id) >= 0 || !hot_cache_.enabled()) continue;
+    const int64_t cached_bytes = hot_cache_.Lookup(id);
+    if (cached_bytes >= 0) {
+      ++state->hot_hits;
+      state->hot_bytes_saved += cached_bytes;
+      state->hot_touch.push_back(id);
+    } else {
+      ++state->hot_misses;
+      state->hot_insert.emplace_back(id, std::vector<uint8_t>());
     }
   }
 }
@@ -360,29 +333,19 @@ void FleetEngine::CommitClient(ClientState* state) {
   if (state->wire_bytes <= 0) return;
   const int32_t cell_id = state->cell;
   net::SharedMediumLink* cell = cells_[cell_id].get();
-  if (!inflight_.enabled()) {
-    const int64_t seq =
-        cell->Submit(state->spec.id, state->wire_bytes, state->tick_speed);
-    MARS_CHECK_EQ(seq, state->next_submit_seq[cell_id]);
-    ++state->next_submit_seq[cell_id];
-    state->cell_bytes += state->wire_bytes;
-    if (state->abr != nullptr) {
-      submitted_bytes_.emplace(TransferKey{cell_id, state->spec.id, seq},
-                               state->wire_bytes);
-    }
-    return;
-  }
-
-  // Coalesced submission: records already in flight ride their carrier's
-  // transfer, so this client is charged its exchange minus those payloads
-  // plus one attach header per distinct carrier. Commits run in ascending
-  // client id, so a record first requested this tick is registered by its
-  // lowest-id requester before the others reach their Attach().
+  // Records already in flight ride their carrier's transfer, so this
+  // client is charged its exchange minus those payloads plus one attach
+  // header per distinct carrier; with coalescing off nothing is in
+  // flight, and the charge is the exchange's wire bytes. Commits run in
+  // ascending client id, so a record first requested this tick is
+  // registered by its lowest-id requester before the others reach their
+  // Attach().
   using AttachOutcome = server::InflightTable::AttachOutcome;
   int64_t shared_bytes = 0;
   std::vector<server::InflightTable::Carrier> carriers;
   std::vector<std::pair<index::RecordId, int64_t>> owned;
-  for (const auto& [rec, bytes] : state->tick_records) {
+  for (const index::RecordId rec : state->tick_records) {
+    const int64_t bytes = system_.db().record(rec).wire_bytes;
     const auto attach = inflight_.Attach(rec, state->spec.id, cell_id);
     switch (attach.outcome) {
       case AttachOutcome::kAttached:
@@ -431,7 +394,11 @@ void FleetEngine::CommitClient(ClientState* state) {
   exchange.submit_seconds = cell->now();
   exchange.carriers = std::move(carriers);
   state->pending.push_back(std::move(exchange));
-  state->tick_records.clear();
+}
+
+const server::ClientSession* FleetEngine::session(int32_t id) const {
+  const ClientState& state = *by_id_.at(id);
+  return state.session.has_value() ? &*state.session : nullptr;
 }
 
 void FleetEngine::FinishClient(ClientState* state) {
@@ -456,58 +423,35 @@ FleetResult FleetEngine::Run() {
 
   const int32_t num_cells = options_.cells;
   int64_t peak_backlog = 0;
-  const bool coalescing = inflight_.enabled();
+  // Delivery delay on the shared cell is the fleet's response time; each
+  // booked exchange is one demand exchange.
+  const auto book = [](ClientState* state, double response) {
+    state->metrics.total_response_seconds += response;
+    state->metrics.response_histogram.Add(response);
+    ++state->metrics.demand_exchanges;
+  };
   // Book one cell's drained completions, in the cell's deterministic
   // completion order. Cells are always recorded in ascending cell id, so
   // the booking sequence is worker-count-invariant.
   const auto record_completions =
       [&](int32_t cell_id,
           const std::vector<net::SharedMediumLink::Completion>& done) {
-        // ABR goodput samples: booked per completion in the same serial,
-        // cell-id-then-completion order as everything else, with the
-        // finish time quantized to integer microseconds — deterministic
-        // at any worker count. submitted_bytes_ is only populated while
-        // ABR is on, so this is free otherwise.
-        const auto feed_abr = [&](const net::SharedMediumLink::Completion&
-                                      c) {
-          if (submitted_bytes_.empty()) return;
-          const auto bit = submitted_bytes_.find(
-              TransferKey{cell_id, c.client, c.seq});
-          if (bit == submitted_bytes_.end()) return;
-          ClientState* state = by_id_.at(c.client);
-          if (state->abr != nullptr) {
-            state->abr->OnDelivered(bit->second,
-                                    net::SimClock::ToMicros(c.finish_seconds));
-          }
-          submitted_bytes_.erase(bit);
-        };
-        if (!coalescing) {
-          for (const net::SharedMediumLink::Completion& c : done) {
-            feed_abr(c);
-            ClientState* state = by_id_.at(c.client);
-            // Delivery delay on the shared cell is the fleet's response
-            // time; each drained submission is one demand exchange. A
-            // transfer that was cancelled off a dead cell and re-issued
-            // reports the delay from its *original* submission.
-            double response = c.response_seconds;
-            if (!reissue_origin_.empty()) {
-              const auto rit = reissue_origin_.find(
-                  TransferKey{cell_id, c.client, c.seq});
-              if (rit != reissue_origin_.end()) {
-                response = c.finish_seconds - rit->second;
-                reissue_origin_.erase(rit);
-              }
-            }
-            state->metrics.total_response_seconds += response;
-            state->metrics.response_histogram.Add(response);
-            ++state->metrics.demand_exchanges;
-          }
-          return;
-        }
         for (const net::SharedMediumLink::Completion& c : done) {
-          feed_abr(c);
+          ClientState* state = by_id_.at(c.client);
           const TransferKey key{cell_id, c.client, c.seq};
-          if (!waiter_reissues_.empty() && waiter_reissues_.erase(key) > 0) {
+          // ABR goodput samples: booked per completion in the same serial,
+          // cell-id-then-completion order as everything else, with the
+          // finish time quantized to integer microseconds — deterministic
+          // at any worker count.
+          if (state->abr != nullptr) {
+            const auto bit = submitted_bytes_.find(key);
+            if (bit != submitted_bytes_.end()) {
+              state->abr->OnDelivered(
+                  bit->second, net::SimClock::ToMicros(c.finish_seconds));
+              submitted_bytes_.erase(bit);
+            }
+          }
+          if (waiter_reissues_.erase(key) > 0) {
             // A stranded-waiter re-issue: it substitutes for a dead
             // carrier, so it only needs a finish time — it is nobody's
             // own transfer.
@@ -516,42 +460,54 @@ FleetResult FleetEngine::Run() {
             }
             continue;
           }
-          ClientState* state = by_id_.at(c.client);
           // Seqs are unique per (cell, client) and never reused, so the
-          // completion maps to exactly one pending exchange. Matching by
-          // seq — not by FIFO position — matters after a migration: a
-          // re-issued exchange takes a *later* seq on its new cell while
-          // keeping its *earlier* place in the deque, so deque order and
-          // per-cell completion order no longer agree.
+          // completion maps to exactly one pending exchange; under WFQ on
+          // one cell it is the front. Matching by (cell, seq) — not by
+          // FIFO position — matters after a migration: a re-issued
+          // exchange takes a *later* seq on its new cell while keeping
+          // its *earlier* place in the deque. Under equal share a
+          // client's transfers also complete out of seq order.
           const int64_t seq = c.seq;
           auto it = std::find_if(
               state->pending.begin(), state->pending.end(),
               [cell_id, seq](const ClientState::PendingExchange& e) {
                 return e.cell == cell_id && e.seq == seq &&
-                       e.own_finish < 0.0;
+                       e.own_delay < 0.0;
               });
           MARS_CHECK(it != state->pending.end());
-          it->own_finish = c.finish_seconds;
-          if (!finish_at_.emplace(key, it->own_finish).second) {
-            ++chaos_duplicates_;
-          }
           // The carried payloads are delivered: retire the transfer's
           // inflight entries so later requesters re-fetch (or hit the
-          // hot cache) instead of attaching to a drained carrier.
-          inflight_.OnTransferComplete(c.client, c.seq, cell_id);
+          // hot cache) instead of attaching to a drained carrier. Only a
+          // transfer that still carried entries can be another
+          // exchange's carrier, so only its finish time is kept.
+          if (inflight_.OnTransferComplete(c.client, c.seq, cell_id) > 0 &&
+              !finish_at_.emplace(key, c.finish_seconds).second) {
+            ++chaos_duplicates_;
+          }
+          // A transfer that was cancelled off a dead cell and re-issued
+          // reports the delay from its *original* submission.
+          const double delay = it->reissued
+                                   ? c.finish_seconds - it->submit_seconds
+                                   : c.response_seconds;
+          if (it->carriers.empty()) {
+            book(state, delay);
+            state->pending.erase(it);
+          } else {
+            it->own_delay = delay;
+          }
         }
       };
-  // Resolve in client-id order: an exchange's response time runs until
-  // its own transfer and every attached carrier drained. Runs once per
-  // tick, after every cell's completions were recorded.
+  // Book, in client-id order, the exchanges that attached to carriers: an
+  // exchange's response time runs until its own transfer and every
+  // carrier it attached to drained. Runs once per tick, after every
+  // cell's completions were recorded.
   const auto resolve_pending = [&] {
-    if (!coalescing) return;
     for (const auto& owned : states_) {
       ClientState* state = owned.get();
       while (!state->pending.empty() &&
-             state->pending.front().own_finish >= 0.0) {
+             state->pending.front().own_delay >= 0.0) {
         ClientState::PendingExchange& ex = state->pending.front();
-        double finish = ex.own_finish;
+        double response = ex.own_delay;
         bool ready = true;
         for (const auto& carrier : ex.carriers) {
           const auto fit = finish_at_.find(TransferKey{
@@ -560,13 +516,10 @@ FleetResult FleetEngine::Run() {
             ready = false;
             break;
           }
-          finish = std::max(finish, fit->second);
+          response = std::max(response, fit->second - ex.submit_seconds);
         }
         if (!ready) break;
-        const double response = finish - ex.submit_seconds;
-        state->metrics.total_response_seconds += response;
-        state->metrics.response_histogram.Add(response);
-        ++state->metrics.demand_exchanges;
+        book(state, response);
         state->pending.pop_front();
       }
     }
@@ -607,30 +560,31 @@ FleetResult FleetEngine::Run() {
       tasks.push_back([this, state = by_id_.at(id)] { StepClient(state); });
     }
     pool.RunBatch(tasks);
-    if (coalescing && hot_cache_.enabled()) {
-      // Phase A2 (serial): claim encode ownership per record in client-id
-      // order — of a tick's requesters, exactly the first encodes; the
-      // rest attach to its registration at commit time.
-      std::unordered_set<index::RecordId> tick_claims;
-      std::vector<std::function<void()>> encode_tasks;
-      for (const int32_t id : due) {
-        ClientState* state = by_id_.at(id);
-        for (const index::RecordId rec : state->encode_candidates) {
-          if (tick_claims.insert(rec).second) state->claimed.push_back(rec);
-        }
-        if (state->claimed.empty()) continue;
-        encode_tasks.push_back([this, state] {
-          for (const index::RecordId rec : state->claimed) {
-            state->hot_insert.emplace_back(
-                rec, server::EncodeRecords(system_.db(), {rec}));
-          }
-          state->encode_calls += static_cast<int64_t>(state->claimed.size());
+    // Claim (serial): hand out this tick's cache misses for encoding in
+    // client-id order. With coalescing on, of a tick's requesters of a
+    // record exactly the first encodes it; the rest attach to its
+    // registration at commit time. With it off, every requester encodes
+    // its own misses.
+    std::unordered_set<index::RecordId> tick_claims;
+    std::vector<std::function<void()>> encode_tasks;
+    for (const int32_t id : due) {
+      ClientState* state = by_id_.at(id);
+      if (inflight_.enabled()) {
+        std::erase_if(state->hot_insert, [&](const auto& miss) {
+          return !tick_claims.insert(miss.first).second;
         });
       }
-      // Phase A3 (parallel): the claimed encodings are the tick's actual
-      // serialization work, spread across the pool.
-      pool.RunBatch(encode_tasks);
+      if (state->hot_insert.empty()) continue;
+      encode_tasks.push_back([this, state] {
+        for (auto& [rec, encoded] : state->hot_insert) {
+          encoded = server::EncodeRecords(system_.db(), {rec});
+        }
+        state->encode_calls += static_cast<int64_t>(state->hot_insert.size());
+      });
     }
+    // The claimed encodings are the tick's serialization work, spread
+    // across the pool (parallel).
+    pool.RunBatch(encode_tasks);
     // Phase B: commit shared side effects in ascending client id (PopDue
     // returns ids sorted), then reschedule.
     using Decision = server::AdmissionController::Decision;
@@ -639,11 +593,6 @@ FleetResult FleetEngine::Run() {
       server::AdmissionController& admission = *admission_[state->cell];
       if (admission.enabled()) {
         admission.Record(state->adm_request, state->adm_verdict);
-        if (state->adm_verdict.decision == Decision::kDefer) {
-          ++sessions_.GetOrCreate(id)->deferred_requests;
-        } else if (state->adm_verdict.decision == Decision::kShed) {
-          ++sessions_.GetOrCreate(id)->shed_requests;
-        }
         // Close the QoS loop: backpressure verdicts climb the client's
         // resolution ladder (serial phase, integer-microsecond input).
         if (state->abr != nullptr &&
@@ -708,28 +657,23 @@ FleetResult FleetEngine::Run() {
   // Chaos invariants: counted first so a violated invariant is exported
   // (and FATALs) rather than silently folded into the totals.
   result.chaos_duplicate_deliveries = chaos_duplicates_;
-  if (coalescing) {
-    // Every carrier has drained, so every coalesced exchange resolved
-    // and every inflight entry was retired (or cancelled + re-issued).
-    for (const auto& state : states_) {
-      result.chaos_unresolved_exchanges +=
-          static_cast<int64_t>(state->pending.size());
-    }
-    result.chaos_stranded_waiters = inflight_.entries();
+  // Every transfer has drained, so every exchange was booked and every
+  // inflight entry was retired (or cancelled + re-issued).
+  for (const auto& state : states_) {
+    result.chaos_unresolved_exchanges +=
+        static_cast<int64_t>(state->pending.size());
   }
+  result.chaos_stranded_waiters = inflight_.entries();
 
   result.clients.reserve(states_.size());
   for (const auto& owned : states_) {
     ClientState* state = owned.get();
     FinishClient(state);
-    if (state->spec.kind == ClientKind::kStreaming) {
-      // Session handover safety: the final flush committed the trailing
-      // delivery, so a pending set that survived it is a client/server
-      // desync — records delivered but never acknowledged, or vice versa.
-      const server::ClientSession* session = sessions_.Find(state->spec.id);
-      if (session != nullptr && !session->pending.empty()) {
-        ++result.chaos_session_desyncs;
-      }
+    // Session handover safety: the final flush committed the trailing
+    // delivery, so a pending set that survived it is a client/server
+    // desync — records delivered but never acknowledged, or vice versa.
+    if (state->session.has_value() && !state->session->pending.empty()) {
+      ++result.chaos_session_desyncs;
     }
     ClientResult client;
     client.spec = state->spec;
@@ -849,7 +793,6 @@ void FleetEngine::RouteClients(double tick_seconds) {
   // transfer draining behind (anchor forwarding). A client *stuck* on a
   // dead cell (no healthy neighbour) keeps its queue; the transfers wait
   // out the blackout.
-  const bool coalescing = inflight_.enabled();
   for (int32_t dead_cell = 0; dead_cell < options_.cells; ++dead_cell) {
     if (healthy(dead_cell)) continue;
     for (const auto& owned : states_) {
@@ -872,7 +815,7 @@ void FleetEngine::RouteClients(double tick_seconds) {
         // The cancelled transfer never completes; drop its ABR byte entry
         // (the re-issue below registers its own).
         if (!submitted_bytes_.empty()) submitted_bytes_.erase(old_key);
-        if (coalescing && waiter_reissues_.erase(old_key) > 0) {
+        if (waiter_reissues_.erase(old_key) > 0) {
           // A stranded-waiter substitute caught by a second outage:
           // carry its role to the new cell and re-point every exchange
           // that waits on it.
@@ -890,34 +833,22 @@ void FleetEngine::RouteClients(double tick_seconds) {
           }
           continue;
         }
-        if (coalescing) {
-          // The transfer is some pending exchange's own leg. Seqs are
-          // unique per (cell, client), so match by seq — after an
-          // earlier migration the deque order no longer follows this
-          // cell's submission order.
-          const int64_t seq = t.seq;
-          auto eit = std::find_if(
-              state->pending.begin(), state->pending.end(),
-              [dead_cell, seq](const ClientState::PendingExchange& e) {
-                return e.cell == dead_cell && e.seq == seq &&
-                       e.own_finish < 0.0;
-              });
-          MARS_CHECK(eit != state->pending.end());
-          const TransferKey new_key = Reissue(state, bytes, t.speed);
-          eit->cell = state->cell;
-          eit->seq = std::get<2>(new_key);
-          continue;
-        }
-        // Non-coalescing: remember the original submission time (carried
-        // across repeated cancellations) for the completion's response.
-        double origin = t.submitted_at;
-        const auto oit = reissue_origin_.find(old_key);
-        if (oit != reissue_origin_.end()) {
-          origin = oit->second;
-          reissue_origin_.erase(oit);
-        }
+        // Otherwise the transfer is some pending exchange's own leg. Seqs
+        // are unique per (cell, client), so match by seq — after an
+        // earlier migration the deque order no longer follows this
+        // cell's submission order.
+        const int64_t seq = t.seq;
+        auto eit = std::find_if(
+            state->pending.begin(), state->pending.end(),
+            [dead_cell, seq](const ClientState::PendingExchange& e) {
+              return e.cell == dead_cell && e.seq == seq &&
+                     e.own_delay < 0.0;
+            });
+        MARS_CHECK(eit != state->pending.end());
         const TransferKey new_key = Reissue(state, bytes, t.speed);
-        reissue_origin_.emplace(new_key, origin);
+        eit->cell = state->cell;
+        eit->seq = std::get<2>(new_key);
+        eit->reissued = true;
       }
       // (b) Re-issue the payloads of waiters stranded by this client's
       // dead carriers: each waiter re-fetches the shared copy on its own

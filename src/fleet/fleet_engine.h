@@ -20,7 +20,7 @@
 #include "server/admission.h"
 #include "server/hot_cache.h"
 #include "server/inflight_table.h"
-#include "server/session_table.h"
+#include "server/server.h"
 #include "workload/tour.h"
 
 namespace mars::fleet {
@@ -98,10 +98,10 @@ struct FleetOptions {
   // Cross-client request coalescing (server/inflight_table.h): records
   // already riding another client's cell transfer are attached to that
   // carrier instead of re-sent, and each tick's overlapping cache misses
-  // are encoded once instead of once per client. Disabled by default —
-  // a strict bit-identical passthrough. Requires the weighted-fair cell
-  // discipline: coalesced delivery resolution relies on WFQ's per-client
-  // FIFO completion order.
+  // are encoded once instead of once per client. Disabled by default: the
+  // table then attaches nothing, so no exchange has a carrier. Requires
+  // the weighted-fair cell discipline: coalesced delivery resolution
+  // relies on WFQ's per-client FIFO completion order.
   server::InflightTable::Options coalesce;
   // Per-client adaptive resolution ladder (qos/adaptive_ladder.h): the
   // motion-aware clients close the loop from delivered goodput and
@@ -219,7 +219,7 @@ struct FleetResult {
   // exported so the chaos harness can assert the checks actually ran:
   // streaming sessions whose pending set survived the final flush,
   // transfers that completed twice, inflight entries left after the
-  // drain, and coalesced exchanges that never resolved.
+  // drain, and exchanges that were never booked.
   int64_t chaos_session_desyncs = 0;
   int64_t chaos_duplicate_deliveries = 0;
   int64_t chaos_stranded_waiters = 0;
@@ -238,40 +238,42 @@ struct FleetResult {
 //   Phase A (parallel, thread pool): every client due at the tick first
 //   passes admission — a pure policy decision against the tick-frozen
 //   cell snapshot (deferred/shed clients stop here) — then steps: plans
-//   its queries, executes them against the const shared Server (sessions
-//   live in a striped SessionTable, one owner each), runs its private
-//   bearer's loss/retry model, probes the shared hot-encoding cache with
-//   read-only lookups, and encodes its cache misses. Nothing shared is
-//   mutated, so the phase is embarrassingly parallel.
+//   its queries, executes them against the const shared Server (a
+//   streaming client's session lives in its own state, which one worker
+//   steps at a time), runs its private bearer's loss/retry model, and
+//   classifies its delivered records with read-only probes of the
+//   inflight table and the hot-encoding cache. Records already in flight
+//   need no encoding; the rest that miss the cache are encode candidates.
+//   Nothing shared is mutated, so the phase is embarrassingly parallel.
+//
+//   Claim (serial, ascending client id): with coalescing on, each
+//   candidate record is claimed by its lowest-id requester only, so one
+//   tick encodes each record at most once fleet-wide; with it off, every
+//   requester encodes its own misses. The claimed encodings then run on
+//   the pool (parallel).
 //
 //   Phase B (serial, ascending client id): admission verdicts are
 //   recorded (deferred frames are rescheduled after their backoff),
-//   hot-cache touches/inserts are committed, each client's successful
-//   wire bytes are submitted to the shared cell (fair-queued per
-//   client), and the client's next frame is scheduled.
-//   The phase ends with one Server::Tick(). Then the cell advances to the
-//   next tick, attributing delivery delays to clients.
+//   hot-cache touches/inserts are committed, and the client's exchange
+//   is submitted to its cell (fair-queued per client): each
+//   already-inflight record attaches the client to its carrier, which
+//   costs one attach header per distinct carrier instead of the payload,
+//   and the records the client now carries are registered. The client's
+//   next frame is scheduled. The phase ends with one Server::Tick().
+//   Then the cells advance to the next tick, and their completions book
+//   delivery delays to clients.
 //
-// With coalescing enabled (FleetOptions::coalesce), two sub-phases slot
-// between A and B, preserving the discipline:
+// The phases are separated by the thread pool's batch barrier, and every
+// write to the hot cache and the inflight table happens in a serial
+// phase, so neither holds a lock.
 //
-//   Phase A additionally classifies each delivered record with a
-//   read-only InflightTable probe against the tick-frozen table — records
-//   already in flight skip the cache probe and the encode entirely.
-//
-//   Phase A2 (serial, ascending client id): each record missed by both
-//   the table and the cache is *claimed* by its lowest-id requester, so
-//   one tick encodes each record at most once fleet-wide.
-//
-//   Phase A3 (parallel): the claimed encodings run on the pool — this is
-//   the tick's real serialization work, now deduplicated.
-//
-//   Phase B then attaches each already-inflight record to its carrier
-//   (charging only an attach header per distinct carrier), registers the
-//   records this client now carries, and submits the discounted byte
-//   count. A coalesced exchange completes when its own transfer AND every
-//   carrier it attached to have drained; WFQ's deterministic per-client
-//   FIFO completion order makes that resolution worker-count-invariant.
+// Every submitted exchange is pending until it is booked. One with no
+// carrier is booked when its own transfer completes, with the cell's
+// delay; with coalescing off the table attaches nothing, so every
+// exchange is of this kind. One that attached to carriers is booked once
+// they have drained too, with the latest of those delays; WFQ's
+// deterministic per-client FIFO completion order makes that resolution
+// worker-count-invariant.
 //
 // With a multi-cell topology (FleetOptions::cells > 1) each cell is its
 // own SharedMediumLink + fault schedule + admission controller, and a
@@ -310,9 +312,9 @@ class FleetEngine {
   // Runs every client's full tour; returns when the cell has drained.
   FleetResult Run();
 
-  // Server-side session registry of the fleet's streaming clients
-  // (observability; populated during construction).
-  const server::SessionTable& sessions() const { return sessions_; }
+  // Server-side session of streaming client `id` (null for the other
+  // kinds, which keep none). Valid for the engine's lifetime.
+  const server::ClientSession* session(int32_t id) const;
 
   // A standard mixed fleet: client i runs kind i%3 (streaming, buffered,
   // naive) on tour kind i%2 (tram, pedestrian), with id-derived seeds and
@@ -343,7 +345,6 @@ class FleetEngine {
   const core::System& system_;
   FleetOptions options_;
   net::CellTopology topology_;
-  server::SessionTable sessions_;
   server::HotRecordCache hot_cache_;
   server::InflightTable inflight_;
   std::vector<std::unique_ptr<ClientState>> states_;
@@ -355,15 +356,12 @@ class FleetEngine {
   std::vector<std::unique_ptr<net::SharedMediumLink>> cells_;
 
   // --- Run() bookkeeping (engine thread only) ---
-  // Absolute finish times of drained transfers: what a coalesced
-  // exchange waits on for the carriers it attached to.
+  // Absolute finish times of drained carriers (transfers that still
+  // carried inflight entries) and stranded-waiter substitutes: what an
+  // exchange with carriers waits on.
   std::map<TransferKey, double> finish_at_;
-  // Original submit time of cancelled-and-re-submitted own transfers
-  // (non-coalescing mode), so the reported delivery delay spans from the
-  // first submission to the final completion.
-  std::map<TransferKey, double> reissue_origin_;
   // Stranded-waiter re-issue transfers: completions land in finish_at_
-  // instead of resolving a pending exchange's own transfer.
+  // instead of completing a pending exchange's own transfer.
   std::set<TransferKey> waiter_reissues_;
   // Bytes submitted per in-flight transfer, kept only while ABR is on:
   // SharedMediumLink completions carry no byte count, and the ladder's

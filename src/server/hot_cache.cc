@@ -20,7 +20,6 @@ HotRecordCache::HotRecordCache(int64_t budget_bytes, int32_t shards)
 int64_t HotRecordCache::Lookup(index::RecordId id) const {
   if (!enabled()) return -1;
   const Shard& shard = ShardOf(id);
-  common::ReaderLock lock(&shard.mu);
   const auto it = shard.map.find(id);
   if (it == shard.map.end()) {
     shard.misses.fetch_add(1, std::memory_order_relaxed);
@@ -33,7 +32,6 @@ int64_t HotRecordCache::Lookup(index::RecordId id) const {
 void HotRecordCache::Touch(index::RecordId id) {
   if (!enabled()) return;
   Shard& shard = ShardOf(id);
-  common::WriterLock lock(&shard.mu);
   const auto it = shard.map.find(id);
   if (it == shard.map.end()) return;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
@@ -43,10 +41,9 @@ void HotRecordCache::Insert(index::RecordId id,
                             std::vector<uint8_t> encoded) {
   if (!enabled()) return;
   Shard& shard = ShardOf(id);
-  common::WriterLock lock(&shard.mu);
   const auto it = shard.map.find(id);
   if (it != shard.map.end()) {
-    // Raced with an earlier client of the same commit phase: keep the
+    // Inserted for an earlier client of the same commit phase: keep the
     // existing payload, just refresh recency.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
     return;
@@ -69,7 +66,6 @@ void HotRecordCache::Insert(index::RecordId id,
 int64_t HotRecordCache::size_bytes() const {
   int64_t n = 0;
   for (const auto& shard : shards_) {
-    common::ReaderLock lock(&shard->mu);
     n += shard->bytes;
   }
   return n;
@@ -78,7 +74,6 @@ int64_t HotRecordCache::size_bytes() const {
 int64_t HotRecordCache::entries() const {
   int64_t n = 0;
   for (const auto& shard : shards_) {
-    common::ReaderLock lock(&shard->mu);
     n += static_cast<int64_t>(shard->map.size());
   }
   return n;
@@ -87,7 +82,6 @@ int64_t HotRecordCache::entries() const {
 int64_t HotRecordCache::evictions() const {
   int64_t n = 0;
   for (const auto& shard : shards_) {
-    common::ReaderLock lock(&shard->mu);
     n += shard->evictions;
   }
   return n;
@@ -98,8 +92,7 @@ std::vector<HotRecordCache::ShardStats> HotRecordCache::Stats() const {
   stats.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = *shards_[i];
-    common::ReaderLock lock(&shard.mu);
-    ShardStats s;
+      ShardStats s;
     s.shard = static_cast<int32_t>(i);
     s.hits = shard.hits.load(std::memory_order_relaxed);
     s.misses = shard.misses.load(std::memory_order_relaxed);

@@ -8,8 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "index/record.h"
 
 namespace mars::server {
@@ -20,24 +18,25 @@ namespace mars::server {
 // record once and replaying the bytes for the next client short-circuits
 // the per-response serialization work.
 //
-// The cache is sharded by record id, each shard an LRU over its byte
-// budget behind its own reader/writer mutex. It is built for the fleet
-// engine's deterministic two-phase tick:
+// The cache is partitioned by record id, each partition an LRU over an
+// equal share of the byte budget. It holds no lock: the fleet engine's
+// two-phase tick is what makes it safe to share.
 //
 //   * During the parallel read phase, workers call only const Lookup(),
-//     which takes a shard's reader lock and mutates nothing — not even
-//     LRU recency — so hit/miss outcomes depend only on the cache state
-//     frozen at the tick boundary, never on worker interleaving.
+//     which mutates nothing — not even LRU recency — so hit/miss outcomes
+//     depend only on the cache state frozen at the tick boundary, never
+//     on worker interleaving. Only its hit/miss counters change, and
+//     they are relaxed atomics.
 //   * During the serial commit phase, the engine applies Touch() (recency
 //     for hits) and Insert() (encodings for misses) in client-id order,
 //     so the cache contents evolve identically at any worker count.
 //
-// Used outside that protocol, the locking still makes every method safe
-// to call concurrently; only the determinism guarantee needs the
-// phase discipline.
+// The thread pool's batch barrier orders the two phases. A caller outside
+// that protocol must not run a mutating method concurrently with any
+// other method.
 class HotRecordCache {
  public:
-  // `budget_bytes` caps the summed encoded payload across all shards
+  // `budget_bytes` caps the summed encoded payload across all partitions
   // (split evenly); 0 disables the cache (every Lookup misses, Insert is
   // a no-op).
   explicit HotRecordCache(int64_t budget_bytes, int32_t shards = 8);
@@ -54,7 +53,7 @@ class HotRecordCache {
   void Touch(index::RecordId id);
 
   // Installs the encoding of `id`, evicting least-recently-used entries
-  // while the shard is over budget. An entry already present (e.g.
+  // while the partition is over budget. An entry already present (e.g.
   // inserted for an earlier client in the same commit phase) is touched
   // instead.
   void Insert(index::RecordId id, std::vector<uint8_t> encoded);
@@ -65,9 +64,9 @@ class HotRecordCache {
   int64_t evictions() const;
   bool enabled() const { return budget_bytes_ > 0; }
 
-  // Per-shard counter snapshot, indexed by shard. Hits/misses count
-  // Lookup outcomes (a disabled cache counts nothing); evictions count
-  // Insert-driven LRU removals.
+  // Per-partition counter snapshot, indexed by partition. Hits/misses
+  // count Lookup outcomes (a disabled cache counts nothing); evictions
+  // count Insert-driven LRU removals.
   struct ShardStats {
     int32_t shard = 0;
     int64_t hits = 0;
@@ -85,15 +84,13 @@ class HotRecordCache {
   };
 
   struct Shard {
-    mutable common::SharedMutex mu;
-    std::unordered_map<index::RecordId, Entry> map MARS_GUARDED_BY(mu);
+    std::unordered_map<index::RecordId, Entry> map;
     // Front = most recent, back = eviction candidate.
-    std::list<index::RecordId> lru MARS_GUARDED_BY(mu);
-    int64_t bytes MARS_GUARDED_BY(mu) = 0;
-    int64_t evictions MARS_GUARDED_BY(mu) = 0;
-    // Lookup outcome counters: bumped under the reader lock from the
-    // fleet's parallel phase, hence relaxed atomics rather than
-    // MARS_GUARDED_BY fields.
+    std::list<index::RecordId> lru;
+    int64_t bytes = 0;
+    int64_t evictions = 0;
+    // Lookup outcome counters: bumped by concurrent const Lookup calls
+    // in the fleet's parallel phase, hence relaxed atomics.
     mutable std::atomic<int64_t> hits{0};
     mutable std::atomic<int64_t> misses{0};
   };

@@ -9,19 +9,12 @@ namespace mars::server {
 
 InflightTable::InflightTable() : InflightTable(Options()) {}
 
-InflightTable::InflightTable(Options options) : options_(options) {
-  shards_.reserve(kShards);
-  for (size_t i = 0; i < kShards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+InflightTable::InflightTable(Options options) : options_(options) {}
 
 int64_t InflightTable::Probe(index::RecordId id) const {
   if (!enabled()) return -1;
-  const Shard& shard = ShardOf(id);
-  common::ReaderLock lock(&shard.mu);
-  const auto it = shard.map.find(id);
-  if (it == shard.map.end()) return -1;
+  const auto it = map_.find(id);
+  if (it == map_.end()) return -1;
   return it->second.bytes;
 }
 
@@ -30,14 +23,11 @@ void InflightTable::Register(index::RecordId id, int32_t owner,
                              int32_t cell) {
   if (!enabled()) return;
   MARS_CHECK_GT(bytes, 0);
-  Shard& shard = ShardOf(id);
-  common::WriterLock lock(&shard.mu);
   // Single-flight invariant: one carrier per record, ever.
-  const auto [it, inserted] = shard.map.emplace(
-      id, Entry{Carrier{owner, transfer_seq, cell}, bytes, {}});
+  const bool inserted =
+      map_.emplace(id, Entry{Carrier{owner, transfer_seq, cell}, bytes, {}})
+          .second;
   MARS_CHECK(inserted);
-  (void)it;
-  ++shard.registered;
 }
 
 InflightTable::AttachResult InflightTable::Attach(index::RecordId id,
@@ -45,21 +35,18 @@ InflightTable::AttachResult InflightTable::Attach(index::RecordId id,
                                                   int32_t follower_cell) {
   AttachResult result;
   if (!enabled()) return result;
-  Shard& shard = ShardOf(id);
-  common::WriterLock lock(&shard.mu);
-  const auto it = shard.map.find(id);
-  if (it == shard.map.end()) return result;  // kNotInflight
+  const auto it = map_.find(id);
+  if (it == map_.end()) return result;  // kNotInflight
   Entry& entry = it->second;
   result.carrier = entry.carrier;
   result.bytes = entry.bytes;
   if (entry.carrier.cell != follower_cell) {
     // The payload rides another cell's radio: no shared transfer to join.
-    ++shard.refused;
+    ++refused_;
     result.outcome = AttachOutcome::kRefused;
     return result;
   }
   entry.waiters.push_back(follower);
-  ++shard.attached;
   result.outcome = AttachOutcome::kAttached;
   return result;
 }
@@ -69,43 +56,30 @@ int64_t InflightTable::OnTransferComplete(int32_t owner,
                                           int32_t cell) {
   if (!enabled()) return 0;
   const Carrier carrier{owner, transfer_seq, cell};
-  int64_t removed = 0;
-  for (const auto& shard : shards_) {
-    common::WriterLock lock(&shard->mu);
-    for (auto it = shard->map.begin(); it != shard->map.end();) {
-      if (it->second.carrier == carrier) {
-        it = shard->map.erase(it);
-        ++removed;
-      } else {
-        ++it;
-      }
-    }
-  }
-  return removed;
+  return static_cast<int64_t>(std::erase_if(
+      map_, [&](const auto& kv) { return kv.second.carrier == carrier; }));
 }
 
 std::vector<InflightTable::Stranded> InflightTable::CancelClient(
     int32_t client, int32_t cell) {
   std::vector<Stranded> stranded;
   if (!enabled()) return stranded;
-  for (const auto& shard : shards_) {
-    common::WriterLock lock(&shard->mu);
-    for (auto it = shard->map.begin(); it != shard->map.end();) {
-      if (it->second.carrier.owner == client &&
-          (cell < 0 || it->second.carrier.cell == cell)) {
-        for (const int32_t waiter : it->second.waiters) {
-          stranded.push_back(Stranded{it->first, waiter, it->second.bytes,
-                                      it->second.carrier});
-        }
-        it = shard->map.erase(it);
-        ++shard->cancelled;
-      } else {
-        ++it;
-      }
+  for (auto it = map_.begin(); it != map_.end();) {
+    const Entry& entry = it->second;
+    if (entry.carrier.owner != client ||
+        (cell >= 0 && entry.carrier.cell != cell)) {
+      ++it;
+      continue;
     }
+    for (const int32_t waiter : entry.waiters) {
+      stranded.push_back(Stranded{it->first, waiter, entry.bytes,
+                                  entry.carrier});
+    }
+    it = map_.erase(it);
   }
   // Per-record waiter order is attach order; records sort ascending so
-  // the caller's re-issue sequence is deterministic.
+  // the caller's re-issue sequence is deterministic whatever the map's
+  // iteration order.
   std::stable_sort(stranded.begin(), stranded.end(),
                    [](const Stranded& a, const Stranded& b) {
                      return a.record < b.record;
@@ -113,57 +87,10 @@ std::vector<InflightTable::Stranded> InflightTable::CancelClient(
   return stranded;
 }
 
-int64_t InflightTable::entries() const {
-  int64_t n = 0;
-  for (const auto& shard : shards_) {
-    common::ReaderLock lock(&shard->mu);
-    n += static_cast<int64_t>(shard->map.size());
-  }
-  return n;
-}
-
-int64_t InflightTable::total_registered() const {
-  int64_t n = 0;
-  for (const auto& shard : shards_) {
-    common::ReaderLock lock(&shard->mu);
-    n += shard->registered;
-  }
-  return n;
-}
-
-int64_t InflightTable::total_attached() const {
-  int64_t n = 0;
-  for (const auto& shard : shards_) {
-    common::ReaderLock lock(&shard->mu);
-    n += shard->attached;
-  }
-  return n;
-}
-
-int64_t InflightTable::total_refused() const {
-  int64_t n = 0;
-  for (const auto& shard : shards_) {
-    common::ReaderLock lock(&shard->mu);
-    n += shard->refused;
-  }
-  return n;
-}
-
-int64_t InflightTable::total_cancelled() const {
-  int64_t n = 0;
-  for (const auto& shard : shards_) {
-    common::ReaderLock lock(&shard->mu);
-    n += shard->cancelled;
-  }
-  return n;
-}
-
 std::vector<int32_t> InflightTable::WaitersOf(index::RecordId id) const {
   if (!enabled()) return {};
-  const Shard& shard = ShardOf(id);
-  common::ReaderLock lock(&shard.mu);
-  const auto it = shard.map.find(id);
-  if (it == shard.map.end()) return {};
+  const auto it = map_.find(id);
+  if (it == map_.end()) return {};
   return it->second.waiters;
 }
 

@@ -2,12 +2,9 @@
 #define MARS_SERVER_INFLIGHT_TABLE_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "index/record.h"
 
 namespace mars::server {
@@ -22,27 +19,28 @@ namespace mars::server {
 // only a small per-attach header instead of the payload — the single-copy
 // delivery that makes co-located fleets affordable.
 //
-// Like HotRecordCache, the table is sharded by record id and built for the
-// fleet engine's deterministic two-phase tick:
+// The table holds no lock: like HotRecordCache, it is shared safely by
+// the fleet engine's deterministic two-phase tick alone.
 //
 //   * During the parallel read phase, workers call only const Probe(),
-//     which takes a shard's reader lock and mutates nothing, so the
-//     inflight/absent classification of every record depends only on the
-//     table state frozen at the tick boundary, never on worker
-//     interleaving.
-//   * During the serial commit phase, the engine calls Register() /
-//     Attach() in client-id order (so the lowest-id requester of a tick
-//     owns the encoding and later ids attach), and OnTransferComplete()
-//     as carriers drain, in the cell's deterministic completion order.
+//     which mutates nothing, so the inflight/absent classification of
+//     every record depends only on the table state frozen at the tick
+//     boundary, never on worker interleaving.
+//   * During the serial phases, the engine calls Register() / Attach()
+//     in client-id order (so the lowest-id requester of a tick owns the
+//     encoding and later ids attach), OnTransferComplete() as carriers
+//     drain, in the cell's deterministic completion order, and
+//     CancelClient() when a cell dies.
 //
-// Used outside that protocol, the locking still makes every method safe to
-// call concurrently; only the determinism guarantee needs the phase
-// discipline.
+// The thread pool's batch barrier orders the two phases. A caller outside
+// that protocol must not run a mutating method concurrently with any
+// other method.
 class InflightTable {
  public:
   struct Options {
-    // Off by default: a disabled table probes as empty and registers
-    // nothing, so the engine's submission path is a strict passthrough.
+    // Off by default: a disabled table probes as empty, answers every
+    // Attach with kNotInflight and registers nothing, so each exchange
+    // the engine submits pays for all its records and has no carrier.
     bool enabled = false;
   };
 
@@ -128,12 +126,9 @@ class InflightTable {
   std::vector<Stranded> CancelClient(int32_t client, int32_t cell = -1);
 
   // Observability.
-  int64_t entries() const;
-  int64_t total_registered() const;
-  int64_t total_attached() const;
+  int64_t entries() const { return static_cast<int64_t>(map_.size()); }
   // Attaches refused because the carrier rides another cell.
-  int64_t total_refused() const;
-  int64_t total_cancelled() const;
+  int64_t total_refused() const { return refused_; }
   // Waiters currently attached to `id`, in attach order (tests).
   std::vector<int32_t> WaitersOf(index::RecordId id) const;
 
@@ -144,26 +139,9 @@ class InflightTable {
     std::vector<int32_t> waiters;
   };
 
-  struct Shard {
-    mutable common::SharedMutex mu;
-    std::unordered_map<index::RecordId, Entry> map MARS_GUARDED_BY(mu);
-    int64_t registered MARS_GUARDED_BY(mu) = 0;
-    int64_t attached MARS_GUARDED_BY(mu) = 0;
-    int64_t refused MARS_GUARDED_BY(mu) = 0;
-    int64_t cancelled MARS_GUARDED_BY(mu) = 0;
-  };
-
-  Shard& ShardOf(index::RecordId id) {
-    return *shards_[static_cast<size_t>(id) % shards_.size()];
-  }
-  const Shard& ShardOf(index::RecordId id) const {
-    return *shards_[static_cast<size_t>(id) % shards_.size()];
-  }
-
-  static constexpr size_t kShards = 8;
-
   Options options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::unordered_map<index::RecordId, Entry> map_;
+  int64_t refused_ = 0;
 };
 
 }  // namespace mars::server

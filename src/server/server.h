@@ -50,11 +50,6 @@ struct ClientSession {
   // Protocol counters (observability / tests).
   int64_t acked_batches = 0;
   int64_t rolled_back_batches = 0;
-  // Admission outcomes recorded against this client by the cell's
-  // admission controller (server/admission.h): exchanges the server told
-  // the client to defer, and bulk requests it shed under overload.
-  int64_t deferred_requests = 0;
-  int64_t shed_requests = 0;
 };
 
 // Commits the session's pending deliveries: the client's next request
@@ -93,7 +88,8 @@ struct QueryResult {
 //
 // Thread safety: every const method is safe to call from many threads
 // concurrently *provided each thread passes its own session object* — the
-// fleet engine's striped SessionTable guarantees exactly that. Index
+// fleet engine keeps each client's session in that client's own state,
+// which one worker steps at a time. Index
 // access counters are relaxed atomics; per-exchange accounting uses
 // per-call counts, so concurrent clients never see each other's I/O.
 // ResetStats is NOT thread-safe and must only run while no queries are in

@@ -76,6 +76,7 @@ common::StatusOr<std::unique_ptr<DiskStorageManager>> DiskStorageManager::Open(
     }
     MARS_RETURN_IF_ERROR(mgr->CreateFresh());
   }
+  mgr->open_ = true;
   return mgr;
 }
 
@@ -83,10 +84,9 @@ DiskStorageManager::DiskStorageManager(std::string path, int32_t page_size)
     : path_(std::move(path)), page_size_(page_size) {}
 
 DiskStorageManager::~DiskStorageManager() {
-  if (fd_ >= 0) {
-    WriteHeader();  // best effort: persist root across shutdown
-    ::close(fd_);
-  }
+  if (fd_ < 0) return;
+  if (open_) WriteHeader();  // best effort: persist root across shutdown
+  ::close(fd_);
 }
 
 int64_t DiskStorageManager::PayloadCapacity() const {

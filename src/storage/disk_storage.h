@@ -113,6 +113,9 @@ class DiskStorageManager : public IStorageManager {
   std::set<PageId> freelist_;  // ordered so reuse picks the lowest id
   PageId root_ = kInvalidPage;
   bool opened_existing_ = false;
+  // Open() succeeded; only then does closing write the header, so a file
+  // Open() rejected is left as it was.
+  bool open_ = false;
   StorageStats stats_;
 };
 

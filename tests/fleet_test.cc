@@ -17,7 +17,7 @@
 #include "common/thread_pool.h"
 #include "fleet/virtual_clock.h"
 #include "server/hot_cache.h"
-#include "server/session_table.h"
+#include "storage/storage_manager.h"
 
 namespace mars {
 namespace {
@@ -187,21 +187,7 @@ TEST(RunMetricsTest, JsonIsFullPrecision) {
 }
 
 // ---------------------------------------------------------------------------
-// SessionTable / HotRecordCache units
-
-TEST(SessionTableTest, GetOrCreateIsStableAndIsolated) {
-  server::SessionTable table;
-  server::ClientSession* a = table.GetOrCreate(1);
-  server::ClientSession* b = table.GetOrCreate(2);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(table.GetOrCreate(1), a);
-  EXPECT_EQ(table.Find(1), a);
-  EXPECT_EQ(table.Find(99), nullptr);
-  a->delivered.insert(42);
-  EXPECT_EQ(table.Find(2)->delivered.size(), 0u);
-  EXPECT_EQ(table.size(), 2);
-  EXPECT_EQ(table.TotalTrackedRecords(), 1);
-}
+// HotRecordCache units
 
 TEST(HotRecordCacheTest, LookupIsReadOnlyAndLruEvicts) {
   // One shard so the LRU order is directly observable.
@@ -415,8 +401,8 @@ TEST_F(FleetEngineTest, StreamingSessionsAreIsolated) {
   EXPECT_EQ(first.records_delivered, second.records_delivered);
   EXPECT_EQ(first.demand_bytes, second.demand_bytes);
   // Server-side, each session tracked its own copy.
-  const server::ClientSession* s0 = engine.sessions().Find(0);
-  const server::ClientSession* s1 = engine.sessions().Find(1);
+  const server::ClientSession* s0 = engine.session(0);
+  const server::ClientSession* s1 = engine.session(1);
   ASSERT_NE(s0, nullptr);
   ASSERT_NE(s1, nullptr);
   EXPECT_NE(s0, s1);
@@ -582,18 +568,6 @@ TEST_F(FleetEngineTest, AdmissionShedsOnlyBulkAndStaysDeterministic) {
   EXPECT_EQ(naive.metrics.shed_exchanges, result.shed_exchanges);
   EXPECT_GT(streaming.clients, 0);
   EXPECT_GT(naive.clients, 0);
-  // Sessions carry the per-client admission history.
-  int64_t session_defers = 0;
-  int64_t session_sheds = 0;
-  for (const fleet::ClientResult& client : result.clients) {
-    const server::ClientSession* session =
-        engine.sessions().Find(client.spec.id);
-    ASSERT_NE(session, nullptr);
-    session_defers += session->deferred_requests;
-    session_sheds += session->shed_requests;
-  }
-  EXPECT_EQ(session_defers, result.deferred_exchanges);
-  EXPECT_EQ(session_sheds, result.shed_exchanges);
 
   // Deferral retries reshape the tick schedule into many tiny batches —
   // exactly the load that exposed the thread-pool retire race — and the
@@ -922,6 +896,78 @@ TEST_F(FleetEngineTest, CellDeathMidTransferReissuesDeterministically) {
   EXPECT_EQ(TopologyJson(run(1)), TopologyJson(result));
 }
 
+// TopologyJson plus the encode and hot-cache counters, hashed with
+// FNV-1a-64: a fingerprint of everything a fleet reports.
+uint64_t FleetDigest(const fleet::FleetResult& result) {
+  std::string text = TopologyJson(result);
+  text += "\nencode:" + std::to_string(result.encode_calls);
+  for (const fleet::ClientResult& client : result.clients) {
+    text += "/" + std::to_string(client.encode_calls);
+  }
+  text += "\nhot:" + std::to_string(result.hot_hits) + "/" +
+          std::to_string(result.hot_misses) + "/" +
+          std::to_string(result.hot_bytes_saved) + "/" +
+          std::to_string(result.hot_cache_entries) + "/" +
+          std::to_string(result.hot_cache_bytes) + "/" +
+          std::to_string(result.hot_cache_evictions);
+  for (const server::HotRecordCache::ShardStats& s : result.hot_shards) {
+    text += "\nhot_shard:" + std::to_string(s.hits) + "/" +
+            std::to_string(s.misses) + "/" + std::to_string(s.evictions) +
+            "/" + std::to_string(s.entries) + "/" + std::to_string(s.bytes);
+  }
+  return storage::Fnv1a64(reinterpret_cast<const uint8_t*>(text.data()),
+                          text.size());
+}
+
+// With coalescing off every exchange takes the one exchange path with
+// an empty inflight table. The digests below were taken before coalescing
+// off and on shared that path, so any change to what such a fleet reports
+// fails here: a response time's last bit (each exchange books the cell's
+// own delay, or finish − submit once re-issued, in completion order), an
+// encode, or the hot cache's LRU order.
+TEST_F(FleetEngineTest, CoalesceOffOutputIsPinned) {
+  struct Case {
+    const char* name;
+    fleet::FleetOptions options;
+    std::vector<fleet::ClientSpec> specs;
+    uint64_t digest;
+  };
+  std::vector<Case> cases;
+  // The mixed fleet on one WFQ cell.
+  cases.push_back({"k1_mixed", fleet::FleetOptions(),
+                   fleet::FleetEngine::MakeMixedFleet(
+                       9, /*frames=*/25, /*speed=*/0.5, /*seed=*/0),
+                   0x3e02023befbe8a9aull});
+  // CellDeathMidTransferReissuesDeterministically's rolling outages:
+  // migrated own transfers book finish − original submit.
+  fleet::FleetOptions outage;
+  outage.cells = 4;
+  outage.cell.cell_bandwidth_kbps = 192.0;
+  outage.cell.client_bandwidth_kbps = 96.0;
+  outage.cell_outages.push_back({0, 4.0, 5.0});
+  outage.cell_outages.push_back({1, 10.0, 5.0});
+  outage.cell_outages.push_back({2, 16.0, 5.0});
+  outage.cell_outages.push_back({3, 22.0, 5.0});
+  cases.push_back({"k4_outages", outage, RoamingFleet(8, 30),
+                   0xc2936af4a69e6d26ull});
+  // Equal share on a squeezed, busy cell: a client's transfers complete
+  // out of submission order, and are booked in completion order.
+  fleet::FleetOptions equal;
+  equal.cell.discipline = net::SharedMediumLink::Discipline::kEqualShare;
+  equal.cell.cell_bandwidth_kbps = 192.0;
+  equal.cell.client_bandwidth_kbps = 96.0;
+  std::vector<fleet::ClientSpec> busy = fleet::FleetEngine::MakeMixedFleet(
+      9, /*frames=*/25, /*speed=*/0.5, /*seed=*/5);
+  for (fleet::ClientSpec& spec : busy) spec.query_fraction = 0.3;
+  cases.push_back({"k1_equal_share", equal, busy, 0x3a03e17c28e4258bull});
+  for (Case& c : cases) {
+    ASSERT_FALSE(c.options.coalesce.enabled);
+    fleet::FleetEngine engine(*system_, c.options, std::move(c.specs));
+    const uint64_t digest = FleetDigest(engine.Run());
+    EXPECT_EQ(digest, c.digest) << c.name << ": 0x" << std::hex << digest;
+  }
+}
+
 // Streaming session isolation must survive migration: identical twins
 // that hand over mid-run still each receive the full record stream, and
 // the server still tracks one session per client.
@@ -951,8 +997,8 @@ TEST_F(FleetEngineTest, SessionsStayIsolatedAcrossHandover) {
   EXPECT_GT(first.records_delivered, 0);
   EXPECT_EQ(first.records_delivered, second.records_delivered);
   EXPECT_EQ(first.demand_bytes, second.demand_bytes);
-  const server::ClientSession* s0 = engine.sessions().Find(0);
-  const server::ClientSession* s1 = engine.sessions().Find(1);
+  const server::ClientSession* s0 = engine.session(0);
+  const server::ClientSession* s1 = engine.session(1);
   ASSERT_NE(s0, nullptr);
   ASSERT_NE(s1, nullptr);
   EXPECT_NE(s0, s1);
@@ -1001,6 +1047,45 @@ TEST_F(FleetEngineTest, GroupTourMembersCoalesceDespiteJitter) {
   ASSERT_EQ(result.clients.size(), 4u);
   EXPECT_NE(core::RunMetricsJson(result.clients[0].metrics),
             core::RunMetricsJson(result.clients[1].metrics));
+}
+
+// Coalescing under rolling outages: a co-moving group on four squeezed
+// cells, with one cell dying every three seconds. Carriers die with their
+// cells, so their waiters get substitute transfers on their own cells,
+// and later outages catch some of those substitutes in flight, which
+// re-issues them again and re-points the exchanges that wait on them.
+// Every exchange must still be booked, and the run must replay
+// byte-identically at any worker count.
+TEST_F(FleetEngineTest, StrandedWaitersReissueUnderRollingOutages) {
+  std::string reference;
+  for (const int workers : {1, 8}) {
+    fleet::FleetOptions options;
+    options.workers = workers;
+    options.cells = 4;
+    options.coalesce.enabled = true;
+    options.cell.cell_bandwidth_kbps = 96.0;
+    options.cell.client_bandwidth_kbps = 48.0;
+    for (int32_t i = 0; i < 40; ++i) {
+      options.cell_outages.push_back({i % 4, 2.0 + 3.0 * i, 2.0});
+    }
+    std::vector<fleet::ClientSpec> specs = GroupFleet(6, 40);
+    for (fleet::ClientSpec& spec : specs) spec.speed = 0.9;
+    fleet::FleetEngine engine(*system_, options, std::move(specs));
+    const fleet::FleetResult result = engine.Run();
+    EXPECT_GT(result.coalesce_attaches, 0);
+    EXPECT_GT(result.failovers, 0);
+    EXPECT_GT(result.reissued_transfers, 0);
+    EXPECT_EQ(result.chaos_session_desyncs, 0);
+    EXPECT_EQ(result.chaos_duplicate_deliveries, 0);
+    EXPECT_EQ(result.chaos_stranded_waiters, 0);
+    EXPECT_EQ(result.chaos_unresolved_exchanges, 0);
+    const std::string json = TopologyJson(result);
+    if (reference.empty()) {
+      reference = json;
+    } else {
+      EXPECT_EQ(json, reference) << "diverged at workers=" << workers;
+    }
+  }
 }
 
 // group_member = -1 (the default) must stay a strict passthrough to the
@@ -1124,6 +1209,14 @@ TEST(FleetWarmingTest, DiskFleetBitIdenticalAcrossWorkersAndWarming) {
       config.storage.warm_budget = 8;
       config.storage.warm_workers = workers == 8 ? 4 : 1;
       index::ShardedCoefficientIndex::RemoveFiles(path, 4);
+      // Declared before the System, so it removes the page files after
+      // the System has closed them.
+      struct ScopedPageFiles {
+        std::string path;
+        ~ScopedPageFiles() {
+          index::ShardedCoefficientIndex::RemoveFiles(path, 4);
+        }
+      } page_files{path};
       auto system = core::System::Create(config);
       ASSERT_TRUE(system.ok());
       ASSERT_EQ((*system)->server().pool_warming_enabled(), warm);

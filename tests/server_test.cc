@@ -19,7 +19,6 @@
 #include "server/motion_interest.h"
 #include "server/object_db.h"
 #include "server/server.h"
-#include "server/session_table.h"
 #include "workload/scene.h"
 
 namespace mars::server {
@@ -398,14 +397,6 @@ TEST(AdmissionTest, RecordAccumulatesCounters) {
   EXPECT_EQ(admission.shed_bytes(), 200);
 }
 
-TEST(SessionTableTest, TracksAdmissionEvents) {
-  SessionTable table;
-  table.GetOrCreate(1)->deferred_requests = 3;
-  table.GetOrCreate(2)->shed_requests = 2;
-  table.GetOrCreate(3);
-  EXPECT_EQ(table.TotalAdmissionEvents(), 5);
-}
-
 // ---------------------------------------------------------------------------
 // InflightTable (cross-client request coalescing)
 
@@ -432,8 +423,7 @@ TEST(InflightTableTest, SingleFlightProbeAndAttach) {
   EXPECT_EQ(attach.bytes, 112);
   // One entry still: attaching never spawns a second carrier.
   EXPECT_EQ(table.entries(), 1);
-  EXPECT_EQ(table.total_registered(), 1);
-  EXPECT_EQ(table.total_attached(), 1);
+  EXPECT_EQ(table.WaitersOf(7), (std::vector<int32_t>{3}));
 }
 
 TEST(InflightTableTest, WaitersRecordedInAttachOrder) {
@@ -478,8 +468,8 @@ TEST(InflightTableTest, CancelStrandsWaitersInRecordOrder) {
   EXPECT_EQ(stranded[1].waiter, 5);
   EXPECT_EQ(stranded[2].record, 30);
   EXPECT_EQ(stranded[2].waiter, 4);
-  EXPECT_EQ(table.total_cancelled(), 2);
-  // Client 2's entry survives untouched.
+  // Both of client 1's entries are gone; client 2's survives untouched.
+  EXPECT_EQ(table.entries(), 1);
   EXPECT_EQ(table.Probe(25), 10);
   EXPECT_EQ(table.WaitersOf(25), (std::vector<int32_t>{7}));
 }

@@ -229,6 +229,23 @@ class DiskCorruptionTest : public ::testing::Test {
     std::fclose(f);
   }
 
+  // Flips header byte `pos`, then opens the file twice. Both opens must
+  // fail, and neither may write to the file: a rejected store stays as
+  // it was, so it is rejected again rather than reset to an empty one.
+  void ExpectHeaderFlipRejectedUntouched(size_t pos) {
+    std::vector<uint8_t> bytes;
+    ASSERT_NO_FATAL_FAILURE(ReadFile(&bytes));
+    bytes[pos] ^= 0xFF;
+    WriteFile(bytes);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      EXPECT_FALSE(DiskStorageManager::Open(path_, kPageSize).ok())
+          << "open " << attempt;
+      std::vector<uint8_t> after;
+      ASSERT_NO_FATAL_FAILURE(ReadFile(&after));
+      EXPECT_EQ(after, bytes) << "open " << attempt << " wrote the file";
+    }
+  }
+
   std::string path_;
   PageId id_ = kInvalidPage;
 };
@@ -274,12 +291,15 @@ TEST_F(DiskCorruptionTest, BitFlipsSurfaceAsChecksumErrors) {
 }
 
 TEST_F(DiskCorruptionTest, BadMagicRejectedAtOpen) {
-  std::vector<uint8_t> bytes;
-  ASSERT_NO_FATAL_FAILURE(ReadFile(&bytes));
-  bytes[0] ^= 0xFF;
-  WriteFile(bytes);
-  auto mgr = DiskStorageManager::Open(path_, kPageSize);
-  EXPECT_FALSE(mgr.ok());
+  ExpectHeaderFlipRejectedUntouched(0);  // magic
+}
+
+TEST_F(DiskCorruptionTest, BadVersionRejectedAtOpen) {
+  ExpectHeaderFlipRejectedUntouched(8);  // version
+}
+
+TEST_F(DiskCorruptionTest, BadHeaderChecksumRejectedAtOpen) {
+  ExpectHeaderFlipRejectedUntouched(16);  // root, which the checksum covers
 }
 
 TEST_F(DiskCorruptionTest, TornPayloadWriteFailsTheLoad) {

@@ -255,6 +255,14 @@ std::string PoolState(const System& system) {
 // shard counters, rebalance ops), and the pool counters must repeat on a
 // second fresh disk System.
 TEST(SystemTest, DiskWarmRebalanceRunsMatchMemory) {
+  // Removes the page directories when the test ends, after every System
+  // that wrote them (each declared later) has closed its files.
+  struct ScopedDirs {
+    std::vector<std::string> dirs;
+    ~ScopedDirs() {
+      for (const std::string& dir : dirs) std::filesystem::remove_all(dir);
+    }
+  } page_dirs;
   int32_t next_dir = 0;
   const auto make = [&](bool disk) {
     System::Config config;
@@ -273,6 +281,7 @@ TEST(SystemTest, DiskWarmRebalanceRunsMatchMemory) {
           TempPath("mars_system_disk_" + std::to_string(next_dir++));
       std::filesystem::remove_all(dir);
       std::filesystem::create_directories(dir);
+      page_dirs.dirs.push_back(dir);
       config.storage.store = storage::StoreKind::kDisk;
       config.storage.path = dir + "/index.pages";
       config.storage.evict = storage::EvictPolicy::kMotion;

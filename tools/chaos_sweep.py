@@ -111,7 +111,7 @@ def main():
     parser.add_argument("--seeds", type=int, default=20,
                         help="seeds per grid cell (default: %(default)s)")
     parser.add_argument("--quick", action="store_true",
-                        help="3-seed single-cell smoke for CI")
+                        help="3-seed smoke for CI")
     args = parser.parse_args()
 
     # (outage rate / h, clients, scene MB, frames, coalesce, warm)
@@ -120,6 +120,7 @@ def main():
         grid = [
             (300.0, 8, 10, 40, False, False),
             (300.0, 8, 10, 40, False, True),
+            (300.0, 12, 20, 60, True, False),
         ]
     else:
         seeds = range(1, args.seeds + 1)
