@@ -4,10 +4,12 @@
 // prediction, the Eq.-2 buffer allocator, the motion-prediction layers
 // that dominate a buffered client's frame and the server's interest
 // refresh (predicted paths, block probabilities, prefetch plans, interest
-// snapshots), and three layers of the disk fleet's hot path (the wire
-// encoding of a response, the pool's prefetch-candidate scan and a page
-// file's store/load/erase). These are not paper figures; they document
-// the substrate costs behind the figure benches.
+// snapshots), the disk fleet's hot path (the wire encoding of a
+// response, the pool's prefetch-candidate scan, a page file's
+// store/load/erase and paged-tree queries through warm and cold pools),
+// and the shared cell's per-tick work (a WFQ Advance over a backlogged
+// fleet and the coalescing table's probe). These are not paper figures;
+// they document the substrate costs behind the figure benches.
 
 #include <unistd.h>
 
@@ -26,12 +28,15 @@
 #include "common/rng.h"
 #include "geometry/grid.h"
 #include "geometry/rect_diff.h"
+#include "index/access.h"
 #include "index/rtree.h"
 #include "mesh/primitives.h"
 #include "mesh/subdivide.h"
 #include "motion/grid_probability.h"
 #include "motion/kalman.h"
 #include "motion/predictor.h"
+#include "net/shared_link.h"
+#include "server/inflight_table.h"
 #include "server/motion_interest.h"
 #include "server/wire_codec.h"
 #include "storage/buffer_pool.h"
@@ -253,7 +258,7 @@ void BM_BlockProbabilities(benchmark::State& state) {
     auto probs = motion::ComputeBlockProbabilities(rls, grid, options, rng);
     benchmark::DoNotOptimize(probs);
   }
-  const int64_t samples = int64_t{options.horizon} * options.samples_per_step;
+  const int64_t samples = int64_t{options.horizon} * motion::kSamplesPerStep;
   state.SetItemsProcessed(state.iterations() * samples);
 }
 BENCHMARK(BM_BlockProbabilities)->ArgName("tracker")->Arg(0)->Arg(1);
@@ -419,6 +424,99 @@ void BM_DiskPageRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DiskPageRoundTrip);
+
+// Window queries of a 10,000-entry paged R*-tree (4 KB pages) through a
+// buffer pool. Arg 0: a warm pool holding every page, so each node access
+// is a hit. Arg 1: a cold pool of one page, so nearly every access reads
+// and decodes its page from the store.
+void BM_PagedTreeQuery(benchmark::State& state) {
+  common::Rng rng(15);
+  std::vector<index::RTree3::Entry> entries;
+  for (int64_t i = 0; i < 10000; ++i) entries.push_back({RandomBox3(rng), i});
+  const index::RTree3 tree = index::RTree3::BulkLoad(std::move(entries));
+  storage::MemoryStorageManager manager(4096);
+  const bool warm = state.range(0) == 0;
+  storage::BufferPool pool(&manager, warm ? int64_t{1} << 20 : 1,
+                           storage::EvictPolicy::kLru);
+  index::PagedTree3 paged(&pool);
+  if (!paged.Write(tree, index::GroundScale()).ok()) {
+    state.SkipWithError("paged tree write failed");
+    return;
+  }
+  std::vector<geometry::Box3> windows;
+  for (int k = 0; k < 64; ++k) {
+    const double x = rng.Uniform(0, 9000), y = rng.Uniform(0, 9000);
+    windows.push_back(geometry::Box3({x, y, 0.5}, {x + 1000, y + 1000, 1.0}));
+  }
+  std::vector<int64_t> out;
+  for (const geometry::Box3& window : windows) paged.Query(window, &out);
+  paged.ResetStats();
+  size_t next = 0;
+  for (auto _ : state) {
+    out.clear();
+    paged.Query(windows[next], &out);
+    benchmark::DoNotOptimize(out);
+    next = (next + 1) % windows.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  const double pages = static_cast<double>(paged.node_accesses());
+  const auto per_query = benchmark::Counter::kAvgIterations;
+  state.counters["pages_per_query"] = benchmark::Counter(pages, per_query);
+}
+BENCHMARK(BM_PagedTreeQuery)->ArgName("cold")->Arg(0)->Arg(1);
+
+// --- Shared cell -------------------------------------------------------------
+
+// One 50 ms Advance of a weighted-fair cell with 128 backlogged clients at
+// the default 2 Mbps: each completion is resubmitted, so every client
+// stays backlogged and every step rates all 128 queue heads.
+void BM_SharedLinkAdvance(benchmark::State& state) {
+  constexpr int kClients = 128;
+  net::SharedMediumLink cell;
+  common::Rng rng(16);
+  const auto submit = [&](int32_t client) {
+    cell.Submit(client, rng.UniformInt(500, 4000), rng.UniformDouble());
+  };
+  for (int32_t c = 0; c < kClients; ++c) {
+    submit(c);
+    submit(c);
+  }
+  int64_t completions = 0;
+  for (auto _ : state) {
+    const auto done = cell.Advance(0.05);
+    for (const net::SharedMediumLink::Completion& c : done) submit(c.client);
+    completions += static_cast<int64_t>(done.size());
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["completions"] = benchmark::Counter(
+      static_cast<double>(completions), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SharedLinkAdvance);
+
+// The coalescing table's phase-A probe: 1,024 record ids, half of them in
+// flight, against a table of 16,384 registered records.
+void BM_InflightProbe(benchmark::State& state) {
+  constexpr int64_t kRegistered = 16384;
+  server::InflightTable table(server::InflightTable::Options{true});
+  common::Rng rng(17);
+  for (int64_t id = 0; id < kRegistered; ++id) {
+    table.Register(2 * id, static_cast<int32_t>(id % 128), id / 128,
+                   rng.UniformInt(40, 400));
+  }
+  std::vector<index::RecordId> probes;
+  for (int k = 0; k < 1024; ++k) {
+    probes.push_back(rng.UniformInt(0, 2 * kRegistered - 1));
+  }
+  for (auto _ : state) {
+    int64_t bytes = 0;
+    for (const index::RecordId id : probes) bytes += table.Probe(id);
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(probes.size()));
+}
+BENCHMARK(BM_InflightProbe);
 
 void BM_BufferAllocation(benchmark::State& state) {
   const std::vector<double> probs = {0.4, 0.25, 0.2, 0.15};

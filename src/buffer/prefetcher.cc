@@ -68,9 +68,7 @@ MotionAwarePrefetcher::MotionAwarePrefetcher()
     : MotionAwarePrefetcher(Options()) {}
 
 MotionAwarePrefetcher::MotionAwarePrefetcher(Options options)
-    : options_(options) {
-  MARS_CHECK_GE(options.directions, 1);
-}
+    : options_(options) {}
 
 PrefetchPlan MotionAwarePrefetcher::Plan(
     const motion::PositionPredictor& predictor, const GridPartition& grid,
@@ -85,25 +83,25 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
   // future, as in the paper's Sec. VII-C discussion).
   motion::GridProbabilityOptions prob_options = options_.probability;
   const double depth_blocks =
-      std::max(1.0, budget_blocks / options_.blocks_per_depth_unit);
+      std::max(1.0, budget_blocks / kBlocksPerDepthUnit);
   const double step_m = std::max(predictor.MeanStepDistance(), 1e-6);
   const double block_span = 0.5 * (grid.block_width() + grid.block_height());
-  prob_options.horizon = std::clamp(
-      static_cast<int32_t>(depth_blocks * block_span / step_m),
-      options_.min_horizon, options_.max_horizon);
+  const int32_t depth_steps =
+      static_cast<int32_t>(depth_blocks * block_span / step_m);
+  prob_options.horizon = std::clamp(depth_steps, kMinHorizon, kMaxHorizon);
   // Keep half of the sampling weight alive at the far end of the horizon.
   prob_options.step_discount = std::pow(0.5, 1.0 / prob_options.horizon);
   const motion::BlockProbabilities probs = motion::ComputeBlockProbabilities(
       predictor, grid, prob_options, rng);
 
   // (ii) Aggregate into k direction probabilities and split the budget.
-  motion::SectorPartition partition(position, options_.directions);
+  motion::SectorPartition partition(position, kDirections);
   const auto directions = partition.Aggregate(grid, probs);
   const std::vector<int32_t> allocation =
       AllocateBuffer(directions.p, budget_blocks);
 
   // (iii) Gather per-sector candidates: every block with predicted mass.
-  std::vector<std::vector<Candidate>> candidates(options_.directions);
+  std::vector<std::vector<Candidate>> candidates(kDirections);
   const BlockCoord center = grid.BlockOfPoint(position);
   const int64_t center_id = grid.BlockId(center);
   for (const auto& [block, p] : probs) {
@@ -122,9 +120,9 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
   // allocation. Step (iv) stops at the first zero-mass candidate whenever
   // `probs` is non-empty, so ring candidates are only ever taken here.
   // Rings of distinct radii are disjoint and never hold the center.
-  for (int32_t r = 1; probs.empty() && r <= options_.max_ring_radius; ++r) {
+  for (int32_t r = 1; probs.empty() && r <= kMaxRingRadius; ++r) {
     bool all_full = true;
-    for (int32_t s = 0; s < options_.directions; ++s) {
+    for (int32_t s = 0; s < kDirections; ++s) {
       if (static_cast<int32_t>(candidates[s].size()) < allocation[s]) {
         all_full = false;
       }
@@ -138,7 +136,7 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
   }
 
   // (iv) Per sector, keep the most promising blocks up to the allocation.
-  for (int32_t s = 0; s < options_.directions; ++s) {
+  for (int32_t s = 0; s < kDirections; ++s) {
     std::vector<Candidate>& list = candidates[s];
     std::sort(list.begin(), list.end(),
               [](const Candidate& a, const Candidate& b) {

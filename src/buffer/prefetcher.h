@@ -40,20 +40,22 @@ struct PrefetchPlan {
 // Eq.-2-based allocator, and picks each direction's most probable blocks.
 class MotionAwarePrefetcher {
  public:
+  // Number of directions (k) the block budget is split across.
+  static constexpr int32_t kDirections = 4;
+  // Ring search limit when a sector has fewer predicted blocks than its
+  // allocation (Chebyshev radius in blocks).
+  static constexpr int32_t kMaxRingRadius = 12;
+  // Adaptive horizon: the prediction depth (in timestamps) is chosen so
+  // the predicted path spans roughly budget_blocks / kBlocksPerDepthUnit
+  // grid blocks — "to fill a large buffer, a client pre-fetches more data
+  // by predicting positions of the query frame far into the future"
+  // (paper Sec. VII-C) — clamped to [kMinHorizon, kMaxHorizon].
+  static constexpr double kBlocksPerDepthUnit = 8.0;
+  static constexpr int32_t kMinHorizon = 4;
+  static constexpr int32_t kMaxHorizon = 48;
+
   struct Options {
-    int32_t directions = 4;  // k
     motion::GridProbabilityOptions probability;
-    // Ring search limit when a sector has fewer predicted blocks than its
-    // allocation (Chebyshev radius in blocks).
-    int32_t max_ring_radius = 12;
-    // Adaptive horizon: the prediction depth (in timestamps) is chosen so
-    // the predicted path spans roughly budget_blocks / blocks_per_depth_unit
-    // grid blocks — "to fill a large buffer, a client pre-fetches more
-    // data by predicting positions of the query frame far into the future"
-    // (paper Sec. VII-C) — clamped to [min_horizon, max_horizon].
-    double blocks_per_depth_unit = 8.0;
-    int32_t min_horizon = 4;
-    int32_t max_horizon = 48;
   };
 
   MotionAwarePrefetcher();  // default options

@@ -11,6 +11,18 @@ namespace {
 // Records exactly at the held band's lower edge were already delivered;
 // shave the reissued band's top to avoid re-fetching them.
 constexpr double kBandEpsilon = 1e-9;
+// Resolution headroom: blocks are fetched (demand and prefetch) at
+// w_min = needed × this factor, so small speed fluctuations between fetch
+// time and later lookups still hit the buffer.
+constexpr double kResolutionHeadroom = 0.75;
+// Cap on prefetch block fetches per frame (background bandwidth).
+constexpr int32_t kMaxPrefetchFetchesPerFrame = 16;
+// Per-frame decay of resident block priorities.
+constexpr double kPriorityDecay = 0.85;
+// A resident block is considered fine enough for a prefetch request at w
+// if held <= w * (1 + tolerance) + small slack; avoids endless micro-band
+// refetches as the speed jitters.
+constexpr double kRefetchTolerance = 0.15;
 }  // namespace
 
 BufferedClient::BufferedClient(const Options& options,
@@ -161,7 +173,7 @@ BufferedFrameReport BufferedClient::Step(const geometry::Vec2& position,
   // Demand-fetch the missing blocks (one exchange; this is what the user
   // waits for). Fetch slightly finer than needed so the next frames' small
   // speed fluctuations stay buffered.
-  const double w_demand = w_t * options_.resolution_headroom;
+  const double w_demand = w_t * kResolutionHeadroom;
   bool demand_failed = false;
   if (!missing.empty()) {
     const std::vector<double> w_mins(missing.size(), w_demand);
@@ -191,7 +203,7 @@ BufferedFrameReport BufferedClient::Step(const geometry::Vec2& position,
   // blocks would fail the same way) and for one frame after a
   // backpressure signal (the cell is overloaded; speculative traffic is
   // the first thing to shed).
-  buffer_.DecayPriorities(options_.priority_decay);
+  buffer_.DecayPriorities(kPriorityDecay);
   const bool prefetch_suppressed = suppress_prefetch_once_;
   suppress_prefetch_once_ = false;
   if (options_.enable_prefetch && !demand_failed && !prefetch_suppressed) {
@@ -215,13 +227,13 @@ BufferedFrameReport BufferedClient::Step(const geometry::Vec2& position,
       // "surrounding regions"; skip them for both prefetchers.
       if (in_view.contains(item.block)) continue;
       const double held = buffer_.HeldWMin(item.block);
-      const double want = item.w_min * options_.resolution_headroom;
-      if (held <= want * (1.0 + options_.refetch_tolerance) + 1e-3) {
+      const double want = item.w_min * kResolutionHeadroom;
+      if (held <= want * (1.0 + kRefetchTolerance) + 1e-3) {
         buffer_.UpdatePriority(item.block, item.priority);
         continue;
       }
       if (static_cast<int32_t>(fetch_blocks.size()) >=
-          options_.max_prefetch_fetches_per_frame) {
+          kMaxPrefetchFetchesPerFrame) {
         continue;
       }
       // Skip blocks that would not survive admission. The halved priority

@@ -79,27 +79,15 @@ class BufferedClient {
     // false → the naive uniform-ring prefetcher of the Sec. VII-C
     // comparisons.
     bool motion_aware = true;
-    // Resolution headroom: blocks are fetched (demand and prefetch) at
-    // w_min = needed × this factor, so small speed fluctuations between
-    // fetch time and later lookups still hit the buffer.
-    double resolution_headroom = 0.75;
     buffer::MotionAwarePrefetcher::Options prefetch;
-    // Cap on prefetch block fetches per frame (background bandwidth).
-    int32_t max_prefetch_fetches_per_frame = 16;
     // Motion model driving the prefetcher: the paper's RLS-learned state
     // transition, or a constant-velocity Kalman filter.
     enum class Predictor { kRls, kKalman };
     Predictor predictor = Predictor::kRls;
-    // Per-frame decay of resident block priorities.
-    double priority_decay = 0.85;
     // Frames at the start of a run whose lookups are not counted in the
     // hit/miss statistics (cold-start exclusion; the buffer is empty by
     // definition on the first frame).
     int32_t warmup_frames = 1;
-    // A resident block is considered fine enough for a prefetch request
-    // at w if held <= w * (1 + tolerance) + small slack; avoids endless
-    // micro-band refetches as the speed jitters.
-    double refetch_tolerance = 0.15;
     uint64_t seed = 1;
     // Transport retry policy (pay-for-what-you-use on a clean link).
     net::ReliableChannel::Options channel;

@@ -11,8 +11,6 @@ std::vector<server::SubQuery> PlanDistanceRings(
     const geometry::Box2& window, const geometry::Vec2& position,
     double base_w_min, const DistanceRingOptions& options) {
   MARS_CHECK_GE(options.rings, 1);
-  MARS_CHECK_GT(options.falloff, 0.0);
-  MARS_CHECK_LE(options.falloff, 1.0);
 
   std::vector<server::SubQuery> plan;
   if (window.IsEmpty()) return plan;
@@ -37,10 +35,9 @@ std::vector<server::SubQuery> PlanDistanceRings(
   // Ring i's band: innermost keeps the base resolution, outer rings lift
   // w_min towards 1 geometrically.
   auto ring_w_min = [&](int32_t ring_from_center) {
-    const double lifted =
-        1.0 - (1.0 - base_w_min) *
-                  std::pow(options.falloff,
-                           static_cast<double>(ring_from_center));
+    const double falloff =
+        std::pow(kRingFalloff, static_cast<double>(ring_from_center));
+    const double lifted = 1.0 - (1.0 - base_w_min) * falloff;
     return std::clamp(lifted, base_w_min, 1.0);
   };
 

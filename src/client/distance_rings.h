@@ -24,12 +24,13 @@ namespace mars::client {
 // The result is a set of disjoint sub-queries covering the window — a
 // drop-in replacement for the single-band window query that cuts the
 // bytes of large windows considerably (see the distance ablation bench).
+// Resolution lift per ring: ring i uses
+//   w_min_i = 1 - (1 - base_w_min) * kRingFalloff^i.
+inline constexpr double kRingFalloff = 0.5;
+
 struct DistanceRingOptions {
   // Number of rings (1 = plain single-band query).
   int32_t rings = 3;
-  // Resolution lift per ring: ring i uses
-  //   w_min_i = 1 - (1 - base_w_min) * falloff^i.
-  double falloff = 0.5;
 };
 
 // Builds the ring sub-queries for a window centered on `position` with

@@ -23,12 +23,6 @@ constexpr size_t kMaxPieces = 256;
 
 }  // namespace
 
-SemanticCache::SemanticCache() : SemanticCache(Options()) {}
-
-SemanticCache::SemanticCache(Options options) : options_(options) {
-  MARS_CHECK_GE(options.max_entries, 1);
-}
-
 std::vector<server::SubQuery> SemanticCache::PlanAndInsert(
     const geometry::Box2& window, double w_min) {
   MARS_CHECK(!window.IsEmpty());
@@ -91,7 +85,7 @@ std::vector<server::SubQuery> SemanticCache::PlanAndInsert(
     return window.Contains(e.region) && w_min <= e.w_min;
   });
   entries_.push_front(Entry{window, w_min});
-  while (static_cast<int32_t>(entries_.size()) > options_.max_entries) {
+  while (static_cast<int32_t>(entries_.size()) > kMaxEntries) {
     entries_.pop_back();
   }
 

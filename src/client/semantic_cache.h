@@ -24,14 +24,9 @@ namespace mars::client {
 // generalized from one previous frame to the whole cached history.
 class SemanticCache {
  public:
-  struct Options {
-    // Bound on the number of cached semantic regions; the least recently
-    // used entries are dropped beyond it (their data is discarded).
-    int32_t max_entries = 64;
-  };
-
-  SemanticCache();  // default options
-  explicit SemanticCache(Options options);
+  // Bound on the number of cached semantic regions; the least recently
+  // used entries are dropped beyond it (their data is discarded).
+  static constexpr int32_t kMaxEntries = 64;
 
   // Plans the server sub-queries needed to answer Q(window, w_min, 1.0)
   // given the cached semantics, and installs the query's semantics into
@@ -55,7 +50,6 @@ class SemanticCache {
     double w_min = 0.0;  // holds band [w_min, 1] over region
   };
 
-  Options options_;
   // Most recently used first.
   std::list<Entry> entries_;
   double last_coverage_ = 0.0;

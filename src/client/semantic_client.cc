@@ -9,12 +9,10 @@ SemanticClient::SemanticClient(const Options& options,
                                const server::Server* server,
                                net::SimulatedLink* link)
     : options_(options),
-      owned_policy_(options.speed_map),
       policy_(options.policy != nullptr ? options.policy : &owned_policy_),
       viewport_(space, options.query_fraction, options.query_fraction),
       server_(server),
-      link_(link),
-      cache_(options.cache) {
+      link_(link) {
   MARS_CHECK(server != nullptr);
   MARS_CHECK(link != nullptr);
 }

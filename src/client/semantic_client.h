@@ -32,12 +32,10 @@ class SemanticClient {
  public:
   struct Options {
     double query_fraction = 0.1;
-    qos::SpeedResolutionMap speed_map;
     // External QoS policy owning the speed → w_min decision (not owned;
-    // must outlive the client). Null — the default — wraps `speed_map` in
-    // a static policy, which is bit-identical to the pre-policy pipeline.
+    // must outlive the client). Null — the default — maps speed with the
+    // paper's static mapping.
     const qos::ResolutionPolicy* policy = nullptr;
-    SemanticCache::Options cache;
   };
 
   SemanticClient(const Options& options, const geometry::Box2& space,

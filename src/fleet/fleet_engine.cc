@@ -102,7 +102,7 @@ FleetEngine::FleetEngine(const core::System& system, FleetOptions options,
                          std::vector<ClientSpec> specs)
     : system_(system),
       options_(options),
-      hot_cache_(options.hot_cache_bytes),
+      hot_cache_(kHotCacheBytes),
       inflight_(options.coalesce) {
   // Coalesced delivery resolution needs the cell's per-client FIFO
   // completion order, which only WFQ provides (equal share drains every
@@ -184,8 +184,6 @@ std::unique_ptr<FleetEngine::ClientState> FleetEngine::BuildState(
     workload::GroupTourGenerator::Options group;
     group.base = tour;
     group.members = spec.group_member + 1;
-    group.position_jitter_m = spec.group_position_jitter_m;
-    group.speed_jitter = spec.group_speed_jitter;
     state->tour = workload::GroupTourGenerator(group).Tour(spec.group_member);
   } else {
     state->tour = workload::GenerateTour(tour);
@@ -194,10 +192,9 @@ std::unique_ptr<FleetEngine::ClientState> FleetEngine::BuildState(
       spec.frames, static_cast<int32_t>(state->tour.size()));
 
   // Every derived seed is a function of the spec (hence the client id)
-  // only — never of the fleet size.
-  net::SimulatedLink::Options link_opts = options_.client_link;
-  link_opts.loss_seed = spec.seed * 0x9E3779B97F4A7C15ull + 1;
-  state->link = std::make_unique<net::SimulatedLink>(link_opts);
+  // only — never of the fleet size. The private bearer is lossless: the
+  // shared cell carries the fleet's loss and outages.
+  state->link = std::make_unique<net::SimulatedLink>();
 
   // ABR: the motion-aware clients read their w_min through a per-client
   // adaptive ladder instead of the static map. Naive clients retrieve
@@ -310,7 +307,7 @@ void FleetEngine::StepClient(ClientState* state) {
   delivered.erase(std::unique(delivered.begin(), delivered.end()),
                   delivered.end());
   for (const index::RecordId id : delivered) {
-    if (inflight_.Probe(id) >= 0 || !hot_cache_.enabled()) continue;
+    if (inflight_.Probe(id) >= 0) continue;
     const int64_t cached_bytes = hot_cache_.Lookup(id);
     if (cached_bytes >= 0) {
       ++state->hot_hits;

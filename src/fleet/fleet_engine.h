@@ -56,18 +56,16 @@ struct ClientSpec {
   // becomes a per-member jittered copy of that base, still a function of
   // (tour_seed, group_member) only.
   int32_t group_member = -1;
-  double group_position_jitter_m = 25.0;
-  double group_speed_jitter = 0.05;
 };
+
+// Budget of the fleet's shared hot-encoding cache (server/hot_cache.h).
+inline constexpr int64_t kHotCacheBytes = 256 * 1024;
 
 struct FleetOptions {
   // Seconds of virtual time between a client's query frames.
   double frame_interval_seconds = 1.0;
   // Worker threads for the parallel phase (1 = fully serial reference).
   int32_t workers = 1;
-  // Per-client private bearer (install semantics: loss, retries,
-  // rollback). loss_seed is re-derived per client from ClientSpec::seed.
-  net::SimulatedLink::Options client_link;
   // Number of radio cells tiling the ground plane (net/cell_topology.h).
   // 1 (the default) is the classic single shared cell — a strict
   // bit-identical passthrough. With K > 1 each client is served by the
@@ -90,8 +88,6 @@ struct FleetOptions {
     double duration = 0.0;
   };
   std::vector<CellOutage> cell_outages;
-  // Shared hot-encoding cache budget; 0 disables.
-  int64_t hot_cache_bytes = 256 * 1024;
   // Server-side admission control on the shared cell (disabled by
   // default, so a fleet behaves exactly as before unless opted in).
   server::AdmissionController::Options admission;
@@ -195,7 +191,8 @@ struct FleetResult {
   int64_t coalesce_header_bytes = 0;
   // Records wire-encoded server-side across the whole run (both modes).
   int64_t encode_calls = 0;
-  // Virtual time at which the last exchange drained.
+  // Virtual time at which the run ended: the last tick, or the last
+  // exchange's completion when the cells drained after it.
   double virtual_seconds = 0.0;
 
   // --- Multi-cell topology (empty / zero at K = 1) ---
@@ -240,7 +237,7 @@ struct FleetResult {
 //   cell snapshot (deferred/shed clients stop here) — then steps: plans
 //   its queries, executes them against the const shared Server (a
 //   streaming client's session lives in its own state, which one worker
-//   steps at a time), runs its private bearer's loss/retry model, and
+//   steps at a time), times its exchange on its private bearer, and
 //   classifies its delivered records with read-only probes of the
 //   inflight table and the hot-encoding cache. Records already in flight
 //   need no encoding; the rest that miss the cache are encode candidates.

@@ -78,8 +78,11 @@ struct RTreeStats {
 // MBRs for the naive system), Dim = 3 (the paper's x-y-w experimental
 // index), and Dim = 4 (the full x-y-z-w index of Sec. VI-B).
 //
-// Not thread-safe; queries are logically const but mutate the access
-// counters (declared mutable).
+// Const queries are safe from many threads at once: the access counters
+// they bump are relaxed atomics, and the fleet shares const trees across
+// its workers. Insert and BulkLoad are not thread-safe: a tree is built,
+// by BulkLoad or by Insert, before it is shared, and Insert (like
+// ResetStats) must not run while another thread uses the tree.
 template <size_t Dim>
 class RTree {
  public:

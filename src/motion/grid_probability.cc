@@ -31,9 +31,8 @@ Chol2 Cholesky2(double xx, double xy, double yy) {
 std::vector<double> DrawSampleNormals(const GridProbabilityOptions& options,
                                       common::Rng& rng) {
   MARS_CHECK_GE(options.horizon, 1);
-  MARS_CHECK_GE(options.samples_per_step, 1);
   std::vector<double> normals(2 * static_cast<size_t>(options.horizon) *
-                              static_cast<size_t>(options.samples_per_step));
+                              static_cast<size_t>(kSamplesPerStep));
   for (double& z : normals) z = rng.Normal();
   return normals;
 }
@@ -49,10 +48,9 @@ BlockProbabilities ComputeBlockProbabilities(
     const PositionPredictor& predictor, const geometry::GridPartition& grid,
     const GridProbabilityOptions& options, std::span<const double> normals) {
   MARS_CHECK_GE(options.horizon, 1);
-  MARS_CHECK_GE(options.samples_per_step, 1);
   MARS_CHECK_GE(normals.size(),
                 2 * static_cast<size_t>(options.horizon) *
-                    static_cast<size_t>(options.samples_per_step));
+                    static_cast<size_t>(kSamplesPerStep));
 
   // Sample mass per block id, and the blocks in the order samples first
   // touched them (a touch may carry zero mass once the discount
@@ -78,8 +76,8 @@ BlockProbabilities ComputeBlockProbabilities(
   const double* z = normals.data();
   for (const Prediction& pred : path) {
     const Chol2 chol = Cholesky2(pred.cov_xx, pred.cov_xy, pred.cov_yy);
-    sample_weight = weight / static_cast<double>(options.samples_per_step);
-    for (int32_t s = 0; s < options.samples_per_step; ++s, z += 2) {
+    sample_weight = weight / static_cast<double>(kSamplesPerStep);
+    for (int32_t s = 0; s < kSamplesPerStep; ++s, z += 2) {
       const double z1 = z[0];
       const double z2 = z[1];
       const geometry::Vec2 p{pred.mean.x + chol.l11 * z1,

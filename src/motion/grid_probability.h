@@ -17,6 +17,10 @@ namespace mars::motion {
 // normalized to sum to 1 over the returned map.
 using BlockProbabilities = std::unordered_map<int64_t, double>;
 
+// Monte-Carlo samples per step used to integrate the Gaussian over the
+// grid. Deterministic given the seed.
+inline constexpr int32_t kSamplesPerStep = 64;
+
 // Options for spreading the predicted Gaussians over grid blocks.
 struct GridProbabilityOptions {
   // How many future timestamps to iterate (Q_{t+1} ... Q_{t+horizon}).
@@ -25,9 +29,6 @@ struct GridProbabilityOptions {
   int32_t horizon = 16;
   // Geometric discount per step: nearer predictions weigh more.
   double step_discount = 0.9;
-  // Monte-Carlo samples per step used to integrate the Gaussian over the
-  // grid. Deterministic given the seed.
-  int32_t samples_per_step = 64;
 
   // Half-extents of the client's query frame. When non-zero, each sampled
   // future position contributes mass to every block its *query frame*
@@ -39,8 +40,8 @@ struct GridProbabilityOptions {
 };
 
 // The standard normals one ComputeBlockProbabilities call consumes: two
-// per sample (x, then y), samples_per_step samples per step, steps in
-// order — 2 × horizon × samples_per_step values drawn from `rng`.
+// per sample (x, then y), kSamplesPerStep samples per step, steps in
+// order — 2 × horizon × kSamplesPerStep values drawn from `rng`.
 std::vector<double> DrawSampleNormals(const GridProbabilityOptions& options,
                                       common::Rng& rng);
 

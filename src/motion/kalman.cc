@@ -6,6 +6,17 @@ namespace mars::motion {
 
 namespace {
 
+// Time step between observations (the query-frame interval).
+constexpr double kDt = 1.0;
+// Process-noise intensity (white acceleration spectral density): how much
+// the velocity may drift between frames.
+constexpr double kProcessNoise = 0.5;
+// Measurement-noise variance of the observed positions.
+constexpr double kMeasurementNoise = 0.25;
+// Initial state variance (positions are observed immediately, so this
+// mostly governs how fast the velocity estimate settles).
+constexpr double kInitialVariance = 100.0;
+
 // Constant-velocity transition for time step dt.
 Matrix TransitionMatrix(double dt) {
   Matrix f = Matrix::Identity(4);
@@ -35,18 +46,11 @@ Matrix ProcessNoise(double dt, double intensity) {
 }  // namespace
 
 KalmanFilterPredictor::KalmanFilterPredictor()
-    : KalmanFilterPredictor(Options()) {}
-
-KalmanFilterPredictor::KalmanFilterPredictor(Options options)
-    : options_(options),
-      f_(TransitionMatrix(options.dt)),
-      q_(ProcessNoise(options.dt, options.process_noise)),
+    : f_(TransitionMatrix(kDt)),
+      q_(ProcessNoise(kDt, kProcessNoise)),
       h_(Matrix(2, 4)),
       state_(Matrix(4, 1)),
-      p_(Matrix::Identity(4) * options.initial_variance) {
-  MARS_CHECK_GT(options.dt, 0.0);
-  MARS_CHECK_GE(options.process_noise, 0.0);
-  MARS_CHECK_GT(options.measurement_noise, 0.0);
+      p_(Matrix::Identity(4) * kInitialVariance) {
   h_(0, 0) = 1.0;
   h_(1, 1) = 1.0;
 }
@@ -72,8 +76,8 @@ void KalmanFilterPredictor::Observe(const geometry::Vec2& position) {
 
   // Update: K = P Hᵀ (H P Hᵀ + R)⁻¹.
   Matrix s = h_ * p_ * h_.Transpose();
-  s(0, 0) += options_.measurement_noise;
-  s(1, 1) += options_.measurement_noise;
+  s(0, 0) += kMeasurementNoise;
+  s(1, 1) += kMeasurementNoise;
   auto s_inv = s.Inverse();
   MARS_CHECK(s_inv.ok()) << "innovation covariance singular";
   const Matrix k = p_ * h_.Transpose() * *s_inv;

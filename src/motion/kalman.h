@@ -18,21 +18,7 @@ namespace mars::motion {
 // workloads.
 class KalmanFilterPredictor : public PositionPredictor {
  public:
-  struct Options {
-    // Time step between observations (the query-frame interval).
-    double dt = 1.0;
-    // Process-noise intensity (white acceleration spectral density): how
-    // much the velocity may drift between frames.
-    double process_noise = 0.5;
-    // Measurement-noise variance of the observed positions.
-    double measurement_noise = 0.25;
-    // Initial state variance (positions are observed immediately, so
-    // this mostly governs how fast the velocity estimate settles).
-    double initial_variance = 100.0;
-  };
-
-  KalmanFilterPredictor();  // default options
-  explicit KalmanFilterPredictor(Options options);
+  KalmanFilterPredictor();
 
   // Feeds the client position observed at the next timestamp (runs one
   // predict + update cycle).
@@ -52,7 +38,6 @@ class KalmanFilterPredictor : public PositionPredictor {
   geometry::Vec2 velocity() const;
 
  private:
-  Options options_;
   Matrix f_;  // 4x4 transition
   Matrix q_;  // 4x4 process noise
   Matrix h_;  // 2x4 measurement

@@ -54,21 +54,7 @@ class PositionPredictor {
 // forms Aⁱ = Aⁱ⁻¹ A with one product per step.
 class MotionPredictor : public PositionPredictor {
  public:
-  struct Options {
-    // Number of recent positions per state (h). State dimension = 2h.
-    int32_t history = 3;
-    // RLS forgetting factor.
-    double forgetting = 0.98;
-    // EWMA weight for the state error covariance update.
-    double covariance_smoothing = 0.2;
-    // Covariance floor added per prediction step so that probabilities
-    // never collapse to a point even for perfectly linear motion (in
-    // squared space units).
-    double process_noise = 1e-4;
-  };
-
-  MotionPredictor();  // default options
-  explicit MotionPredictor(Options options);
+  MotionPredictor();
 
   // Feeds the client position at the next timestamp.
   void Observe(const geometry::Vec2& position) override;
@@ -94,8 +80,6 @@ class MotionPredictor : public PositionPredictor {
  private:
   Matrix StateFromHistory(size_t newest_offset) const;
 
-  Options options_;
-  int32_t dim_;  // 2 * history
   std::deque<geometry::Vec2> recent_;  // newest at front
   RlsEstimator rls_;
   Matrix state_cov_;  // dim × dim EWMA of one-step error outer products

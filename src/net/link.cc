@@ -11,13 +11,8 @@ SimulatedLink::SimulatedLink() : SimulatedLink(Options()) {}
 
 SimulatedLink::SimulatedLink(Options options)
     : options_(options), rng_(options.loss_seed) {
-  MARS_CHECK_GT(options.bandwidth_kbps, 0.0);
-  MARS_CHECK_GE(options.latency_seconds, 0.0);
-  MARS_CHECK_GE(options.motion_degradation, 0.0);
-  MARS_CHECK_LT(options.motion_degradation, 1.0);
   MARS_CHECK_GE(options.loss_probability, 0.0);
   MARS_CHECK_LT(options.loss_probability, 0.5);
-  MARS_CHECK_GT(options.max_retries_per_exchange, 0);
 }
 
 void SimulatedLink::Wait(double seconds) {
@@ -27,8 +22,8 @@ void SimulatedLink::Wait(double seconds) {
 
 double SimulatedLink::UsableBandwidth(double speed) const {
   const double s = std::clamp(speed, 0.0, 1.0);
-  return common::KbpsToBytesPerSecond(options_.bandwidth_kbps) *
-         (1.0 - options_.motion_degradation * s);
+  return common::KbpsToBytesPerSecond(kLinkBandwidthKbps) *
+         (1.0 - kMotionDegradation * s);
 }
 
 double SimulatedLink::ExchangeSeconds(int64_t request_bytes,
@@ -37,7 +32,7 @@ double SimulatedLink::ExchangeSeconds(int64_t request_bytes,
   MARS_CHECK_GE(request_bytes, 0);
   MARS_CHECK_GE(response_bytes, 0);
   const double bw = UsableBandwidth(speed);
-  return options_.latency_seconds +
+  return kLinkLatencySeconds +
          static_cast<double>(request_bytes + response_bytes) / bw;
 }
 
@@ -51,7 +46,7 @@ SimulatedLink::AttemptOutcome SimulatedLink::Attempt(int64_t request_bytes,
   if (fault_ != nullptr && fault_->enabled() &&
       fault_->InOutage(total_seconds_)) {
     outcome.delivered = false;
-    outcome.seconds = options_.latency_seconds;
+    outcome.seconds = kLinkLatencySeconds;
     outcome.fraction_received = 0.0;
     ++total_retries_;
     total_seconds_ += outcome.seconds;
@@ -70,9 +65,9 @@ SimulatedLink::AttemptOutcome SimulatedLink::Attempt(int64_t request_bytes,
     // Lost: pay the latency plus a random fraction of the transfer before
     // noticing. The delivered fraction is not re-sent by resuming callers.
     const double fraction = rng_.UniformDouble();
-    const double transfer = seconds - options_.latency_seconds;
+    const double transfer = seconds - kLinkLatencySeconds;
     outcome.delivered = false;
-    outcome.seconds = options_.latency_seconds + fraction * transfer;
+    outcome.seconds = kLinkLatencySeconds + fraction * transfer;
     outcome.fraction_received = fraction;
     ++total_retries_;
   } else {
@@ -109,7 +104,7 @@ double SimulatedLink::Exchange(int64_t request_bytes, int64_t response_bytes,
         Attempt(request_bytes, response_bytes, speed);
     seconds += outcome.seconds;
     if (outcome.delivered) return seconds;
-    if (++lost_attempts >= options_.max_retries_per_exchange) break;
+    if (++lost_attempts >= kMaxRetriesPerExchange) break;
   }
 
   // Retry cap hit: count a timeout and force the exchange through — wait

@@ -8,22 +8,30 @@
 
 namespace mars::net {
 
-// Deterministic model of the client-server wireless link. Default
-// parameters match the paper's experimental setup (Sec. VII-A): 256 Kbps
-// bandwidth, 200 ms latency. The usable bandwidth of a *moving* client
-// degrades with speed ("the usable bandwidth of a connection ... drops to
-// a fraction of the bandwidth that is available for clients at rest",
-// Sec. I, after the Ofcom measurements).
+// The paper's link (Sec. VII-A): 256 Kbps bandwidth, 200 ms latency.
+inline constexpr double kLinkBandwidthKbps = 256.0;
+inline constexpr double kLinkLatencySeconds = 0.2;
+// The usable bandwidth of a *moving* client degrades with speed ("the
+// usable bandwidth of a connection ... drops to a fraction of the
+// bandwidth that is available for clients at rest", Sec. I, after the
+// Ofcom measurements): at normalized speed s a link delivers
+//   bandwidth * (1 − kMotionDegradation * s),
+// so a client at full speed keeps half of its stationary bandwidth. The
+// shared cell (net/shared_link.h) degrades by the same factor.
+inline constexpr double kMotionDegradation = 0.5;
+
+// Deterministic model of the client-server wireless link at the paper's
+// parameters above.
 class SimulatedLink {
  public:
+  // Cap on lost-attempt retries within one Exchange(). When the cap is
+  // hit the exchange is counted as a timeout and forced through (any
+  // remaining outage is waited out first), so the benign retry path can
+  // no longer spin unboundedly. ReliableChannel enforces its own, tighter
+  // budget on top of single attempts.
+  static constexpr int32_t kMaxRetriesPerExchange = 64;
+
   struct Options {
-    double bandwidth_kbps = 256.0;
-    double latency_seconds = 0.2;
-    // Usable bandwidth at normalized speed s is
-    //   bandwidth * (1 − motion_degradation * s),
-    // so a client at full speed keeps (1 − motion_degradation) of the
-    // stationary bandwidth.
-    double motion_degradation = 0.5;
     // Probability that an exchange attempt is lost mid-flight (mobile
     // links drop in tunnels, at cell handovers, ...). A lost attempt
     // costs its connection latency plus a uniformly random fraction of
@@ -33,12 +41,6 @@ class SimulatedLink {
     double loss_probability = 0.0;
     // Seed for the loss process (deterministic runs).
     uint64_t loss_seed = 1;
-    // Cap on lost-attempt retries within one Exchange(). When the cap is
-    // hit the exchange is counted as a timeout and forced through (any
-    // remaining outage is waited out first), so the benign retry path can
-    // no longer spin unboundedly. ReliableChannel enforces its own,
-    // tighter budget on top of single attempts.
-    int32_t max_retries_per_exchange = 64;
   };
 
   // Outcome of a single delivery attempt.
@@ -88,7 +90,7 @@ class SimulatedLink {
   // `request_bytes` up and `response_bytes` down at normalized speed
   // `speed`: one connection latency plus the transfer time of both
   // payloads, plus retry time under loss (bounded by
-  // max_retries_per_exchange). Updates the cumulative counters.
+  // kMaxRetriesPerExchange). Updates the cumulative counters.
   double Exchange(int64_t request_bytes, int64_t response_bytes,
                   double speed);
 
@@ -96,7 +98,6 @@ class SimulatedLink {
   double ExchangeSeconds(int64_t request_bytes, int64_t response_bytes,
                          double speed) const;
 
-  const Options& options() const { return options_; }
   int64_t total_requests() const { return total_requests_; }
   int64_t total_bytes_down() const { return total_bytes_down_; }
   int64_t total_bytes_up() const { return total_bytes_up_; }

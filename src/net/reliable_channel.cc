@@ -8,14 +8,8 @@
 namespace mars::net {
 
 ReliableChannel::ReliableChannel(SimulatedLink* link, Options options)
-    : options_(options), link_(link), rng_(options.seed) {
+    : link_(link), rng_(options.seed) {
   MARS_CHECK(link != nullptr);
-  MARS_CHECK_GT(options.max_attempts, 0);
-  MARS_CHECK_GE(options.base_backoff_seconds, 0.0);
-  MARS_CHECK_GE(options.backoff_multiplier, 1.0);
-  MARS_CHECK_GE(options.max_backoff_seconds, options.base_backoff_seconds);
-  MARS_CHECK_GE(options.jitter_fraction, 0.0);
-  MARS_CHECK_GT(options.deadline_seconds, 0.0);
 }
 
 void ReliableChannel::Defer(double seconds) {
@@ -42,11 +36,11 @@ ReliableChannel::Result ReliableChannel::Exchange(int64_t request_bytes,
   }
 
   // Deadline budget starts after any deferral wait.
-  const double deadline_at = result.seconds + options_.deadline_seconds;
+  const double deadline_at = result.seconds + kDeadlineSeconds;
   int64_t remaining_response = response_bytes;
-  double backoff = options_.base_backoff_seconds;
+  double backoff = kBaseBackoffSeconds;
 
-  while (result.attempts < options_.max_attempts) {
+  while (result.attempts < kMaxAttempts) {
     ++result.attempts;
     const SimulatedLink::AttemptOutcome outcome =
         link_->Attempt(request_bytes, remaining_response, speed);
@@ -75,14 +69,12 @@ ReliableChannel::Result ReliableChannel::Exchange(int64_t request_bytes,
       ++total_failures_;
       return result;
     }
-    if (result.attempts >= options_.max_attempts) break;
+    if (result.attempts >= kMaxAttempts) break;
 
     // Exponential backoff with deterministic jitter before the retry.
-    double wait = std::min(backoff, options_.max_backoff_seconds);
-    if (options_.jitter_fraction > 0.0) {
-      wait *= 1.0 + options_.jitter_fraction * rng_.UniformDouble();
-    }
-    backoff *= options_.backoff_multiplier;
+    double wait = std::min(backoff, kMaxBackoffSeconds);
+    wait *= 1.0 + kJitterFraction * rng_.UniformDouble();
+    backoff *= kBackoffMultiplier;
     link_->Wait(wait);
     result.seconds += wait;
     total_backoff_seconds_ += wait;

@@ -12,7 +12,7 @@ namespace mars::net {
 // Transport wrapper between client and server that turns the raw lossy
 // link into a bounded-effort reliable exchange:
 //
-//   * a bounded retry budget (max_attempts) instead of the raw link's
+//   * a bounded retry budget (kMaxAttempts) instead of the raw link's
 //     retry-forever loop,
 //   * exponential backoff with deterministic jitter between attempts,
 //   * a per-exchange deadline in simulated seconds,
@@ -30,18 +30,19 @@ namespace mars::net {
 // SimulatedLink::Exchange.
 class ReliableChannel {
  public:
+  // Total delivery attempts per exchange (first try + retries).
+  static constexpr int32_t kMaxAttempts = 6;
+  // Backoff before retry k (1-based) is
+  //   min(base * multiplier^(k-1), max) * (1 + jitter * U)
+  // with U uniform in [0, 1) from the channel's own seeded Rng.
+  static constexpr double kBaseBackoffSeconds = 0.1;
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr double kMaxBackoffSeconds = 2.0;
+  static constexpr double kJitterFraction = 0.5;
+  // Budget of simulated seconds per exchange; checked between attempts.
+  static constexpr double kDeadlineSeconds = 30.0;
+
   struct Options {
-    // Total delivery attempts per exchange (first try + retries).
-    int32_t max_attempts = 6;
-    // Backoff before retry k (1-based) is
-    //   min(base * multiplier^(k-1), max) * (1 + jitter * U)
-    // with U uniform in [0, 1) from the channel's own seeded Rng.
-    double base_backoff_seconds = 0.1;
-    double backoff_multiplier = 2.0;
-    double max_backoff_seconds = 2.0;
-    double jitter_fraction = 0.5;
-    // Budget of simulated seconds per exchange; checked between attempts.
-    double deadline_seconds = 30.0;
     uint64_t seed = 2024;
   };
 
@@ -85,7 +86,6 @@ class ReliableChannel {
   void ResetStats();
 
  private:
-  Options options_;
   SimulatedLink* link_;
   common::Rng rng_;
 

@@ -15,12 +15,8 @@ SharedMediumLink::SharedMediumLink(Options options)
     : options_(options), rng_(options.loss_seed) {
   MARS_CHECK_GT(options.cell_bandwidth_kbps, 0.0);
   MARS_CHECK_GT(options.client_bandwidth_kbps, 0.0);
-  MARS_CHECK_GE(options.latency_seconds, 0.0);
-  MARS_CHECK_GE(options.motion_degradation, 0.0);
-  MARS_CHECK_LT(options.motion_degradation, 1.0);
   MARS_CHECK_GE(options.loss_probability, 0.0);
   MARS_CHECK_LT(options.loss_probability, 0.5);
-  MARS_CHECK_GT(options.max_retries_per_transfer, 0);
 }
 
 int64_t SharedMediumLink::Submit(int32_t client, int64_t bytes,
@@ -37,7 +33,7 @@ int64_t SharedMediumLink::Submit(int32_t client, int64_t bytes,
     while (rng_.Bernoulli(p)) {
       carried += rng_.UniformDouble() * static_cast<double>(bytes);
       ++total_retries_;
-      if (++lost >= options_.max_retries_per_transfer) {
+      if (++lost >= kMaxRetriesPerTransfer) {
         ++total_timeouts_;
         break;
       }
@@ -80,17 +76,29 @@ std::vector<SharedMediumLink::Completion> SharedMediumLink::Advance(
   MARS_CHECK_GE(dt, 0.0);
   std::vector<Completion> completions;
   const double target = now_ + dt;
+  Serve(target, &completions);
+  // An idle cell moves straight to the target.
+  if (now_ < target) now_ = target;
+  return completions;
+}
+
+std::vector<SharedMediumLink::Completion> SharedMediumLink::DrainAll() {
+  std::vector<Completion> completions;
+  // Bounded intervals keep every step's target finite; the clock stops
+  // at the last completion, not at the end of an interval.
+  while (in_flight_ > 0) Serve(now_ + 3600.0, &completions);
+  return completions;
+}
+
+void SharedMediumLink::Serve(double target,
+                             std::vector<Completion>* completions) {
   const double cell =
       common::KbpsToBytesPerSecond(options_.cell_bandwidth_kbps);
   const double bearer =
       common::KbpsToBytesPerSecond(options_.client_bandwidth_kbps);
   const bool faulty = fault_ != nullptr && fault_->enabled();
 
-  while (now_ < target) {
-    if (in_flight_ == 0) {
-      now_ = target;
-      break;
-    }
+  while (now_ < target && in_flight_ > 0) {
     // The whole cell stalls during an outage (tunnel, handover): step to
     // the end of the blackout (or the target) without draining.
     if (faulty && fault_->InOutage(now_)) {
@@ -101,12 +109,11 @@ std::vector<SharedMediumLink::Completion> SharedMediumLink::Advance(
       continue;
     }
     if (options_.discipline == Discipline::kWeightedFair) {
-      StepWeightedFair(target, cell, bearer, &completions);
+      StepWeightedFair(target, cell, bearer, completions);
     } else {
-      StepEqualShare(target, cell, bearer, &completions);
+      StepEqualShare(target, cell, bearer, completions);
     }
   }
-  return completions;
 }
 
 void SharedMediumLink::StepWeightedFair(
@@ -159,8 +166,7 @@ void SharedMediumLink::StepWeightedFair(
     Transfer& head = s.cq->queue.front();
     head.remaining_bytes -= s.rate * step;
     if (head.remaining_bytes <= 1e-6) {
-      const double response =
-          now_ - head.submitted_at + options_.latency_seconds;
+      const double response = now_ - head.submitted_at + kLinkLatencySeconds;
       finished.push_back(Finished{
           head.virtual_finish,
           Completion{s.client, head.seq, response,
@@ -227,8 +233,7 @@ void SharedMediumLink::StepEqualShare(double target, double cell,
           std::min(share, bearer * MotionFactor(it->speed)) * scale;
       it->remaining_bytes -= rate * step;
       if (it->remaining_bytes <= 1e-6) {
-        const double response =
-            now_ - it->submitted_at + options_.latency_seconds;
+        const double response = now_ - it->submitted_at + kLinkLatencySeconds;
         completions->push_back(Completion{
             id, it->seq, response, it->submitted_at + response});
         it = cq.queue.erase(it);
@@ -260,15 +265,6 @@ std::vector<SharedMediumLink::Cancelled> SharedMediumLink::CancelClient(
   // The ClientQueue stays (empty) so next_seq keeps counting from where
   // it was — cancelled seqs are never reused.
   return cancelled;
-}
-
-std::vector<SharedMediumLink::Completion> SharedMediumLink::DrainAll() {
-  std::vector<Completion> completions;
-  while (in_flight_ > 0) {
-    const auto batch = Advance(3600.0);
-    completions.insert(completions.end(), batch.begin(), batch.end());
-  }
-  return completions;
 }
 
 }  // namespace mars::net

@@ -58,22 +58,21 @@ class SharedMediumLink {
     kEqualShare,    // legacy per-transfer processor sharing
   };
 
+  // Cap on retransmissions per submission; hitting it counts a timeout
+  // and delivers the transfer without further inflation.
+  static constexpr int32_t kMaxRetriesPerTransfer = 16;
+
   struct Options {
     // Total cell capacity.
     double cell_bandwidth_kbps = 2048.0;
     // Per-client bearer cap (the paper's 256 Kbps). Caps each client's
     // *aggregate* rate across all its inflight transfers.
-    double client_bandwidth_kbps = 256.0;
-    double latency_seconds = 0.2;
-    double motion_degradation = 0.5;
+    double client_bandwidth_kbps = kLinkBandwidthKbps;
     // Probability that a transfer attempt is lost in flight and must be
     // retransmitted; the lost fraction of the payload is re-sent. Loss at
     // speed s is scaled by (1 + s), mirroring SimulatedLink. 0 disables.
     double loss_probability = 0.0;
     uint64_t loss_seed = 1;
-    // Cap on retransmissions per submission; hitting it counts a timeout
-    // and delivers the transfer without further inflation.
-    int32_t max_retries_per_transfer = 16;
     // Service discipline on the cell.
     Discipline discipline = Discipline::kWeightedFair;
   };
@@ -127,7 +126,9 @@ class SharedMediumLink {
   // configured discipline; returns the exchanges that completed.
   std::vector<Completion> Advance(double dt);
 
-  // Drains everything left; returns the remaining completions.
+  // Drains everything left; returns the remaining completions. The clock
+  // stops at the last completion (it does not move if nothing is in
+  // flight).
   std::vector<Completion> DrainAll();
 
   // Removes every queued transfer of `client` (the client was handed
@@ -173,6 +174,10 @@ class SharedMediumLink {
     int64_t next_seq = 0;
   };
 
+  // Serves the queued transfers until the clock reaches `target` or
+  // nothing is in flight, whichever comes first; appends completions.
+  void Serve(double target, std::vector<Completion>* completions);
+
   // One piecewise-constant service interval under the given discipline;
   // appends completions. `target` bounds the interval.
   void StepWeightedFair(double target, double cell, double bearer,
@@ -181,7 +186,7 @@ class SharedMediumLink {
                       std::vector<Completion>* completions);
 
   double MotionFactor(double speed) const {
-    return 1.0 - options_.motion_degradation * speed;
+    return 1.0 - kMotionDegradation * speed;
   }
 
   void FinishTransfer(int32_t client, ClientQueue* cq,

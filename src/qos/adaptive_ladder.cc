@@ -5,16 +5,20 @@
 #include "common/logging.h"
 
 namespace mars::qos {
+namespace {
+
+// Rung 0: the paper's static mapping.
+constexpr SpeedResolutionMap kRungZero;
+
+}  // namespace
 
 AdaptiveLadderPolicy::AdaptiveLadderPolicy(const Options& options)
     : options_(options) {
   MARS_CHECK(options_.ladder_steps >= 1);
-  MARS_CHECK(options_.dwell_micros >= 0);
-  MARS_CHECK(options_.ewma_alpha > 0.0 && options_.ewma_alpha <= 1.0);
 }
 
 double AdaptiveLadderPolicy::MapSpeedToResolution(double speed) const {
-  const double base = options_.speed_map.MapSpeedToResolution(speed);
+  const double base = kRungZero.MapSpeedToResolution(speed);
   const double w =
       step_ == 0
           ? base
@@ -47,14 +51,12 @@ void AdaptiveLadderPolicy::OnDelivered(int64_t bytes, int64_t vtime_micros) {
     goodput_ewma_bps_ =
         goodput_ewma_bps_ < 0.0
             ? inst
-            : (1.0 - options_.ewma_alpha) * goodput_ewma_bps_ +
-                  options_.ewma_alpha * inst;
+            : (1.0 - kEwmaAlpha) * goodput_ewma_bps_ + kEwmaAlpha * inst;
   }
   last_delivery_micros_ = vtime_micros;
 
   const bool dwelled = last_change_micros_ < 0 ||
-                       vtime_micros - last_change_micros_ >=
-                           options_.dwell_micros;
+                       vtime_micros - last_change_micros_ >= kDwellMicros;
   if (!dwelled || goodput_ewma_bps_ < 0.0) return;
 
   if (step_ == 0 &&
@@ -70,11 +72,11 @@ void AdaptiveLadderPolicy::OnDelivered(int64_t bytes, int64_t vtime_micros) {
   }
   const bool backpressure_cleared =
       last_backpressure_micros_ < 0 ||
-      vtime_micros - last_backpressure_micros_ >= options_.dwell_micros;
+      vtime_micros - last_backpressure_micros_ >= kDwellMicros;
   const bool probe_dwelled =
       last_change_micros_ < 0 ||
       vtime_micros - last_change_micros_ >=
-          options_.dwell_micros * static_cast<int64_t>(probe_backoff_);
+          kDwellMicros * static_cast<int64_t>(probe_backoff_);
   if (step_ > 0 && backpressure_cleared && probe_dwelled) {
     // No congestion signal for a full dwell: probe one rung down. The
     // lowered w_min makes the client's next plan a resolution increment
@@ -95,8 +97,7 @@ void AdaptiveLadderPolicy::OnBackpressure(BackpressureKind kind,
                                           int64_t vtime_micros) {
   last_backpressure_micros_ = vtime_micros;
   const bool dwelled = last_change_micros_ < 0 ||
-                       vtime_micros - last_change_micros_ >=
-                           options_.dwell_micros;
+                       vtime_micros - last_change_micros_ >= kDwellMicros;
   if (kind == BackpressureKind::kShed || dwelled) {
     StepUp(vtime_micros);
   }

@@ -22,8 +22,14 @@ namespace mars::qos {
 // and byte-identical at any worker count.
 class AdaptiveLadderPolicy final : public ResolutionPolicy {
  public:
+  // Minimum virtual time between ladder moves. Deferred-verdict climbs and
+  // all descents respect it; a shed climbs immediately (the cell is past
+  // overload, waiting is wrong).
+  static constexpr int64_t kDwellMicros = 2'000'000;
+  // EWMA smoothing for the instantaneous delivery rate.
+  static constexpr double kEwmaAlpha = 0.3;
+
   struct Options {
-    SpeedResolutionMap speed_map;  // rung-0 mapping
     // Rungs above the static mapping. Rung k maps
     // w = base + (1 - base) * k / ladder_steps.
     int32_t ladder_steps = 4;
@@ -34,12 +40,6 @@ class AdaptiveLadderPolicy final : public ResolutionPolicy {
     // they request little — and instead probe one rung down whenever no
     // backpressure has been seen for a dwell.
     double target_goodput_bps = 16.0 * 1024.0;
-    // Minimum virtual time between ladder moves. Deferred-verdict climbs
-    // and all descents respect it; a shed climbs immediately (the cell is
-    // past overload, waiting is wrong).
-    int64_t dwell_micros = 2'000'000;
-    // EWMA smoothing for the instantaneous delivery rate.
-    double ewma_alpha = 0.3;
   };
 
   AdaptiveLadderPolicy() : AdaptiveLadderPolicy(Options{}) {}

@@ -8,10 +8,6 @@ AdmissionController::AdmissionController(Options options)
     : options_(options) {
   MARS_CHECK_GE(options.max_client_backlog_bytes, 0);
   MARS_CHECK_GT(options.max_client_queue_depth, 0);
-  MARS_CHECK_GE(options.overload_backlog_bytes, 0);
-  MARS_CHECK_GE(options.shed_backlog_bytes, options.overload_backlog_bytes);
-  MARS_CHECK_GE(options.defer_backoff_seconds, 0.0);
-  MARS_CHECK_GT(options.max_defers, 0);
 }
 
 AdmissionController::Verdict AdmissionController::Decide(
@@ -22,13 +18,13 @@ AdmissionController::Verdict AdmissionController::Decide(
   const auto defer = [&]() -> Verdict {
     // Linear backoff: each further deferral pushes the retry out.
     return Verdict{Decision::kDefer,
-                   options_.defer_backoff_seconds *
+                   kDeferBackoffSeconds *
                        static_cast<double>(1 + request.prior_defers)};
   };
 
   // Bounded deferral: a request cannot wait forever. Demand traffic is
   // forced through; bulk traffic is shed.
-  if (request.prior_defers >= options_.max_defers) {
+  if (request.prior_defers >= kMaxDefers) {
     if (request.deferrable) return Verdict{Decision::kShed, 0.0};
     return verdict;  // admit
   }
@@ -47,10 +43,10 @@ AdmissionController::Verdict AdmissionController::Decide(
   // Cell-wide overload: deferrable bulk yields first, and is rejected
   // outright past the shed watermark.
   if (request.deferrable) {
-    if (request.cell_backlog_bytes >= options_.shed_backlog_bytes) {
+    if (request.cell_backlog_bytes >= kShedBacklogBytes) {
       return Verdict{Decision::kShed, 0.0};
     }
-    if (request.cell_backlog_bytes >= options_.overload_backlog_bytes) {
+    if (request.cell_backlog_bytes >= kOverloadBacklogBytes) {
       return defer();
     }
   }

@@ -22,7 +22,7 @@ namespace mars::server {
 //     prefetch batches) are deferred, and past the shed watermark they
 //     are rejected outright — the motion-aware clients' tiny demand
 //     exchanges keep flowing;
-//   * bounded deferral: a request deferred more than `max_defers` times
+//   * bounded deferral: a request deferred more than `kMaxDefers` times
 //     is either admitted (non-deferrable demand traffic must eventually
 //     go through) or shed (deferrable bulk), so no client waits forever.
 //
@@ -40,19 +40,20 @@ class AdmissionController {
     kShed,   // reject; the client keeps serving stale data
   };
 
+  // Cell-wide watermarks for deferrable (bulk) traffic.
+  static constexpr int64_t kOverloadBacklogBytes = 512 * 1024;
+  static constexpr int64_t kShedBacklogBytes = 2 * 1024 * 1024;
+  // Backpressure hint: retry after base * (1 + prior_defers) seconds.
+  static constexpr double kDeferBackoffSeconds = 0.5;
+  // A request deferred this many times is admitted (non-deferrable) or
+  // shed (deferrable).
+  static constexpr int32_t kMaxDefers = 8;
+
   struct Options {
     bool enabled = false;
     // Per-client bounds on cell backlog.
     int64_t max_client_backlog_bytes = 128 * 1024;
     int32_t max_client_queue_depth = 4;
-    // Cell-wide watermarks for deferrable (bulk) traffic.
-    int64_t overload_backlog_bytes = 512 * 1024;
-    int64_t shed_backlog_bytes = 2 * 1024 * 1024;
-    // Backpressure hint: retry after base * (1 + prior_defers) seconds.
-    double defer_backoff_seconds = 0.5;
-    // A request deferred this many times is admitted (non-deferrable) or
-    // shed (deferrable).
-    int32_t max_defers = 8;
   };
 
   struct Request {
@@ -63,7 +64,7 @@ class AdmissionController {
     int64_t bytes = 0;
     // Bulk traffic the client can serve stale instead (naive full-object
     // re-retrievals, prefetch batches). Demand exchanges of the
-    // motion-aware clients are not deferrable past max_defers.
+    // motion-aware clients are not deferrable past kMaxDefers.
     bool deferrable = false;
     // Times this request was already deferred.
     int32_t prior_defers = 0;

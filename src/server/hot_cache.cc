@@ -1,24 +1,22 @@
 #include "server/hot_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace mars::server {
 
-HotRecordCache::HotRecordCache(int64_t budget_bytes, int32_t shards)
-    : budget_bytes_(std::max<int64_t>(0, budget_bytes)) {
+HotRecordCache::HotRecordCache(int64_t budget_bytes, int32_t shards) {
+  MARS_CHECK_GT(budget_bytes, 0);
   MARS_CHECK_GE(shards, 1);
+  shard_budget_ = budget_bytes / shards;
   shards_.reserve(static_cast<size_t>(shards));
   for (int32_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  shard_budget_ = budget_bytes_ / shards;
 }
 
 int64_t HotRecordCache::Lookup(index::RecordId id) const {
-  if (!enabled()) return -1;
   const Shard& shard = ShardOf(id);
   const auto it = shard.map.find(id);
   if (it == shard.map.end()) {
@@ -30,7 +28,6 @@ int64_t HotRecordCache::Lookup(index::RecordId id) const {
 }
 
 void HotRecordCache::Touch(index::RecordId id) {
-  if (!enabled()) return;
   Shard& shard = ShardOf(id);
   const auto it = shard.map.find(id);
   if (it == shard.map.end()) return;
@@ -39,7 +36,6 @@ void HotRecordCache::Touch(index::RecordId id) {
 
 void HotRecordCache::Insert(index::RecordId id,
                             std::vector<uint8_t> encoded) {
-  if (!enabled()) return;
   Shard& shard = ShardOf(id);
   const auto it = shard.map.find(id);
   if (it != shard.map.end()) {

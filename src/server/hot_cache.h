@@ -36,9 +36,8 @@ namespace mars::server {
 // other method.
 class HotRecordCache {
  public:
-  // `budget_bytes` caps the summed encoded payload across all partitions
-  // (split evenly); 0 disables the cache (every Lookup misses, Insert is
-  // a no-op).
+  // `budget_bytes` (positive) caps the summed encoded payload across all
+  // partitions (split evenly).
   explicit HotRecordCache(int64_t budget_bytes, int32_t shards = 8);
 
   HotRecordCache(const HotRecordCache&) = delete;
@@ -62,11 +61,9 @@ class HotRecordCache {
   int64_t size_bytes() const;
   int64_t entries() const;
   int64_t evictions() const;
-  bool enabled() const { return budget_bytes_ > 0; }
 
   // Per-partition counter snapshot, indexed by partition. Hits/misses
-  // count Lookup outcomes (a disabled cache counts nothing); evictions
-  // count Insert-driven LRU removals.
+  // count Lookup outcomes; evictions count Insert-driven LRU removals.
   struct ShardStats {
     int32_t shard = 0;
     int64_t hits = 0;
@@ -102,8 +99,7 @@ class HotRecordCache {
     return *shards_[static_cast<size_t>(id) % shards_.size()];
   }
 
-  int64_t budget_bytes_;
-  int64_t shard_budget_;
+  int64_t shard_budget_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

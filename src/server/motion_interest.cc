@@ -41,7 +41,7 @@ storage::InterestGrid MotionInterestTracker::Snapshot() {
       // draws are the same at every snapshot, so they are made once.
       if (client.normals.empty()) {
         const uint64_t stream = static_cast<uint64_t>(client_id + 1);
-        common::Rng rng(options_.seed + 0x9e3779b97f4a7c15ull * stream);
+        common::Rng rng(kSamplerSeed + 0x9e3779b97f4a7c15ull * stream);
         client.normals =
             motion::DrawSampleNormals(options_.probability, rng);
       }

@@ -28,12 +28,14 @@ namespace mars::server {
 // phase or the single-client frame loop).
 class MotionInterestTracker {
  public:
+  // Base seed of the per-client Monte-Carlo samplers.
+  static constexpr uint64_t kSamplerSeed = 0x4d415253504f4f4cull;
+
   struct Options {
     // Interest-grid resolution over the dataset's ground bounds.
     int32_t grid_nx = 16;
     int32_t grid_ny = 16;
     motion::GridProbabilityOptions probability;
-    uint64_t seed = 0x4d415253504f4f4cull;  // deterministic sampling
   };
 
   MotionInterestTracker(const geometry::Box2& space, Options options);
@@ -43,7 +45,7 @@ class MotionInterestTracker {
 
   // Aggregates every client's discounted block-visit probabilities into
   // one field. Deterministic: clients iterate in ascending id and the
-  // Monte-Carlo sampler is seeded per client from the tracker's base seed,
+  // Monte-Carlo sampler is seeded per client from kSamplerSeed,
   // so a client's field is a pure function of its observation history.
   // Each field is therefore kept until the client's next Observe, and a
   // snapshot recomputes only the clients observed since the last one.

@@ -70,19 +70,16 @@ common::StatusOr<server::ObjectDatabase> GenerateScene(
     }
   }
   common::ZipfSampler zipf(std::max<int32_t>(options.zipf_clusters, 1),
-                           options.zipf_skew);
+                           kZipfSkew);
 
   for (int32_t i = 0; i < options.object_count; ++i) {
     common::Rng object_rng = rng.Fork();
 
     // Footprint and height.
-    const double w =
-        object_rng.Uniform(options.min_footprint, options.max_footprint);
-    const double d =
-        object_rng.Uniform(options.min_footprint, options.max_footprint);
-    const double h =
-        object_rng.Uniform(options.min_height, options.max_height);
-    mesh::Mesh base = mesh::MakeBuilding(w, d, h, h * options.roof_fraction);
+    const double w = object_rng.Uniform(kMinFootprint, kMaxFootprint);
+    const double d = object_rng.Uniform(kMinFootprint, kMaxFootprint);
+    const double h = object_rng.Uniform(kMinHeight, kMaxHeight);
+    mesh::Mesh base = mesh::MakeBuilding(w, d, h, h * kRoofFraction);
 
     // World placement.
     Vec2 pos;
@@ -103,8 +100,8 @@ common::StatusOr<server::ObjectDatabase> GenerateScene(
     base.Translate(Vec3{pos.x, pos.y, 0.0});
 
     const mesh::Mesh fine =
-        MakeFineMesh(base, options.levels, options.displacement_amplitude,
-                     options.displacement_decay, object_rng);
+        MakeFineMesh(base, options.levels, kDisplacementAmplitude,
+                     kDisplacementDecay, object_rng);
     auto decomposed = wavelet::Decompose(fine, base, options.levels);
     if (!decomposed.ok()) return decomposed.status();
     db.AddObject(std::move(decomposed).value());

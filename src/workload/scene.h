@@ -16,6 +16,20 @@ enum class Placement {
   kZipf,  // objects concentrate around Zipf-weighted cluster centers
 };
 
+// Skew of the Zipf weights over the cluster centers (Placement::kZipf).
+inline constexpr double kZipfSkew = 0.9;
+// Building dimensions (meters).
+inline constexpr double kMinFootprint = 25.0;
+inline constexpr double kMaxFootprint = 60.0;
+inline constexpr double kMinHeight = 15.0;
+inline constexpr double kMaxHeight = 60.0;
+inline constexpr double kRoofFraction = 0.3;  // roof height / wall height
+// Displacement noise: odd vertices of level j move by about
+// amplitude · decay^j meters, so coarse levels carry large coefficients
+// and fine levels small ones.
+inline constexpr double kDisplacementAmplitude = 3.0;
+inline constexpr double kDisplacementDecay = 0.45;
+
 // Configuration of the synthetic augmented-reality city scene: procedural
 // building meshes, subdivided and displaced to create multi-level detail,
 // then wavelet-decomposed. With the defaults each object carries ~200 KB
@@ -25,26 +39,13 @@ struct SceneOptions {
   geometry::Box2 space = geometry::MakeBox2(0, 0, 10000, 10000);
   int32_t object_count = 300;
   Placement placement = Placement::kUniform;
-  double zipf_skew = 0.9;
   int32_t zipf_clusters = 16;
   // Cluster spread (standard deviation, meters) for Zipf placement.
   double cluster_spread = 400.0;
 
-  // Building dimensions (meters).
-  double min_footprint = 25.0;
-  double max_footprint = 60.0;
-  double min_height = 15.0;
-  double max_height = 60.0;
-  double roof_fraction = 0.3;  // roof height / wall height
-
   // Wavelet decomposition levels J; coefficients per object grow 4× per
   // level (21 · 4^j for the building base mesh).
   int32_t levels = 4;
-  // Displacement noise: odd vertices of level j move by about
-  // amplitude · decay^j meters, so coarse levels carry large coefficients
-  // and fine levels small ones.
-  double displacement_amplitude = 3.0;
-  double displacement_decay = 0.45;
 
   uint64_t seed = 42;
 };

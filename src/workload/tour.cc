@@ -12,6 +12,19 @@ namespace {
 
 using geometry::Vec2;
 
+// World speed (m/s) corresponding to normalized speed 1.0.
+constexpr double kMaxSpeedMps = 15.0;
+// Trams: meters between turns, drawn uniformly in [min, max]; meters
+// between stops; relative speed noise.
+constexpr double kTramSegmentMin = 400.0;
+constexpr double kTramSegmentMax = 900.0;
+constexpr double kTramStopEvery = 350.0;
+constexpr double kTramSpeedJitter = 0.05;
+// Pedestrians: heading drift (radians per frame) and relative speed
+// noise.
+constexpr double kWalkHeadingSigma = 0.35;
+constexpr double kWalkSpeedJitter = 0.25;
+
 // Reflects `p` into `space`, flipping the heading components that caused
 // the excursion.
 void ReflectIntoSpace(const geometry::Box2& space, Vec2* p,
@@ -58,9 +71,8 @@ std::vector<TourPoint> GenerateTour(const TourOptions& options) {
                        : rng.Uniform(0, 2 * M_PI);
 
   double covered = 0.0;
-  double segment_left =
-      rng.Uniform(options.tram_segment_min, options.tram_segment_max);
-  double next_stop_in = options.tram_stop_every;
+  double segment_left = rng.Uniform(kTramSegmentMin, kTramSegmentMax);
+  double next_stop_in = kTramStopEvery;
   int32_t stop_frames_left = 0;
   double time = 0.0;
 
@@ -74,19 +86,18 @@ std::vector<TourPoint> GenerateTour(const TourOptions& options) {
         --stop_frames_left;
         speed = 0.001;  // dwell at a stop (minimum normalized speed)
       } else {
-        speed *= 1.0 + rng.Normal(0.0, options.tram_speed_jitter);
+        speed *= 1.0 + rng.Normal(0.0, kTramSpeedJitter);
       }
     } else {
-      speed *= 1.0 + rng.Normal(0.0, options.walk_speed_jitter);
-      heading += rng.Normal(0.0, options.walk_heading_sigma);
+      speed *= 1.0 + rng.Normal(0.0, kWalkSpeedJitter);
+      heading += rng.Normal(0.0, kWalkHeadingSigma);
     }
     speed = std::clamp(speed, 0.001, 1.0);
 
     tour.push_back(TourPoint{pos, speed, time});
 
     // Advance.
-    const double step =
-        speed * options.max_speed_mps * options.frame_interval;
+    const double step = speed * kMaxSpeedMps * options.frame_interval;
     pos += Vec2{std::cos(heading), std::sin(heading)} * step;
     ReflectIntoSpace(options.space, &pos, &heading);
     covered += step;
@@ -98,12 +109,11 @@ std::vector<TourPoint> GenerateTour(const TourOptions& options) {
       if (segment_left <= 0.0) {
         // Right-angle turn at an intersection.
         heading += (rng.Bernoulli(0.5) ? 1.0 : -1.0) * (M_PI / 2.0);
-        segment_left =
-            rng.Uniform(options.tram_segment_min, options.tram_segment_max);
+        segment_left = rng.Uniform(kTramSegmentMin, kTramSegmentMax);
       }
       if (next_stop_in <= 0.0) {
         stop_frames_left = options.tram_stop_frames;
-        next_stop_in = options.tram_stop_every;
+        next_stop_in = kTramStopEvery;
       }
     }
 
@@ -115,8 +125,6 @@ std::vector<TourPoint> GenerateTour(const TourOptions& options) {
 GroupTourGenerator::GroupTourGenerator(const Options& options)
     : options_(options), base_(GenerateTour(options.base)) {
   MARS_CHECK_GE(options.members, 1);
-  MARS_CHECK_GE(options.position_jitter_m, 0.0);
-  MARS_CHECK_GE(options.speed_jitter, 0.0);
 }
 
 std::vector<TourPoint> GroupTourGenerator::Tour(int32_t member) const {
@@ -131,7 +139,7 @@ std::vector<TourPoint> GroupTourGenerator::Tour(int32_t member) const {
   // Bounded random-walk offset: each frame the member drifts by a small
   // step and the offset is pulled back inside the jitter envelope, so the
   // group stays tight around the shared trajectory for the whole run.
-  const double radius = options_.position_jitter_m;
+  const double radius = kGroupPositionJitterM;
   const double step_sigma = radius * 0.2;
   Vec2 offset{rng.Uniform(-radius, radius) * 0.5,
               rng.Uniform(-radius, radius) * 0.5};
@@ -146,7 +154,7 @@ std::vector<TourPoint> GroupTourGenerator::Tour(int32_t member) const {
     point.position.y = std::clamp(point.position.y,
                                   options_.base.space.lo(1),
                                   options_.base.space.hi(1));
-    point.speed *= 1.0 + rng.Normal(0.0, options_.speed_jitter);
+    point.speed *= 1.0 + rng.Normal(0.0, kGroupSpeedJitter);
     point.speed = std::clamp(point.speed, 0.001, 1.0);
   }
   return tour;

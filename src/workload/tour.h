@@ -35,8 +35,6 @@ struct TourOptions {
   // varies slightly around it ("the speed of the clients may also slightly
   // vary at different parts of a tour", Sec. VII-C).
   double target_speed = 0.5;
-  // World speed (m/s) corresponding to normalized speed 1.0.
-  double max_speed_mps = 15.0;
   // Seconds between query frames.
   double frame_interval = 1.0;
   // Number of frames; ignored when `distance` > 0.
@@ -45,17 +43,8 @@ struct TourOptions {
   // the "clients traveling similar distances at varying speeds" setup of
   // Fig. 8.
   double distance = -1.0;
-
-  // Tram parameters.
-  double tram_segment_min = 400.0;   // meters between turns
-  double tram_segment_max = 900.0;
-  double tram_stop_every = 350.0;    // meters between stops
-  int32_t tram_stop_frames = 2;      // frames spent (nearly) stopped
-  double tram_speed_jitter = 0.05;   // relative speed noise
-
-  // Pedestrian parameters.
-  double walk_heading_sigma = 0.35;  // radians per frame
-  double walk_speed_jitter = 0.25;   // relative speed noise
+  // Frames a tram spends (nearly) stopped at each stop.
+  int32_t tram_stop_frames = 2;
 
   uint64_t seed = 7;
 };
@@ -64,12 +53,19 @@ struct TourOptions {
 // the boundary).
 std::vector<TourPoint> GenerateTour(const TourOptions& options);
 
+// Maximum distance (meters) a group member strays from the group's base
+// trajectory; the per-frame drift step is a fraction of it.
+inline constexpr double kGroupPositionJitterM = 25.0;
+// Relative per-frame speed noise of a member around the base point's
+// speed.
+inline constexpr double kGroupSpeedJitter = 0.05;
+
 // Co-moving group (tour buses): N clients share ONE base trajectory —
 // generated from `base` exactly as GenerateTour would — and each member
 // rides a seeded per-member jittered copy of it: a bounded random-walk
 // position offset (seat positions drifting within the vehicle's envelope)
 // plus relative speed noise. Member tours therefore stay within
-// ~position_jitter_m of each other for the whole run — the co-moving,
+// ~kGroupPositionJitterM of each other for the whole run — the co-moving,
 // overlapping-window workload that exercises cross-client coalescing
 // beyond co-located spawns.
 //
@@ -80,11 +76,6 @@ class GroupTourGenerator {
   struct Options {
     TourOptions base;
     int32_t members = 1;
-    // Maximum distance (meters) a member strays from the base trajectory;
-    // the per-frame drift step is a fraction of it.
-    double position_jitter_m = 25.0;
-    // Relative per-frame speed noise around the base point's speed.
-    double speed_jitter = 0.05;
   };
 
   explicit GroupTourGenerator(const Options& options);

@@ -51,6 +51,39 @@ expect_usage_error run --handover-blackout 1
 expect_usage_error run --handover-dwell 2
 expect_usage_error run --weights 1,1,1
 if "$BIN_DIR/tools/mars_sim" info --db /nonexistent 2>/dev/null; then exit 1; fi
+# A bad number exits 2, and the first line of stderr names its flag.
+expect_flag_error() {
+  flag="$1"
+  shift
+  status=0
+  "$BIN_DIR/tools/mars_sim" "$@" >/dev/null 2>"$TMP/err" || status=$?
+  if [ "$status" -ne 2 ] || ! head -n 1 "$TMP/err" | grep -q -- "^$flag "; then
+    echo "expected exit 2 naming $flag, got $status: mars_sim $*" >&2
+    head -n 1 "$TMP/err" >&2
+    exit 1
+  fi
+}
+# A number is the whole argument, and a real is finite.
+expect_flag_error --seed run --objects 5 --frames 3 --clients 2 --seed 5x
+expect_flag_error --workers run --objects 5 --frames 3 --clients 2 \
+    --workers abc
+expect_flag_error --frames run --objects 5 --frames 3.5
+expect_flag_error --frames run --objects 5 --frames 99999999999999999999
+expect_flag_error --speed run --objects 5 --frames 3 --speed 0.5x
+expect_flag_error --speed run --objects 5 --frames 3 --speed inf
+expect_flag_error --speed run --objects 5 --frames 3 --speed nan
+expect_flag_error --loss run --objects 5 --frames 3 --loss ""
+# Thread, shard-file and cell counts are bounded. The large values are
+# rejected while parsing; a build without the bounds would start that
+# many threads or open that many files, so run these only against a
+# binary that has them.
+expect_flag_error --workers run --workers 0
+expect_flag_error --workers run --workers 100000
+expect_flag_error --fanout-workers run --fanout-workers 100000
+expect_flag_error --warm-workers run --warm-workers 100000
+expect_flag_error --shards run --shards 100000
+expect_flag_error --max-shards run --max-shards 100000
+expect_flag_error --cells run --cells 100000
 # The usage text is generated from the flag table: every flag is listed.
 usage="$("$BIN_DIR/tools/mars_sim" 2>&1 || true)"
 for flag in --warm --warm-budget --pool-pages --abr-target; do

@@ -95,7 +95,6 @@ TEST(DistanceRingsTest, RandomizedTilingProperty) {
   for (int trial = 0; trial < 100; ++trial) {
     DistanceRingOptions options;
     options.rings = static_cast<int32_t>(rng.UniformInt(1, 6));
-    options.falloff = rng.Uniform(0.2, 1.0);
     const double x0 = rng.Uniform(0, 100), y0 = rng.Uniform(0, 100);
     const Box2 window =
         MakeBox2(x0, y0, x0 + rng.Uniform(1, 50), y0 + rng.Uniform(1, 50));

@@ -188,7 +188,7 @@ TEST(LinkFaultTest, AttemptDuringOutageFailsFast) {
   const auto outcome = link.Attempt(100, 32000, 0.0);
   EXPECT_FALSE(outcome.delivered);
   // A failed connection costs one latency, no transfer.
-  EXPECT_DOUBLE_EQ(outcome.seconds, link.options().latency_seconds);
+  EXPECT_DOUBLE_EQ(outcome.seconds, net::kLinkLatencySeconds);
   EXPECT_DOUBLE_EQ(outcome.fraction_received, 0.0);
   EXPECT_EQ(link.total_retries(), 1);
   EXPECT_EQ(link.total_requests(), 0);
@@ -197,19 +197,22 @@ TEST(LinkFaultTest, AttemptDuringOutageFailsFast) {
 TEST(LinkFaultTest, ExchangeRetryCapCountsTimeoutsAndTerminates) {
   net::SimulatedLink::Options options;
   options.loss_probability = 0.45;
-  options.max_retries_per_exchange = 3;
   options.loss_seed = 17;
   net::SimulatedLink link(options);
-  for (int i = 0; i < 200; ++i) {
-    const double seconds = link.Exchange(100, 4000, 0.0);
+  // At full speed an attempt is lost with p = 0.9.
+  constexpr int kExchanges = 5000;
+  for (int i = 0; i < kExchanges; ++i) {
+    const double seconds = link.Exchange(100, 400, 1.0);
     EXPECT_TRUE(std::isfinite(seconds));
     EXPECT_GT(seconds, 0.0);
   }
   // Every exchange is eventually forced through.
-  EXPECT_EQ(link.total_requests(), 200);
-  // p(3 straight losses) = 0.45^3 ≈ 9%: the cap fires sometimes.
+  EXPECT_EQ(link.total_requests(), kExchanges);
+  // p(64 straight losses) = 0.9^64 ≈ 0.12%: the cap fires a few times.
   EXPECT_GT(link.total_timeouts(), 0);
-  EXPECT_LT(link.total_timeouts(), 100);
+  EXPECT_LT(link.total_timeouts(), 50);
+  EXPECT_LE(link.total_retries(),
+            int64_t{kExchanges} * net::SimulatedLink::kMaxRetriesPerExchange);
   EXPECT_GT(link.total_retries(), 0);
   link.ResetStats();
   EXPECT_EQ(link.total_timeouts(), 0);
@@ -267,41 +270,34 @@ TEST(ReliableChannelTest, FailsBoundedlyDuringLongOutage) {
   ASSERT_TRUE(
       WaitUntil(&link, [&] { return fault.InOutage(link.now()); }));
 
-  net::ReliableChannel::Options co;
-  co.max_attempts = 4;
-  co.deadline_seconds = 1e9;  // budget, not deadline, is the binding limit
-  net::ReliableChannel channel(&link, co);
+  // Every attempt fails fast, so the budget, not the deadline, binds.
+  net::ReliableChannel channel(&link, net::ReliableChannel::Options());
   const double before = link.now();
   const auto result = channel.Exchange(100, 32000, 0.0);
   EXPECT_TRUE(result.failed());
   EXPECT_EQ(result.status.code(), common::StatusCode::kResourceExhausted);
-  EXPECT_EQ(result.attempts, 4);
-  EXPECT_EQ(result.retries, 4);
-  // Bounded: 4 fast failures plus three backoffs, nowhere near the
+  EXPECT_EQ(result.attempts, net::ReliableChannel::kMaxAttempts);
+  EXPECT_EQ(result.retries, net::ReliableChannel::kMaxAttempts);
+  // Bounded: six fast failures plus five backoffs, nowhere near the
   // outage's length.
-  EXPECT_LT(link.now() - before, 30.0);
+  EXPECT_LT(link.now() - before, net::ReliableChannel::kDeadlineSeconds);
   EXPECT_EQ(channel.total_failures(), 1);
 }
 
 TEST(ReliableChannelTest, DeadlineFailureReportsInternal) {
-  net::FaultSchedule::Options fo;
-  fo.outage_rate_per_hour = 1200.0;
-  fo.outage_mean_seconds = 1e6;
-  fo.seed = 5;
-  net::FaultSchedule fault(fo);
-  net::SimulatedLink link;
-  link.AttachFaultSchedule(&fault);
-  ASSERT_TRUE(
-      WaitUntil(&link, [&] { return fault.InOutage(link.now()); }));
-
-  net::ReliableChannel::Options co;
-  co.max_attempts = 1000;
-  co.deadline_seconds = 2.0;
-  net::ReliableChannel channel(&link, co);
-  const auto result = channel.Exchange(100, 32000, 0.0);
+  // A 4 MB response takes over four minutes at full speed, so the lost
+  // attempts (p = 0.9 at full speed) outlast the deadline long before
+  // the budget is spent.
+  net::SimulatedLink::Options options;
+  options.loss_probability = 0.45;
+  options.loss_seed = 5;
+  net::SimulatedLink link(options);
+  net::ReliableChannel channel(&link, net::ReliableChannel::Options());
+  const auto result = channel.Exchange(100, 4'000'000, 1.0);
   EXPECT_TRUE(result.failed());
   EXPECT_EQ(result.status.code(), common::StatusCode::kInternal);
-  EXPECT_LT(result.attempts, 1000);
+  EXPECT_LT(result.attempts, net::ReliableChannel::kMaxAttempts);
+  EXPECT_GE(result.seconds, net::ReliableChannel::kDeadlineSeconds);
 }
 
 TEST(ReliableChannelTest, PartialTransferResumeSavesBytes) {
@@ -328,7 +324,6 @@ TEST(SharedLinkFaultTest, LossInflatesCarriedBytesBoundedly) {
   net::SharedMediumLink::Options options;
   options.loss_probability = 0.4;
   options.loss_seed = 31;
-  options.max_retries_per_transfer = 8;
   net::SharedMediumLink lossy(options);
   net::SharedMediumLink clean;
   for (int i = 0; i < 50; ++i) {
@@ -384,11 +379,13 @@ class FaultE2ETest : public ::testing::Test {
   }
 
   // An aggressive schedule: outages arrive every ~4 s (mean) and last
-  // ~3 s, so a multi-frame run sees several connect/disconnect cycles.
+  // ~8 s, longer than a channel spends on its six attempts and backoffs
+  // (about 5 s), so a multi-frame run sees several failed exchanges and
+  // recoveries.
   net::FaultSchedule::Options HarshOutages() const {
     net::FaultSchedule::Options fo;
     fo.outage_rate_per_hour = 900.0;
-    fo.outage_mean_seconds = 3.0;
+    fo.outage_mean_seconds = 8.0;
     fo.seed = 4;
     return fo;
   }
@@ -408,8 +405,6 @@ TEST_F(FaultE2ETest, StreamingSessionNeverDesyncs) {
 
   client::StreamingClient::Options options;
   options.query_fraction = 0.2;
-  options.channel.max_attempts = 2;
-  options.channel.deadline_seconds = 8.0;
   client::StreamingClient cl(options, space_, server_.get(), &link);
 
   std::unordered_set<index::RecordId> installed;
@@ -479,10 +474,7 @@ TEST_F(FaultE2ETest, StreamingReconnectRecoversLostRegion) {
   net::SimulatedLink faulty_link(lo);
   net::FaultSchedule fault(HarshOutages());
   faulty_link.AttachFaultSchedule(&fault);
-  client::StreamingClient::Options faulty_options = options;
-  faulty_options.channel.max_attempts = 2;
-  client::StreamingClient faulty(faulty_options, space_, server_.get(),
-                                 &faulty_link);
+  client::StreamingClient faulty(options, space_, server_.get(), &faulty_link);
   std::unordered_set<index::RecordId> faulty_records;
   std::unordered_set<index::RecordId> needed_after_recovery;
   int failures = 0;
@@ -519,8 +511,6 @@ TEST_F(FaultE2ETest, BufferedClientDegradesAndRecovers) {
 
   client::BufferedClient::Options options;
   options.query_fraction = 0.2;
-  options.channel.max_attempts = 2;
-  options.channel.deadline_seconds = 8.0;
   client::BufferedClient cl(options, space_, server_.get(), &link);
 
   int64_t demand_after_recovery = 0;

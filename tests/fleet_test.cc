@@ -209,14 +209,6 @@ TEST(HotRecordCacheTest, LookupIsReadOnlyAndLruEvicts) {
   EXPECT_EQ(cache.Lookup(2), 4);
 }
 
-TEST(HotRecordCacheTest, ZeroBudgetDisables) {
-  server::HotRecordCache cache(0);
-  EXPECT_FALSE(cache.enabled());
-  cache.Insert(1, std::vector<uint8_t>(4, 0));
-  EXPECT_EQ(cache.Lookup(1), -1);
-  EXPECT_EQ(cache.entries(), 0);
-}
-
 // ---------------------------------------------------------------------------
 // FleetEngine
 
@@ -419,11 +411,8 @@ TEST_F(FleetEngineTest, ClientBehaviourIndependentOfFleetSize) {
   const std::vector<fleet::ClientSpec> six =
       fleet::FleetEngine::MakeMixedFleet(6, /*frames=*/20, /*speed=*/0.5,
                                          /*seed=*/0);
-  // Disable the hot cache so per-client hit counters match too (cache
-  // contents legitimately depend on the co-resident clients).
   fleet::FleetOptions options;
   options.workers = 2;
-  options.hot_cache_bytes = 0;
 
   fleet::FleetEngine solo_engine(
       *system_, options, std::vector<fleet::ClientSpec>{six[1]});
@@ -460,9 +449,7 @@ TEST_F(FleetEngineTest, HotCacheServesOverlappingClients) {
     // hits require the first twin's commit to land first.
     specs[static_cast<size_t>(i)].start_offset_seconds = 0.25 * i;
   }
-  fleet::FleetOptions options;
-  options.hot_cache_bytes = 4 * 1024 * 1024;
-  fleet::FleetEngine engine(*system_, options, std::move(specs));
+  fleet::FleetEngine engine(*system_, fleet::FleetOptions(), std::move(specs));
   const fleet::FleetResult result = engine.Run();
   EXPECT_GT(result.hot_misses, 0);
   // Clients 1 and 2 ride on client 0's encodings.
@@ -473,13 +460,12 @@ TEST_F(FleetEngineTest, HotCacheServesOverlappingClients) {
   EXPECT_GT(result.clients[2].hot_hits, 0);
 }
 
-// Degraded fleet: 5% loss on both the private bearers and the cell, plus
-// a cell outage schedule, must still complete every frame with bounded
-// retries (no hang) and deterministic accounting.
+// Degraded fleet: 5% loss on the cell, plus a cell outage schedule, must
+// still complete every frame with bounded retries (no hang) and
+// deterministic accounting.
 TEST_F(FleetEngineTest, LossyFleetCompletesWithBoundedRetries) {
   fleet::FleetOptions options;
   options.workers = 4;
-  options.client_link.loss_probability = 0.05;
   options.cell.loss_probability = 0.05;
   options.cell_fault.outage_rate_per_hour = 60.0;
   options.cell_fault.outage_mean_seconds = 5.0;
@@ -497,9 +483,10 @@ TEST_F(FleetEngineTest, LossyFleetCompletesWithBoundedRetries) {
   }
   // Retries happened but stayed bounded by the per-exchange budgets.
   EXPECT_GT(result.aggregate.retries + result.cell_retries, 0);
-  // The run drained in finite virtual time.
+  // The run drained within half a minute of its last frame.
   EXPECT_GT(result.virtual_seconds, 0.0);
-  EXPECT_LT(result.virtual_seconds, 10000.0);
+  EXPECT_LT(result.virtual_seconds,
+            kFrames * options.frame_interval_seconds + 30.0);
 
   // And the degraded run is just as deterministic: replay serially.
   fleet::FleetOptions serial = options;
@@ -527,10 +514,6 @@ TEST_F(FleetEngineTest, AdmissionShedsOnlyBulkAndStaysDeterministic) {
     options.admission.enabled = true;
     options.admission.max_client_backlog_bytes = 8 * 1024;
     options.admission.max_client_queue_depth = 2;
-    options.admission.overload_backlog_bytes = 16 * 1024;
-    options.admission.shed_backlog_bytes = 48 * 1024;
-    options.admission.defer_backoff_seconds = 0.25;
-    options.admission.max_defers = 3;
     return options;
   };
   auto make_specs = [&] {
@@ -552,7 +535,10 @@ TEST_F(FleetEngineTest, AdmissionShedsOnlyBulkAndStaysDeterministic) {
   EXPECT_GT(result.deferred_exchanges, 0);
   EXPECT_GT(result.shed_exchanges, 0);
   EXPECT_GT(result.admitted_exchanges, 0);
-  EXPECT_GT(result.peak_cell_backlog_bytes, 0);
+  // The starved cell's backlog passes the overload watermark, so bulk
+  // traffic also defers for the cell's sake, not only its own budget.
+  EXPECT_GE(result.peak_cell_backlog_bytes,
+            server::AdmissionController::kOverloadBacklogBytes);
   // Aggregate metrics agree with the controller's own totals.
   EXPECT_EQ(result.aggregate.deferred_exchanges, result.deferred_exchanges);
   EXPECT_EQ(result.aggregate.shed_exchanges, result.shed_exchanges);
@@ -1089,24 +1075,23 @@ TEST_F(FleetEngineTest, StrandedWaitersReissueUnderRollingOutages) {
 }
 
 // group_member = -1 (the default) must stay a strict passthrough to the
-// historical independent tour.
+// historical independent tour: clients that share a tour seed all ride it
+// unjittered, so they query and receive exactly the same.
 TEST_F(FleetEngineTest, UngroupedSpecIsStrictPassthrough) {
-  auto run = [&](bool touch_defaults) {
-    std::vector<fleet::ClientSpec> specs = GroupFleet(3, 15);
-    for (fleet::ClientSpec& spec : specs) {
-      spec.group_member = -1;
-      if (touch_defaults) {
-        // Group knobs are inert while group_member is -1.
-        spec.group_position_jitter_m = 500.0;
-        spec.group_speed_jitter = 0.5;
-      }
-    }
-    fleet::FleetOptions options;
-    options.workers = 2;
-    fleet::FleetEngine engine(*system_, options, std::move(specs));
-    return FleetJson(engine.Run());
-  };
-  EXPECT_EQ(run(false), run(true));
+  std::vector<fleet::ClientSpec> specs = GroupFleet(3, 15);
+  for (fleet::ClientSpec& spec : specs) spec.group_member = -1;
+  fleet::FleetOptions options;
+  options.workers = 2;
+  fleet::FleetEngine engine(*system_, options, std::move(specs));
+  const fleet::FleetResult result = engine.Run();
+  ASSERT_EQ(result.clients.size(), 3u);
+  const core::RunMetrics& first = result.clients[0].metrics;
+  EXPECT_GT(first.records_delivered, 0);
+  for (const fleet::ClientResult& client : result.clients) {
+    EXPECT_EQ(client.metrics.records_delivered, first.records_delivered);
+    EXPECT_EQ(client.metrics.node_accesses, first.node_accesses);
+    EXPECT_EQ(client.metrics.demand_bytes, first.demand_bytes);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -435,9 +435,8 @@ BlockProbabilities ReferenceBlockProbabilities(
     const double l11 = std::sqrt(std::max(pred.cov_xx, 1e-12));
     const double l21 = pred.cov_xy / l11;
     const double l22 = std::sqrt(std::max(pred.cov_yy - l21 * l21, 1e-12));
-    const double sample_weight =
-        weight / static_cast<double>(options.samples_per_step);
-    for (int32_t s = 0; s < options.samples_per_step; ++s) {
+    const double sample_weight = weight / static_cast<double>(kSamplesPerStep);
+    for (int32_t s = 0; s < kSamplesPerStep; ++s) {
       const double z1 = rng.Normal();
       const double z2 = rng.Normal();
       const geometry::Vec2 p{pred.mean.x + l11 * z1,
@@ -543,7 +542,7 @@ std::vector<double> DrawnOneByOne(const GridProbabilityOptions& options,
                                   common::Rng& rng) {
   std::vector<double> normals;
   for (int32_t step = 0; step < options.horizon; ++step) {
-    for (int32_t s = 0; s < options.samples_per_step; ++s) {
+    for (int32_t s = 0; s < kSamplesPerStep; ++s) {
       normals.push_back(rng.Normal());  // x
       normals.push_back(rng.Normal());  // y
     }
@@ -572,7 +571,6 @@ TEST(GridProbabilityTest, SpanAndGeneratorFormsAgree) {
                                      20, 20);
   GridProbabilityOptions point;
   point.horizon = 12;
-  point.samples_per_step = 24;
   GridProbabilityOptions frame = point;
   frame.frame_half_width = 80;
   frame.frame_half_height = 40;

@@ -19,9 +19,8 @@ TEST(SimClockTest, AdvancesMonotonically) {
 }
 
 TEST(LinkTest, DefaultsMatchPaperSetup) {
-  SimulatedLink link;
-  EXPECT_DOUBLE_EQ(link.options().bandwidth_kbps, 256.0);
-  EXPECT_DOUBLE_EQ(link.options().latency_seconds, 0.2);
+  EXPECT_DOUBLE_EQ(kLinkBandwidthKbps, 256.0);
+  EXPECT_DOUBLE_EQ(kLinkLatencySeconds, 0.2);
 }
 
 TEST(LinkTest, StationaryBandwidth) {
@@ -77,16 +76,6 @@ TEST(LinkTest, CountersAccumulate) {
   EXPECT_EQ(link.total_requests(), 0);
   EXPECT_EQ(link.total_bytes_down(), 0);
   EXPECT_DOUBLE_EQ(link.total_seconds(), 0.0);
-}
-
-TEST(LinkTest, CustomOptions) {
-  SimulatedLink::Options options;
-  options.bandwidth_kbps = 1000.0;
-  options.latency_seconds = 0.05;
-  options.motion_degradation = 0.0;
-  SimulatedLink link(options);
-  EXPECT_DOUBLE_EQ(link.UsableBandwidth(1.0), 125000.0);
-  EXPECT_NEAR(link.ExchangeSeconds(0, 125000, 1.0), 1.05, 1e-12);
 }
 
 // --- Loss injection -------------------------------------------------------
@@ -175,17 +164,15 @@ TEST(SharedLinkTest, EarlyFinisherFreesCapacity) {
   SharedMediumLink::Options options;
   options.cell_bandwidth_kbps = 512.0;  // 64 KB/s cell
   options.client_bandwidth_kbps = 512.0;
-  options.latency_seconds = 0.0;
-  options.motion_degradation = 0.0;
   SharedMediumLink cell(options);
   cell.Submit(0, 32000, 0.0);  // short
   cell.Submit(1, 64000, 0.0);  // long
   const auto done = cell.DrainAll();
   ASSERT_EQ(done.size(), 2u);
   // Shared at 32 KB/s each: client 0 done at t=1. Client 1 then has
-  // 32000 left at full 64 KB/s: done at t=1.5.
-  EXPECT_NEAR(done[0].response_seconds, 1.0, 1e-6);
-  EXPECT_NEAR(done[1].response_seconds, 1.5, 1e-6);
+  // 32000 left at full 64 KB/s: done at t=1.5. Each adds the latency.
+  EXPECT_NEAR(done[0].response_seconds, 1.0 + kLinkLatencySeconds, 1e-6);
+  EXPECT_NEAR(done[1].response_seconds, 1.5 + kLinkLatencySeconds, 1e-6);
 }
 
 TEST(SharedLinkTest, AdvanceIsIncremental) {
@@ -199,13 +186,24 @@ TEST(SharedLinkTest, AdvanceIsIncremental) {
   EXPECT_NEAR(cell.now(), 3.0, 1e-9);
 }
 
+TEST(SharedLinkTest, DrainStopsTheClockAtTheLastCompletion) {
+  SharedMediumLink cell;
+  cell.Submit(0, 32000, 0.0);  // 1 s at the bearer rate
+  EXPECT_TRUE(cell.Advance(0.5).empty());
+  const auto done = cell.DrainAll();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_NEAR(cell.now(), 1.0, 1e-9);
+  EXPECT_NEAR(done[0].finish_seconds, 1.0 + kLinkLatencySeconds, 1e-9);
+  // Draining an idle cell leaves its clock where it is.
+  EXPECT_TRUE(cell.DrainAll().empty());
+  EXPECT_NEAR(cell.now(), 1.0, 1e-9);
+}
+
 TEST(SharedLinkTest, QueueingDelaysLateComers) {
   // A saturated cell: submissions pile up and later ones wait longer.
   SharedMediumLink::Options options;
   options.cell_bandwidth_kbps = 256.0;
   options.client_bandwidth_kbps = 256.0;
-  options.latency_seconds = 0.0;
-  options.motion_degradation = 0.0;
   SharedMediumLink cell(options);
   cell.Submit(0, 32000, 0.0);
   cell.Submit(1, 32000, 0.0);
@@ -214,7 +212,7 @@ TEST(SharedLinkTest, QueueingDelaysLateComers) {
   ASSERT_EQ(done.size(), 3u);
   // Processor sharing: all three finish together at 3 s.
   for (const auto& c : done) {
-    EXPECT_NEAR(c.response_seconds, 3.0, 1e-6);
+    EXPECT_NEAR(c.response_seconds, 3.0 + kLinkLatencySeconds, 1e-6);
   }
 }
 
@@ -255,8 +253,6 @@ TEST(SharedLinkWfqTest, PerClientQueueIsFifo) {
   SharedMediumLink::Options options;
   options.cell_bandwidth_kbps = 2048.0;
   options.client_bandwidth_kbps = 256.0;  // 32 KB/s bearer
-  options.latency_seconds = 0.0;
-  options.motion_degradation = 0.0;
   SharedMediumLink cell(options);
   // One client, two concurrent transfers: WFQ serves the head only, at
   // the bearer rate — the second waits its turn.
@@ -264,21 +260,19 @@ TEST(SharedLinkWfqTest, PerClientQueueIsFifo) {
   cell.Submit(0, 32000, 0.0);
   const auto done = cell.DrainAll();
   ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(done[0].response_seconds, 1.0, 1e-6);
-  EXPECT_NEAR(done[1].response_seconds, 2.0, 1e-6);
+  EXPECT_NEAR(done[0].response_seconds, 1.0 + kLinkLatencySeconds, 1e-6);
+  EXPECT_NEAR(done[1].response_seconds, 2.0 + kLinkLatencySeconds, 1e-6);
 }
 
 TEST(SharedLinkWfqTest, GreedyBacklogCannotStarveOthers) {
   SharedMediumLink::Options options;
   options.cell_bandwidth_kbps = 512.0;    // 64 KB/s
   options.client_bandwidth_kbps = 512.0;  // bearer never binds
-  options.latency_seconds = 0.0;
-  options.motion_degradation = 0.0;
   SharedMediumLink cell(options);
   // Greedy client 0 stacks ten 64000-byte transfers. Client 1 submits
   // one small exchange a second later and still receives its full half
-  // of the cell: 32000 bytes at 32 KB/s = 1 s delivery. (Equal-share
-  // would give it 1/11 of the cell — about 5.5 s.)
+  // of the cell: 32000 bytes at 32 KB/s = 1 s delivery, plus the
+  // latency. (Equal-share would give it 1/11 of the cell — about 5.5 s.)
   for (int i = 0; i < 10; ++i) cell.Submit(0, 64000, 0.0);
   const auto early = cell.Advance(1.0);
   ASSERT_EQ(early.size(), 1u);  // greedy's head drained alone
@@ -288,13 +282,11 @@ TEST(SharedLinkWfqTest, GreedyBacklogCannotStarveOthers) {
   for (const auto& c : done) {
     if (c.client == 1) client1_response = c.response_seconds;
   }
-  EXPECT_NEAR(client1_response, 1.0, 1e-6);
+  EXPECT_NEAR(client1_response, 1.0 + kLinkLatencySeconds, 1e-6);
 }
 
 TEST(SharedLinkWfqTest, BacklogObservability) {
   SharedMediumLink::Options options;
-  options.latency_seconds = 0.0;
-  options.motion_degradation = 0.0;
   SharedMediumLink cell(options);
   cell.Submit(0, 32000, 0.0);
   cell.Submit(0, 16000, 0.0);
@@ -336,8 +328,6 @@ TEST(SharedLinkEqualShareTest, AggregateBearerCapAcrossTransfers) {
   options.discipline = SharedMediumLink::Discipline::kEqualShare;
   options.cell_bandwidth_kbps = 2048.0;
   options.client_bandwidth_kbps = 256.0;  // 32 KB/s bearer
-  options.latency_seconds = 0.0;
-  options.motion_degradation = 0.0;
   SharedMediumLink cell(options);
   // Regression: one client with two concurrent 32000-byte transfers may
   // carry 32 KB/s in aggregate — both drain at t = 2.0 s. The old model
@@ -347,8 +337,8 @@ TEST(SharedLinkEqualShareTest, AggregateBearerCapAcrossTransfers) {
   cell.Submit(0, 32000, 0.0);
   const auto done = cell.DrainAll();
   ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(done[0].response_seconds, 2.0, 1e-6);
-  EXPECT_NEAR(done[1].response_seconds, 2.0, 1e-6);
+  EXPECT_NEAR(done[0].response_seconds, 2.0 + kLinkLatencySeconds, 1e-6);
+  EXPECT_NEAR(done[1].response_seconds, 2.0 + kLinkLatencySeconds, 1e-6);
 }
 
 TEST(SharedLinkEqualShareTest, GreedyClientDrownsNeighbour) {
@@ -358,8 +348,6 @@ TEST(SharedLinkEqualShareTest, GreedyClientDrownsNeighbour) {
   options.discipline = SharedMediumLink::Discipline::kEqualShare;
   options.cell_bandwidth_kbps = 512.0;    // 64 KB/s
   options.client_bandwidth_kbps = 512.0;  // bearer never binds
-  options.latency_seconds = 0.0;
-  options.motion_degradation = 0.0;
   SharedMediumLink cell(options);
   for (int i = 0; i < 7; ++i) cell.Submit(0, 64000, 0.0);
   cell.Submit(1, 32000, 0.0);
@@ -393,8 +381,6 @@ TEST(SharedLinkCancelTest, CancelReturnsQueueInSubmissionOrder) {
   SharedMediumLink::Options options;
   options.cell_bandwidth_kbps = 256.0;
   options.client_bandwidth_kbps = 256.0;
-  options.latency_seconds = 0.0;
-  options.motion_degradation = 0.0;
   SharedMediumLink cell(options);
   cell.Submit(0, 32000, 0.0);
   cell.Submit(1, 32000, 0.0);

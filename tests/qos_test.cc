@@ -88,10 +88,12 @@ TEST(StaticPolicyTest, PassthroughAndInertFeedback) {
 // ---------------------------------------------------------------------------
 // AdaptiveLadderPolicy
 
+// The ladder's dwell: the tests' timelines are written in units of it.
+constexpr int64_t kDwell = qos::AdaptiveLadderPolicy::kDwellMicros;
+
 qos::AdaptiveLadderPolicy::Options LadderOptions(int32_t steps) {
   qos::AdaptiveLadderPolicy::Options options;
   options.ladder_steps = steps;
-  options.dwell_micros = kSecond;
   options.target_goodput_bps = 1000.0;
   return options;
 }
@@ -120,33 +122,33 @@ TEST(AdaptiveLadderTest, DeferredClimbRespectsDwellShedDoesNot) {
   policy.OnBackpressure(qos::BackpressureKind::kDefer, 100);
   EXPECT_EQ(policy.ladder_step(), 1);
   // A second deferral inside the dwell window is absorbed.
-  policy.OnBackpressure(qos::BackpressureKind::kDefer, 100 + kSecond / 2);
+  policy.OnBackpressure(qos::BackpressureKind::kDefer, 100 + kDwell / 2);
   EXPECT_EQ(policy.ladder_step(), 1);
   // A shed climbs immediately regardless of the dwell.
-  policy.OnBackpressure(qos::BackpressureKind::kShed, 100 + kSecond / 2 + 1);
+  policy.OnBackpressure(qos::BackpressureKind::kShed, 100 + kDwell / 2 + 1);
   EXPECT_EQ(policy.ladder_step(), 2);
   // Once the dwell elapses, a deferral climbs again.
-  policy.OnBackpressure(qos::BackpressureKind::kDefer, 100 + 3 * kSecond);
+  policy.OnBackpressure(qos::BackpressureKind::kDefer, 100 + 3 * kDwell);
   EXPECT_EQ(policy.ladder_step(), 3);
 }
 
 TEST(AdaptiveLadderTest, StarvationClimbsOnlyFromRungZero) {
   qos::AdaptiveLadderPolicy policy(LadderOptions(4));
-  // Two deliveries establish a goodput EWMA of ~10 B/s, far below the
+  // Two deliveries establish a goodput EWMA of ~5 B/s, far below the
   // 500 B/s starvation threshold: the ladder climbs off rung 0 without
   // any admission verdict.
-  policy.OnDelivered(10, 1 * kSecond);
+  policy.OnDelivered(10, 1 * kDwell);
   EXPECT_EQ(policy.ladder_step(), 0);  // no EWMA sample yet
-  policy.OnDelivered(10, 2 * kSecond);
+  policy.OnDelivered(10, 2 * kDwell);
   EXPECT_EQ(policy.ladder_step(), 1);
   EXPECT_GT(policy.snapshot().goodput_ewma_bps, 0.0);
   // Above rung 0 the same starving goodput does NOT climb further — a
   // coarse rung's goodput is structurally low because it requests
   // little. (The delivery lands inside the backpressure-clear window of
   // a fresh shed so the descent probe cannot fire either.)
-  policy.OnBackpressure(qos::BackpressureKind::kShed, 3 * kSecond);
+  policy.OnBackpressure(qos::BackpressureKind::kShed, 3 * kDwell);
   EXPECT_EQ(policy.ladder_step(), 2);
-  policy.OnDelivered(10, 3 * kSecond + kSecond / 2);
+  policy.OnDelivered(10, 3 * kDwell + kDwell / 2);
   EXPECT_EQ(policy.ladder_step(), 2);
   EXPECT_EQ(policy.snapshot().step_ups, 2);
 }
@@ -155,27 +157,27 @@ TEST(AdaptiveLadderTest, ProbeDownBacksOffExponentiallyAndResets) {
   qos::AdaptiveLadderPolicy policy(LadderOptions(4));
   // Two immediate sheds: rung 2.
   policy.OnBackpressure(qos::BackpressureKind::kShed, 0);
-  policy.OnBackpressure(qos::BackpressureKind::kShed, 100'000);
+  policy.OnBackpressure(qos::BackpressureKind::kShed, kDwell / 10);
   ASSERT_EQ(policy.ladder_step(), 2);
   // Seed the EWMA, then deliver with backpressure clear for a full
   // dwell: the ladder probes one rung down.
-  policy.OnDelivered(10, 200'000);
-  policy.OnDelivered(10, 1'200'000);
+  policy.OnDelivered(10, kDwell / 5);
+  policy.OnDelivered(10, kDwell * 12 / 10);
   EXPECT_EQ(policy.ladder_step(), 1);
   EXPECT_EQ(policy.snapshot().top_ups, 1);
   // The probe fails — the wider band draws a deferral — so the ladder
   // climbs back AND doubles the probe backoff.
-  policy.OnBackpressure(qos::BackpressureKind::kDefer, 2'300'000);
+  policy.OnBackpressure(qos::BackpressureKind::kDefer, kDwell * 23 / 10);
   ASSERT_EQ(policy.ladder_step(), 2);
   // One dwell after the failed probe is no longer enough to probe again…
-  policy.OnDelivered(10, 3'400'000);
+  policy.OnDelivered(10, kDwell * 34 / 10);
   EXPECT_EQ(policy.ladder_step(), 2);
   // …but two dwells are.
-  policy.OnDelivered(10, 4'400'000);
+  policy.OnDelivered(10, kDwell * 44 / 10);
   EXPECT_EQ(policy.ladder_step(), 1);
   // This probe holds (no backpressure follows), so the next descent —
   // still at the doubled spacing — resets the backoff to 1.
-  policy.OnDelivered(10, 6'500'000);
+  policy.OnDelivered(10, kDwell * 65 / 10);
   EXPECT_EQ(policy.ladder_step(), 0);
   EXPECT_EQ(policy.snapshot().top_ups, 3);
 }

@@ -115,13 +115,14 @@ TEST(SemanticCacheTest, MultipleHistoryRegionsAllHelp) {
 }
 
 TEST(SemanticCacheTest, EvictionForgetsOldRegions) {
-  SemanticCache::Options options;
-  options.max_entries = 2;
-  SemanticCache cache(options);
-  cache.PlanAndInsert(MakeBox2(0, 0, 10, 10), 0.5);    // will be evicted
-  cache.PlanAndInsert(MakeBox2(20, 0, 30, 10), 0.5);
-  cache.PlanAndInsert(MakeBox2(40, 0, 50, 10), 0.5);
-  EXPECT_EQ(cache.entry_count(), 2u);
+  SemanticCache cache;
+  // kMaxEntries + 1 disjoint regions: the first is evicted.
+  for (int32_t i = 0; i <= SemanticCache::kMaxEntries; ++i) {
+    const double x0 = 20.0 * i;
+    cache.PlanAndInsert(MakeBox2(x0, 0, x0 + 10, 10), 0.5);
+  }
+  EXPECT_EQ(cache.entry_count(),
+            static_cast<size_t>(SemanticCache::kMaxEntries));
   const auto plan = cache.PlanAndInsert(MakeBox2(0, 0, 10, 10), 0.5);
   EXPECT_FALSE(plan.empty());  // the first region was forgotten
 }
@@ -142,12 +143,13 @@ class SemanticCachePropertyTest : public ::testing::TestWithParam<int> {};
 TEST_P(SemanticCachePropertyTest, PlannedVolumeMatchesOracle) {
   common::Rng rng(GetParam());
   const Box2 space = MakeBox2(0, 0, 64, 64);
-  SemanticCache::Options options;
-  options.max_entries = 1000;  // no eviction: the oracle never forgets
-  SemanticCache cache(options);
+  // Fewer queries than entries: no eviction, so the oracle never forgets.
+  constexpr int kQueries = 40;
+  static_assert(kQueries <= SemanticCache::kMaxEntries);
+  SemanticCache cache;
   LatticeOracle oracle(space, 64);
 
-  for (int q = 0; q < 40; ++q) {
+  for (int q = 0; q < kQueries; ++q) {
     // Lattice-aligned windows so the point-sample oracle is exact.
     const double x0 = rng.UniformInt(0, 48);
     const double y0 = rng.UniformInt(0, 48);

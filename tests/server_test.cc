@@ -280,10 +280,6 @@ AdmissionController::Options AdmissionOptions() {
   options.enabled = true;
   options.max_client_backlog_bytes = 1000;
   options.max_client_queue_depth = 2;
-  options.overload_backlog_bytes = 5000;
-  options.shed_backlog_bytes = 10000;
-  options.defer_backoff_seconds = 0.5;
-  options.max_defers = 3;
   return options;
 }
 
@@ -317,7 +313,8 @@ TEST(AdmissionTest, DefersClientOverByteBudget) {
   request.client_backlog_bytes = 500;  // 500 + 600 > 1000
   const auto verdict = admission.Decide(request);
   EXPECT_EQ(verdict.decision, AdmissionController::Decision::kDefer);
-  EXPECT_DOUBLE_EQ(verdict.retry_after_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(verdict.retry_after_seconds,
+                   AdmissionController::kDeferBackoffSeconds);
   // Unknown size (0) is admitted against the byte bound.
   request.bytes = 0;
   EXPECT_EQ(admission.Decide(request).decision,
@@ -339,13 +336,15 @@ TEST(AdmissionTest, BackoffGrowsLinearly) {
   request.prior_defers = 2;
   const auto verdict = admission.Decide(request);
   EXPECT_EQ(verdict.decision, AdmissionController::Decision::kDefer);
-  EXPECT_DOUBLE_EQ(verdict.retry_after_seconds, 1.5);  // 0.5 * (1 + 2)
+  EXPECT_DOUBLE_EQ(verdict.retry_after_seconds,
+                   AdmissionController::kDeferBackoffSeconds * (1 + 2));
 }
 
 TEST(AdmissionTest, OverloadDefersOnlyBulk) {
   AdmissionController admission(AdmissionOptions());
   AdmissionController::Request request;
-  request.cell_backlog_bytes = 6000;  // past overload, below shed
+  // Past overload, below shed.
+  request.cell_backlog_bytes = AdmissionController::kOverloadBacklogBytes;
   request.deferrable = true;
   EXPECT_EQ(admission.Decide(request).decision,
             AdmissionController::Decision::kDefer);
@@ -358,7 +357,7 @@ TEST(AdmissionTest, OverloadDefersOnlyBulk) {
 TEST(AdmissionTest, ShedsBulkPastShedWatermark) {
   AdmissionController admission(AdmissionOptions());
   AdmissionController::Request request;
-  request.cell_backlog_bytes = 10000;
+  request.cell_backlog_bytes = AdmissionController::kShedBacklogBytes;
   request.deferrable = true;
   EXPECT_EQ(admission.Decide(request).decision,
             AdmissionController::Decision::kShed);
@@ -371,7 +370,7 @@ TEST(AdmissionTest, DeferralIsBounded) {
   AdmissionController admission(AdmissionOptions());
   AdmissionController::Request request;
   request.client_queue_depth = 100;  // would defer forever
-  request.prior_defers = 3;          // hit max_defers
+  request.prior_defers = AdmissionController::kMaxDefers;
   // Non-deferrable demand is forced through; bulk is shed.
   EXPECT_EQ(admission.Decide(request).decision,
             AdmissionController::Decision::kAdmit);
@@ -553,7 +552,6 @@ TEST(InflightTableTest, DisabledTableIsInert) {
 
 TEST(HotRecordCacheTest, PerShardStatsCountHitsAndMisses) {
   HotRecordCache cache(/*budget_bytes=*/1 << 20, /*shards=*/4);
-  ASSERT_TRUE(cache.enabled());
   cache.Insert(1, {uint8_t{1}, uint8_t{2}});
   EXPECT_EQ(cache.Lookup(1), 2);   // hit
   EXPECT_EQ(cache.Lookup(1), 2);   // hit
@@ -835,7 +833,8 @@ class ReferenceInterest {
         static_cast<size_t>(options.grid_nx) * options.grid_ny, 0.0);
     for (const auto& [id, predictor] : predictors_) {
       const uint64_t stream = static_cast<uint64_t>(id + 1);
-      common::Rng rng(options.seed + 0x9e3779b97f4a7c15ull * stream);
+      common::Rng rng(MotionInterestTracker::kSamplerSeed +
+                      0x9e3779b97f4a7c15ull * stream);
       const auto probs = motion::ComputeBlockProbabilities(
           predictor, grid, options.probability, rng);
       for (const auto& [block, p] : probs) {

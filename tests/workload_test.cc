@@ -35,10 +35,9 @@ TEST(SceneTest, ObjectsStayInsideSpace) {
     for (const auto& bounds : db->object_bounds()) {
       // Displacement noise can push support regions slightly past the
       // footprint; allow a small margin.
-      EXPECT_GE(bounds.lo(0), -options.displacement_amplitude * 2);
+      EXPECT_GE(bounds.lo(0), -kDisplacementAmplitude * 2);
       EXPECT_LE(bounds.hi(0),
-                2000 + options.max_footprint +
-                    options.displacement_amplitude * 2);
+                2000 + kMaxFootprint + kDisplacementAmplitude * 2);
     }
   }
 }
@@ -108,7 +107,6 @@ TEST(SceneTest, ZipfPlacementClusters) {
   SceneOptions options;
   options.object_count = 60;
   options.levels = 1;
-  options.zipf_skew = 1.2;
   options.placement = Placement::kUniform;
   auto uniform = GenerateScene(options);
   options.placement = Placement::kZipf;
@@ -319,7 +317,6 @@ TEST(GroupTourTest, MembersJitterAroundSharedBase) {
   options.base.frames = 200;
   options.base.seed = 9;
   options.members = 4;
-  options.position_jitter_m = 25.0;
   const GroupTourGenerator group(options);
   const auto& base = group.base();
   ASSERT_EQ(base.size(), 200u);
@@ -331,7 +328,7 @@ TEST(GroupTourTest, MembersJitterAroundSharedBase) {
       // jitter radius (boundary clamping only pulls positions inward).
       const double dx = tour[i].position.x - base[i].position.x;
       const double dy = tour[i].position.y - base[i].position.y;
-      EXPECT_LE(std::hypot(dx, dy), options.position_jitter_m + 1e-9);
+      EXPECT_LE(std::hypot(dx, dy), kGroupPositionJitterM + 1e-9);
       // Still a valid tour: inside the space, speeds in range, shared
       // frame clock.
       EXPECT_GE(tour[i].position.x, options.base.space.lo(0));
@@ -351,22 +348,6 @@ TEST(GroupTourTest, MembersJitterAroundSharedBase) {
     differs = !(first[i].position == second[i].position);
   }
   EXPECT_TRUE(differs);
-}
-
-TEST(GroupTourTest, ZeroJitterRidesTheBaseExactly) {
-  GroupTourGenerator::Options options;
-  options.base.frames = 80;
-  options.position_jitter_m = 0.0;
-  options.speed_jitter = 0.0;
-  options.members = 2;
-  const GroupTourGenerator group(options);
-  const auto tour = group.Tour(1);
-  const auto& base = group.base();
-  ASSERT_EQ(tour.size(), base.size());
-  for (size_t i = 0; i < tour.size(); ++i) {
-    EXPECT_EQ(tour[i].position, base[i].position);
-    EXPECT_DOUBLE_EQ(tour[i].speed, base[i].speed);
-  }
 }
 
 }  // namespace

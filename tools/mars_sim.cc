@@ -16,9 +16,9 @@
 //   mars_sim run --mb 20 --clients 32 --workers 8 --frames 120
 //   mars_sim run --mb 20 --clients 12 --cells 4 --cell-outage-rate 60
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -58,19 +58,26 @@ struct Options {
 
 // How a flag's value parses: a switch takes none, text is kept as given,
 // a choice must be one of the '|'-separated words of its hint, and a
-// number parses like atoll (kInt) or atof (kReal) and must lie in range.
+// number must be the whole argument, an integer (kInt) or a finite real
+// (kReal), and must lie in range.
 enum class Kind { kSwitch, kText, kChoice, kInt, kReal };
 
 // A number's valid values: at least `lo` (above it when `lo_open`) and
-// below `hi`. The default admits every value.
+// below `hi` (at most `hi` when `hi_closed`). The default admits every
+// value.
 struct Range {
   double lo = -std::numeric_limits<double>::infinity();
   bool lo_open = false;
   double hi = std::numeric_limits<double>::infinity();
+  bool hi_closed = false;
 };
 constexpr Range AtLeast(double lo) { return {lo, false}; }
 constexpr Range Above(double lo) { return {lo, true}; }
 constexpr Range Within(double lo, double hi) { return {lo, false, hi}; }
+// Counts of threads, shard page files and cells: each one costs an
+// operating-system thread, an open file or a simulated cell, so each is
+// capped.
+constexpr Range kCountRange = {1, false, 256, true};
 
 struct Arg {
   std::string_view text;
@@ -166,11 +173,11 @@ constexpr Flag kFlags[] = {
     {"clients", Kind::kInt, "N", "> 1 runs a mixed fleet on a shared cell",
      {}, [](Options& o, Arg a) { o.clients = a.i; }},
     {"workers", Kind::kInt, "N", "fleet threads; output is the same at any",
-     {}, [](Options& o, Arg a) { o.fleet.workers = a.i; }},
-    {"shards", Kind::kInt, "K", "coefficient index shards", AtLeast(1),
+     kCountRange, [](Options& o, Arg a) { o.fleet.workers = a.i; }},
+    {"shards", Kind::kInt, "K", "coefficient index shards", kCountRange,
      [](Options& o, Arg a) { o.system.shards = a.i; }},
     {"fanout-workers", Kind::kInt, "N", "threads querying the shards",
-     AtLeast(1), [](Options& o, Arg a) { o.system.fanout_workers = a.i; }},
+     kCountRange, [](Options& o, Arg a) { o.system.fanout_workers = a.i; }},
     {"fairness", Kind::kChoice, "wfq|equal",
      "cell discipline: fair queuing or per-transfer share", {},
      [](Options& o, Arg a) {
@@ -183,7 +190,7 @@ constexpr Flag kFlags[] = {
     {"coalesce", Kind::kChoice, "on|off", "cross-client request coalescing",
      {}, [](Options& o, Arg a) { o.fleet.coalesce.enabled = a.text == "on"; }},
     {"cells", Kind::kInt, "K", "radio cells tiling the ground plane",
-     AtLeast(1), [](Options& o, Arg a) { o.fleet.cells = a.i; }},
+     kCountRange, [](Options& o, Arg a) { o.fleet.cells = a.i; }},
     {"cell-outage-rate", Kind::kReal, "R",
      "outages per hour per cell, over --outage-rate", AtLeast(0.0),
      [](Options& o, Arg a) { o.cell_outage_rate = a.d; }},
@@ -208,7 +215,7 @@ constexpr Flag kFlags[] = {
      [](Options& o, Arg a) { o.system.storage.warm = a.text == "on"; }},
     {"warm-budget", Kind::kInt, "N", "pages warmed per tick", AtLeast(1),
      [](Options& o, Arg a) { o.system.storage.warm_budget = a.i; }},
-    {"warm-workers", Kind::kInt, "N", "warming I/O threads", AtLeast(1),
+    {"warm-workers", Kind::kInt, "N", "warming I/O threads", kCountRange,
      [](Options& o, Arg a) { o.system.storage.warm_workers = a.i; }},
     {"rebalance", Kind::kChoice, "on|off", "load-adaptive shard split/merge",
      {},
@@ -221,7 +228,7 @@ constexpr Flag kFlags[] = {
     {"merge-factor", Kind::kReal, "F", "merge below F x fair share",
      Within(0.0, 1.0),
      [](Options& o, Arg a) { o.system.rebalance.merge_factor = a.d; }},
-    {"max-shards", Kind::kInt, "K", "cap on shard slots", AtLeast(1),
+    {"max-shards", Kind::kInt, "K", "cap on shard slots", kCountRange,
      [](Options& o, Arg a) { o.system.rebalance.max_shards = a.i; }},
     {"abr", Kind::kChoice, "on|off", "adaptive resolution ladder", {},
      [](Options& o, Arg a) { o.fleet.abr.enabled = a.text == "on"; }},
@@ -236,7 +243,8 @@ constexpr Flag kFlags[] = {
 bool Bounded(const Range& r) { return !std::isinf(r.lo); }
 
 bool InRange(const Range& r, double v) {
-  return (r.lo_open ? v > r.lo : v >= r.lo) && v < r.hi;
+  return (r.lo_open ? v > r.lo : v >= r.lo) &&
+         (r.hi_closed ? v <= r.hi : v < r.hi);
 }
 
 std::string RangeText(const Range& r) {
@@ -244,9 +252,22 @@ std::string RangeText(const Range& r) {
   if (std::isinf(r.hi)) {
     std::snprintf(text, sizeof(text), "%s %g", r.lo_open ? ">" : ">=", r.lo);
   } else {
-    std::snprintf(text, sizeof(text), "in [%g, %g)", r.lo, r.hi);
+    std::snprintf(text, sizeof(text), "in [%g, %g%c", r.lo, r.hi,
+                  r.hi_closed ? ']' : ')');
   }
   return text;
+}
+
+// Parses all of `text` as the number a kInt or kReal flag takes.
+bool ParseNumber(Kind kind, std::string_view text, Arg* arg) {
+  const char* const first = text.data();
+  const char* const last = first + text.size();
+  if (kind == Kind::kInt) {
+    const auto [end, error] = std::from_chars(first, last, arg->i);
+    return error == std::errc() && end == last;
+  }
+  const auto [end, error] = std::from_chars(first, last, arg->d);
+  return error == std::errc() && end == last && std::isfinite(arg->d);
 }
 
 bool IsChoice(std::string_view words, std::string_view text) {
@@ -310,7 +331,14 @@ bool ParseFlags(int argc, char** argv, Options* o) {
         std::fprintf(stderr, "missing value for --%s\n", flag->name);
         return false;
       }
-      arg = Arg{argv[i], std::atoll(argv[i]), std::atof(argv[i])};
+      arg.text = argv[i];
+    }
+    const bool number = flag->kind == Kind::kInt || flag->kind == Kind::kReal;
+    if (number && !ParseNumber(flag->kind, arg.text, &arg)) {
+      std::fprintf(stderr, "--%s wants %s, got '%s'\n", flag->name,
+                   flag->kind == Kind::kInt ? "an integer" : "a finite number",
+                   argv[i]);
+      return false;
     }
     if (flag->kind == Kind::kChoice && !IsChoice(flag->hint, arg.text)) {
       std::fprintf(stderr, "--%s wants %s\n", flag->name, flag->hint);
