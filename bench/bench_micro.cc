@@ -5,8 +5,9 @@
 // that dominate a buffered client's frame and the server's interest
 // refresh (predicted paths, block probabilities, prefetch plans, interest
 // snapshots), the disk fleet's hot path (the wire encoding of a
-// response, the pool's prefetch-candidate scan, a page file's
-// store/load/erase and paged-tree queries through warm and cold pools),
+// response, the pool's prefetch-candidate scan, the page checksum, a
+// shard's directory fingerprint, a page file's store/load/erase and
+// paged-tree queries through warm and cold pools),
 // and the shared cell's per-tick work (a WFQ Advance over a backlogged
 // fleet and the coalescing table's probe). These are not paper figures;
 // they document the substrate costs behind the figure benches.
@@ -30,6 +31,7 @@
 #include "geometry/rect_diff.h"
 #include "index/access.h"
 #include "index/rtree.h"
+#include "index/sharded_index.h"
 #include "mesh/primitives.h"
 #include "mesh/subdivide.h"
 #include "motion/grid_probability.h"
@@ -365,7 +367,7 @@ void BM_PoolPrefetchCandidates(benchmark::State& state) {
     pool.SetPageRegion(id, geometry::MakeBox2(x, y, x + rng.Uniform(20, 200),
                                               y + rng.Uniform(20, 200)));
   }
-  std::vector<uint8_t> out;
+  storage::PageBytes out;
   for (int i = 0; i < kResident; ++i) {
     if (!pool.Fetch(i * (kPages / kResident), &out).ok()) {
       state.SkipWithError("page fetch failed");
@@ -389,10 +391,62 @@ void BM_PoolPrefetchCandidates(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolPrefetchCandidates);
 
+// The checksum a page file verifies on every page read and computes on
+// every page write. Arg bytes: 1,141, what a full node page of the 3-D
+// index checks (16 page-header bytes and a 1,125-byte payload), or 4,088,
+// a 4 KB page with a full 4,072-byte payload. Arg word_lanes 1 is the
+// page file's PageChecksum; 0 is byte-wise FNV-1a, the checksum of
+// version 1 page files, over the same bytes.
+void BM_PageChecksum(benchmark::State& state) {
+  std::vector<uint8_t> bytes(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  const bool word_lanes = state.range(1) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytes.data());
+    const uint64_t sum =
+        word_lanes ? storage::PageChecksum(bytes.data(), bytes.size())
+                   : storage::Fnv1a64(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PageChecksum)
+    ->ArgNames({"bytes", "word_lanes"})
+    ->ArgsProduct({{1141, 4088}, {0, 1}});
+
+// The fingerprint a shard directory records, over 67,000 records, about
+// one disk_motion shard. A split computes two of them over the whole
+// shard, and set-up one per shard.
+void BM_ShardFingerprint(benchmark::State& state) {
+  constexpr int64_t kRecords = 67000;
+  common::Rng rng(18);
+  std::vector<index::CoeffRecord> table;
+  std::vector<index::RecordId> ids;
+  for (int64_t i = 0; i < kRecords; ++i) {
+    index::CoeffRecord r;
+    r.object_id = static_cast<int32_t>(i / 1800);
+    r.coeff_id = static_cast<int32_t>(i % 1800);
+    r.w = rng.UniformDouble();
+    const geometry::Box3 box = RandomBox3(rng);
+    r.position = {box.lo(0), box.lo(1), 0.0};
+    r.support_bounds = box;
+    table.push_back(r);
+    ids.push_back(i);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index::FingerprintTable(table, ids));
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+}
+BENCHMARK(BM_ShardFingerprint);
+
 // One 1.1 KB node (an R*-tree page of the 3-D index) stored, loaded and
-// erased through a page file of 4 KB pages: two page writes, two page
-// reads and a page-header write. The file lives in the temp directory and
-// is removed at the end.
+// erased through a page file of 4 KB pages: a page write, a page read,
+// and the page-header write that frees the page (Erase follows the chain
+// link the store kept, so it reads nothing). The file lives in the temp
+// directory and is removed at the end.
 void BM_DiskPageRoundTrip(benchmark::State& state) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
@@ -427,8 +481,9 @@ BENCHMARK(BM_DiskPageRoundTrip);
 
 // Window queries of a 10,000-entry paged R*-tree (4 KB pages) through a
 // buffer pool. Arg 0: a warm pool holding every page, so each node access
-// is a hit. Arg 1: a cold pool of one page, so nearly every access reads
-// and decodes its page from the store.
+// is a hit that decodes the pool's own buffer in place. Arg 1: a cold
+// pool of one page, so nearly every access reads its page from the store
+// into a new buffer first.
 void BM_PagedTreeQuery(benchmark::State& state) {
   common::Rng rng(15);
   std::vector<index::RTree3::Entry> entries;

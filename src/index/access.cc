@@ -1,6 +1,8 @@
 #include "index/access.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -20,25 +22,68 @@ std::vector<RecordId> AllIds(size_t n) {
   return ids;
 }
 
-// Node page payload:
+// Node page payload, in host byte order (common::ByteWriter's):
 //   u8  is_leaf
 //   u32 count
 //   then `count` of either
-//     leaf:     Box3 (6 doubles) + i64 record id
-//     internal: child MBR Box3 (6 doubles) + i64 child head page id
+//     leaf:     Box3 (6 doubles: lo, then hi) + i64 record id
+//     internal: child MBR Box3 (6 doubles: lo, then hi) + i64 child head
+//               page id
+constexpr size_t kNodeHeadBytes = 5;
+constexpr size_t kNodeEntryBytes = 7 * sizeof(double);
+
 void WriteBox3(common::ByteWriter* w, const geometry::Box3& box) {
   for (size_t k = 0; k < 3; ++k) w->WriteDouble(box.lo(k));
   for (size_t k = 0; k < 3; ++k) w->WriteDouble(box.hi(k));
 }
 
-common::Status ReadBox3(common::ByteReader* r, geometry::Box3* box) {
-  double lo[3];
-  double hi[3];
-  for (double& v : lo) MARS_RETURN_IF_ERROR(r->ReadDouble(&v));
-  for (double& v : hi) MARS_RETURN_IF_ERROR(r->ReadDouble(&v));
-  *box = geometry::Box3({lo[0], lo[1], lo[2]}, {hi[0], hi[1], hi[2]});
-  return common::OkStatus();
-}
+// The one reader of node pages: a view of a page's bytes, decoded in
+// place. Entries are fixed-width, so Open checks the size once and the
+// entry reads are plain memcpy within it.
+class NodePageReader {
+ public:
+  // Fails unless `bytes` is exactly a head and `count` entries.
+  common::Status Open(const std::vector<uint8_t>& bytes) {
+    if (bytes.size() < kNodeHeadBytes) {
+      return common::InternalError("paged tree: node page too short");
+    }
+    uint32_t count = 0;
+    std::memcpy(&count, bytes.data() + 1, sizeof(count));
+    if (bytes.size() != kNodeHeadBytes + size_t{count} * kNodeEntryBytes) {
+      return common::InternalError(
+          "paged tree: node page size does not match its count");
+    }
+    is_leaf_ = bytes[0] != 0;
+    count_ = count;
+    entries_ = bytes.data() + kNodeHeadBytes;
+    return common::OkStatus();
+  }
+
+  bool is_leaf() const { return is_leaf_; }
+  uint32_t count() const { return count_; }
+
+  geometry::Box3 box(uint32_t k) const {
+    std::array<double, 3> lo;
+    std::array<double, 3> hi;
+    const uint8_t* at = entries_ + k * kNodeEntryBytes;
+    std::memcpy(lo.data(), at, sizeof(lo));
+    std::memcpy(hi.data(), at + sizeof(lo), sizeof(hi));
+    return geometry::Box3(lo, hi);
+  }
+
+  // The entry's record id (leaf) or child head page id (internal).
+  int64_t value(uint32_t k) const {
+    int64_t value = 0;
+    std::memcpy(&value, entries_ + k * kNodeEntryBytes + 6 * sizeof(double),
+                sizeof(value));
+    return value;
+  }
+
+ private:
+  bool is_leaf_ = false;
+  uint32_t count_ = 0;
+  const uint8_t* entries_ = nullptr;
+};
 
 // Un-normalizes a node MBR's ground footprint back to world coordinates
 // for motion-aware page scoring.
@@ -113,7 +158,7 @@ common::Status PagedTree3::WriteNode(const RTree3::Node& node,
     }
   }
   *id = storage::kInvalidPage;
-  MARS_RETURN_IF_ERROR(pool_->Store(id, w.buffer()));
+  MARS_RETURN_IF_ERROR(pool_->Store(id, w.Take()));
   pool_->SetPageRegion(*id, GroundRegion(scale, node.mbr));
   return common::OkStatus();
 }
@@ -129,23 +174,16 @@ common::Status PagedTree3::QueryPage(storage::PageId id,
                                      std::vector<int64_t>* out,
                                      int64_t* accesses) const {
   ++*accesses;
-  std::vector<uint8_t> bytes;
+  storage::PageBytes bytes;
   MARS_RETURN_IF_ERROR(pool_->Fetch(id, &bytes));
-  common::ByteReader r(bytes.data(), bytes.size());
-  uint8_t is_leaf = 0;
-  uint32_t count = 0;
-  MARS_RETURN_IF_ERROR(r.ReadU8(&is_leaf));
-  MARS_RETURN_IF_ERROR(r.ReadU32(&count));
-  for (uint32_t k = 0; k < count; ++k) {
-    geometry::Box3 box;
-    int64_t value = 0;
-    MARS_RETURN_IF_ERROR(ReadBox3(&r, &box));
-    MARS_RETURN_IF_ERROR(r.ReadI64(&value));
-    if (!box.Intersects(window)) continue;
-    if (is_leaf != 0) {
-      out->push_back(value);
+  NodePageReader page;
+  MARS_RETURN_IF_ERROR(page.Open(*bytes));
+  for (uint32_t k = 0; k < page.count(); ++k) {
+    if (!page.box(k).Intersects(window)) continue;
+    if (page.is_leaf()) {
+      out->push_back(page.value(k));
     } else {
-      MARS_RETURN_IF_ERROR(QueryPage(value, window, out, accesses));
+      MARS_RETURN_IF_ERROR(QueryPage(page.value(k), window, out, accesses));
     }
   }
   return common::OkStatus();
@@ -175,25 +213,18 @@ common::Status PagedTree3::FreePages() {
     const auto [id, depth] = stack.back();
     stack.pop_back();
     if (depth < leaf_depth) {
-      std::vector<uint8_t> bytes;
+      storage::PageBytes bytes;
       MARS_RETURN_IF_ERROR(pool_->Fetch(id, &bytes));
-      common::ByteReader r(bytes.data(), bytes.size());
-      uint8_t is_leaf = 0;
-      uint32_t count = 0;
-      MARS_RETURN_IF_ERROR(r.ReadU8(&is_leaf));
-      MARS_RETURN_IF_ERROR(r.ReadU32(&count));
-      if (is_leaf != 0) {
+      NodePageReader page;
+      MARS_RETURN_IF_ERROR(page.Open(*bytes));
+      if (page.is_leaf()) {
         // The stored height is above the tree's own. This page's entries
         // are record ids, not pages: stop rather than erase by them.
         return common::InternalError(
             "paged tree: leaf page above the stored leaf level");
       }
-      for (uint32_t k = 0; k < count; ++k) {
-        geometry::Box3 box;
-        int64_t child = 0;
-        MARS_RETURN_IF_ERROR(ReadBox3(&r, &box));
-        MARS_RETURN_IF_ERROR(r.ReadI64(&child));
-        stack.emplace_back(child, depth + 1);
+      for (uint32_t k = 0; k < page.count(); ++k) {
+        stack.emplace_back(page.value(k), depth + 1);
       }
     }
     MARS_RETURN_IF_ERROR(pool_->Erase(id));

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -29,34 +29,6 @@ geometry::Box2 GroundSupport(const CoeffRecord& r) {
 // 1 directory is rejected and its shard rebuilt, never attached.
 constexpr uint64_t kDirMagic = 0x52494452414d3144ull;  // "D1MARDIR" LE
 constexpr uint32_t kDirVersion = 2;
-
-uint64_t HashDouble(double v, uint64_t h) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return storage::Fnv1a64Mix(bits, h);
-}
-
-// Fingerprint of a shard's routed records: record identity, geometry, and
-// global ids, order-sensitive. Any change to the dataset or the routing
-// (shard count, shard map) changes the fingerprint and forces a rebuild.
-uint64_t FingerprintTable(const std::vector<CoeffRecord>& table,
-                          const std::vector<RecordId>& ids) {
-  uint64_t h = storage::kFnvOffset;
-  for (const RecordId id : ids) {
-    const CoeffRecord& r = table[id];
-    h = storage::Fnv1a64Mix(static_cast<uint64_t>(r.object_id), h);
-    h = storage::Fnv1a64Mix(static_cast<uint64_t>(r.coeff_id), h);
-    h = HashDouble(r.w, h);
-    h = HashDouble(r.position.x, h);
-    h = HashDouble(r.position.y, h);
-    h = HashDouble(r.support_bounds.lo(0), h);
-    h = HashDouble(r.support_bounds.lo(1), h);
-    h = HashDouble(r.support_bounds.hi(0), h);
-    h = HashDouble(r.support_bounds.hi(1), h);
-    h = storage::Fnv1a64Mix(static_cast<uint64_t>(id), h);
-  }
-  return h;
-}
 
 struct Directory {
   uint8_t kind = 0;
@@ -261,6 +233,26 @@ common::Status DecodeShardMapInto(const std::vector<uint8_t>& bytes,
 
 }  // namespace
 
+uint64_t FingerprintTable(const std::vector<CoeffRecord>& table,
+                          const std::vector<RecordId>& ids) {
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  uint64_t h = storage::kFnvOffset;
+  for (const RecordId id : ids) {
+    const CoeffRecord& r = table[id];
+    h = storage::MixWord(h, static_cast<uint64_t>(r.object_id));
+    h = storage::MixWord(h, static_cast<uint64_t>(r.coeff_id));
+    h = storage::MixWord(h, bits(r.w));
+    h = storage::MixWord(h, bits(r.position.x));
+    h = storage::MixWord(h, bits(r.position.y));
+    h = storage::MixWord(h, bits(r.support_bounds.lo(0)));
+    h = storage::MixWord(h, bits(r.support_bounds.lo(1)));
+    h = storage::MixWord(h, bits(r.support_bounds.hi(0)));
+    h = storage::MixWord(h, bits(r.support_bounds.hi(1)));
+    h = storage::MixWord(h, static_cast<uint64_t>(id));
+  }
+  return h;
+}
+
 ShardedCoefficientIndex::ShardedCoefficientIndex(ShardedIndexOptions options)
     : options_(options) {
   MARS_CHECK_GE(options_.shards, 1);
@@ -316,10 +308,10 @@ ShardedCoefficientIndex::RestoreShard(int32_t id,
   if (dir_page == storage::kInvalidPage) {
     return common::NotFoundError("shard restore: no directory");
   }
-  std::vector<uint8_t> blob;
+  storage::PageBytes blob;
   MARS_RETURN_IF_ERROR(pool->Fetch(dir_page, &blob));
   Directory dir;
-  MARS_RETURN_IF_ERROR(DecodeDirectory(blob, &dir));
+  MARS_RETURN_IF_ERROR(DecodeDirectory(*blob, &dir));
   if (dir.kind != static_cast<uint8_t>(options_.kind) || dir.shard != id) {
     return common::FailedPreconditionError("shard restore: directory is for "
                                            "a different index");

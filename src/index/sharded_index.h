@@ -23,6 +23,15 @@
 
 namespace mars::index {
 
+// Fingerprint of a shard's routed records, table[id] for id in `ids`, as
+// its directory records it: each record's object and coefficient ids,
+// w, vertex x and y, ground support bounds and global id, in that order,
+// each 64-bit field folded in one storage::MixWord step. Any change to
+// the dataset or the routing (shard count, shard map) changes it and
+// forces a rebuild.
+uint64_t FingerprintTable(const std::vector<CoeffRecord>& table,
+                          const std::vector<RecordId>& ids);
+
 // Configuration of a sharded coefficient index.
 struct ShardedIndexOptions {
   // Ground-plane shard count K. With the default of 1 the index is a

@@ -142,7 +142,7 @@ bool BufferPool::EvictColderLocked(double score) {
   return true;
 }
 
-void BufferPool::InsertLocked(PageId id, const std::vector<uint8_t>& bytes) {
+PageBytes BufferPool::InsertLocked(PageId id, std::vector<uint8_t> bytes) {
   const int64_t cost = PageCost(bytes.size());
   auto it = resident_.find(id);
   if (it != resident_.end()) {
@@ -150,17 +150,19 @@ void BufferPool::InsertLocked(PageId id, const std::vector<uint8_t>& bytes) {
     resident_.erase(it);
   }
   Resident entry;
-  entry.bytes = bytes;
+  entry.bytes = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
   entry.cost_pages = cost;
   entry.last_use = ++clock_;
   entry.score = ScoreLocked(id);
+  PageBytes shared = entry.bytes;
   resident_.emplace(id, std::move(entry));
   SlotLocked(id).resident = true;
   used_pages_ += cost;
   EvictForLocked(id);
+  return shared;
 }
 
-common::Status BufferPool::Fetch(PageId id, std::vector<uint8_t>* out) {
+common::Status BufferPool::Fetch(PageId id, PageBytes* out) {
   if (out == nullptr) {
     return common::InvalidArgumentError("buffer pool: null out");
   }
@@ -179,19 +181,19 @@ common::Status BufferPool::Fetch(PageId id, std::vector<uint8_t>* out) {
   }
   ++stats_.misses;
   const int64_t reads_before = manager_->stats().reads;
-  MARS_RETURN_IF_ERROR(manager_->Load(id, out));
+  std::vector<uint8_t> bytes;
+  MARS_RETURN_IF_ERROR(manager_->Load(id, &bytes));
   stats_.disk_reads += manager_->stats().reads - reads_before;
-  InsertLocked(id, *out);
+  *out = InsertLocked(id, std::move(bytes));
   return common::OkStatus();
 }
 
-common::Status BufferPool::Store(PageId* id,
-                                 const std::vector<uint8_t>& data) {
+common::Status BufferPool::Store(PageId* id, std::vector<uint8_t> data) {
   common::MutexLock lock(&mu_);
   const int64_t writes_before = manager_->stats().writes;
   MARS_RETURN_IF_ERROR(manager_->Store(id, data));
   stats_.disk_writes += manager_->stats().writes - writes_before;
-  InsertLocked(*id, data);
+  InsertLocked(*id, std::move(data));
   return common::OkStatus();
 }
 
@@ -294,8 +296,7 @@ void BufferPool::NotePrefetchFailed() {
   ++stats_.prefetch_dropped;
 }
 
-void BufferPool::InstallPrefetched(PageId id,
-                                   const std::vector<uint8_t>& bytes) {
+void BufferPool::InstallPrefetched(PageId id, std::vector<uint8_t> bytes) {
   common::MutexLock lock(&mu_);
   if (resident_.contains(id)) {
     // A query fetched the array between dispatch and install; the cached
@@ -323,7 +324,7 @@ void BufferPool::InstallPrefetched(PageId id,
     }
   }
   Resident entry;
-  entry.bytes = bytes;
+  entry.bytes = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
   entry.cost_pages = cost;
   entry.last_use = ++clock_;
   entry.score = score;

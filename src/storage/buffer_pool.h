@@ -58,6 +58,12 @@ struct InterestGrid {
   }
 };
 
+// A logical array's bytes as the pool holds them: one immutable buffer
+// shared by the pool and every reader. A hit hands out a reference, not a
+// copy, and bytes a reader holds stay valid and unchanged after their
+// array is evicted, erased or its page id reused.
+using PageBytes = std::shared_ptr<const std::vector<uint8_t>>;
+
 // Cumulative buffer-pool counters, exported per shard in the fleet JSON.
 struct PoolStats {
   int64_t hits = 0;
@@ -87,12 +93,13 @@ class BufferPool {
   BufferPool(IStorageManager* manager, int64_t capacity_pages,
              EvictPolicy policy);
 
-  // Loads the array with head page `id`, from cache on a hit or from the
-  // backing store (then cached) on a miss.
-  common::Status Fetch(PageId id, std::vector<uint8_t>* out);
+  // Hands out the bytes of the array with head page `id`: the resident
+  // buffer on a hit, or on a miss the bytes read from the backing store,
+  // which are then cached.
+  common::Status Fetch(PageId id, PageBytes* out);
 
   // Write-through store: persists via the manager and caches the bytes.
-  common::Status Store(PageId* id, const std::vector<uint8_t>& data);
+  common::Status Store(PageId* id, std::vector<uint8_t> data);
 
   // Drops the array from cache and frees it in the backing store.
   common::Status Erase(PageId id);
@@ -145,7 +152,7 @@ class BufferPool {
   // strictly colder residents; otherwise — or when the array is already
   // resident (a query beat the prefetch) or no longer registered — the
   // install is refused and counted as prefetch_dropped.
-  void InstallPrefetched(PageId id, const std::vector<uint8_t>& bytes);
+  void InstallPrefetched(PageId id, std::vector<uint8_t> bytes);
 
   // Counts a speculative read that failed before install (dropped).
   void NotePrefetchFailed();
@@ -160,7 +167,7 @@ class BufferPool {
 
  private:
   struct Resident {
-    std::vector<uint8_t> bytes;
+    PageBytes bytes;
     int64_t cost_pages = 1;
     double score = 0.0;     // motion policy: predicted visit probability
     int64_t last_use = 0;   // pool-local logical clock
@@ -182,7 +189,9 @@ class BufferPool {
   };
 
   int64_t PageCost(size_t bytes) const;
-  void InsertLocked(PageId id, const std::vector<uint8_t>& bytes)
+  // Makes `bytes` the resident entry of `id` (replacing any), then evicts
+  // down to capacity; returns the resident buffer.
+  PageBytes InsertLocked(PageId id, std::vector<uint8_t> bytes)
       MARS_REQUIRES(mu_);
   void EvictForLocked(PageId just_inserted) MARS_REQUIRES(mu_);
   // The resident array to evict first, other than `skip`: the least

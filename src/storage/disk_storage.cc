@@ -14,10 +14,13 @@ namespace {
 constexpr int64_t kHeaderBytes = 64;
 constexpr int64_t kPageHeaderBytes = 24;
 constexpr uint64_t kMagic = 0x3145474150535244ull;  // "DRSPAGE1" LE
-constexpr uint32_t kVersion = 1;
+// Version 1 checksummed with byte-wise FNV-1a; version 2 with PageChecksum.
+constexpr uint32_t kVersion = 2;
 constexpr uint32_t kUsedFlag = 1u << 0;
 constexpr uint32_t kHeadFlag = 1u << 1;
 constexpr int32_t kMinPageSize = 128;
+// links_ entry of a page whose next link the store has not seen.
+constexpr PageId kUnseenLink = -2;
 
 // Page header fields in host byte order, as common::ByteWriter lays them.
 template <typename T>
@@ -107,7 +110,7 @@ common::Status DiskStorageManager::WriteHeader() {
   Put<uint32_t>(buf + 8, kVersion);
   Put<uint32_t>(buf + 12, static_cast<uint32_t>(page_size_));
   Put<int64_t>(buf + 16, root_);
-  Put<uint64_t>(buf + kHeaderBytes - 8, Fnv1a64(buf, kHeaderBytes - 8));
+  Put<uint64_t>(buf + kHeaderBytes - 8, PageChecksum(buf, kHeaderBytes - 8));
   if (!WriteAt(fd_, buf, kHeaderBytes, 0)) {
     return common::InternalError("disk store: header write failed");
   }
@@ -116,6 +119,7 @@ common::Status DiskStorageManager::WriteHeader() {
 
 common::Status DiskStorageManager::CreateFresh() {
   page_count_ = 0;
+  links_.clear();
   root_ = kInvalidPage;
   page_.assign(static_cast<size_t>(page_size_), 0);
   return WriteHeader();
@@ -149,7 +153,7 @@ common::Status DiskStorageManager::OpenExisting() {
       page_size > (1u << 26)) {
     return common::InternalError("disk store: bad page size in " + path_);
   }
-  if (Fnv1a64(buf, kHeaderBytes - 8) !=
+  if (PageChecksum(buf, kHeaderBytes - 8) !=
       Get<uint64_t>(buf + kHeaderBytes - 8)) {
     return common::InternalError("disk store: header checksum mismatch in " +
                                  path_);
@@ -158,6 +162,7 @@ common::Status DiskStorageManager::OpenExisting() {
   page_.assign(static_cast<size_t>(page_size_), 0);
   root_ = root;
   page_count_ = (file_size - kHeaderBytes) / page_size_;
+  links_.assign(static_cast<size_t>(page_count_), kUnseenLink);
   // Rebuild the freelist by scanning the used bit of every page header. A
   // corrupt flag word can at worst leak a slot or route a Load into a
   // checksum mismatch; it never reads out of bounds.
@@ -185,6 +190,7 @@ PageId DiskStorageManager::AllocatePage() {
     freelist_.erase(freelist_.begin());
     return id;
   }
+  links_.push_back(kUnseenLink);
   return page_count_++;
 }
 
@@ -196,6 +202,7 @@ common::Status DiskStorageManager::FreePage(PageId id) {
     return common::InternalError("disk store: page free failed");
   }
   freelist_.insert(id);
+  links_[id] = kUnseenLink;
   ++stats_.pages_freed;
   return common::OkStatus();
 }
@@ -213,10 +220,12 @@ common::Status DiskStorageManager::WritePage(PageId id, uint32_t flags,
   }
   std::memset(page + kPageHeaderBytes + payload_len, 0,
               static_cast<size_t>(PayloadCapacity()) - payload_len);
-  Put<uint64_t>(page, Fnv1a64(page + 8, kPageHeaderBytes - 8 + payload_len));
+  Put<uint64_t>(page,
+                PageChecksum(page + 8, kPageHeaderBytes - 8 + payload_len));
   if (!WriteAt(fd_, page, page_size_, PageOffset(id))) {
     return common::InternalError("disk store: page write failed");
   }
+  links_[id] = next;
   ++stats_.writes;
   return common::OkStatus();
 }
@@ -238,17 +247,18 @@ common::Status DiskStorageManager::ReadPage(PageId id, uint32_t* flags,
   if (payload_len > static_cast<uint64_t>(PayloadCapacity())) {
     return common::InternalError("disk store: corrupt payload length");
   }
-  if (Fnv1a64(page + 8, kPageHeaderBytes - 8 + payload_len) !=
+  if (PageChecksum(page + 8, kPageHeaderBytes - 8 + payload_len) !=
       Get<uint64_t>(page)) {
     return common::InternalError("disk store: page checksum mismatch in " +
                                  path_);
   }
+  links_[id] = *next;
   *payload = {page + kPageHeaderBytes, payload_len};
   ++stats_.reads;
   return common::OkStatus();
 }
 
-common::Status DiskStorageManager::ReadChain(PageId id,
+common::Status DiskStorageManager::WalkChain(PageId id,
                                              std::vector<PageId>* chain) {
   PageId cur = id;
   int64_t steps = 0;
@@ -257,11 +267,16 @@ common::Status DiskStorageManager::ReadChain(PageId id,
       return common::InternalError("disk store: page chain cycle");
     }
     chain->push_back(cur);
-    uint32_t flags = 0;
-    PageId next = kInvalidPage;
-    std::span<const uint8_t> payload;
-    MARS_RETURN_IF_ERROR(ReadPage(cur, &flags, &next, &payload));
-    cur = next;
+    if (cur < 0 || cur >= page_count_) {
+      return common::OutOfRangeError("disk store: page id out of range");
+    }
+    if (links_[cur] == kUnseenLink) {
+      uint32_t flags = 0;
+      PageId next = kInvalidPage;
+      std::span<const uint8_t> payload;
+      MARS_RETURN_IF_ERROR(ReadPage(cur, &flags, &next, &payload));
+    }
+    cur = links_[cur];
   }
   return common::OkStatus();
 }
@@ -278,11 +293,12 @@ common::Status DiskStorageManager::Store(PageId* id,
   std::vector<PageId> chain;
   if (*id != kInvalidPage) {
     // In-place rewrite: walk the old chain so its pages can be reused, the
-    // head id staying stable for callers that recorded it.
+    // head id staying stable for callers that recorded it. A chain this
+    // store wrote is walked by its links, without a read.
     if (!IsUsed(*id)) {
       return common::NotFoundError("disk store: rewrite of unknown page");
     }
-    MARS_RETURN_IF_ERROR(ReadChain(*id, &chain));
+    MARS_RETURN_IF_ERROR(WalkChain(*id, &chain));
     while (static_cast<int64_t>(chain.size()) > pages_needed) {
       MARS_RETURN_IF_ERROR(FreePage(chain.back()));
       chain.pop_back();
@@ -342,9 +358,10 @@ common::Status DiskStorageManager::Erase(PageId id) {
     return common::NotFoundError("disk store: erase of unknown page");
   }
   // Collect the chain before freeing anything so a mid-chain error leaves a
-  // consistent (if leaky) file.
+  // consistent (if leaky) file. A chain this store wrote, or read, is
+  // walked by its links; only unseen pages are read and verified.
   std::vector<PageId> chain;
-  MARS_RETURN_IF_ERROR(ReadChain(id, &chain));
+  MARS_RETURN_IF_ERROR(WalkChain(id, &chain));
   for (const PageId page : chain) {
     MARS_RETURN_IF_ERROR(FreePage(page));
   }

@@ -17,15 +17,18 @@ namespace mars::storage {
 // Fixed-size-page file store, after the IStorageManager split in
 // libspatialindex-style stores: logical byte arrays are chained across
 // fixed-size pages in a single file, page ids are allocated from a freelist,
-// and every page carries an FNV-1a checksum so torn writes and bit rot
-// surface as clean Status errors instead of undefined behavior.
+// and every page carries a checksum so torn writes and bit rot surface as
+// clean Status errors instead of undefined behavior.
 //
-// File layout:
+// File layout (version 2):
 //   [64-byte header]  magic, version, page_size, root id, header checksum
 //   [page 0][page 1]...  each page_size bytes:
 //     [u64 checksum][u32 flags][u32 payload_len][i64 next page][payload...]
 //
-// The checksum covers everything after itself up to the end of the payload.
+// Both checksums are PageChecksum (storage_manager.h), a word-lane hash:
+// the header's covers its first 56 bytes, a page's everything after
+// itself up to the end of the payload. Version 1 files, whose checksums
+// were byte-wise FNV-1a, fail to open; the index layer then rebuilds them.
 // `flags` bit 0 marks the slot used, bit 1 marks a chain head; the freelist
 // is rebuilt on open by scanning the used bits.
 //
@@ -33,6 +36,12 @@ namespace mars::storage {
 // pread/pwrite on a plain file descriptor, so every write reaches the
 // file (not a user-space buffer) before the call returns. Flush rewrites
 // the header; nothing here calls fsync.
+//
+// Every Load reads and verifies each page of its chain. The store also
+// keeps the chain link of every page it wrote, or read and verified, so
+// Erase and in-place rewrites walk a chain without reading it; a page
+// whose link the store has not seen (say, after a reopen) is read and
+// verified first.
 class DiskStorageManager : public IStorageManager {
  public:
   // Opens `path`. If the file exists (and `truncate` is false) its header is
@@ -93,12 +102,13 @@ class DiskStorageManager : public IStorageManager {
   common::Status FreePage(PageId id);
   common::Status WritePage(PageId id, uint32_t flags, PageId next,
                            const uint8_t* payload, uint32_t payload_len);
-  // Reads and checks page `id` into page_; *payload views its payload
-  // there, valid until the next page read or write.
+  // Reads and checks page `id` into page_ and records its link; *payload
+  // views its payload there, valid until the next page read or write.
   common::Status ReadPage(PageId id, uint32_t* flags, PageId* next,
                           std::span<const uint8_t>* payload);
-  // The chain starting at head `id`, walked through ReadPage.
-  common::Status ReadChain(PageId id, std::vector<PageId>* chain);
+  // The chain starting at head `id`: known links are followed, and a page
+  // whose link is unseen is read and verified through ReadPage.
+  common::Status WalkChain(PageId id, std::vector<PageId>* chain);
   common::Status WriteHeader();
   common::Status OpenExisting();
   common::Status CreateFresh();
@@ -111,6 +121,9 @@ class DiskStorageManager : public IStorageManager {
   std::vector<uint8_t> page_;
   int64_t page_count_ = 0;
   std::set<PageId> freelist_;  // ordered so reuse picks the lowest id
+  // Per page id: the next link of a page this store wrote, or read and
+  // verified, since it was last allocated; kUnseenLink otherwise.
+  std::vector<PageId> links_;
   PageId root_ = kInvalidPage;
   bool opened_existing_ = false;
   // Open() succeeded; only then does closing write the header, so a file

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -73,7 +74,7 @@ void PoolWarmer::Join() {
   // the reads interleaved.
   for (Slot& slot : finished) {
     if (slot.ok) {
-      slot.pool->InstallPrefetched(slot.id, slot.bytes);
+      slot.pool->InstallPrefetched(slot.id, std::move(slot.bytes));
     } else {
       slot.pool->NotePrefetchFailed();
     }

@@ -1,8 +1,10 @@
 #ifndef MARS_STORAGE_STORAGE_MANAGER_H_
 #define MARS_STORAGE_STORAGE_MANAGER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -16,9 +18,10 @@ namespace mars::storage {
 using PageId = int64_t;
 inline constexpr PageId kInvalidPage = -1;
 
-// FNV-1a 64-bit, used for page checksums and index fingerprints. Chosen for
-// the same reasons as in server/persistence: deterministic, dependency-free,
-// and good enough to catch torn writes and bit rot (not adversaries).
+// FNV-1a 64-bit, byte at a time. Chosen for the same reasons as in
+// server/persistence: deterministic, dependency-free, and good enough to
+// catch torn writes and bit rot (not adversaries). The page file and the
+// shard fingerprints use the word-wise PageChecksum and MixWord below.
 inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
 
@@ -38,6 +41,48 @@ inline uint64_t Fnv1a64Mix(uint64_t value, uint64_t seed) {
     bytes[i] = static_cast<uint8_t>(value >> (8 * i));
   }
   return Fnv1a64(bytes, sizeof(bytes), seed);
+}
+
+// One word step of PageChecksum and of the index fingerprints: FNV-1a's
+// xor and multiply, taken a 64-bit word at a time, then an xorshift that
+// carries the product's high bits down. The multiplier is an odd prime
+// (xxHash's first 64-bit prime), so for a fixed `h` the step is a
+// bijection of `word`, and for a fixed `word` a bijection of `h`.
+inline constexpr uint64_t kWordPrime = 0x9e3779b185ebca87ull;
+
+inline uint64_t MixWord(uint64_t h, uint64_t word) {
+  h = (h ^ word) * kWordPrime;
+  return h ^ (h >> 32);
+}
+
+// Checksum of a page's checked bytes and of the page-file header, after
+// PostgreSQL's data-page checksum (an FNV-1a variant over parallel
+// lanes): 8-byte words are dealt round-robin to four independent lanes,
+// so the lanes' multiplies overlap, and the last partial word is
+// zero-padded. The lanes and the size are then folded into one sum with
+// the same step. Since every step is a bijection of its word and of the
+// lane state, two inputs of one size that differ only within one word
+// (at an offset that is a multiple of 8) always have different sums.
+inline uint64_t PageChecksum(const uint8_t* data, size_t size) {
+  constexpr size_t kLanes = 4;
+  uint64_t lane[kLanes] = {kFnvOffset, kFnvOffset + 1, kFnvOffset + 2,
+                           kFnvOffset + 3};
+  size_t i = 0;
+  for (; i + 8 * kLanes <= size; i += 8 * kLanes) {
+    for (size_t k = 0; k < kLanes; ++k) {
+      uint64_t word;
+      std::memcpy(&word, data + i + 8 * k, sizeof(word));
+      lane[k] = MixWord(lane[k], word);
+    }
+  }
+  for (size_t k = 0; i < size; ++k, i += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, data + i, std::min<size_t>(sizeof(word), size - i));
+    lane[k] = MixWord(lane[k], word);
+  }
+  uint64_t h = MixWord(kFnvOffset, size);
+  for (const uint64_t l : lane) h = MixWord(h, l);
+  return h;
 }
 
 // Which backing store holds index nodes.

@@ -84,6 +84,27 @@ expect_flag_error --warm-workers run --warm-workers 100000
 expect_flag_error --shards run --shards 100000
 expect_flag_error --max-shards run --max-shards 100000
 expect_flag_error --cells run --cells 100000
+# Every integer flag holds only what its field can: no value wraps into
+# an int32_t, counts are at least 1 (0 where it means unset), and a page
+# size stays one a page file reopens at.
+expect_flag_error --frames run --objects 5 --seed 5 --frames 4294967299 \
+    --client streaming
+expect_flag_error --frames run --objects 5 --frames -3
+expect_flag_error --objects run --objects 4294967301 --frames 3
+expect_flag_error --objects run --objects -1 --frames 3
+expect_flag_error --mb run --mb 4294967297 --frames 3
+expect_flag_error --seed run --objects 5 --frames 3 --seed -1
+expect_flag_error --clients run --objects 5 --frames 3 --clients 4294967298
+expect_flag_error --clients run --objects 5 --frames 3 --clients 0
+expect_flag_error --buffer-kb run --objects 5 --frames 3 \
+    --buffer-kb 9007199254740992
+expect_flag_error --buffer-kb run --objects 5 --frames 3 --buffer-kb 0
+expect_flag_error --page-size run --objects 5 --frames 3 \
+    --page-size 67108865
+expect_flag_error --rebalance-interval run --objects 5 --frames 3 \
+    --rebalance-interval 4294967297
+expect_flag_error --ladder-steps run --objects 5 --frames 3 \
+    --ladder-steps 4294967297
 # The usage text is generated from the flag table: every flag is listed.
 usage="$("$BIN_DIR/tools/mars_sim" 2>&1 || true)"
 for flag in --warm --warm-budget --pool-pages --abr-target; do

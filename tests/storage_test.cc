@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -27,6 +28,7 @@
 #include "geometry/box.h"
 #include "index/access.h"
 #include "index/record.h"
+#include "index/sharded_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_storage.h"
 #include "storage/memory_storage.h"
@@ -336,11 +338,17 @@ TEST(DiskStorageTest, LoadOfInvalidIdsFailsCleanly) {
 // frozen: every page built by two ByteWriters, every access positioned
 // with fseek on a FILE*, the header rewritten by SetRoot, Flush and
 // close. Chains live in a map here instead of being read back from the
-// file, which changes no byte it writes.
+// file, which changes no byte it writes. Only the file version and its
+// checksum are parameters: version 1 checksums with byte-wise FNV-1a,
+// version 2 with the word-lane checksum, of which this writer keeps its
+// own copy.
 class FrozenStdioPageWriter {
  public:
-  FrozenStdioPageWriter(const std::string& path, int32_t page_size)
-      : page_size_(page_size), file_(std::fopen(path.c_str(), "wb+")) {
+  FrozenStdioPageWriter(const std::string& path, int32_t page_size,
+                        uint32_t version)
+      : page_size_(page_size),
+        version_(version),
+        file_(std::fopen(path.c_str(), "wb+")) {
     if (file_ == nullptr) return;
     WriteHeader();
     std::fflush(file_);
@@ -353,6 +361,31 @@ class FrozenStdioPageWriter {
   }
 
   bool ok() const { return file_ != nullptr; }
+
+  // The checksum a file of `version` stores for a header or a page.
+  static uint64_t Checksum(uint32_t version, const uint8_t* data,
+                           size_t size) {
+    if (version == 1) return Fnv1a64(data, size);
+    constexpr uint64_t kPrime = 0x9e3779b185ebca87ull;
+    const auto step = [](uint64_t h, uint64_t word) {
+      h = (h ^ word) * kPrime;
+      return h ^ (h >> 32);
+    };
+    uint64_t lane[4] = {kFnvOffset, kFnvOffset + 1, kFnvOffset + 2,
+                        kFnvOffset + 3};
+    size_t k = 0;
+    for (size_t i = 0; i < size; i += 8) {
+      uint64_t word = 0;
+      std::memcpy(&word, data + i, std::min<size_t>(8, size - i));
+      // Whole groups of four words go round-robin; so does the last,
+      // partial group, from lane 0.
+      lane[k] = step(lane[k], word);
+      k = (k + 1) % 4;
+    }
+    uint64_t h = step(kFnvOffset, size);
+    for (const uint64_t l : lane) h = step(h, l);
+    return h;
+  }
 
   // Store(&id, data) of the manager: `id` kInvalidPage allocates.
   PageId Store(PageId id, const std::vector<uint8_t>& data) {
@@ -408,12 +441,12 @@ class FrozenStdioPageWriter {
   void WriteHeader() {
     common::ByteWriter w;
     w.WriteU64(0x3145474150535244ull);
-    w.WriteU32(1);
+    w.WriteU32(version_);
     w.WriteU32(static_cast<uint32_t>(page_size_));
     w.WriteI64(root_);
     std::vector<uint8_t> buf = std::move(w).Take();
     buf.resize(56, 0);
-    const uint64_t checksum = Fnv1a64(buf.data(), buf.size());
+    const uint64_t checksum = Checksum(version_, buf.data(), buf.size());
     common::ByteWriter tail;
     tail.WriteU64(checksum);
     buf.insert(buf.end(), tail.buffer().begin(), tail.buffer().end());
@@ -436,7 +469,7 @@ class FrozenStdioPageWriter {
     w.WriteI64(next);
     std::vector<uint8_t> body = std::move(w).Take();
     body.insert(body.end(), payload, payload + payload_len);
-    const uint64_t checksum = Fnv1a64(body.data(), body.size());
+    const uint64_t checksum = Checksum(version_, body.data(), body.size());
     common::ByteWriter page;
     page.WriteU64(checksum);
     std::vector<uint8_t> buf = std::move(page).Take();
@@ -447,6 +480,7 @@ class FrozenStdioPageWriter {
   }
 
   const int32_t page_size_;
+  const uint32_t version_;
   std::FILE* const file_;
   int64_t page_count_ = 0;
   std::set<PageId> freelist_;
@@ -475,7 +509,7 @@ TEST(DiskStorageTest, PageFilesEqualTheFrozenStdioWriter) {
   {
     auto mgr = DiskStorageManager::Open(path, kPageSize, /*truncate=*/true);
     ASSERT_TRUE(mgr.ok());
-    FrozenStdioPageWriter frozen(frozen_path, kPageSize);
+    FrozenStdioPageWriter frozen(frozen_path, kPageSize, /*version=*/2);
     ASSERT_TRUE(frozen.ok());
     std::vector<PageId> heads;
     int flushes = 0;
@@ -520,6 +554,35 @@ TEST(DiskStorageTest, PageFilesEqualTheFrozenStdioWriter) {
   EXPECT_EQ(bytes, FileBytes(frozen_path));
   std::remove(path.c_str());
   std::remove(frozen_path.c_str());
+}
+
+// Rewrites the page file at `path` as the frozen writer stamps a file of
+// `version`: the header's version word and checksum, and every used
+// page's checksum. Layout and allocation do not depend on the version
+// (the test above), so this is the file that version's writer leaves
+// after the same operations.
+void RestampPageFile(const std::string& path, int32_t page_size,
+                     uint32_t version) {
+  std::vector<uint8_t> bytes = FileBytes(path);
+  ASSERT_GE(bytes.size(), 64u);
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  const uint64_t header =
+      FrozenStdioPageWriter::Checksum(version, bytes.data(), 56);
+  std::memcpy(bytes.data() + 56, &header, sizeof(header));
+  for (size_t at = 64; at + page_size <= bytes.size(); at += page_size) {
+    uint32_t flags = 0;
+    uint32_t payload_len = 0;
+    std::memcpy(&flags, bytes.data() + at + 8, sizeof(flags));
+    std::memcpy(&payload_len, bytes.data() + at + 12, sizeof(payload_len));
+    if ((flags & 1u) == 0) continue;
+    const uint64_t sum = FrozenStdioPageWriter::Checksum(
+        version, bytes.data() + at + 8, 16 + payload_len);
+    std::memcpy(bytes.data() + at, &sum, sizeof(sum));
+  }
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
 }
 
 TEST_F(DiskCorruptionTest, TruncationUnderAnOpenStoreFailsTheRead) {
@@ -594,6 +657,113 @@ TEST_F(DiskCorruptionTest, TruncationAndFlipsReturnTheirStatuses) {
   EXPECT_EQ(out, Bytes(900, 5));
 }
 
+TEST_F(DiskCorruptionTest, EveryOneWordChangeFailsTheLoad) {
+  // A page's checksum takes its checked bytes (the flags word to the end
+  // of the payload) a word at a time, and every step is a bijection, so
+  // a change confined to one of those 8-byte words is always detected. A
+  // seeded sweep over the chain's pages, words and change patterns: the
+  // store is rejected at open (a cleared used bit on the root page) or
+  // the load fails, every time.
+  std::vector<uint8_t> full;
+  ASSERT_NO_FATAL_FAILURE(ReadFile(&full));
+  ASSERT_EQ(full.size(), 64u + 4 * kPageSize);  // a 4-page chain, head 0
+  common::Rng rng(29);
+  int loads_failed = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t page_at =
+        64 + static_cast<size_t>(rng.UniformInt(0, 3)) * kPageSize;
+    uint32_t payload_len = 0;
+    std::memcpy(&payload_len, full.data() + page_at + 12, sizeof(uint32_t));
+    const size_t checked_end = page_at + 24 + payload_len;
+    const size_t words = (16 + payload_len + 7) / 8;
+    const size_t begin =
+        page_at + 8 +
+        8 * static_cast<size_t>(rng.UniformInt(0, words - 1));
+    const size_t end = std::min(begin + 8, checked_end);
+    std::vector<uint8_t> bytes = full;
+    uint64_t mask = rng.NextUint64();
+    if (end - begin < 8) mask &= (uint64_t{1} << (8 * (end - begin))) - 1;
+    if (mask == 0) mask = 1;
+    for (size_t i = begin; i < end; ++i) {
+      bytes[i] ^= static_cast<uint8_t>(mask >> (8 * (i - begin)));
+    }
+    WriteFile(bytes);
+    auto mgr = DiskStorageManager::Open(path_, kPageSize);
+    if (!mgr.ok()) {
+      EXPECT_EQ(mgr.status().message(),
+                "disk store: root page not in use in " + path_);
+      continue;
+    }
+    std::vector<uint8_t> out;
+    EXPECT_FALSE((*mgr)->Load(id_, &out).ok())
+        << "change of " << (end - begin) << " bytes at " << begin
+        << " went unseen";
+    ++loads_failed;
+  }
+  EXPECT_GT(loads_failed, 300);
+}
+
+TEST(DiskStorageTest, EraseFollowsTheLinksItWroteWithoutReading) {
+  // A chain this store wrote is erased, or rewritten in place, by the
+  // links it kept: no page is read. After a reopen the links are unseen,
+  // so Erase reads and verifies the chain, and a corrupted page in it
+  // fails the erase with the checksum error.
+  constexpr int32_t kPageSize = 256;  // 232-byte payloads
+  const std::string path = TempPath("storage_erase_links.pages");
+  std::remove(path.c_str());
+  PageId kept = kInvalidPage;
+  PageId corrupt = kInvalidPage;
+  {
+    auto mgr = DiskStorageManager::Open(path, kPageSize, /*truncate=*/true);
+    ASSERT_TRUE(mgr.ok());
+    PageId a = kInvalidPage;
+    ASSERT_TRUE((*mgr)->Store(&a, Bytes(900, 1)).ok());  // 4 pages
+    ASSERT_TRUE((*mgr)->Store(&kept, Bytes(600, 2)).ok());  // 3 pages
+    ASSERT_TRUE((*mgr)->Store(&corrupt, Bytes(600, 3)).ok());
+    const StorageStats before = (*mgr)->stats();
+    ASSERT_TRUE((*mgr)->Erase(a).ok());
+    EXPECT_EQ((*mgr)->stats().reads, before.reads);
+    EXPECT_EQ((*mgr)->stats().pages_freed, before.pages_freed + 4);
+    // An in-place rewrite that shrinks the chain walks it the same way.
+    ASSERT_TRUE((*mgr)->Store(&kept, Bytes(300, 4)).ok());  // 2 pages
+    EXPECT_EQ((*mgr)->stats().reads, before.reads);
+    EXPECT_EQ((*mgr)->stats().pages_freed, before.pages_freed + 5);
+    // Links seen by a load serve an erase too.
+    std::vector<uint8_t> out;
+    ASSERT_TRUE((*mgr)->Load(kept, &out).ok());
+    EXPECT_EQ(out, Bytes(300, 4));
+    ASSERT_TRUE((*mgr)->Flush().ok());
+  }
+  {
+    auto mgr = DiskStorageManager::Open(path, kPageSize);
+    ASSERT_TRUE(mgr.ok());
+    ASSERT_TRUE((*mgr)->Erase(kept).ok());
+    EXPECT_EQ((*mgr)->stats().reads, 2);  // the unseen chain, verified
+    EXPECT_EQ((*mgr)->stats().pages_freed, 2);
+  }
+  // Flip a payload byte of the corrupt chain's second page: after a
+  // reopen, erasing the chain must read that page and fail.
+  std::vector<uint8_t> bytes = FileBytes(path);
+  PageId second = kInvalidPage;
+  std::memcpy(&second, bytes.data() + 64 + corrupt * kPageSize + 16,
+              sizeof(second));
+  ASSERT_NE(second, kInvalidPage);
+  bytes[64 + second * kPageSize + 24 + 5] ^= 0x10;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  auto mgr = DiskStorageManager::Open(path, kPageSize);
+  ASSERT_TRUE(mgr.ok());
+  const common::Status status = (*mgr)->Erase(corrupt);
+  EXPECT_EQ(status.code(), common::StatusCode::kInternal);
+  EXPECT_EQ(status.message(), "disk store: page checksum mismatch in " + path);
+  EXPECT_EQ((*mgr)->stats().pages_freed, 0);
+  std::remove(path.c_str());
+}
+
 // --- BufferPool ---------------------------------------------------------
 
 TEST(BufferPoolTest, CountsHitsMissesAndWritesThrough) {
@@ -605,9 +775,9 @@ TEST(BufferPoolTest, CountsHitsMissesAndWritesThrough) {
   EXPECT_EQ(pool.stats().disk_writes, 1);
 
   // Stored arrays are resident: first fetch is already a hit.
-  std::vector<uint8_t> out;
+  PageBytes out;
   ASSERT_TRUE(pool.Fetch(a, &out).ok());
-  EXPECT_EQ(out, Bytes(64, 1));
+  EXPECT_EQ(*out, Bytes(64, 1));
   EXPECT_EQ(pool.stats().hits, 1);
   EXPECT_EQ(pool.stats().misses, 0);
 
@@ -628,7 +798,7 @@ TEST(BufferPoolTest, EvictsLruWhenOverCapacity) {
   PageId a = kInvalidPage, b = kInvalidPage, c = kInvalidPage;
   ASSERT_TRUE(pool.Store(&a, Bytes(64, 1)).ok());
   ASSERT_TRUE(pool.Store(&b, Bytes(64, 2)).ok());
-  std::vector<uint8_t> out;
+  PageBytes out;
   ASSERT_TRUE(pool.Fetch(a, &out).ok());  // refresh a; b is now LRU
   ASSERT_TRUE(pool.Store(&c, Bytes(64, 3)).ok());
   EXPECT_EQ(pool.stats().evictions, 1);
@@ -663,7 +833,7 @@ TEST(BufferPoolTest, MotionPolicyKeepsHighInterestPages) {
 
   // Make `cold` the most recently used; LRU would evict `hot`, the
   // motion policy must evict `cold` anyway (lowest predicted interest).
-  std::vector<uint8_t> out;
+  PageBytes out;
   ASSERT_TRUE(pool.Fetch(cold, &out).ok());
   PageId third = kInvalidPage;
   ASSERT_TRUE(pool.Store(&third, Bytes(64, 3)).ok());
@@ -682,8 +852,39 @@ TEST(BufferPoolTest, EraseDropsResidencyAndFreesStorage) {
   ASSERT_TRUE(pool.Store(&a, Bytes(64, 1)).ok());
   ASSERT_TRUE(pool.Erase(a).ok());
   EXPECT_EQ(pool.stats().resident, 0);
-  std::vector<uint8_t> out;
+  PageBytes out;
   EXPECT_FALSE(pool.Fetch(a, &out).ok());
+}
+
+TEST(BufferPoolTest, FetchedBytesOutliveEvictionAndIdReuse) {
+  // Fetch hands out the pool's own buffer, not a copy: two hits share it.
+  // Bytes a reader holds stay valid and unchanged after their array is
+  // evicted, erased, and its page id reused for other bytes.
+  MemoryStorageManager mgr(256);
+  BufferPool pool(&mgr, /*capacity_pages=*/1, EvictPolicy::kLru);
+  PageId a = kInvalidPage;
+  ASSERT_TRUE(pool.Store(&a, Bytes(64, 1)).ok());
+  PageBytes held;
+  ASSERT_TRUE(pool.Fetch(a, &held).ok());
+  PageBytes again;
+  ASSERT_TRUE(pool.Fetch(a, &again).ok());
+  EXPECT_EQ(held.get(), again.get());
+
+  PageId b = kInvalidPage;
+  ASSERT_TRUE(pool.Store(&b, Bytes(64, 2)).ok());  // evicts a
+  EXPECT_EQ(pool.stats().evictions, 1);
+  ASSERT_TRUE(pool.Erase(a).ok());
+  PageId reused = kInvalidPage;
+  ASSERT_TRUE(pool.Store(&reused, Bytes(64, 3)).ok());
+  ASSERT_EQ(reused, a);
+  EXPECT_EQ(*held, Bytes(64, 1));
+  EXPECT_EQ(*again, Bytes(64, 1));
+
+  PageBytes fresh;
+  ASSERT_TRUE(pool.Fetch(reused, &fresh).ok());
+  EXPECT_EQ(*fresh, Bytes(64, 3));
+  EXPECT_EQ(pool.stats().hits, 3);
+  EXPECT_EQ(pool.stats().misses, 0);
 }
 
 TEST(InterestGridTest, ScoreRegionAveragesOverlappedBlocks) {
@@ -788,10 +989,10 @@ TEST(PoolWarmerTest, WarmsHottestPagesUpToBudget) {
   EXPECT_EQ(pool.stats().prefetch_issued, 2);
   EXPECT_EQ(pool.stats().resident, 2);
   EXPECT_EQ(warmer.active_ticks(), 1);
-  std::vector<uint8_t> out;
+  PageBytes out;
   const int64_t misses = pool.stats().misses;
   ASSERT_TRUE(pool.Fetch(ids[0], &out).ok());
-  EXPECT_EQ(out, Bytes(64, 0));
+  EXPECT_EQ(*out, Bytes(64, 0));
   ASSERT_TRUE(pool.Fetch(ids[1], &out).ok());
   EXPECT_EQ(pool.stats().misses, misses) << "a warmed page missed";
   EXPECT_EQ(pool.stats().prefetch_hits, 2);
@@ -839,7 +1040,7 @@ TEST(PoolWarmerTest, NeverEvictsAHotterResidentForASpeculativePage) {
   EXPECT_EQ(pool.stats().prefetch_dropped, 1);
   EXPECT_EQ(pool.stats().evictions, 0);
   const int64_t misses = pool.stats().misses;
-  std::vector<uint8_t> out;
+  PageBytes out;
   ASSERT_TRUE(pool.Fetch(hot, &out).ok());
   EXPECT_EQ(pool.stats().misses, misses) << "hot resident was evicted";
 }
@@ -864,9 +1065,9 @@ TEST(PoolWarmerTest, EvictsAColderResidentForAHotterSpeculativePage) {
   EXPECT_EQ(pool.stats().prefetch_dropped, 0);
   EXPECT_EQ(pool.stats().evictions, 1);
   const int64_t misses = pool.stats().misses;
-  std::vector<uint8_t> out;
+  PageBytes out;
   ASSERT_TRUE(pool.Fetch(hot, &out).ok());
-  EXPECT_EQ(out, Bytes(64, 9));
+  EXPECT_EQ(*out, Bytes(64, 9));
   EXPECT_EQ(pool.stats().misses, misses) << "warmed page not resident";
 }
 
@@ -884,14 +1085,14 @@ TEST(PoolWarmerTest, QueryBeatingThePrefetchDropsTheInstall) {
   // A query fetches the page while its speculative read is in flight:
   // whatever the I/O timing, the install at Join finds it resident and
   // must refuse without touching the bytes or double-counting.
-  std::vector<uint8_t> out;
+  PageBytes out;
   ASSERT_TRUE(pool.Fetch(ids[0], &out).ok());
   warmer.Join();
   EXPECT_EQ(pool.stats().prefetch_issued, 1);
   EXPECT_EQ(pool.stats().prefetch_dropped, 1);
   EXPECT_EQ(pool.stats().prefetch_hits, 0);
   ASSERT_TRUE(pool.Fetch(ids[0], &out).ok());
-  EXPECT_EQ(out, Bytes(64, 0));
+  EXPECT_EQ(*out, Bytes(64, 0));
 }
 
 TEST(PoolWarmerTest, SpeculativePageEvictedUnusedCountsAsWasted) {
@@ -915,7 +1116,7 @@ TEST(PoolWarmerTest, SpeculativePageEvictedUnusedCountsAsWasted) {
   EXPECT_EQ(pool.stats().resident, 1);
 
   pool.UpdateInterest(GradedGrid());  // page 6 is now the coldest
-  std::vector<uint8_t> out;
+  PageBytes out;
   ASSERT_TRUE(pool.Fetch(ids[0], &out).ok());
   ASSERT_TRUE(pool.Fetch(ids[1], &out).ok());
   EXPECT_EQ(pool.stats().prefetch_wasted, 1);
@@ -943,12 +1144,12 @@ TEST(PoolWarmerTest, ConcurrentQueriesDuringSpeculativeReads) {
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
       threads.emplace_back([&pool, &ids, t] {
-        std::vector<uint8_t> out;
+        PageBytes out;
         for (int k = 0; k < 8; ++k) {
           const size_t i = static_cast<size_t>(t * 5 + k * 3) % ids.size();
           const common::Status s = pool.Fetch(ids[i], &out);
           EXPECT_TRUE(s.ok());
-          EXPECT_EQ(out, Bytes(64, static_cast<uint8_t>(i)));
+          EXPECT_EQ(*out, Bytes(64, static_cast<uint8_t>(i)));
         }
       });
     }
@@ -957,10 +1158,10 @@ TEST(PoolWarmerTest, ConcurrentQueriesDuringSpeculativeReads) {
   warmer.Join();
 
   // Whatever the interleaving, every array still reads back intact.
-  std::vector<uint8_t> out;
+  PageBytes out;
   for (size_t i = 0; i < ids.size(); ++i) {
     ASSERT_TRUE(pool.Fetch(ids[i], &out).ok());
-    EXPECT_EQ(out, Bytes(64, static_cast<uint8_t>(i)));
+    EXPECT_EQ(*out, Bytes(64, static_cast<uint8_t>(i)));
   }
   EXPECT_GT(pool.stats().prefetch_issued, 0);
 }
@@ -1168,6 +1369,55 @@ TEST(PagedIndexTest, FreePagesRejectsAStoredHeightAboveTheTree) {
   }
 }
 
+TEST(PagedIndexTest, NodePageCountOverrunIsAnError) {
+  // The node-page reader checks a page's size against its count once,
+  // before any entry is read: a count one past the page's entries, or a
+  // page too short for its head, fails the query (a live index aborts on
+  // it) and FreePages, and never reads past the bytes (the ASan job runs
+  // this file).
+  index::RTreeOptions options;
+  options.node_capacity = 8;
+  const auto records = MakeRecords(4, 5, 9);
+  for (const bool short_page : {false, true}) {
+    SCOPED_TRACE(short_page ? "short page" : "count overrun");
+    MemoryStorageManager mgr(1024);
+    BufferPool build_pool(&mgr, /*capacity_pages=*/4096, EvictPolicy::kLru);
+    index::SupportRegionIndex built(options, &build_pool);
+    built.Build(records);
+    const auto info = built.tree_info();
+    ASSERT_EQ(info.height, 2);
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(mgr.Load(info.root, &bytes).ok());
+    if (short_page) {
+      bytes.resize(3);
+    } else {
+      uint32_t count = 0;
+      std::memcpy(&count, bytes.data() + 1, sizeof(count));
+      ++count;
+      std::memcpy(bytes.data() + 1, &count, sizeof(count));
+    }
+    PageId root = info.root;
+    ASSERT_TRUE(mgr.Store(&root, bytes).ok());
+
+    BufferPool pool(&mgr, /*capacity_pages=*/4096, EvictPolicy::kLru);
+    index::SupportRegionIndex restored(options, &pool);
+    restored.Restore(records, AllIds(records), info);
+    EXPECT_DEATH(
+        {
+          std::vector<index::RecordId> out;
+          restored.Query(geometry::MakeBox2(0, 0, 1000, 1000), 0.0, 1.0,
+                         &out);
+        },
+        "paged query failed");
+    const common::Status status = restored.FreePages();
+    EXPECT_EQ(status.code(), common::StatusCode::kInternal);
+    EXPECT_EQ(status.message(),
+              short_page ? "paged tree: node page too short"
+                         : "paged tree: node page size does not match its "
+                           "count");
+  }
+}
+
 // --- Prefetch candidates against a brute-force scan ----------------------
 
 TEST(BufferPoolTest, PrefetchCandidatesMatchABruteForceScan) {
@@ -1264,7 +1514,7 @@ TEST(BufferPoolTest, PrefetchCandidatesMatchABruteForceScan) {
       pool.SetPageRegion(id, region);
       regions[id] = region;
     } else if (op <= 5) {
-      std::vector<uint8_t> out;
+      PageBytes out;
       const PageId id = random_live();
       ASSERT_TRUE(pool.Fetch(id, &out).ok());
       resident.insert(id);
@@ -1312,6 +1562,82 @@ TEST(BufferPoolTest, PrefetchCandidatesMatchABruteForceScan) {
     ASSERT_NO_FATAL_FAILURE(expect_candidates(step));
   }
   EXPECT_EQ(pool.stats().evictions, 0);
+}
+
+TEST(DiskStorageTest, VersionOnePageFilesAreRejectedAndRebuilt) {
+  // A file the frozen writer writes at version 1 fails to open, and the
+  // open leaves it as it was.
+  const std::string path = TempPath("storage_version1.pages");
+  {
+    FrozenStdioPageWriter frozen(path, 256, /*version=*/1);
+    ASSERT_TRUE(frozen.ok());
+    frozen.SetRoot(frozen.Store(kInvalidPage, Bytes(500, 1)));
+  }
+  const std::vector<uint8_t> written = FileBytes(path);
+  EXPECT_EQ(DiskStorageManager::Open(path, 256).status().message(),
+            "disk store: unsupported version in " + path);
+  EXPECT_EQ(FileBytes(path), written);
+  // Restamped at version 2, the same file opens and loads.
+  ASSERT_NO_FATAL_FAILURE(RestampPageFile(path, 256, 2));
+  {
+    auto mgr = DiskStorageManager::Open(path, 256);
+    ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+    std::vector<uint8_t> out;
+    ASSERT_TRUE((*mgr)->Load((*mgr)->root(), &out).ok());
+    EXPECT_EQ(out, Bytes(500, 1));
+  }
+  std::remove(path.c_str());
+
+  // A restart over a sharded index's page files stamped at version 1
+  // rebuilds every shard, and answers as a fresh build does.
+  const auto records = MakeRecords(30, 40, 7);
+  const std::string index_path = TempPath("storage_version1_index.pages");
+  constexpr int32_t kShards = 4;
+  index::ShardedIndexOptions options;
+  options.shards = kShards;
+  options.storage.store = StoreKind::kDisk;
+  options.storage.path = index_path;
+  options.storage.page_size = 1024;
+  options.storage.pool_pages = 256;
+  index::ShardedCoefficientIndex::RemoveFiles(index_path, kShards);
+  std::vector<geometry::Box2> windows;
+  common::Rng rng(31);
+  for (int q = 0; q < 20; ++q) {
+    const double x = rng.Uniform(0, 900), y = rng.Uniform(0, 900);
+    windows.push_back(geometry::MakeBox2(x, y, x + 150, y + 150));
+  }
+  std::vector<std::vector<index::RecordId>> fresh_answers;
+  std::vector<int64_t> fresh_accesses;
+  {
+    index::ShardedCoefficientIndex fresh(options);
+    fresh.Build(records);
+    EXPECT_EQ(fresh.restored_shards(), 0);
+    for (const geometry::Box2& window : windows) {
+      fresh_answers.emplace_back();
+      fresh_accesses.push_back(
+          fresh.Query(window, 0.2, 1.0, &fresh_answers.back()));
+    }
+  }
+  for (int32_t k = 0; k < kShards; ++k) {
+    ASSERT_NO_FATAL_FAILURE(RestampPageFile(
+        index_path + ".shard" + std::to_string(k), 1024, 1));
+  }
+  {
+    index::ShardedCoefficientIndex revived(options);
+    revived.Build(records);
+    EXPECT_EQ(revived.restored_shards(), 0);
+    for (size_t q = 0; q < windows.size(); ++q) {
+      std::vector<index::RecordId> out;
+      EXPECT_EQ(revived.Query(windows[q], 0.2, 1.0, &out),
+                fresh_accesses[q]);
+      EXPECT_EQ(out, fresh_answers[q]);
+    }
+  }
+  // The rebuilt files are at version 2: the next restart restores them.
+  index::ShardedCoefficientIndex again(options);
+  again.Build(records);
+  EXPECT_EQ(again.restored_shards(), kShards);
+  index::ShardedCoefficientIndex::RemoveFiles(index_path, kShards);
 }
 
 }  // namespace

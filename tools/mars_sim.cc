@@ -78,6 +78,17 @@ constexpr Range Within(double lo, double hi) { return {lo, false, hi}; }
 // operating-system thread, an open file or a simulated cell, so each is
 // capped.
 constexpr Range kCountRange = {1, false, 256, true};
+// Values an int32_t field holds: a count of at least 1, or a size where
+// 0 means unset.
+constexpr double kInt32Max = std::numeric_limits<int32_t>::max();
+constexpr Range kInt32Count = {1, false, kInt32Max, true};
+constexpr Range kInt32OrUnset = {0, false, kInt32Max, true};
+// KB whose bytes (x 1024) an int64_t holds: 2^53 - 1, exact as a double.
+constexpr Range kKilobytes = {
+    1, false, static_cast<double>(std::numeric_limits<int64_t>::max() / 1024),
+    true};
+// The largest page size a page file reopens at.
+constexpr Range kPageSizeRange = {128, false, 1 << 26, true};
 
 struct Arg {
   std::string_view text;
@@ -99,16 +110,16 @@ constexpr Flag kFlags[] = {
      [](Options& o, Arg a) { o.db_path = a.text; }},
     {"out", Kind::kText, "FILE", "scene file to write (generate)", {},
      [](Options& o, Arg a) { o.out_path = a.text; }},
-    {"objects", Kind::kInt, "N", "scene object count, over --mb", {},
-     [](Options& o, Arg a) { o.objects = a.i; }},
-    {"mb", Kind::kInt, "N", "scene size in MB, 5 objects per MB", {},
-     [](Options& o, Arg a) { o.mb = a.i; }},
+    {"objects", Kind::kInt, "N", "scene object count, over --mb",
+     kInt32OrUnset, [](Options& o, Arg a) { o.objects = a.i; }},
+    {"mb", Kind::kInt, "N", "scene size in MB, 5 objects per MB",
+     kInt32OrUnset, [](Options& o, Arg a) { o.mb = a.i; }},
     {"zipf", Kind::kSwitch, "", "Zipf-clustered object placement", {},
      [](Options& o, Arg) {
        o.system.scene.placement = workload::Placement::kZipf;
      }},
-    {"seed", Kind::kInt, "S", "scene seed; tour and faults add 1, 2", {},
-     [](Options& o, Arg a) { o.system.scene.seed = a.i; }},
+    {"seed", Kind::kInt, "S", "scene seed; tour and faults add 1, 2",
+     AtLeast(0), [](Options& o, Arg a) { o.system.scene.seed = a.i; }},
     {"tour", Kind::kChoice, "tram|walk", "tour kind", {},
      [](Options& o, Arg a) {
        o.tour.kind = a.text == "walk" ? workload::TourKind::kPedestrian
@@ -116,7 +127,7 @@ constexpr Flag kFlags[] = {
      }},
     {"speed", Kind::kReal, "S", "normalized cruise speed", {},
      [](Options& o, Arg a) { o.tour.target_speed = a.d; }},
-    {"frames", Kind::kInt, "N", "query frames per tour", {},
+    {"frames", Kind::kInt, "N", "query frames per tour", kInt32Count,
      [](Options& o, Arg a) { o.tour.frames = a.i; }},
     {"distance", Kind::kReal, "M", "tour meters; > 0 overrides --frames", {},
      [](Options& o, Arg a) { o.tour.distance = a.d; }},
@@ -127,7 +138,8 @@ constexpr Flag kFlags[] = {
                   : a.text == "naive"   ? fleet::ClientKind::kNaive
                                         : fleet::ClientKind::kBuffered;
      }},
-    {"buffer-kb", Kind::kInt, "N", "client buffer or cache size in KB", {},
+    {"buffer-kb", Kind::kInt, "N", "client buffer or cache size in KB",
+     kKilobytes,
      [](Options& o, Arg a) {
        o.buffered.buffer_bytes = a.i * 1024;
        o.naive.cache_bytes = a.i * 1024;
@@ -171,7 +183,7 @@ constexpr Flag kFlags[] = {
        o.fleet.cell_fault.outage_mean_seconds = a.d;
      }},
     {"clients", Kind::kInt, "N", "> 1 runs a mixed fleet on a shared cell",
-     {}, [](Options& o, Arg a) { o.clients = a.i; }},
+     kInt32Count, [](Options& o, Arg a) { o.clients = a.i; }},
     {"workers", Kind::kInt, "N", "fleet threads; output is the same at any",
      kCountRange, [](Options& o, Arg a) { o.fleet.workers = a.i; }},
     {"shards", Kind::kInt, "K", "coefficient index shards", kCountRange,
@@ -201,7 +213,7 @@ constexpr Flag kFlags[] = {
      }},
     {"pages", Kind::kText, "FILE", "page file of --store disk", {},
      [](Options& o, Arg a) { o.system.storage.path = a.text; }},
-    {"page-size", Kind::kInt, "BYTES", "bytes per index page", AtLeast(128),
+    {"page-size", Kind::kInt, "BYTES", "bytes per index page", kPageSizeRange,
      [](Options& o, Arg a) { o.system.storage.page_size = a.i; }},
     {"pool-pages", Kind::kInt, "N", "buffer-pool pages over all shards",
      AtLeast(1), [](Options& o, Arg a) { o.system.storage.pool_pages = a.i; }},
@@ -221,7 +233,7 @@ constexpr Flag kFlags[] = {
      {},
      [](Options& o, Arg a) { o.system.rebalance.enabled = a.text == "on"; }},
     {"rebalance-interval", Kind::kInt, "N", "frames between rebalance rounds",
-     AtLeast(1), [](Options& o, Arg a) { o.system.rebalance.interval = a.i; }},
+     kInt32Count, [](Options& o, Arg a) { o.system.rebalance.interval = a.i; }},
     {"split-factor", Kind::kReal, "F", "split above F x fair share",
      Above(1.0),
      [](Options& o, Arg a) { o.system.rebalance.split_factor = a.d; }},
@@ -233,7 +245,7 @@ constexpr Flag kFlags[] = {
     {"abr", Kind::kChoice, "on|off", "adaptive resolution ladder", {},
      [](Options& o, Arg a) { o.fleet.abr.enabled = a.text == "on"; }},
     {"ladder-steps", Kind::kInt, "N", "rungs above the static speed map",
-     AtLeast(1),
+     kInt32Count,
      [](Options& o, Arg a) { o.fleet.abr.ladder.ladder_steps = a.i; }},
     {"abr-target", Kind::kReal, "BPS", "healthy per-client goodput, B/s",
      Above(0.0),
@@ -250,9 +262,10 @@ bool InRange(const Range& r, double v) {
 std::string RangeText(const Range& r) {
   char text[64];
   if (std::isinf(r.hi)) {
-    std::snprintf(text, sizeof(text), "%s %g", r.lo_open ? ">" : ">=", r.lo);
+    std::snprintf(text, sizeof(text), "%s %.16g", r.lo_open ? ">" : ">=",
+                  r.lo);
   } else {
-    std::snprintf(text, sizeof(text), "in [%g, %g%c", r.lo, r.hi,
+    std::snprintf(text, sizeof(text), "in [%.16g, %.16g%c", r.lo, r.hi,
                   r.hi_closed ? ']' : ')');
   }
   return text;
