@@ -404,10 +404,10 @@ void BM_PageChecksum(benchmark::State& state) {
   }
   const bool word_lanes = state.range(1) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bytes.data());
-    const uint64_t sum =
-        word_lanes ? storage::PageChecksum(bytes.data(), bytes.size())
-                   : storage::Fnv1a64(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(bytes);
+    uint64_t sum = word_lanes
+                       ? storage::PageChecksum(bytes.data(), bytes.size())
+                       : storage::Fnv1a64(bytes.data(), bytes.size());
     benchmark::DoNotOptimize(sum);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
@@ -436,7 +436,8 @@ void BM_ShardFingerprint(benchmark::State& state) {
     ids.push_back(i);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index::FingerprintTable(table, ids));
+    uint64_t fingerprint = index::FingerprintTable(table, ids);
+    benchmark::DoNotOptimize(fingerprint);
   }
   state.SetItemsProcessed(state.iterations() * kRecords);
 }

@@ -64,16 +64,19 @@ inline uint64_t MixWord(uint64_t h, uint64_t word) {
 // lane state, two inputs of one size that differ only within one word
 // (at an offset that is a multiple of 8) always have different sums.
 inline uint64_t PageChecksum(const uint8_t* data, size_t size) {
-  constexpr size_t kLanes = 4;
-  uint64_t lane[kLanes] = {kFnvOffset, kFnvOffset + 1, kFnvOffset + 2,
-                           kFnvOffset + 3};
+  const auto word_at = [data](size_t at) {
+    uint64_t word;
+    std::memcpy(&word, data + at, sizeof(word));
+    return word;
+  };
+  uint64_t lane[4] = {kFnvOffset, kFnvOffset + 1, kFnvOffset + 2,
+                      kFnvOffset + 3};
   size_t i = 0;
-  for (; i + 8 * kLanes <= size; i += 8 * kLanes) {
-    for (size_t k = 0; k < kLanes; ++k) {
-      uint64_t word;
-      std::memcpy(&word, data + i + 8 * k, sizeof(word));
-      lane[k] = MixWord(lane[k], word);
-    }
+  for (; i + 32 <= size; i += 32) {
+    lane[0] = MixWord(lane[0], word_at(i));
+    lane[1] = MixWord(lane[1], word_at(i + 8));
+    lane[2] = MixWord(lane[2], word_at(i + 16));
+    lane[3] = MixWord(lane[3], word_at(i + 24));
   }
   for (size_t k = 0; i < size; ++k, i += 8) {
     uint64_t word = 0;
