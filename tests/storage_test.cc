@@ -1374,7 +1374,9 @@ TEST(PagedIndexTest, NodePageCountOverrunIsAnError) {
   // before any entry is read: a count one past the page's entries, or a
   // page too short for its head, fails the query (a live index aborts on
   // it) and FreePages, and never reads past the bytes (the ASan job runs
-  // this file).
+  // this file). The death test re-executes the binary rather than fork
+  // it, since the TSan job runs this file too.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   index::RTreeOptions options;
   options.node_capacity = 8;
   const auto records = MakeRecords(4, 5, 9);
