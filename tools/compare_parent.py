@@ -370,6 +370,7 @@ def run_pairs(args, sources):
     for workload in args.workload or WORKLOADS:
         runs = {"base": [], "head": []}
         digests = set()
+        correct = True
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in order:
@@ -380,12 +381,13 @@ def run_pairs(args, sources):
                 if not result["correct"] or result["failed"] != 0:
                     print(f"{workload}: {side} run {pair} incorrect or "
                           f"failed {result['failed']}/{result['attempted']}")
-                    ok = False
+                    correct = False
             print(f"{workload}: pair {pair + 1}/{args.pairs} done",
                   flush=True)
         if len(digests) != 1:
             print(f"{workload}: digests differ: {sorted(map(str, digests))}")
-            ok = False
+            correct = False
+        ok = ok and correct
         print(f"\n{workload} (seed {args.seed}, {args.seconds} s, "
               f"{args.pairs} pairs; digest {' '.join(map(str, digests))})")
         print(f"{'metric':<20}{'base median [q1-q3]':>34}"
@@ -404,7 +406,7 @@ def run_pairs(args, sources):
                      for m, q1, q3 in (stats["base"], stats["head"])]
             print(f"{name:<20}{cells[0]:>34}{cells[1]:>34}{ratio:>11.4f}"
                   f"{wins:>4}/{args.pairs}")
-        if args.append:
+        if args.append and correct:
             path = os.path.join(ROOT, f"BENCH_{workload}.json")
             with open(path) as f:
                 data = json.load(f)
