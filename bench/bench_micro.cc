@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot building blocks: R*-tree
-// insert/query/STR bulk load at the experimental node parameters, wavelet
-// analysis and synthesis, window-difference decomposition, Kalman/RLS
+// insert/query/STR bulk load at the experimental node parameters, scene
+// set-up (1:4 subdivision, wavelet analysis, a 30-object scene) and wavelet
+// synthesis, window-difference decomposition, Kalman/RLS
 // prediction, the Eq.-2 buffer allocator, the motion-prediction layers
 // that dominate a buffered client's frame and the server's interest
 // refresh (predicted paths, block probabilities, prefetch plans, interest
@@ -108,6 +109,19 @@ void BM_StrBulkLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_StrBulkLoad)->Arg(10000)->Arg(100000);
 
+// Four 1:4 subdivisions of the building base mesh (14 faces to 3,584): the
+// scene generator makes eight per object, four to displace and four that
+// the analysis re-derives.
+void BM_Subdivide(benchmark::State& state) {
+  const mesh::Mesh base = mesh::MakeBuilding(30, 40, 20, 6);
+  for (auto _ : state) {
+    mesh::Mesh m = base;
+    for (int j = 0; j < 4; ++j) m = mesh::Subdivide(m).mesh;
+    benchmark::DoNotOptimize(m);
+  }
+}
+BENCHMARK(BM_Subdivide);
+
 void BM_WaveletDecompose(benchmark::State& state) {
   const int levels = static_cast<int>(state.range(0));
   const mesh::Mesh base = mesh::MakeBuilding(30, 40, 20, 6);
@@ -127,6 +141,19 @@ void BM_WaveletDecompose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WaveletDecompose)->Arg(2)->Arg(4);
+
+// A whole 30-object scene at the default four levels: buildings,
+// displacement, analysis and the record table (perfbench's workload.scene_s
+// generates 300).
+void BM_GenerateScene(benchmark::State& state) {
+  workload::SceneOptions options;
+  options.object_count = 30;
+  for (auto _ : state) {
+    auto db = workload::GenerateScene(options);
+    benchmark::DoNotOptimize(db);
+  }
+}
+BENCHMARK(BM_GenerateScene)->Unit(benchmark::kMillisecond);
 
 void BM_WaveletReconstruct(benchmark::State& state) {
   const int levels = 4;

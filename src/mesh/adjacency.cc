@@ -1,44 +1,49 @@
 #include "mesh/adjacency.h"
 
-#include <algorithm>
+#include "common/logging.h"
 
 namespace mars::mesh {
 
-VertexAdjacency::VertexAdjacency(const Mesh& mesh) {
-  neighbors_.resize(mesh.vertex_count());
+EdgeMap::EdgeMap(const Mesh& mesh) : head_(mesh.vertex_count(), -1) {
+  const int32_t n = mesh.vertex_count();
+  // A closed triangle mesh has 3F/2 edges; an open one a few more.
+  const size_t expected_edges = mesh.faces().size() * 3 / 2;
+  edges_.reserve(expected_edges);
+  next_.reserve(expected_edges);
+  face_edges_.reserve(mesh.faces().size());
   for (const Face& f : mesh.faces()) {
-    for (int k = 0; k < 3; ++k) {
-      const int32_t a = f[k];
-      const int32_t b = f[(k + 1) % 3];
-      neighbors_[a].push_back(b);
-      neighbors_[b].push_back(a);
+    for (const int32_t v : f) {
+      MARS_CHECK(v >= 0 && v < n)
+          << "face vertex " << v << " outside [0, " << n << ")";
     }
-  }
-  for (std::vector<int32_t>& list : neighbors_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
-}
-
-bool VertexAdjacency::AreAdjacent(int32_t a, int32_t b) const {
-  const std::vector<int32_t>& list = neighbors_[a];
-  return std::binary_search(list.begin(), list.end(), b);
-}
-
-EdgeMap::EdgeMap(const Mesh& mesh) {
-  for (const Face& f : mesh.faces()) {
+    std::array<int32_t, 3>& sides = face_edges_.emplace_back();
     for (int k = 0; k < 3; ++k) {
       const auto key = EdgeKey(f[k], f[(k + 1) % 3]);
-      if (index_.emplace(key, static_cast<int32_t>(edges_.size())).second) {
+      int32_t e = Find(key);
+      if (e < 0) {
+        e = edge_count();
         edges_.push_back(key);
+        next_.push_back(head_[key.first]);
+        head_[key.first] = e;
       }
+      sides[k] = e;
     }
   }
+}
+
+int32_t EdgeMap::Find(const std::pair<int32_t, int32_t>& key) const {
+  for (int32_t e = head_[key.first]; e >= 0; e = next_[e]) {
+    if (edges_[e].second == key.second) return e;
+  }
+  return -1;
 }
 
 int32_t EdgeMap::IndexOf(int32_t a, int32_t b) const {
-  const auto it = index_.find(EdgeKey(a, b));
-  return it == index_.end() ? -1 : it->second;
+  const auto key = EdgeKey(a, b);
+  if (key.first < 0 || key.second >= static_cast<int32_t>(head_.size())) {
+    return -1;
+  }
+  return Find(key);
 }
 
 }  // namespace mars::mesh

@@ -1,8 +1,8 @@
 #ifndef MARS_MESH_ADJACENCY_H_
 #define MARS_MESH_ADJACENCY_H_
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -10,37 +10,15 @@
 
 namespace mars::mesh {
 
-// Per-vertex one-ring neighbourhoods of a mesh. The one-ring of an odd
-// (edge-midpoint) vertex is exactly the wavelet support region of its
-// coefficient (paper Sec. VI-A), and neighbour sets drive the server-side
-// duplicate filtering of Sec. IV.
-class VertexAdjacency {
- public:
-  explicit VertexAdjacency(const Mesh& mesh);
-
-  // Sorted, de-duplicated vertex indices sharing an edge with `v`.
-  const std::vector<int32_t>& Neighbors(int32_t v) const {
-    return neighbors_[v];
-  }
-
-  int32_t vertex_count() const {
-    return static_cast<int32_t>(neighbors_.size());
-  }
-
-  bool AreAdjacent(int32_t a, int32_t b) const;
-
- private:
-  std::vector<std::vector<int32_t>> neighbors_;
-};
-
 // Canonical (min, max) key for an undirected edge.
 inline std::pair<int32_t, int32_t> EdgeKey(int32_t a, int32_t b) {
   return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
 }
 
-// Maps each undirected edge to a dense index [0, edge_count). Iteration
-// order of `edges()` matches the index order, which makes subdivision
-// deterministic.
+// Maps each undirected edge to a dense index [0, edge_count), numbered in
+// order of first appearance over the faces, which makes subdivision
+// deterministic. Also records the edge index of each face side. A face
+// index outside [0, vertex_count) fails a check.
 class EdgeMap {
  public:
   explicit EdgeMap(const Mesh& mesh);
@@ -58,9 +36,21 @@ class EdgeMap {
     return edges_;
   }
 
+  // Per face (a, b, c): the indices of its sides (a, b), (b, c), (c, a).
+  const std::vector<std::array<int32_t, 3>>& face_edges() const {
+    return face_edges_;
+  }
+
  private:
-  std::map<std::pair<int32_t, int32_t>, int32_t> index_;
+  int32_t Find(const std::pair<int32_t, int32_t>& key) const;
+
   std::vector<std::pair<int32_t, int32_t>> edges_;
+  std::vector<std::array<int32_t, 3>> face_edges_;
+  // Edges chained by their smaller endpoint: head_[v] is the last edge
+  // added whose smaller endpoint is v (-1: none), next_[e] the edge added
+  // before e in the same chain.
+  std::vector<int32_t> head_;
+  std::vector<int32_t> next_;
 };
 
 }  // namespace mars::mesh

@@ -1,9 +1,9 @@
 #include "mesh/mesh.h"
 
 #include <cstdint>
-#include <set>
 #include <string>
-#include <utility>
+
+#include "mesh/adjacency.h"
 
 namespace mars::mesh {
 
@@ -57,16 +57,6 @@ void Mesh::Scale(double factor) {
   }
 }
 
-int64_t CountEdges(const Mesh& mesh) {
-  std::set<std::pair<int32_t, int32_t>> edges;
-  for (const Face& f : mesh.faces()) {
-    for (int k = 0; k < 3; ++k) {
-      const int32_t a = f[k];
-      const int32_t b = f[(k + 1) % 3];
-      edges.insert({std::min(a, b), std::max(a, b)});
-    }
-  }
-  return static_cast<int64_t>(edges.size());
-}
+int64_t CountEdges(const Mesh& mesh) { return EdgeMap(mesh).edge_count(); }
 
 }  // namespace mars::mesh

@@ -65,7 +65,8 @@ class Mesh {
   std::vector<Face> faces_;
 };
 
-// Number of distinct undirected edges in the mesh.
+// Number of distinct undirected edges in the mesh; a face index outside
+// the vertex range fails a check.
 int64_t CountEdges(const Mesh& mesh);
 
 }  // namespace mars::mesh

@@ -1,41 +1,46 @@
 #include "mesh/subdivide.h"
 
+#include <utility>
+
 #include "geometry/vec.h"
 #include "mesh/adjacency.h"
 
 namespace mars::mesh {
 
 Subdivision Subdivide(const Mesh& coarse) {
-  Subdivision out;
-  out.mesh = Mesh(coarse.vertices(), {});
-
   const EdgeMap edge_map(coarse);
   const int32_t even_count = coarse.vertex_count();
+  Subdivision out;
 
-  // One odd vertex per coarse edge, appended in edge-index order.
+  // Even vertices keep their indices; one odd vertex per coarse edge is
+  // appended in edge-index order.
+  std::vector<geometry::Vec3> vertices;
+  vertices.reserve(static_cast<size_t>(even_count) + edge_map.edge_count());
+  vertices.insert(vertices.end(), coarse.vertices().begin(),
+                  coarse.vertices().end());
   out.odd_vertices.reserve(edge_map.edge_count());
-  for (int32_t e = 0; e < edge_map.edge_count(); ++e) {
-    const auto [a, b] = edge_map.edge(e);
-    const int32_t v =
-        out.mesh.AddVertex(geometry::Midpoint(coarse.vertex(a),
-                                              coarse.vertex(b)));
-    out.odd_vertices.push_back(OddVertex{v, a, b});
+  for (const auto& [a, b] : edge_map.edges()) {
+    out.odd_vertices.push_back(
+        OddVertex{static_cast<int32_t>(vertices.size()), a, b});
+    vertices.push_back(
+        geometry::Midpoint(coarse.vertex(a), coarse.vertex(b)));
   }
 
-  const auto midpoint_of = [&](int32_t a, int32_t b) {
-    return even_count + edge_map.IndexOf(a, b);
-  };
-
-  for (const Face& f : coarse.faces()) {
-    const int32_t a = f[0], b = f[1], c = f[2];
-    const int32_t mab = midpoint_of(a, b);
-    const int32_t mbc = midpoint_of(b, c);
-    const int32_t mca = midpoint_of(c, a);
-    out.mesh.AddFace(a, mab, mca);
-    out.mesh.AddFace(b, mbc, mab);
-    out.mesh.AddFace(c, mca, mbc);
-    out.mesh.AddFace(mab, mbc, mca);
+  std::vector<Face> faces;
+  faces.reserve(4 * coarse.faces().size());
+  for (size_t i = 0; i < coarse.faces().size(); ++i) {
+    const auto [a, b, c] = coarse.faces()[i];
+    const auto [ab, bc, ca] = edge_map.face_edges()[i];
+    const int32_t mab = even_count + ab;
+    const int32_t mbc = even_count + bc;
+    const int32_t mca = even_count + ca;
+    faces.push_back({a, mab, mca});
+    faces.push_back({b, mbc, mab});
+    faces.push_back({c, mca, mbc});
+    faces.push_back({mab, mbc, mca});
   }
+  out.mesh = Mesh(std::move(vertices), std::move(faces));
+  out.face_edges = edge_map.face_edges();
   return out;
 }
 

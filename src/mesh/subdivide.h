@@ -1,6 +1,7 @@
 #ifndef MARS_MESH_SUBDIVIDE_H_
 #define MARS_MESH_SUBDIVIDE_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +26,10 @@ struct OddVertex {
 struct Subdivision {
   Mesh mesh;
   std::vector<OddVertex> odd_vertices;
+  // Per coarse face (a, b, c): the odd_vertices indices of the midpoints of
+  // its sides (a, b), (b, c), (c, a). Coarse face i becomes faces 4i..4i+3
+  // of `mesh`.
+  std::vector<std::array<int32_t, 3>> face_edges;
 };
 
 // Regularly subdivides `coarse` 1:4. Midpoints are placed exactly at the

@@ -17,6 +17,12 @@ void ObjectDatabase::FinalizeRecords() {
   MARS_CHECK(!finalized_);
   finalized_ = true;
 
+  size_t record_count = 0;
+  for (const wavelet::MultiResMesh& obj : objects_) {
+    record_count += 1 + obj.coefficients().size();
+  }
+  records_.reserve(record_count);
+
   // Per object: the base-mesh and coefficient records, its bounds, detail
   // scale and byte accounting.
   for (int32_t obj_id = 0; obj_id < object_count(); ++obj_id) {

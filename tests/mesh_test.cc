@@ -1,8 +1,14 @@
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "mesh/adjacency.h"
 #include "mesh/mesh.h"
 #include "mesh/primitives.h"
@@ -103,38 +109,142 @@ TEST(MeshTest, TranslateAndScale) {
   EXPECT_EQ(s.Bounds(), geometry::MakeBox3(0, 0, 0, 3, 3, 3));
 }
 
-// --- Adjacency --------------------------------------------------------------
+// --- Edge map ---------------------------------------------------------------
 
-TEST(AdjacencyTest, TetrahedronIsCompleteGraph) {
-  const Mesh m = MakeTetrahedron();
-  const VertexAdjacency adj(m);
-  for (int32_t v = 0; v < 4; ++v) {
-    EXPECT_EQ(adj.Neighbors(v).size(), 3u);
-    for (int32_t u = 0; u < 4; ++u) {
-      EXPECT_EQ(adj.AreAdjacent(v, u), v != u);
+// The map-based edge table EdgeMap replaced, frozen as the oracle for edge
+// numbering: first appearance over the faces, sides (f0, f1), (f1, f2),
+// (f2, f0) in turn, found through a std::map.
+class FrozenMapEdgeMap {
+ public:
+  explicit FrozenMapEdgeMap(const Mesh& mesh) {
+    for (const Face& f : mesh.faces()) {
+      for (int k = 0; k < 3; ++k) {
+        const auto key = EdgeKey(f[k], f[(k + 1) % 3]);
+        if (index_.emplace(key, static_cast<int32_t>(edges_.size()))
+                .second) {
+          edges_.push_back(key);
+        }
+      }
+    }
+  }
+
+  int32_t IndexOf(int32_t a, int32_t b) const {
+    const auto it = index_.find(EdgeKey(a, b));
+    return it == index_.end() ? -1 : it->second;
+  }
+  const std::vector<std::pair<int32_t, int32_t>>& edges() const {
+    return edges_;
+  }
+
+ private:
+  std::map<std::pair<int32_t, int32_t>, int32_t> index_;
+  std::vector<std::pair<int32_t, int32_t>> edges_;
+};
+
+// Edge order, IndexOf over every vertex pair including two out-of-range
+// vertices on each side, and every face side's edge id, against the
+// frozen map.
+void ExpectEdgeMapMatchesFrozen(const Mesh& mesh) {
+  const EdgeMap edges(mesh);
+  const FrozenMapEdgeMap frozen(mesh);
+  ASSERT_EQ(edges.edges(), frozen.edges());
+  EXPECT_EQ(edges.edge_count(), static_cast<int32_t>(frozen.edges().size()));
+  EXPECT_EQ(CountEdges(mesh), edges.edge_count());
+  const int32_t n = mesh.vertex_count();
+  for (int32_t a = -2; a < n + 2; ++a) {
+    for (int32_t b = -2; b < n + 2; ++b) {
+      ASSERT_EQ(edges.IndexOf(a, b), frozen.IndexOf(a, b))
+          << "IndexOf(" << a << ", " << b << ")";
+    }
+  }
+  ASSERT_EQ(edges.face_edges().size(), mesh.faces().size());
+  for (size_t i = 0; i < mesh.faces().size(); ++i) {
+    const Face& f = mesh.faces()[i];
+    for (int k = 0; k < 3; ++k) {
+      ASSERT_EQ(edges.face_edges()[i][k],
+                frozen.IndexOf(f[k], f[(k + 1) % 3]))
+          << "face " << i << " side " << k;
     }
   }
 }
 
-TEST(AdjacencyTest, OctahedronDegreeFour) {
-  const VertexAdjacency adj(MakeOctahedron());
-  for (int32_t v = 0; v < 6; ++v) {
-    EXPECT_EQ(adj.Neighbors(v).size(), 4u);
+TEST(EdgeMapTest, MatchesFrozenMapOnRandomMeshes) {
+  // Random triangles over a small vertex set: shared, non-manifold and
+  // repeated edges, faces in both orientations, unused vertices.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    common::Rng rng(seed);
+    const int32_t n = static_cast<int32_t>(rng.UniformInt(4, 40));
+    const int32_t face_count = static_cast<int32_t>(rng.UniformInt(1, 80));
+    const auto random_vertex = [&] {
+      return static_cast<int32_t>(rng.UniformInt(0, n - 1));
+    };
+    Mesh mesh(std::vector<geometry::Vec3>(n), {});
+    while (mesh.face_count() < face_count) {
+      const int32_t a = random_vertex(), b = random_vertex(),
+                    c = random_vertex();
+      if (a != b && b != c && a != c) mesh.AddFace(a, b, c);
+    }
+    ExpectEdgeMapMatchesFrozen(mesh);
   }
-  // Antipodal vertices are not adjacent.
-  EXPECT_FALSE(adj.AreAdjacent(0, 1));
-  EXPECT_FALSE(adj.AreAdjacent(2, 3));
-  EXPECT_FALSE(adj.AreAdjacent(4, 5));
 }
 
-TEST(AdjacencyTest, NeighborsSortedUnique) {
-  const VertexAdjacency adj(MakeBuilding(10, 10, 10, 3));
-  for (int32_t v = 0; v < adj.vertex_count(); ++v) {
-    const auto& n = adj.Neighbors(v);
-    for (size_t i = 1; i < n.size(); ++i) {
-      EXPECT_LT(n[i - 1], n[i]);
+TEST(EdgeMapTest, MatchesFrozenMapOnMeshesAndTheirSubdivisions) {
+  const std::vector<std::pair<std::string, Mesh>> shapes = {
+      {"terrain 4x3", MakeTerrainPatch(4, 3, 100, 60)},
+      {"terrain 1x1", MakeTerrainPatch(1, 1, 10, 10)},
+      {"terrain 2x5", MakeTerrainPatch(2, 5, 20, 50)},
+      {"octahedron", MakeOctahedron()},
+      {"building", MakeBuilding(10, 12, 8, 3)},
+  };
+  for (const auto& [name, base] : shapes) {
+    Mesh mesh = base;
+    for (int level = 0; level <= 2; ++level) {
+      SCOPED_TRACE(name + " level " + std::to_string(level));
+      ExpectEdgeMapMatchesFrozen(mesh);
+      mesh = Subdivide(mesh).mesh;
     }
   }
+}
+
+TEST(EdgeMapTest, MatchesFrozenMapWithUnusedVertices) {
+  // Vertices 0, 3, 6 and 9 belong to no face; IndexOf answers -1 for them.
+  Mesh mesh(std::vector<geometry::Vec3>(10),
+            {{1, 2, 4}, {4, 2, 5}, {5, 7, 4}, {8, 7, 5}});
+  ExpectEdgeMapMatchesFrozen(mesh);
+  const EdgeMap edges(mesh);
+  EXPECT_EQ(edges.edge_count(), 9);
+  for (int32_t v = 0; v < 10; ++v) {
+    EXPECT_EQ(edges.IndexOf(0, v), -1);
+    EXPECT_EQ(edges.IndexOf(v, 9), -1);
+  }
+}
+
+TEST(EdgeMapTest, EdgeSharedByThreeFacesHasOneId) {
+  Mesh mesh(std::vector<geometry::Vec3>(5), {{0, 1, 2}, {1, 0, 3}, {0, 1, 4}});
+  ExpectEdgeMapMatchesFrozen(mesh);
+  const EdgeMap edges(mesh);
+  EXPECT_EQ(edges.edge_count(), 7);
+  EXPECT_EQ(edges.face_edges()[0][0], 0);
+  EXPECT_EQ(edges.face_edges()[1][0], 0);
+  EXPECT_EQ(edges.face_edges()[2][0], 0);
+  // The split edge's midpoint is shared by all three faces' children.
+  const Subdivision sub = Subdivide(mesh);
+  int32_t faces_on_midpoint = 0;
+  for (const Face& f : sub.mesh.faces()) {
+    faces_on_midpoint += f[0] == 5 || f[1] == 5 || f[2] == 5;
+  }
+  EXPECT_EQ(faces_on_midpoint, 9);
+}
+
+TEST(EdgeMapDeathTest, FaceIndexPastVertexCountFailsCheck) {
+  // Re-executes the binary rather than forking it, so the test is safe
+  // under the thread sanitizer too.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Mesh past({{0, 0, 0}, {1, 0, 0}, {0, 1, 0}}, {{0, 1, 2}, {0, 2, 3}});
+  EXPECT_DEATH(EdgeMap{past}, "face vertex 3 outside \\[0, 3\\)");
+  const Mesh negative({{0, 0, 0}, {1, 0, 0}, {0, 1, 0}}, {{0, -1, 2}});
+  EXPECT_DEATH(CountEdges(negative), "face vertex -1 outside");
 }
 
 TEST(EdgeMapTest, IndicesDenseAndSymmetric) {

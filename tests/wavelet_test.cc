@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -77,6 +79,26 @@ TEST(DecomposeTest, RejectsMismatchedConnectivity) {
   EXPECT_FALSE(Decompose(fine, base, 1).ok());
   // Wrong base entirely must fail.
   EXPECT_FALSE(Decompose(fine, mesh::MakeOctahedron(), 2).ok());
+}
+
+TEST(DecomposeTest, RejectsFacesThatAreNotTheSubdivision) {
+  // Vertex and face counts of a two-level subdivision of the base, but
+  // one face re-pointed at another vertex: its one-rings are not the ones
+  // the analysis would read, so the mesh is refused.
+  const mesh::Mesh base = mesh::MakeBuilding(20, 25, 15, 5);
+  const mesh::Mesh fine = DisplacedFine(base, 2, 2.0, 0.5, 5);
+  ASSERT_TRUE(Decompose(fine, base, 2).ok());
+  std::vector<mesh::Face> faces = fine.faces();
+  const int32_t far_vertex = fine.vertex_count() - 1;
+  ASSERT_EQ(std::count(faces[7].begin(), faces[7].end(), far_vertex), 0);
+  faces[7][1] = far_vertex;
+  const mesh::Mesh repointed(fine.vertices(), std::move(faces));
+  ASSERT_TRUE(repointed.Validate().ok());
+  const auto mr = Decompose(repointed, base, 2);
+  ASSERT_FALSE(mr.ok());
+  EXPECT_EQ(mr.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(mr.status().message().find("face 7 differs"), std::string::npos)
+      << mr.status().message();
 }
 
 TEST(DecomposeTest, RejectsNegativeLevels) {
@@ -198,6 +220,44 @@ TEST(SupportRegionTest, BoundsContainVertexAndParents) {
     const geometry::Vec3& b = fine.vertex(c.parent_b);
     EXPECT_TRUE(c.support_bounds.ContainsPoint({a.x, a.y, a.z}));
     EXPECT_TRUE(c.support_bounds.ContainsPoint({b.x, b.y, b.z}));
+  }
+}
+
+TEST(SupportRegionTest, BoundsEqualOneRingBoxInTheFinerMesh) {
+  // Brute force over M^{level+1}'s faces: a coefficient's support box is
+  // the box of its vertex and of every vertex sharing a face with it, at
+  // final-mesh positions.
+  const std::vector<std::pair<std::string, mesh::Mesh>> shapes = {
+      {"building", mesh::MakeBuilding(20, 25, 15, 5)},
+      {"octahedron", mesh::MakeOctahedron()},
+      {"terrain", mesh::MakeTerrainPatch(3, 2, 90, 60)},
+  };
+  for (const auto& [name, base] : shapes) {
+    for (int levels = 1; levels <= 4; ++levels) {
+      SCOPED_TRACE(name + ", " + std::to_string(levels) + " levels");
+      const mesh::Mesh fine = DisplacedFine(base, levels, 2.0, 0.5, 59);
+      auto mr = Decompose(fine, base, levels);
+      ASSERT_TRUE(mr.ok()) << mr.status().ToString();
+      mesh::Mesh coarse = base;
+      for (int j = 0; j < levels; ++j) {
+        mesh::Mesh finer = mesh::Subdivide(coarse).mesh;
+        std::vector<geometry::Box3> ring(finer.vertex_count());
+        for (const mesh::Face& f : finer.faces()) {
+          for (const int32_t v : f) {
+            for (const int32_t u : f) {
+              const geometry::Vec3& p = fine.vertex(u);
+              ring[v].ExtendPoint({p.x, p.y, p.z});
+            }
+          }
+        }
+        for (const int32_t id : mr->CoefficientsAtLevel(j)) {
+          const WaveletCoefficient& c = mr->coefficient(id);
+          ASSERT_EQ(c.support_bounds, ring[c.vertex])
+              << "level " << j << " coefficient " << id;
+        }
+        coarse = std::move(finer);
+      }
+    }
   }
 }
 

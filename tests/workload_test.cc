@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "geometry/box.h"
+#include "server/persistence.h"
 #include "workload/scene.h"
 #include "workload/tour.h"
 
@@ -51,12 +52,9 @@ TEST(SceneTest, DeterministicForSeed) {
   auto b = GenerateScene(options);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->records().size(), b->records().size());
-  for (size_t i = 0; i < a->records().size(); ++i) {
-    EXPECT_EQ(a->records()[i].w, b->records()[i].w);
-    EXPECT_EQ(a->records()[i].position, b->records()[i].position);
-  }
-  EXPECT_EQ(a->total_bytes(), b->total_bytes());
+  // Every serialized byte: base meshes and every coefficient field, from
+  // which the record table is derived.
+  EXPECT_EQ(server::SerializeDatabase(*a), server::SerializeDatabase(*b));
 }
 
 TEST(SceneTest, DifferentSeedsDiffer) {

@@ -6,7 +6,7 @@ Run from the root of a checkout:
     python3 tools/compare_parent.py --base HEAD~1           # working tree
     python3 tools/compare_parent.py --base 6a74d4c --head HEAD
     python3 tools/compare_parent.py --base HEAD~1 --pairs 10 --seed 1 \
-        --seconds 20 [--append]
+        --seconds 20 [--control] [--append]
 
 Both sides are exported into .compare/base and .compare/head (paths of
 equal length, so paths echoed in the outputs match) and built there in
@@ -35,6 +35,13 @@ correct with no failed operation and every digest is equal between the
 sides, and prints each end-to-end metric's median, q1 and q3 per side
 with the number of pairs the change won. --append adds the two rows
 CONTRIBUTING.md describes to each BENCH_<workload>.json.
+
+--control adds an A/A control: a second export of the base in
+.compare/ctrl (a path as long as the other two) that runs in every
+round, the three sides' order rotating from round to round. Each
+metric then also shows the control's median and quartiles, and whether
+the change's median lies outside the control's IQR, which a speed-up
+claim needs (CONTRIBUTING.md).
 
 A side is exported with `git archive` (the working tree by copying its
 files), not `git worktree add`, so a run registers nothing in the
@@ -366,14 +373,15 @@ def run_pairs(args, sources):
     metrics = end_to_end_metrics(sources["head"])
     base_commit = git("rev-parse", "--short", args.base).decode().strip()
     host = args.host or f"{os.cpu_count()}-core {platform.machine()}"
+    names = list(sources)  # base, head and, with --control, ctrl
     ok = True
     for workload in args.workload or WORKLOADS:
-        runs = {"base": [], "head": []}
+        runs = {side: [] for side in names}
         digests = set()
         correct = True
         for pair in range(args.pairs):
-            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            for side in order:
+            shift = pair % len(names)
+            for side in names[shift:] + names[:shift]:
                 result, digest = run_perfbench(sources[side], workload,
                                                args.seed, args.seconds)
                 runs[side].append(result)
@@ -390,8 +398,10 @@ def run_pairs(args, sources):
         ok = ok and correct
         print(f"\n{workload} (seed {args.seed}, {args.seconds} s, "
               f"{args.pairs} pairs; digest {' '.join(map(str, digests))})")
-        print(f"{'metric':<20}{'base median [q1-q3]':>34}"
-              f"{'head median [q1-q3]':>34}{'head/base':>11}{'wins':>7}")
+        print(f"{'metric':<20}" +
+              "".join(f"{side + ' median [q1-q3]':>34}" for side in names) +
+              f"{'head/base':>11}{'wins':>7}" +
+              (f"{'head vs ctrl IQR':>18}" if "ctrl" in names else ""))
         for metric in metrics:
             name = metric["name"]
             values = {side: [r["metrics"][name]["value"] for r in runs[side]]
@@ -402,10 +412,15 @@ def run_pairs(args, sources):
                        for b, h in zip(values["base"], values["head"]))
             ratio = stats["head"][0] / stats["base"][0] \
                 if stats["base"][0] else float("nan")
-            cells = [f"{m:.6g} [{q1:.6g}-{q3:.6g}]"
-                     for m, q1, q3 in (stats["base"], stats["head"])]
-            print(f"{name:<20}{cells[0]:>34}{cells[1]:>34}{ratio:>11.4f}"
-                  f"{wins:>4}/{args.pairs}")
+            cells = "".join(f"{f'{m:.6g} [{q1:.6g}-{q3:.6g}]':>34}"
+                            for m, q1, q3 in stats.values())
+            mark = ""
+            if "ctrl" in stats:
+                _, q1, q3 = stats["ctrl"]
+                inside = q1 <= stats["head"][0] <= q3
+                mark = f"{'inside' if inside else 'OUTSIDE':>18}"
+            print(f"{name:<20}{cells}{ratio:>11.4f}"
+                  f"{wins:>4}/{args.pairs}{mark}")
         if args.append and correct:
             path = os.path.join(ROOT, f"BENCH_{workload}.json")
             with open(path) as f:
@@ -437,6 +452,9 @@ def main():
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="with --pairs, run only this workload "
                         "(repeatable; default: all)")
+    parser.add_argument("--control", action="store_true",
+                        help="with --pairs, also run a second copy of the "
+                        "base as an A/A control")
     parser.add_argument("--append", action="store_true",
                         help="append both rows to BENCH_<workload>.json")
     parser.add_argument("--host", help="the rows' host (default: the core "
@@ -444,9 +462,13 @@ def main():
     args = parser.parse_args()
     if args.append and args.pairs < 1:
         parser.error("--append needs --pairs")
+    if args.control and args.pairs < 1:
+        parser.error("--control needs --pairs")
 
     sides = {}
-    for side, revision in (("base", args.base), ("head", args.head)):
+    control = (("ctrl", args.base),) if args.control else ()
+    for side, revision in (("base", args.base), ("head", args.head),
+                           *control):
         source = os.path.join(WORK, side)
         label = revision if revision is not None else "working tree"
         print(f"{side}: {label}, building in {os.path.relpath(source, ROOT)}",
