@@ -7,8 +7,13 @@
 // utilization falls as buffers grow (long-horizon prefetches are less
 // certain); tram tours do better than pedestrian tours because they are
 // more predictable.
+//
+// MARS_BENCH_SMOKE=1 runs a smaller preset (3 tours of 150 frames per
+// setting) and MARS_BENCH_JSON=<path> writes every cell of the table;
+// tools/figure_check.py checks the motion-aware-beats-naive shape on it.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -25,7 +30,9 @@ int main() {
   }
   core::System& system = **system_or;
 
-  constexpr int32_t kFrames = 300;
+  const bool smoke = bench::SmokeMode();
+  const int32_t frames = smoke ? 150 : 300;
+  const int tours_per_setting = smoke ? 3 : bench::kDefaultTours;
   constexpr double kSpeed = 0.5;
 
   struct Cell {
@@ -45,9 +52,8 @@ int main() {
     // Sec. VII-C). Full scheduled stops are excluded: a stop demands an
     // instant 500x resolution upgrade of the whole view, which swamps the
     // hit-rate statistic with misses no prefetcher could avoid.
-    const auto tours = bench::MakeTours(kinds[ki], kSpeed,
-                                        bench::kDefaultTours, kFrames, -1.0,
-                                        system.space());
+    const auto tours = bench::MakeTours(kinds[ki], kSpeed, tours_per_setting,
+                                        frames, -1.0, system.space());
     for (int scheme = 0; scheme < 2; ++scheme) {
       for (size_t bi = 0; bi < buffers.size(); ++bi) {
         client::BufferedClient::Options options;
@@ -82,5 +88,27 @@ int main() {
                          core::Fmt(100 * results[1][0][bi].util, 1),
                          core::Fmt(100 * results[1][1][bi].util, 1)});
   }
-  return 0;
+
+  // hit_<kind>_<scheme>_<buffer>k and util_..., as fractions.
+  std::vector<std::string> names;
+  std::vector<double> values;
+  for (int ki = 0; ki < 2; ++ki) {
+    for (int scheme = 0; scheme < 2; ++scheme) {
+      for (size_t bi = 0; bi < buffers.size(); ++bi) {
+        const std::string cell =
+            std::string("_") + bench::TourKindName(kinds[ki]) +
+            (scheme == 0 ? "_ma_" : "_naive_") + std::to_string(buffers[bi]) +
+            "k";
+        names.push_back("hit" + cell);
+        values.push_back(results[ki][scheme][bi].hit);
+        names.push_back("util" + cell);
+        values.push_back(results[ki][scheme][bi].util);
+      }
+    }
+  }
+  std::vector<bench::BenchMetric> metrics;
+  for (size_t i = 0; i < names.size(); ++i) {
+    metrics.push_back({names[i].c_str(), values[i], true});
+  }
+  return bench::WriteBenchJson("fig10_buffer_size", metrics) ? 0 : 1;
 }

@@ -15,8 +15,16 @@
 // reports 64% -> 91% for trams); utilization is lower at high speed
 // (longer-distance predictions); the motion-aware scheme dominates the
 // naive one on both metrics.
+//
+// MARS_BENCH_SMOKE=1 changes nothing: the shape check needs every speed,
+// and fewer tours flip the sign of the motion-aware lead at the top
+// walking speed, about a point (see EXPERIMENTS.md).
+// MARS_BENCH_JSON=<path> writes every cell of the table;
+// tools/figure_check.py checks the hit-rate shape on it.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/experiment.h"
@@ -32,13 +40,17 @@ int main() {
   core::System& system = **system_or;
 
   constexpr double kDistance = 1500.0;  // meters, equal at every speed
+  const std::vector<double> speeds = {0.05, 0.1, 0.25, 0.5, 0.75, 1.0};
+  // hit_<kind>_<scheme>_<speed> and util_..., as fractions.
+  std::vector<std::string> names;
+  std::vector<double> values;
 
   core::PrintTableTitle(
       "Fig. 11 — hit rate and utilization (%) vs speed (64K buffer, equal "
       "distance)");
   core::PrintTableHeader({"speed", "kind", "MA hit", "naive hit", "MA util",
                           "naive util"});
-  for (double speed : {0.05, 0.1, 0.25, 0.5, 0.75, 1.0}) {
+  for (double speed : speeds) {
     for (auto kind :
          {workload::TourKind::kTram, workload::TourKind::kPedestrian}) {
       const auto tours = bench::MakeTours(kind, speed, bench::kDefaultTours,
@@ -56,7 +68,29 @@ int main() {
                            core::Fmt(100 * n.cache_hit_rate, 1),
                            core::Fmt(100 * m.data_utilization, 1),
                            core::Fmt(100 * n.data_utilization, 1)});
+      const auto cell = [&](const char* metric, const char* scheme) {
+        std::string name = metric;
+        for (const std::string& part :
+             {std::string(bench::TourKindName(kind)), std::string(scheme),
+              core::Fmt(speed, 2)}) {
+          name += '_';
+          name += part;
+        }
+        return name;
+      };
+      for (const auto& [name, value] :
+           {std::pair{cell("hit", "ma"), m.cache_hit_rate},
+            std::pair{cell("hit", "naive"), n.cache_hit_rate},
+            std::pair{cell("util", "ma"), m.data_utilization},
+            std::pair{cell("util", "naive"), n.data_utilization}}) {
+        names.push_back(name);
+        values.push_back(value);
+      }
     }
   }
-  return 0;
+  std::vector<bench::BenchMetric> metrics;
+  for (size_t i = 0; i < names.size(); ++i) {
+    metrics.push_back({names[i].c_str(), values[i], true});
+  }
+  return bench::WriteBenchJson("fig11_buffer_speed", metrics) ? 0 : 1;
 }

@@ -4,11 +4,11 @@
 // synthesis, window-difference decomposition, Kalman/RLS
 // prediction, the Eq.-2 buffer allocator, the motion-prediction layers
 // that dominate a buffered client's frame and the server's interest
-// refresh (predicted paths, block probabilities, prefetch plans, interest
-// snapshots), the disk fleet's hot path (the wire encoding of a
-// response, the pool's prefetch-candidate scan, the page checksum, a
-// shard's directory fingerprint, a page file's store/load/erase and
-// paged-tree queries through warm and cold pools),
+// refresh (predicted paths, block probabilities, sector assignment,
+// prefetch plans, interest snapshots), the disk fleet's hot path (the
+// wire encoding of a response, the pool's prefetch-candidate scan, the
+// page checksum, a shard's directory fingerprint, a page file's
+// store/load/erase and paged-tree queries through warm and cold pools),
 // and the shared cell's per-tick work (a WFQ Advance over a backlogged
 // fleet and the coalescing table's probe). These are not paper figures;
 // they document the substrate costs behind the figure benches.
@@ -38,6 +38,7 @@
 #include "motion/grid_probability.h"
 #include "motion/kalman.h"
 #include "motion/predictor.h"
+#include "motion/sectors.h"
 #include "net/shared_link.h"
 #include "server/inflight_table.h"
 #include "server/motion_interest.h"
@@ -266,31 +267,87 @@ void BM_PredictPath(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictPath)->ArgsProduct({{0, 1}, {16, 48}});
 
-// Arg tracker: 0 = the client's frame mode (40 × 40 grid, 5% frame,
-// H 48 × 64 samples); 1 = the interest tracker's point mode (16 × 16 grid,
-// H 16 × 64 samples).
+// A fixed Gaussian path: step i has mean `mean`, standard deviations
+// sigma·(1 + 0.01·i) and correlation rho, so no two steps are equal.
+class FixedGaussianPath : public motion::PositionPredictor {
+ public:
+  FixedGaussianPath(geometry::Vec2 mean, double sigma, double rho)
+      : mean_(mean), sigma_(sigma), rho_(rho) {}
+  void Observe(const geometry::Vec2&) override {}
+  std::vector<motion::Prediction> PredictPath(int32_t horizon) const override {
+    std::vector<motion::Prediction> path(static_cast<size_t>(horizon));
+    for (int32_t i = 0; i < horizon; ++i) {
+      const double var = std::pow(sigma_ * (1.0 + 0.01 * i), 2);
+      path[i].mean = mean_;
+      path[i].cov_xx = path[i].cov_yy = var;
+      path[i].cov_xy = rho_ * var;
+    }
+    return path;
+  }
+  double MeanStepDistance() const override { return 0.0; }
+
+ private:
+  geometry::Vec2 mean_;
+  double sigma_;
+  double rho_;
+};
+
+// Arg field: 0 = the client's frame mode (40 × 40 grid, 5% frame, H 48);
+// 1 = the interest tracker's point mode (16 × 16 grid, H 16); 2 = the
+// client's cold start (its zero-velocity prior, σ 1 km, ρ 0, at the
+// client's frame geometry); 3 = a diverged predictor's wide ridge (σ 3 km
+// growing 1% a step, ρ 0.99, the mean just outside a corner of the space,
+// frame geometry).
 void BM_BlockProbabilities(benchmark::State& state) {
-  const bool tracker = state.range(0) != 0;
-  const int32_t blocks = tracker ? 16 : 40;
+  const int64_t field = state.range(0);
+  const int32_t blocks = field == 1 ? 16 : 40;
   const geometry::GridPartition grid(kMotionSpace, blocks, blocks);
   motion::GridProbabilityOptions options;
-  if (!tracker) {
+  if (field != 1) {
     options.horizon = 48;
     options.step_discount = std::pow(0.5, 1.0 / options.horizon);
     options.frame_half_width = kMotionSpace.Extent(0) * 0.05 / 2.0;
     options.frame_half_height = kMotionSpace.Extent(1) * 0.05 / 2.0;
   }
   motion::MotionPredictor rls;
-  WarmUp(rls);
-  common::Rng rng(10);
+  if (field == 2) {
+    rls.Observe({3000, 3000});
+  } else {
+    WarmUp(rls);
+  }
+  const FixedGaussianPath ridge({-200, -200}, 3000, 0.99);
+  const motion::PositionPredictor& predictor =
+      field == 3 ? static_cast<const motion::PositionPredictor&>(ridge) : rls;
+  size_t entries = 0;
   for (auto _ : state) {
-    auto probs = motion::ComputeBlockProbabilities(rls, grid, options, rng);
+    auto probs = motion::ComputeBlockProbabilities(predictor, grid, options);
+    entries = probs.size();
     benchmark::DoNotOptimize(probs);
   }
-  const int64_t samples = int64_t{options.horizon} * motion::kSamplesPerStep;
-  state.SetItemsProcessed(state.iterations() * samples);
+  state.counters["entries"] = static_cast<double>(entries);
+  state.SetItemsProcessed(state.iterations() * options.horizon);
 }
-BENCHMARK(BM_BlockProbabilities)->ArgName("tracker")->Arg(0)->Arg(1);
+BENCHMARK(BM_BlockProbabilities)->ArgName("field")->DenseRange(0, 3);
+
+// Sector assignment of a field that holds every block of the client's
+// 40 × 40 grid, around the warmed-up client's position.
+void BM_SectorAggregate(benchmark::State& state) {
+  const geometry::GridPartition grid(kMotionSpace, 40, 40);
+  motion::BlockProbabilities probs;
+  for (int64_t block = 0; block < grid.block_count(); ++block) {
+    probs.emplace_back(block, 1.0 / static_cast<double>(grid.block_count()));
+  }
+  motion::MotionPredictor predictor;
+  const geometry::Vec2 position = WarmUp(predictor);
+  for (auto _ : state) {
+    motion::SectorPartition partition(position, 4);
+    auto directions = partition.Aggregate(grid, probs);
+    benchmark::DoNotOptimize(directions);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(probs.size()));
+}
+BENCHMARK(BM_SectorAggregate);
 
 // One buffered-client plan at the client's geometry, by block budget.
 void BM_MotionAwarePlan(benchmark::State& state) {

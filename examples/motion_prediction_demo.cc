@@ -8,12 +8,12 @@
 //
 //   ./build/examples/motion_prediction_demo
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "buffer/sector_allocator.h"
-#include "common/rng.h"
 #include "geometry/grid.h"
 #include "motion/grid_probability.h"
 #include "motion/predictor.h"
@@ -26,9 +26,8 @@ using namespace mars;  // NOLINT
 void Snapshot(const motion::MotionPredictor& predictor,
               const geometry::GridPartition& grid,
               const geometry::Vec2& position, const char* label) {
-  common::Rng rng(13);
   const motion::BlockProbabilities probs = motion::ComputeBlockProbabilities(
-      predictor, grid, motion::GridProbabilityOptions(), rng);
+      predictor, grid, motion::GridProbabilityOptions());
 
   std::printf("\n--- %s (client at %.0f, %.0f) ---\n", label, position.x,
               position.y);
@@ -46,8 +45,13 @@ void Snapshot(const motion::MotionPredictor& predictor,
         std::printf("?");
         continue;
       }
-      const auto it = probs.find(grid.BlockId(c));
-      double p = it == probs.end() ? 0.0 : it->second;
+      // The field is sorted by block id.
+      const int64_t block = grid.BlockId(c);
+      const auto it = std::lower_bound(
+          probs.begin(), probs.end(), block,
+          [](const auto& entry, int64_t id) { return entry.first < id; });
+      const double p = it != probs.end() && it->first == block ? it->second
+                                                               : 0.0;
       if (di == 0 && dj == 0) {
         std::printf("O");  // the client
         continue;

@@ -73,7 +73,7 @@ MotionAwarePrefetcher::MotionAwarePrefetcher(Options options)
 PrefetchPlan MotionAwarePrefetcher::Plan(
     const motion::PositionPredictor& predictor, const GridPartition& grid,
     const geometry::Vec2& position, double w_min, int32_t budget_blocks,
-    common::Rng& rng) const {
+    common::Rng& /*rng*/) const {
   PrefetchPlan plan;
   if (budget_blocks <= 0) return plan;
 
@@ -89,10 +89,10 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
   const int32_t depth_steps =
       static_cast<int32_t>(depth_blocks * block_span / step_m);
   prob_options.horizon = std::clamp(depth_steps, kMinHorizon, kMaxHorizon);
-  // Keep half of the sampling weight alive at the far end of the horizon.
+  // Keep half of the step weight alive at the far end of the horizon.
   prob_options.step_discount = std::pow(0.5, 1.0 / prob_options.horizon);
-  const motion::BlockProbabilities probs = motion::ComputeBlockProbabilities(
-      predictor, grid, prob_options, rng);
+  const motion::BlockProbabilities probs =
+      motion::ComputeBlockProbabilities(predictor, grid, prob_options);
 
   // (ii) Aggregate into k direction probabilities and split the budget.
   motion::SectorPartition partition(position, kDirections);
@@ -104,22 +104,18 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
   std::vector<std::vector<Candidate>> candidates(kDirections);
   const BlockCoord center = grid.BlockOfPoint(position);
   const int64_t center_id = grid.BlockId(center);
-  for (const auto& [block, p] : probs) {
+  for (size_t e = 0; e < probs.size(); ++e) {
+    const auto& [block, p] = probs[e];
     if (block == center_id) continue;  // current block is demand territory
-    auto it = directions.block_sector.find(block);
-    const int32_t sector = it != directions.block_sector.end()
-                               ? it->second
-                               : partition.SectorOfBlock(grid, block);
     const BlockCoord c = grid.BlockCoordOf(block);
     const int32_t ring = std::max(std::abs(c.i - center.i),
                                   std::abs(c.j - center.j));
-    candidates[sector].push_back(Candidate{block, p, ring});
+    candidates[directions.sector[e]].push_back(Candidate{block, p, ring});
   }
-  // A predictor with no mass in the space (a cold start) gets the rings
-  // around the client instead, so the sectors can still fill their
-  // allocation. Step (iv) stops at the first zero-mass candidate whenever
-  // `probs` is non-empty, so ring candidates are only ever taken here.
-  // Rings of distinct radii are disjoint and never hold the center.
+  // A predictor with no mass in the space (a cold start far from it) gets
+  // the rings around the client instead, so the sectors can still fill
+  // their allocation. Rings of distinct radii are disjoint and never hold
+  // the center.
   for (int32_t r = 1; probs.empty() && r <= kMaxRingRadius; ++r) {
     bool all_full = true;
     for (int32_t s = 0; s < kDirections; ++s) {
@@ -135,7 +131,11 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
     });
   }
 
-  // (iv) Per sector, keep the most promising blocks up to the allocation.
+  // (iv) Per sector, keep the most promising blocks up to the allocation,
+  // none below the kMinBudgetShare floor. Ring candidates carry no mass
+  // and have no floor: they exist to bootstrap a cold predictor.
+  const double min_probability =
+      probs.empty() ? 0.0 : kMinBudgetShare / budget_blocks;
   for (int32_t s = 0; s < kDirections; ++s) {
     std::vector<Candidate>& list = candidates[s];
     std::sort(list.begin(), list.end(),
@@ -148,11 +148,8 @@ PrefetchPlan MotionAwarePrefetcher::Plan(
               });
     const int32_t take =
         std::min<int32_t>(allocation[s], static_cast<int32_t>(list.size()));
-    for (int32_t i = 0; i < take; ++i) {
-      // Ring-fill candidates carry no predicted mass; once the predictor
-      // is producing real probabilities, spending budget on them only
-      // wastes bandwidth (they exist to bootstrap a cold predictor).
-      if (list[i].probability <= 0.0 && !probs.empty()) break;
+    for (int32_t i = 0; i < take && list[i].probability >= min_probability;
+         ++i) {
       plan.items.push_back(PrefetchPlan::Item{
           list[i].block,
           // Nearer rings break probability ties in eviction decisions.

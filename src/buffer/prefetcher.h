@@ -53,6 +53,13 @@ class MotionAwarePrefetcher {
   static constexpr double kBlocksPerDepthUnit = 8.0;
   static constexpr int32_t kMinHorizon = 4;
   static constexpr int32_t kMaxHorizon = 48;
+  // Each sector stops at its first block whose probability is below
+  // kMinBudgetShare / budget_blocks, an eighth of the equal share the
+  // naive ring gives each of its blocks. The exact field gives every
+  // block inside the 4σ ellipses some mass; without the stop, a sector
+  // fills its whole allocation with blocks the client rarely reaches,
+  // and their transfers delay everything behind them on a shared cell.
+  static constexpr double kMinBudgetShare = 0.125;
 
   struct Options {
     motion::GridProbabilityOptions probability;
@@ -63,7 +70,9 @@ class MotionAwarePrefetcher {
 
   // Plans up to `budget_blocks` blocks around `position`; `w_min` (in
   // [0, 1]) is the prefetch resolution the caller's QoS policy mapped
-  // from the current speed (qos::ResolutionPolicy).
+  // from the current speed (qos::ResolutionPolicy). The plan is a pure
+  // function of its inputs: `rng` is unused, and stays only for
+  // perfbench's replay, which calls this signature.
   PrefetchPlan Plan(const motion::PositionPredictor& predictor,
                     const geometry::GridPartition& grid,
                     const geometry::Vec2& position, double w_min,

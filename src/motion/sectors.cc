@@ -28,9 +28,34 @@ int32_t SectorPartition::SectorOfPoint(const geometry::Vec2& p) const {
   return sector % k_;
 }
 
+int32_t SectorPartition::SectorOffLine(double dx, double dy) const {
+  const double sector_span = kTwoPi / k_;
+  double shifted = std::atan2(dy, dx) + M_PI / k_;
+  if (shifted < 0) shifted += kTwoPi;
+  const double frac = std::fmod(shifted, sector_span) / sector_span;
+  if (frac < 1e-9 || frac > 1.0 - 1e-9) return -1;
+  return static_cast<int32_t>(shifted / sector_span) % k_;
+}
+
 int32_t SectorPartition::SectorOfBlock(const geometry::GridPartition& grid,
                                        int64_t block) {
   const geometry::Box2 box = grid.BlockBox(block);
+  if (k_ >= 2) {
+    // Four corners off the lines and in one sector: every sample below is
+    // in it too, and the vote would be unanimous. A block holding the
+    // center never qualifies.
+    const auto corner = [&](double x, double y) {
+      const double dx = x - center_.x;
+      const double dy = y - center_.y;
+      return dx == 0.0 && dy == 0.0 ? -1 : SectorOffLine(dx, dy);
+    };
+    const int32_t sector = corner(box.lo(0), box.lo(1));
+    if (sector >= 0 && corner(box.hi(0), box.lo(1)) == sector &&
+        corner(box.lo(0), box.hi(1)) == sector &&
+        corner(box.hi(0), box.hi(1)) == sector) {
+      return sector;
+    }
+  }
   // Vote with a 4 × 4 sample lattice over the block. The majority sector
   // approximates "the partition that owns the maximum region of that
   // block"; samples landing (numerically) on a partition line abstain, so
@@ -38,7 +63,6 @@ int32_t SectorPartition::SectorOfBlock(const geometry::GridPartition& grid,
   // per-boundary alternation rule.
   std::fill(votes_.begin(), votes_.end(), 0);
   constexpr int kSamples = 4;
-  const double sector_span = kTwoPi / k_;
   int32_t counted = 0;
   for (int i = 0; i < kSamples; ++i) {
     for (int j = 0; j < kSamples; ++j) {
@@ -50,12 +74,8 @@ int32_t SectorPartition::SectorOfBlock(const geometry::GridPartition& grid,
       // SectorOfPoint(p), sharing its angle with the boundary test.
       int32_t sector = 0;
       if (dx != 0.0 || dy != 0.0) {
-        double shifted = std::atan2(dy, dx) + M_PI / k_;
-        if (shifted < 0) shifted += kTwoPi;
-        const double frac =
-            std::fmod(shifted, sector_span) / sector_span;
-        if (frac < 1e-9 || frac > 1.0 - 1e-9) continue;  // on a boundary
-        sector = static_cast<int32_t>(shifted / sector_span) % k_;
+        sector = SectorOffLine(dx, dy);
+        if (sector < 0) continue;  // on a boundary
       }
       ++votes_[sector];
       ++counted;
@@ -98,10 +118,11 @@ SectorPartition::DirectionProbabilities SectorPartition::Aggregate(
     const geometry::GridPartition& grid, const BlockProbabilities& probs) {
   DirectionProbabilities out;
   out.p.assign(k_, 0.0);
+  out.sector.reserve(probs.size());
   double total = 0.0;
   for (const auto& [block, prob] : probs) {
     const int32_t sector = SectorOfBlock(grid, block);
-    out.block_sector[block] = sector;
+    out.sector.push_back(sector);
     out.p[sector] += prob;
     total += prob;
   }

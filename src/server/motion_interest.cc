@@ -1,7 +1,5 @@
 #include "server/motion_interest.h"
 
-#include <utility>
-
 namespace mars::server {
 namespace {
 
@@ -36,18 +34,13 @@ storage::InterestGrid MotionInterestTracker::Snapshot() {
       static_cast<size_t>(options_.grid_nx) * options_.grid_ny, 0.0);
   for (auto& [client_id, client] : clients_) {
     if (client.stale) {
-      // A fresh per-client sampler keeps the field a pure function of the
-      // observation history — snapshots never drift with call count. Its
-      // draws are the same at every snapshot, so they are made once.
-      if (client.normals.empty()) {
-        const uint64_t stream = static_cast<uint64_t>(client_id + 1);
-        common::Rng rng(kSamplerSeed + 0x9e3779b97f4a7c15ull * stream);
-        client.normals =
-            motion::DrawSampleNormals(options_.probability, rng);
-      }
-      const auto probs = motion::ComputeBlockProbabilities(
-          client.predictor, grid_, options_.probability, client.normals);
-      client.field.assign(probs.begin(), probs.end());
+      // A predictor that is not ready() predicts its zero-velocity prior
+      // (σ 1 km) around the client: interest everywhere, which would only
+      // dilute the warm clients' fields. Such a client adds nothing.
+      client.field = client.predictor.ready()
+                         ? motion::ComputeBlockProbabilities(
+                               client.predictor, grid_, options_.probability)
+                         : motion::BlockProbabilities();
       client.stale = false;
     }
     for (const auto& [block, p] : client.field) {

@@ -3,10 +3,7 @@
 
 #include <cstdint>
 #include <map>
-#include <utility>
-#include <vector>
 
-#include "common/rng.h"
 #include "geometry/box.h"
 #include "geometry/grid.h"
 #include "geometry/vec.h"
@@ -28,9 +25,6 @@ namespace mars::server {
 // phase or the single-client frame loop).
 class MotionInterestTracker {
  public:
-  // Base seed of the per-client Monte-Carlo samplers.
-  static constexpr uint64_t kSamplerSeed = 0x4d415253504f4f4cull;
-
   struct Options {
     // Interest-grid resolution over the dataset's ground bounds.
     int32_t grid_nx = 16;
@@ -44,13 +38,11 @@ class MotionInterestTracker {
   void Observe(int32_t client_id, const geometry::Vec2& position);
 
   // Aggregates every client's discounted block-visit probabilities into
-  // one field. Deterministic: clients iterate in ascending id and the
-  // Monte-Carlo sampler is seeded per client from kSamplerSeed,
-  // so a client's field is a pure function of its observation history.
-  // Each field is therefore kept until the client's next Observe, and a
-  // snapshot recomputes only the clients observed since the last one.
-  // The sampler's draws depend on the seed and the client id alone, so
-  // each client's are drawn once, at its first snapshot, and kept.
+  // one field. Clients whose predictor is not ready() add nothing.
+  // Deterministic: clients iterate in ascending id, and a client's field
+  // is a pure function of its observation history. Each field is
+  // therefore kept until the client's next Observe, and a snapshot
+  // recomputes only the clients observed since the last one.
   storage::InterestGrid Snapshot();
 
   int64_t clients() const { return static_cast<int64_t>(clients_.size()); }
@@ -58,13 +50,8 @@ class MotionInterestTracker {
  private:
   struct Client {
     motion::MotionPredictor predictor;
-    // The standard normals every field of this client samples with
-    // (motion::DrawSampleNormals from the client's stream); empty until
-    // its first snapshot.
-    std::vector<double> normals;
-    // The client's block probabilities in their BlockProbabilities
-    // iteration order; valid while !stale.
-    std::vector<std::pair<int64_t, double>> field;
+    // The client's block probabilities; valid while !stale.
+    motion::BlockProbabilities field;
     bool stale = true;
   };
 

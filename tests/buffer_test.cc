@@ -582,15 +582,15 @@ TEST(PrefetcherTest, SpeedSetsPrefetchResolution) {
 }
 
 TEST(PrefetcherTest, ColdPredictorRingFillsItsBudget) {
-  // A predictor with no observations samples around the origin, far from
-  // this space: no block gets predicted mass, so the plan comes from the
-  // rings around the client and still spends the whole budget.
+  // A predictor with no observations predicts its prior around the
+  // origin, far from this space: no block gets predicted mass, so the
+  // plan comes from the rings around the client and still spends the
+  // whole budget.
   const motion::MotionPredictor predictor;
   const geometry::GridPartition grid(
       geometry::MakeBox2(20000, 20000, 21000, 21000), 20, 20);
-  common::Rng probe(17);
   const motion::BlockProbabilities probs = motion::ComputeBlockProbabilities(
-      predictor, grid, motion::GridProbabilityOptions(), probe);
+      predictor, grid, motion::GridProbabilityOptions());
   ASSERT_TRUE(probs.empty());
   MotionAwarePrefetcher prefetcher;
   const geometry::Vec2 position{20500, 20500};
@@ -607,7 +607,7 @@ TEST(PrefetcherTest, ColdPredictorRingFillsItsBudget) {
 TEST(PrefetcherTest, WarmPlanHoldsNoZeroMassRingItem) {
   // With predicted mass, only blocks that hold some are planned: a
   // zero-mass ring item would carry just its ring tie-break, 1e-6 / (1 +
-  // ring) <= 1e-6, far below any sampled block's probability.
+  // ring) <= 1e-6, far below any predicted block's probability.
   motion::MotionPredictor predictor;
   for (int t = 0; t < 50; ++t) predictor.Observe({300 + 10.0 * t, 500});
   const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
@@ -621,6 +621,67 @@ TEST(PrefetcherTest, WarmPlanHoldsNoZeroMassRingItem) {
     EXPECT_LE(static_cast<int>(plan.items.size()), budget);
     for (const auto& item : plan.items) {
       EXPECT_GT(item.priority, 1e-6) << "block " << item.block;
+    }
+  }
+}
+
+TEST(PrefetcherTest, WarmPlanStopsAtTheBudgetShareFloor) {
+  // The exact field gives some mass to every block of the 4σ ellipses: a
+  // noisy eastbound track seen through an 80 m frame spreads it over many
+  // blocks. A sector takes none below kMinBudgetShare / budget, so a plan
+  // leaves part of a large budget unspent rather than fetch those.
+  motion::MotionPredictor predictor;
+  common::Rng noise(5);
+  for (int t = 0; t < 50; ++t) {
+    predictor.Observe(
+        {300 + 10.0 * t + 8.0 * noise.Normal(), 500 + 8.0 * noise.Normal()});
+  }
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
+                                     20, 20);
+  MotionAwarePrefetcher::Options options;
+  options.probability.frame_half_width = 40;
+  options.probability.frame_half_height = 40;
+  MotionAwarePrefetcher prefetcher(options);
+  common::Rng rng(23);
+  for (int budget : {8, 32, 100, 400}) {
+    const double floor = MotionAwarePrefetcher::kMinBudgetShare / budget;
+    const auto plan =
+        prefetcher.Plan(predictor, grid, {790, 500}, 0.5, budget, rng);
+    ASSERT_FALSE(plan.items.empty()) << budget;
+    for (const auto& item : plan.items) {
+      EXPECT_GE(item.priority, floor) << "budget " << budget;
+    }
+    if (budget >= 32) {
+      EXPECT_LT(static_cast<int>(plan.items.size()), budget / 2) << budget;
+    }
+  }
+}
+
+TEST(PrefetcherTest, PlanIgnoresTheGenerator) {
+  // The field is exact, so a plan is a pure function of the predictor,
+  // the grid, the position, w_min and the budget: generators in any state
+  // give the same plan, warm or cold. (The cold prior spreads about
+  // 1/400 over this grid, so the budget is large enough for its blocks to
+  // clear the kMinBudgetShare floor.)
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
+                                     20, 20);
+  motion::MotionPredictor warm;
+  for (int t = 0; t < 50; ++t) warm.Observe({300 + 10.0 * t, 500});
+  motion::MotionPredictor cold;
+  cold.Observe({500, 500});
+  ASSERT_FALSE(cold.ready());
+  MotionAwarePrefetcher prefetcher;
+  for (const motion::MotionPredictor* predictor : {&warm, &cold}) {
+    common::Rng a(1), b(2);
+    b.Normal();
+    const auto want = prefetcher.Plan(*predictor, grid, {500, 500}, 0.5, 64, a);
+    const auto got = prefetcher.Plan(*predictor, grid, {500, 500}, 0.5, 64, b);
+    ASSERT_FALSE(want.items.empty());
+    ASSERT_EQ(got.items.size(), want.items.size());
+    for (size_t i = 0; i < want.items.size(); ++i) {
+      EXPECT_EQ(got.items[i].block, want.items[i].block);
+      EXPECT_EQ(got.items[i].priority, want.items[i].priority);
+      EXPECT_EQ(got.items[i].w_min, want.items[i].w_min);
     }
   }
 }

@@ -923,7 +923,7 @@ TEST_F(FleetEngineTest, CoalesceOffOutputIsPinned) {
   cases.push_back({"k1_mixed", fleet::FleetOptions(),
                    fleet::FleetEngine::MakeMixedFleet(
                        9, /*frames=*/25, /*speed=*/0.5, /*seed=*/0),
-                   0x3e02023befbe8a9aull});
+                   0xc070683c5a9263fcull});
   // CellDeathMidTransferReissuesDeterministically's rolling outages:
   // migrated own transfers book finish − original submit.
   fleet::FleetOptions outage;
@@ -935,7 +935,7 @@ TEST_F(FleetEngineTest, CoalesceOffOutputIsPinned) {
   outage.cell_outages.push_back({2, 16.0, 5.0});
   outage.cell_outages.push_back({3, 22.0, 5.0});
   cases.push_back({"k4_outages", outage, RoamingFleet(8, 30),
-                   0xc2936af4a69e6d26ull});
+                   0x45283ee28eea35b9ull});
   // Equal share on a squeezed, busy cell: a client's transfers complete
   // out of submission order, and are booked in completion order.
   fleet::FleetOptions equal;
@@ -945,7 +945,7 @@ TEST_F(FleetEngineTest, CoalesceOffOutputIsPinned) {
   std::vector<fleet::ClientSpec> busy = fleet::FleetEngine::MakeMixedFleet(
       9, /*frames=*/25, /*speed=*/0.5, /*seed=*/5);
   for (fleet::ClientSpec& spec : busy) spec.query_fraction = 0.3;
-  cases.push_back({"k1_equal_share", equal, busy, 0x3a03e17c28e4258bull});
+  cases.push_back({"k1_equal_share", equal, busy, 0x9e037be2c61f1773ull});
   for (Case& c : cases) {
     ASSERT_FALSE(c.options.coalesce.enabled);
     fleet::FleetEngine engine(*system_, c.options, std::move(c.specs));

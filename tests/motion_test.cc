@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -317,22 +320,65 @@ TEST(PredictPathTest, PathDoesNotDependOnHorizon) {
 
 // --- Grid probabilities -----------------------------------------------------
 
+// A predictor whose path is given: step i is steps[min(i, size − 1)].
+class FixedPath : public PositionPredictor {
+ public:
+  explicit FixedPath(std::vector<Prediction> steps)
+      : steps_(std::move(steps)) {}
+  void Observe(const geometry::Vec2&) override {}
+  std::vector<Prediction> PredictPath(int32_t horizon) const override {
+    std::vector<Prediction> path(static_cast<size_t>(horizon));
+    for (size_t i = 0; i < path.size(); ++i) {
+      path[i] = steps_[std::min(i, steps_.size() - 1)];
+    }
+    return path;
+  }
+  double MeanStepDistance() const override { return 0.0; }
+
+ private:
+  std::vector<Prediction> steps_;
+};
+
+Prediction Gaussian(double mx, double my, double sx, double sy, double rho) {
+  Prediction p;
+  p.mean = {mx, my};
+  p.cov_xx = sx * sx;
+  p.cov_yy = sy * sy;
+  p.cov_xy = rho * sx * sy;
+  return p;
+}
+
+// The field as one probability per block id.
+std::vector<double> Dense(const BlockProbabilities& probs,
+                          const geometry::GridPartition& grid) {
+  std::vector<double> dense(static_cast<size_t>(grid.block_count()), 0.0);
+  for (const auto& [block, p] : probs) dense[static_cast<size_t>(block)] = p;
+  return dense;
+}
+
+double L1(const std::vector<double>& a, const std::vector<double>& b) {
+  double sum = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) sum += std::abs(a[i] - b[i]);
+  return sum;
+}
+
 TEST(GridProbabilityTest, SumsToOne) {
   MotionPredictor predictor;
   for (int t = 0; t < 40; ++t) predictor.Observe({10.0 * t, 500});
   const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
                                      20, 20);
-  common::Rng rng(13);
   const BlockProbabilities probs =
-      ComputeBlockProbabilities(predictor, grid, GridProbabilityOptions(),
-                                rng);
+      ComputeBlockProbabilities(predictor, grid, GridProbabilityOptions());
   ASSERT_FALSE(probs.empty());
   double total = 0;
-  for (const auto& [block, p] : probs) {
-    EXPECT_GT(p, 0.0);
-    total += p;
+  for (size_t i = 0; i < probs.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(probs[i - 1].first, probs[i].first);
+    }
+    EXPECT_GT(probs[i].second, 0.0);
+    total += probs[i].second;
   }
-  EXPECT_NEAR(total, 1.0, 1e-9);
+  EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 TEST(GridProbabilityTest, MassConcentratesAhead) {
@@ -342,10 +388,8 @@ TEST(GridProbabilityTest, MassConcentratesAhead) {
   for (int t = 0; t < 40; ++t) predictor.Observe({10.0 * t, 500});
   const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
                                      20, 20);
-  common::Rng rng(17);
   const BlockProbabilities probs =
-      ComputeBlockProbabilities(predictor, grid, GridProbabilityOptions(),
-                                rng);
+      ComputeBlockProbabilities(predictor, grid, GridProbabilityOptions());
   double east = 0, west = 0;
   const double current_x = 10.0 * 39;
   for (const auto& [block, p] : probs) {
@@ -355,22 +399,16 @@ TEST(GridProbabilityTest, MassConcentratesAhead) {
   EXPECT_GT(east, 0.9);
 }
 
-TEST(GridProbabilityTest, DeterministicGivenSeed) {
+TEST(GridProbabilityTest, Deterministic) {
   MotionPredictor predictor;
   for (int t = 0; t < 40; ++t) predictor.Observe({5.0 * t, 5.0 * t});
   const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
                                      20, 20);
-  common::Rng rng_a(21), rng_b(21);
-  const auto a = ComputeBlockProbabilities(predictor, grid,
-                                           GridProbabilityOptions(), rng_a);
-  const auto b = ComputeBlockProbabilities(predictor, grid,
-                                           GridProbabilityOptions(), rng_b);
-  EXPECT_EQ(a.size(), b.size());
-  for (const auto& [block, p] : a) {
-    auto it = b.find(block);
-    ASSERT_NE(it, b.end());
-    EXPECT_DOUBLE_EQ(it->second, p);
-  }
+  const auto a =
+      ComputeBlockProbabilities(predictor, grid, GridProbabilityOptions());
+  const auto b =
+      ComputeBlockProbabilities(predictor, grid, GridProbabilityOptions());
+  EXPECT_EQ(a, b);
 }
 
 TEST(GridProbabilityTest, FrameFootprintSpreadsMass) {
@@ -384,11 +422,10 @@ TEST(GridProbabilityTest, FrameFootprintSpreadsMass) {
   GridProbabilityOptions frame_options;
   frame_options.frame_half_width = 150;
   frame_options.frame_half_height = 150;
-  common::Rng rng_a(31), rng_b(31);
   const auto point_probs =
-      ComputeBlockProbabilities(predictor, grid, point_options, rng_a);
+      ComputeBlockProbabilities(predictor, grid, point_options);
   const auto frame_probs =
-      ComputeBlockProbabilities(predictor, grid, frame_options, rng_b);
+      ComputeBlockProbabilities(predictor, grid, frame_options);
   EXPECT_GT(frame_probs.size(), point_probs.size());
   // The block 150 m ahead of the farthest point prediction gets frame
   // mass.
@@ -411,83 +448,114 @@ TEST(GridProbabilityTest, OutOfSpaceMassDropped) {
                                      20, 20);
   GridProbabilityOptions options;
   options.horizon = 20;  // predictions fly off the east edge
-  common::Rng rng(37);
-  const auto probs = ComputeBlockProbabilities(predictor, grid, options, rng);
+  const auto probs = ComputeBlockProbabilities(predictor, grid, options);
   double total = 0;
   for (const auto& [block, p] : probs) total += p;
   if (!probs.empty()) {
-    EXPECT_NEAR(total, 1.0, 1e-9);
+    EXPECT_NEAR(total, 1.0, 1e-12);
   }
 }
 
-// The per-sample loop ComputeBlockProbabilities replaced: one Predict per
-// step, BlocksIntersecting per sample, map increments, then normalise. Its
-// table, iteration order included, is the reference the dense
-// accumulation must rebuild exactly.
-BlockProbabilities ReferenceBlockProbabilities(
+// The Monte-Carlo estimator the exact field replaced, kept as its oracle:
+// per step, `samples` draws from the step's Gaussian (2 × 2 Cholesky
+// factor), each adding the step's weight over `samples` to the block it
+// lands in (point mode, in-space draws only) or to every block its query
+// frame meets; then normalized. One probability per block id.
+std::vector<double> MonteCarloBlockProbabilities(
     const PositionPredictor& predictor, const geometry::GridPartition& grid,
-    const GridProbabilityOptions& options, common::Rng& rng) {
-  BlockProbabilities probs;
+    const GridProbabilityOptions& options, int64_t samples,
+    common::Rng& rng) {
+  std::vector<double> mass(static_cast<size_t>(grid.block_count()), 0.0);
   double weight = 1.0;
   double total = 0.0;
-  for (int32_t step = 1; step <= options.horizon; ++step) {
-    const Prediction pred = predictor.Predict(step);
+  for (const Prediction& pred : predictor.PredictPath(options.horizon)) {
     const double l11 = std::sqrt(std::max(pred.cov_xx, 1e-12));
     const double l21 = pred.cov_xy / l11;
     const double l22 = std::sqrt(std::max(pred.cov_yy - l21 * l21, 1e-12));
-    const double sample_weight = weight / static_cast<double>(kSamplesPerStep);
-    for (int32_t s = 0; s < kSamplesPerStep; ++s) {
+    const double sample_weight = weight / static_cast<double>(samples);
+    const auto add = [&](int64_t block) {
+      mass[static_cast<size_t>(block)] += sample_weight;
+      total += sample_weight;
+    };
+    for (int64_t s = 0; s < samples; ++s) {
       const double z1 = rng.Normal();
       const double z2 = rng.Normal();
       const geometry::Vec2 p{pred.mean.x + l11 * z1,
                              pred.mean.y + l21 * z1 + l22 * z2};
       if (options.frame_half_width > 0.0 ||
           options.frame_half_height > 0.0) {
-        const geometry::Box2 frame = geometry::MakeBox2(
-            p.x - options.frame_half_width, p.y - options.frame_half_height,
-            p.x + options.frame_half_width,
-            p.y + options.frame_half_height);
-        for (int64_t block : grid.BlocksIntersecting(frame)) {
-          probs[block] += sample_weight;
-          total += sample_weight;
-        }
-      } else {
-        if (!grid.space().ContainsPoint({p.x, p.y})) continue;
-        const int64_t block = grid.BlockId(grid.BlockOfPoint(p));
-        probs[block] += sample_weight;
-        total += sample_weight;
+        grid.ForEachBlockIntersecting(
+            geometry::MakeBox2(p.x - options.frame_half_width,
+                               p.y - options.frame_half_height,
+                               p.x + options.frame_half_width,
+                               p.y + options.frame_half_height),
+            add);
+      } else if (grid.space().ContainsPoint({p.x, p.y})) {
+        add(grid.BlockId(grid.BlockOfPoint(p)));
       }
     }
     weight *= options.step_discount;
   }
   if (total > 0.0) {
-    for (auto& [block, p] : probs) p /= total;
+    for (double& m : mass) m /= total;
   }
-  return probs;
+  return mass;
 }
 
-// Runs both implementations from equal generators and compares the
-// tables entry by entry in iteration order, with exact doubles, and the
-// generators' states afterwards.
-void ExpectMatchesReference(const PositionPredictor& predictor,
+// L1 distance between the exact field and the oracle's at `samples` per
+// step (seeded, so a fixed number).
+double DistanceToMonteCarlo(const PositionPredictor& predictor,
                             const geometry::GridPartition& grid,
                             const GridProbabilityOptions& options,
-                            uint64_t seed) {
-  common::Rng rng_got(seed), rng_want(seed);
-  const BlockProbabilities got =
-      ComputeBlockProbabilities(predictor, grid, options, rng_got);
-  const BlockProbabilities want =
-      ReferenceBlockProbabilities(predictor, grid, options, rng_want);
-  ASSERT_EQ(got.size(), want.size());
-  auto g = got.begin();
-  for (auto w = want.begin(); w != want.end(); ++w, ++g) {
-    EXPECT_EQ(g->first, w->first);
-    EXPECT_EQ(g->second, w->second) << "block " << w->first;
-  }
-  EXPECT_EQ(rng_got.NextUint64(), rng_want.NextUint64());
+                            int64_t samples, uint64_t seed) {
+  common::Rng rng(seed);
+  return L1(Dense(ComputeBlockProbabilities(predictor, grid, options), grid),
+            MonteCarloBlockProbabilities(predictor, grid, options, samples,
+                                         rng));
 }
 
-TEST(GridProbabilityTest, MatchesPerSampleReference) {
+TEST(GridProbabilityTest, MonteCarloConvergesToTheExactField) {
+  // The client's geometry (10 km space, 40 × 40 grid, 5% frame) and a
+  // three-step path of correlated Gaussians, σ = (800, 500) m, ρ = 0.6.
+  // Sixteen times the samples should cut the oracle's L1 distance about
+  // four-fold (1/√n), down to the 4σ cut's share.
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 10000, 10000),
+                                     40, 40);
+  GridProbabilityOptions options;
+  options.horizon = 3;
+  options.frame_half_width = options.frame_half_height = 250;
+  const FixedPath path({Gaussian(4000, 5000, 800, 500, 0.6),
+                        Gaussian(4300, 5200, 850, 550, 0.6),
+                        Gaussian(4600, 5400, 900, 600, 0.6)});
+  std::vector<double> distance;
+  for (const int64_t samples : {64, 1024, 16384, 262144}) {
+    distance.push_back(DistanceToMonteCarlo(path, grid, options, samples, 3));
+  }
+  for (size_t i = 1; i < distance.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "L1 " << distance[i - 1] << " then "
+                                    << distance[i]);
+    EXPECT_GT(distance[i - 1] / distance[i], 2.5);
+    EXPECT_LT(distance[i - 1] / distance[i], 7.0);
+  }
+  EXPECT_LT(distance.back(), 0.005);
+}
+
+// The oracle converges to the exact field: sixteen times the samples per
+// step (4,096 → 65,536) cut its L1 distance by at least 2.5 (4 is
+// 1/√n's), unless it is already down at the 4σ cut's share.
+void ExpectMonteCarloConverges(const PositionPredictor& predictor,
+                               const geometry::GridPartition& grid,
+                               const GridProbabilityOptions& options,
+                               uint64_t seed) {
+  const double coarse =
+      DistanceToMonteCarlo(predictor, grid, options, 4096, seed);
+  const double fine =
+      DistanceToMonteCarlo(predictor, grid, options, 65536, seed);
+  EXPECT_LT(fine, std::max(coarse / 2.5, 0.004))
+      << "L1 " << coarse << " then " << fine;
+}
+
+TEST(GridProbabilityTest, MatchesMonteCarloOnTours) {
   // The client's geometry: 10 km space, 40 × 40 grid, 5% query frame.
   const geometry::GridPartition client_grid(
       geometry::MakeBox2(0, 0, 10000, 10000), 40, 40);
@@ -498,7 +566,7 @@ TEST(GridProbabilityTest, MatchesPerSampleReference) {
   frame.horizon = 48;
   frame.step_discount = std::pow(0.5, 1.0 / 48);
   frame.frame_half_width = frame.frame_half_height = 250;
-  const GridProbabilityOptions point;  // H = 16, point sampling
+  const GridProbabilityOptions point;  // H = 16, point mode
 
   for (const double heading_sigma : {0.02, 0.5}) {  // tram-like, walk-like
     SCOPED_TRACE(testing::Message() << "heading sigma " << heading_sigma);
@@ -509,16 +577,43 @@ TEST(GridProbabilityTest, MatchesPerSampleReference) {
       rls.Observe(p * 8.0 + geometry::Vec2{2000, 2000});
       kalman.Observe(p * 8.0 + geometry::Vec2{2000, 2000});
     }
-    ExpectMatchesReference(rls, client_grid, frame, 1);
-    ExpectMatchesReference(kalman, client_grid, frame, 2);
-    ExpectMatchesReference(rls, tracker_grid, point, 3);
-    ExpectMatchesReference(kalman, tracker_grid, point, 4);
+    ExpectMonteCarloConverges(rls, client_grid, frame, 1);
+    ExpectMonteCarloConverges(kalman, client_grid, frame, 2);
+    ExpectMonteCarloConverges(rls, tracker_grid, point, 3);
+    ExpectMonteCarloConverges(kalman, tracker_grid, point, 4);
   }
 }
 
-TEST(GridProbabilityTest, MatchesPerSampleReferenceLeavingTheSpace) {
+TEST(GridProbabilityTest, MatchesMonteCarloForStrongCorrelation) {
+  // ρ = −0.95 and 0.99 ridges, point and frame mode; with the sign of ρ
+  // flipped the fields would be mirror images, far apart in L1.
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
+                                     20, 20);
+  GridProbabilityOptions point;
+  point.horizon = 2;
+  GridProbabilityOptions frame = point;
+  frame.frame_half_width = 60;
+  frame.frame_half_height = 35;
+  for (const double rho : {-0.95, 0.99}) {
+    SCOPED_TRACE(testing::Message() << "rho " << rho);
+    const FixedPath path({Gaussian(480, 520, 200, 150, rho),
+                          Gaussian(560, 470, 260, 190, rho)});
+    const FixedPath mirrored({Gaussian(480, 520, 200, 150, -rho),
+                              Gaussian(560, 470, 260, 190, -rho)});
+    for (const GridProbabilityOptions& options : {point, frame}) {
+      ExpectMonteCarloConverges(path, grid, options, 5);
+      const auto exact = Dense(ComputeBlockProbabilities(path, grid, options),
+                               grid);
+      const auto mirror = Dense(
+          ComputeBlockProbabilities(mirrored, grid, options), grid);
+      EXPECT_GT(L1(exact, mirror), 0.5);
+    }
+  }
+}
+
+TEST(GridProbabilityTest, MatchesMonteCarloLeavingTheSpace) {
   // Eastbound at 25 m per step toward the edge of a 1 km space: later
-  // samples (and frames) fall partly or wholly outside it.
+  // steps (and frames) fall partly or wholly outside it.
   MotionPredictor predictor;
   for (int t = 0; t < 40; ++t) predictor.Observe({25.0 * t, 500});
   const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
@@ -527,86 +622,56 @@ TEST(GridProbabilityTest, MatchesPerSampleReferenceLeavingTheSpace) {
   point.horizon = 20;
   GridProbabilityOptions frame = point;
   frame.frame_half_width = frame.frame_half_height = 75;
-  ExpectMatchesReference(predictor, grid, point, 5);
-  ExpectMatchesReference(predictor, grid, frame, 6);
-  // A predictor with no observations samples around the origin, a corner
-  // of the space: about a quarter of its samples land inside.
+  ExpectMonteCarloConverges(predictor, grid, point, 5);
+  ExpectMonteCarloConverges(predictor, grid, frame, 6);
+  // A predictor with no observations predicts its 1 km prior around the
+  // origin, a corner of the space: about a quarter of its mass is inside.
   const MotionPredictor cold;
-  ExpectMatchesReference(cold, grid, point, 7);
-  ExpectMatchesReference(cold, grid, frame, 8);
+  ExpectMonteCarloConverges(cold, grid, point, 7);
+  ExpectMonteCarloConverges(cold, grid, frame, 8);
 }
 
-// The normals one call consumes, drawn one at a time the way the
-// sampling loop once drew them.
-std::vector<double> DrawnOneByOne(const GridProbabilityOptions& options,
-                                  common::Rng& rng) {
-  std::vector<double> normals;
-  for (int32_t step = 0; step < options.horizon; ++step) {
-    for (int32_t s = 0; s < kSamplesPerStep; ++s) {
-      normals.push_back(rng.Normal());  // x
-      normals.push_back(rng.Normal());  // y
-    }
-  }
-  return normals;
+// P(U < h, V < k) by quadrature: ∫ φ(u) Φ((k − ρu)/s) du over u < h,
+// composite Simpson on [−12, h] with steps far below the integrand's
+// narrowest feature (s / |ρ| >= 0.04 here).
+double BivariateByQuadrature(double h, double k, double rho) {
+  const double s = std::sqrt((1 - rho) * (1 + rho));
+  const auto f = [&](double u) {
+    const double phi = std::exp(-u * u / 2) / std::sqrt(2 * M_PI);
+    return phi * 0.5 * std::erfc(-((k - rho * u) / s) / std::sqrt(2.0));
+  };
+  const double a = -12.0;
+  const int n = 200000;  // even
+  const double step = (h - a) / n;
+  double sum = f(a) + f(h);
+  for (int i = 1; i < n; ++i) sum += f(a + i * step) * (i % 2 == 1 ? 4 : 2);
+  return sum * step / 3;
 }
 
-void ExpectSameTables(const BlockProbabilities& got,
-                      const BlockProbabilities& want) {
-  ASSERT_EQ(got.size(), want.size());
-  auto g = got.begin();
-  for (auto w = want.begin(); w != want.end(); ++w, ++g) {
-    EXPECT_EQ(g->first, w->first);
-    EXPECT_EQ(g->second, w->second) << "block " << w->first;
-  }
-}
-
-TEST(GridProbabilityTest, SpanAndGeneratorFormsAgree) {
-  // The span form fed normals drawn one by one, and the generator form
-  // fed an equal generator, give the same table (iteration order and
-  // bits) and leave the generators in the same state — including one
-  // that holds a cached second Box–Muller value on entry.
-  MotionPredictor predictor;
-  for (int t = 0; t < 40; ++t) predictor.Observe({12.0 * t, 400 + 3.0 * t});
-  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
-                                     20, 20);
-  GridProbabilityOptions point;
-  point.horizon = 12;
-  GridProbabilityOptions frame = point;
-  frame.frame_half_width = 80;
-  frame.frame_half_height = 40;
-  for (const GridProbabilityOptions& options : {point, frame}) {
-    for (const bool odd_start : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "frame " << options.frame_half_width
-                                      << " odd start " << odd_start);
-      common::Rng by_rng(43), by_span(43);
-      if (odd_start) {
-        by_rng.Normal();
-        by_span.Normal();
+TEST(GridProbabilityTest, BivariateNormalCdfMatchesQuadrature) {
+  for (const double rho :
+       {-0.999, -0.95, -0.6, -0.2, 0.0, 0.3, 0.8, 0.93, 0.99, 0.999}) {
+    for (const double h : {-3.0, -1.0, -0.2, 0.0, 0.5, 2.0}) {
+      for (const double k : {-2.5, -0.7, 0.0, 0.4, 1.5}) {
+        EXPECT_NEAR(BivariateNormalCdf(h, k, rho),
+                    BivariateByQuadrature(h, k, rho), 1e-10)
+            << "h " << h << " k " << k << " rho " << rho;
       }
-      const std::vector<double> normals = DrawnOneByOne(options, by_span);
-      common::Rng copy = by_rng;
-      ASSERT_EQ(DrawSampleNormals(options, copy), normals);
-      const BlockProbabilities from_rng =
-          ComputeBlockProbabilities(predictor, grid, options, by_rng);
-      const BlockProbabilities from_span =
-          ComputeBlockProbabilities(predictor, grid, options, normals);
-      ExpectSameTables(from_span, from_rng);
-      EXPECT_EQ(by_rng.Normal(), by_span.Normal());
-      EXPECT_EQ(by_rng.NextUint64(), by_span.NextUint64());
-      // Extra normals past the ones a call consumes are ignored.
-      std::vector<double> longer = normals;
-      longer.push_back(1e9);
-      ExpectSameTables(
-          ComputeBlockProbabilities(predictor, grid, options, longer),
-          from_rng);
     }
   }
+  // The limits: perfectly correlated and anti-correlated.
+  const auto phi = [](double z) {
+    return 0.5 * std::erfc(-z / std::sqrt(2.0));
+  };
+  EXPECT_NEAR(BivariateNormalCdf(0.3, -0.4, 1.0), phi(-0.4), 1e-15);
+  EXPECT_NEAR(BivariateNormalCdf(0.3, 0.4, -1.0), phi(0.3) + phi(0.4) - 1,
+              1e-15);
+  EXPECT_EQ(BivariateNormalCdf(-0.3, -0.4, -1.0), 0.0);
 }
 
-TEST(GridProbabilityTest, ZeroMassTouchesStayInTheTable) {
-  // With no discount carry-over every step after the first samples with
-  // zero weight; the blocks those samples touch first are still entries
-  // (with mass 0) of the per-sample loop's table, in touch order.
+TEST(GridProbabilityTest, ZeroWeightStepsAddNothing) {
+  // With no discount carry-over every step after the first weighs 0: the
+  // field is the first step's alone.
   MotionPredictor predictor;
   for (int t = 0; t < 40; ++t) predictor.Observe({10.0 * t, 500});
   const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
@@ -614,12 +679,48 @@ TEST(GridProbabilityTest, ZeroMassTouchesStayInTheTable) {
   GridProbabilityOptions options;
   options.step_discount = 0.0;
   options.frame_half_width = options.frame_half_height = 60;
-  common::Rng rng(9);
-  const BlockProbabilities probs =
-      ComputeBlockProbabilities(predictor, grid, options, rng);
-  const auto zero_mass = [](const auto& entry) { return entry.second == 0.0; };
-  EXPECT_TRUE(std::any_of(probs.begin(), probs.end(), zero_mass));
-  ExpectMatchesReference(predictor, grid, options, 9);
+  GridProbabilityOptions first = options;
+  first.horizon = 1;
+  EXPECT_EQ(ComputeBlockProbabilities(predictor, grid, options),
+            ComputeBlockProbabilities(predictor, grid, first));
+}
+
+TEST(GridProbabilityTest, DivergedAndNonFiniteStepsAddNothing) {
+  // A diverged step (mean 1e80 m, covariance 1e160 m²), a step whose
+  // mean is not finite, one whose covariance is not finite and one far
+  // off the space leave the field as the other steps make it.
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 1000, 1000),
+                                     20, 20);
+  const Prediction a = Gaussian(400, 500, 60, 40, 0.3);
+  const Prediction b = Gaussian(450, 520, 80, 50, 0.0);
+  Prediction diverged;
+  diverged.mean = {1e80, 1e80};
+  diverged.cov_xx = diverged.cov_yy = 1e160;
+  diverged.cov_xy = 0.5e160;
+  Prediction nan_mean = a;
+  nan_mean.mean.x = std::nan("");
+  Prediction inf_cov = a;
+  inf_cov.cov_yy = std::numeric_limits<double>::infinity();
+  const Prediction far = Gaussian(1e6, 500, 10, 10, 0.0);
+  GridProbabilityOptions options;
+  options.step_discount = 1.0;  // every step weighs 1
+  for (const bool frame : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "frame " << frame);
+    options.frame_half_width = options.frame_half_height = frame ? 70 : 0;
+    options.horizon = 2;
+    const auto want = ComputeBlockProbabilities(FixedPath({a, b}), grid,
+                                                options);
+    ASSERT_FALSE(want.empty());
+    options.horizon = 6;
+    EXPECT_EQ(ComputeBlockProbabilities(
+                  FixedPath({a, diverged, nan_mean, inf_cov, far, b}), grid,
+                  options),
+              want);
+    for (const Prediction& step : {diverged, nan_mean, inf_cov, far}) {
+      EXPECT_TRUE(
+          ComputeBlockProbabilities(FixedPath({step}), grid, options).empty());
+    }
+  }
 }
 
 // --- Sectors ----------------------------------------------------------------
@@ -669,14 +770,130 @@ TEST(SectorTest, BoundaryBlocksAlternate) {
   }
 }
 
+// SectorOfBlock's 4 × 4 vote with its per-boundary alternation, without
+// the four-corner shortcut: the reference the shortcut must agree with.
+class SixteenPointVote {
+ public:
+  SixteenPointVote(const geometry::Vec2& center, int32_t k)
+      : center_(center), k_(k), toggle_(k, false) {}
+
+  int32_t SectorOfBlock(const geometry::GridPartition& grid, int64_t block) {
+    const geometry::Box2 box = grid.BlockBox(block);
+    const double span = 2 * M_PI / k_;
+    std::vector<int32_t> votes(k_, 0);
+    int32_t counted = 0;
+    for (int i = 0; i < 4; ++i) {
+      for (int j = 0; j < 4; ++j) {
+        const double dx = box.lo(0) + box.Extent(0) * (i + 0.5) / 4 -
+                          center_.x;
+        const double dy = box.lo(1) + box.Extent(1) * (j + 0.5) / 4 -
+                          center_.y;
+        int32_t sector = 0;
+        if (dx != 0.0 || dy != 0.0) {
+          double shifted = std::atan2(dy, dx) + M_PI / k_;
+          if (shifted < 0) shifted += 2 * M_PI;
+          const double frac = std::fmod(shifted, span) / span;
+          if (frac < 1e-9 || frac > 1.0 - 1e-9) continue;
+          sector = static_cast<int32_t>(shifted / span) % k_;
+        }
+        ++votes[sector];
+        ++counted;
+      }
+    }
+    if (counted == 0) {
+      return SectorPartition(center_, k_).SectorOfPoint(
+          {box.lo(0) + box.Extent(0) / 2, box.lo(1) + box.Extent(1) / 2});
+    }
+    int32_t best = 0;
+    for (int32_t s = 1; s < k_; ++s) {
+      if (votes[s] > votes[best]) best = s;
+    }
+    for (int32_t s = 0; s < k_; ++s) {
+      if (s == best || votes[s] != votes[best]) continue;
+      const int32_t lo = std::min(s, best);
+      const int32_t hi = std::max(s, best);
+      int32_t boundary;
+      if (hi == lo + 1) {
+        boundary = lo;
+      } else if (lo == 0 && hi == k_ - 1) {
+        boundary = k_ - 1;
+      } else {
+        continue;
+      }
+      const bool flip = toggle_[boundary];
+      toggle_[boundary] = !flip;
+      return flip ? s : best;
+    }
+    return best;
+  }
+
+ private:
+  geometry::Vec2 center_;
+  int32_t k_;
+  std::vector<bool> toggle_;
+};
+
+TEST(SectorTest, SectorOfBlockMatchesTheSixteenPointVote) {
+  // Every block of a grid, in ascending id, for seeded random centres and
+  // centres on block corners and edges (where lines run along block
+  // sides and through corners), k = 1..8.
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 100, 100),
+                                     10, 10);
+  common::Rng rng(71);
+  std::vector<geometry::Vec2> centers = {{0, 0}, {50, 50}, {55, 50},
+                                         {50, 55}, {100, 100}, {-30, 40}};
+  for (int i = 0; i < 40; ++i) {
+    centers.push_back({rng.Uniform(-20, 120), rng.Uniform(-20, 120)});
+  }
+  for (const geometry::Vec2& center : centers) {
+    for (int32_t k = 1; k <= 8; ++k) {
+      SCOPED_TRACE(testing::Message() << "center " << center.x << ", "
+                                      << center.y << " k " << k);
+      SectorPartition partition(center, k);
+      SixteenPointVote vote(center, k);
+      for (int64_t block = 0; block < grid.block_count(); ++block) {
+        ASSERT_EQ(partition.SectorOfBlock(grid, block),
+                  vote.SectorOfBlock(grid, block))
+            << "block " << block;
+      }
+    }
+  }
+  // The paper's example: blocks on the 45° line alternate, (5,5) to one
+  // direction and (6,6) to the other, shortcut or not.
+  SectorPartition partition({0, 0}, 4);
+  SixteenPointVote vote({0, 0}, 4);
+  for (int d = 0; d < 10; ++d) {
+    const int64_t block = grid.BlockId({d, d});
+    EXPECT_EQ(partition.SectorOfBlock(grid, block),
+              vote.SectorOfBlock(grid, block));
+  }
+}
+
+TEST(SectorTest, AggregateAssignsTiesInAscendingBlockId) {
+  // Diagonal blocks tie between sectors 0 and 1; Aggregate walks the
+  // field in its (ascending id) order, so they alternate outward from
+  // the client whatever order the blocks were computed in.
+  const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 100, 100),
+                                     10, 10);
+  BlockProbabilities probs;
+  for (int d = 1; d <= 6; ++d) probs.emplace_back(grid.BlockId({d, d}), 0.1);
+  SectorPartition partition({0, 0}, 4);
+  const auto dir = partition.Aggregate(grid, probs);
+  ASSERT_EQ(dir.sector.size(), probs.size());
+  for (size_t i = 1; i < dir.sector.size(); ++i) {
+    EXPECT_NE(dir.sector[i], dir.sector[i - 1]);
+  }
+  EXPECT_NEAR(dir.p[0], 0.5, 1e-12);
+  EXPECT_NEAR(dir.p[1], 0.5, 1e-12);
+}
+
 TEST(SectorTest, AggregateNormalizes) {
   const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 100, 100),
                                      10, 10);
   SectorPartition partition({50, 50}, 4);
-  BlockProbabilities probs;
-  probs[grid.BlockId({8, 5})] = 0.6;  // east
-  probs[grid.BlockId({5, 8})] = 0.3;  // north
-  probs[grid.BlockId({1, 5})] = 0.1;  // west
+  const BlockProbabilities probs = {{grid.BlockId({1, 5}), 0.1},   // west
+                                    {grid.BlockId({8, 5}), 0.6},   // east
+                                    {grid.BlockId({5, 8}), 0.3}};  // north
   const auto dir = partition.Aggregate(grid, probs);
   ASSERT_EQ(dir.p.size(), 4u);
   EXPECT_NEAR(std::accumulate(dir.p.begin(), dir.p.end(), 0.0), 1.0, 1e-12);
@@ -684,7 +901,7 @@ TEST(SectorTest, AggregateNormalizes) {
   EXPECT_NEAR(dir.p[1], 0.3, 1e-12);
   EXPECT_NEAR(dir.p[2], 0.1, 1e-12);
   EXPECT_NEAR(dir.p[3], 0.0, 1e-12);
-  EXPECT_EQ(dir.block_sector.size(), 3u);
+  EXPECT_EQ(dir.sector, (std::vector<int32_t>{2, 0, 1}));
 }
 
 TEST(SectorTest, AggregateConservesProbability) {
@@ -693,11 +910,11 @@ TEST(SectorTest, AggregateConservesProbability) {
   common::Rng rng(61);
   for (int k : {1, 2, 4, 8}) {
     SectorPartition partition({50, 50}, k);
-    BlockProbabilities probs;
+    std::map<int64_t, double> mass;
     for (int i = 0; i < 30; ++i) {
-      probs[rng.UniformInt(0, grid.block_count() - 1)] +=
-          rng.UniformDouble();
+      mass[rng.UniformInt(0, grid.block_count() - 1)] += rng.UniformDouble();
     }
+    const BlockProbabilities probs(mass.begin(), mass.end());
     const auto dir = partition.Aggregate(grid, probs);
     ASSERT_EQ(static_cast<int>(dir.p.size()), k);
     double total = 0;
@@ -706,8 +923,8 @@ TEST(SectorTest, AggregateConservesProbability) {
       total += p;
     }
     EXPECT_NEAR(total, 1.0, 1e-9);
-    EXPECT_EQ(dir.block_sector.size(), probs.size());
-    for (const auto& [block, sector] : dir.block_sector) {
+    EXPECT_EQ(dir.sector.size(), probs.size());
+    for (const int32_t sector : dir.sector) {
       EXPECT_GE(sector, 0);
       EXPECT_LT(sector, k);
     }
@@ -718,9 +935,7 @@ TEST(SectorTest, SingleSectorTakesEverything) {
   const geometry::GridPartition grid(geometry::MakeBox2(0, 0, 100, 100),
                                      10, 10);
   SectorPartition partition({50, 50}, 1);
-  BlockProbabilities probs;
-  probs[3] = 0.7;
-  probs[97] = 0.3;
+  const BlockProbabilities probs = {{3, 0.7}, {97, 0.3}};
   const auto dir = partition.Aggregate(grid, probs);
   ASSERT_EQ(dir.p.size(), 1u);
   EXPECT_DOUBLE_EQ(dir.p[0], 1.0);

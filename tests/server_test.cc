@@ -813,8 +813,7 @@ TEST(MotionInterestTrackerTest, CachedSnapshotsEqualFreshOnes) {
 
 // The tracker's field built from first principles: per client, in
 // ascending id, ComputeBlockProbabilities over a predictor fed the same
-// positions, sampling from a freshly seeded generator of the client's own
-// stream (the tracker's default seed and stream rule).
+// positions, for the clients whose predictor is ready().
 class ReferenceInterest {
  public:
   void Observe(int32_t id, const geometry::Vec2& position) {
@@ -832,11 +831,9 @@ class ReferenceInterest {
     interest.score.assign(
         static_cast<size_t>(options.grid_nx) * options.grid_ny, 0.0);
     for (const auto& [id, predictor] : predictors_) {
-      const uint64_t stream = static_cast<uint64_t>(id + 1);
-      common::Rng rng(MotionInterestTracker::kSamplerSeed +
-                      0x9e3779b97f4a7c15ull * stream);
+      if (!predictor.ready()) continue;
       const auto probs = motion::ComputeBlockProbabilities(
-          predictor, grid, options.probability, rng);
+          predictor, grid, options.probability);
       for (const auto& [block, p] : probs) {
         interest.score[static_cast<size_t>(block)] += p;
       }
@@ -848,10 +845,10 @@ class ReferenceInterest {
   std::map<int32_t, motion::MotionPredictor> predictors_;
 };
 
-TEST(MotionInterestTrackerTest, SnapshotsEqualAFreshlySeededReference) {
+TEST(MotionInterestTrackerTest, SnapshotsEqualAFreshReference) {
   // Six clients from the start, each observing on two ticks of three; a
   // seventh joins at tick 25. Every snapshot must equal the reference bit
-  // for bit, so each client's cached draws must be its own stream's.
+  // for bit, cached fields and clients that are not yet ready included.
   MotionInterestTracker tracker(kTrackerSpace, {});
   ReferenceInterest reference;
   for (int tick = 0; tick < 45; ++tick) {
@@ -870,6 +867,31 @@ TEST(MotionInterestTrackerTest, SnapshotsEqualAFreshlySeededReference) {
   EXPECT_EQ(tracker.clients(), 7);
 }
 
+TEST(MotionInterestTrackerTest, ClientsThatAreNotReadyAddNothing) {
+  // Until its predictor is ready(), a client predicts its zero-velocity
+  // prior (σ 1 km) and adds no interest; from then on its field counts
+  // like any other.
+  MotionInterestTracker tracker(kTrackerSpace, {});
+  for (int tick = 0; tick < 20; ++tick) {
+    tracker.Observe(0, FleetPosition(0, tick));
+  }
+  const storage::InterestGrid warm_only = tracker.Snapshot();
+  ASSERT_NEAR(TotalScore(warm_only), 1.0, 1e-12);
+  motion::MotionPredictor shadow;  // client 1's predictor
+  int tick = 0;
+  for (; tick < 20; ++tick) {
+    tracker.Observe(1, FleetPosition(1, tick));
+    shadow.Observe(FleetPosition(1, tick));
+    if (shadow.ready()) break;
+    SCOPED_TRACE(testing::Message() << "tick " << tick);
+    ExpectSameScores(tracker.Snapshot(), warm_only);
+  }
+  ASSERT_GT(tick, 0);
+  ASSERT_TRUE(shadow.ready());
+  EXPECT_EQ(tracker.clients(), 2);
+  EXPECT_NEAR(TotalScore(tracker.Snapshot()), 2.0, 1e-12);
+}
+
 TEST(MotionInterestTrackerTest, SnapshotWithoutObservationIsUnchanged) {
   MotionInterestTracker tracker(kTrackerSpace, {});
   for (int tick = 0; tick < 20; ++tick) {
@@ -883,20 +905,26 @@ TEST(MotionInterestTrackerTest, SnapshotWithoutObservationIsUnchanged) {
 }
 
 TEST(MotionInterestTrackerTest, ClientAppearingMidRunIsIncluded) {
+  // Each client's field sums to 1 once its predictor is ready().
   MotionInterestTracker tracker(kTrackerSpace, {});
+  std::map<int32_t, motion::MotionPredictor> shadows;
   std::vector<std::pair<int32_t, geometry::Vec2>> history;
   for (int tick = 0; tick < 30; ++tick) {
     for (int32_t id : {0, 1, 5}) {
       if (id == 5 && tick < 20) continue;  // client 5 joins at tick 20
       tracker.Observe(id, FleetPosition(id, tick));
+      shadows[id].Observe(FleetPosition(id, tick));
       history.emplace_back(id, FleetPosition(id, tick));
     }
+    double ready = 0.0;
+    for (const auto& [id, shadow] : shadows) ready += shadow.ready() ? 1 : 0;
     const storage::InterestGrid snapshot = tracker.Snapshot();
     SCOPED_TRACE(testing::Message() << "tick " << tick);
-    EXPECT_NEAR(TotalScore(snapshot), tick < 20 ? 2.0 : 3.0, 1e-9);
+    EXPECT_NEAR(TotalScore(snapshot), ready, 1e-9);
     ExpectSameScores(snapshot, FreshSnapshot(history));
   }
   EXPECT_EQ(tracker.clients(), 3);
+  EXPECT_NEAR(TotalScore(tracker.Snapshot()), 3.0, 1e-9);
 }
 
 }  // namespace

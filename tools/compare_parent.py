@@ -6,7 +6,7 @@ Run from the root of a checkout:
     python3 tools/compare_parent.py --base HEAD~1           # working tree
     python3 tools/compare_parent.py --base 6a74d4c --head HEAD
     python3 tools/compare_parent.py --base HEAD~1 --pairs 10 --seed 1 \
-        --seconds 20 [--control] [--append]
+        --seconds 20 [--control] [--append] [--digest-change WORKLOAD]
 
 Both sides are exported into .compare/base and .compare/head (paths of
 equal length, so paths echoed in the outputs match) and built there in
@@ -36,12 +36,19 @@ sides, and prints each end-to-end metric's median, q1 and q3 per side
 with the number of pairs the change won. --append adds the two rows
 CONTRIBUTING.md describes to each BENCH_<workload>.json.
 
+--digest-change WORKLOAD (repeatable) is for a change that alters that
+workload's outputs on purpose: its digest may then differ between the
+base and the change, but each side must still give one digest in all of
+its runs (the control's equal to the base's), and both are printed.
+
 --control adds an A/A control: a second export of the base in
 .compare/ctrl (a path as long as the other two) that runs in every
 round, the three sides' order rotating from round to round. Each
 metric then also shows the control's median and quartiles, and whether
 the change's median lies outside the control's IQR, which a speed-up
-claim needs (CONTRIBUTING.md).
+claim needs (CONTRIBUTING.md). The mark needs at least 10 pairs
+(CONTROL_MIN_PAIRS): below that the control's IQR spans too few runs to
+stand for the host's noise, and the column says so instead.
 
 A side is exported with `git archive` (the working tree by copying its
 files), not `git worktree add`, so a run registers nothing in the
@@ -307,6 +314,10 @@ def compare_files(base_dir, head_dir):
 
 WORKLOADS = ["paper_buffered", "paper_streaming", "disk_motion"]
 
+# Pairs the control's inside/OUTSIDE mark needs: at 3 pairs its IQR spans
+# three runs, and host noise alone read OUTSIDE.
+CONTROL_MIN_PAIRS = 10
+
 
 def end_to_end_metrics(source):
     with open(os.path.join(source, "BENCHMARK.json")) as f:
@@ -369,6 +380,19 @@ def format_bench_file(data):
     return "\n".join(lines) + "\n"
 
 
+def digests_agree(digests, changes):
+    """Whether the sides' digest sets pass: one digest per side and all
+    equal, or with `changes` the change's free to differ from the base's
+    (which the control must still equal)."""
+    if any(len(d) != 1 for d in digests.values()):
+        return False
+    unique = {side: next(iter(d)) for side, d in digests.items()}
+    if not changes:
+        return len(set(unique.values())) == 1
+    return all(d == unique["base"] for side, d in unique.items()
+               if side != "head")
+
+
 def run_pairs(args, sources):
     metrics = end_to_end_metrics(sources["head"])
     base_commit = git("rev-parse", "--short", args.base).decode().strip()
@@ -377,7 +401,7 @@ def run_pairs(args, sources):
     ok = True
     for workload in args.workload or WORKLOADS:
         runs = {side: [] for side in names}
-        digests = set()
+        digests = {side: set() for side in names}
         correct = True
         for pair in range(args.pairs):
             shift = pair % len(names)
@@ -385,19 +409,27 @@ def run_pairs(args, sources):
                 result, digest = run_perfbench(sources[side], workload,
                                                args.seed, args.seconds)
                 runs[side].append(result)
-                digests.add(digest)
+                digests[side].add(digest)
                 if not result["correct"] or result["failed"] != 0:
                     print(f"{workload}: {side} run {pair} incorrect or "
                           f"failed {result['failed']}/{result['attempted']}")
                     correct = False
             print(f"{workload}: pair {pair + 1}/{args.pairs} done",
                   flush=True)
-        if len(digests) != 1:
-            print(f"{workload}: digests differ: {sorted(map(str, digests))}")
+        changes = workload in (args.digest_change or [])
+        if not digests_agree(digests, changes):
+            print(f"{workload}: digests differ: " + ", ".join(
+                f"{side} {' '.join(sorted(map(str, d)))}"
+                for side, d in digests.items()))
             correct = False
         ok = ok and correct
+        shown = " ".join(sorted({str(d) for ds in digests.values()
+                                 for d in ds}))
+        if changes:
+            shown = f"base {' '.join(map(str, digests['base']))}, " \
+                f"head {' '.join(map(str, digests['head']))} (a change)"
         print(f"\n{workload} (seed {args.seed}, {args.seconds} s, "
-              f"{args.pairs} pairs; digest {' '.join(map(str, digests))})")
+              f"{args.pairs} pairs; digest {shown})")
         print(f"{'metric':<20}" +
               "".join(f"{side + ' median [q1-q3]':>34}" for side in names) +
               f"{'head/base':>11}{'wins':>7}" +
@@ -415,7 +447,9 @@ def run_pairs(args, sources):
             cells = "".join(f"{f'{m:.6g} [{q1:.6g}-{q3:.6g}]':>34}"
                             for m, q1, q3 in stats.values())
             mark = ""
-            if "ctrl" in stats:
+            if "ctrl" in stats and args.pairs < CONTROL_MIN_PAIRS:
+                mark = f"{'too few pairs':>18}"
+            elif "ctrl" in stats:
                 _, q1, q3 = stats["ctrl"]
                 inside = q1 <= stats["head"][0] <= q3
                 mark = f"{'inside' if inside else 'OUTSIDE':>18}"
@@ -432,7 +466,10 @@ def run_pairs(args, sources):
             with open(path, "w") as f:
                 f.write(format_bench_file(data))
             print(f"appended two rows to {os.path.relpath(path, ROOT)}")
-    print("all runs correct, digests equal" if ok else "pairs failed")
+    if "ctrl" in names and args.pairs < CONTROL_MIN_PAIRS:
+        print(f"control: {args.pairs} pairs are too few for the IQR mark "
+              f"(it needs {CONTROL_MIN_PAIRS})")
+    print("all runs correct, digests as required" if ok else "pairs failed")
     return 0 if ok else 1
 
 
@@ -459,11 +496,17 @@ def main():
                         help="append both rows to BENCH_<workload>.json")
     parser.add_argument("--host", help="the rows' host (default: the core "
                         "count and machine)")
+    parser.add_argument("--digest-change", action="append", choices=WORKLOADS,
+                        metavar="WORKLOAD",
+                        help="with --pairs, let this workload's digest "
+                        "differ between the base and the change (repeatable)")
     args = parser.parse_args()
     if args.append and args.pairs < 1:
         parser.error("--append needs --pairs")
     if args.control and args.pairs < 1:
         parser.error("--control needs --pairs")
+    if args.digest_change and args.pairs < 1:
+        parser.error("--digest-change needs --pairs")
 
     sides = {}
     control = (("ctrl", args.base),) if args.control else ()
